@@ -11,7 +11,9 @@
 use lmas_bench::timing::BenchReport;
 use lmas_bench::write_results;
 use lmas_core::kernels::{block_sort, bucket_of, merge_runs, radix_sort_u32, select_splitters};
-use lmas_core::{generate_rec128, generate_rec8, KeyDist, Packet, Rec8};
+use lmas_core::{generate_rec128, generate_rec8, KeyDist, Packet, Rec128, Rec8, Record};
+use lmas_sim::DetRng;
+use lmas_sort::lost_records;
 
 fn main() {
     let mut report = BenchReport::new();
@@ -80,6 +82,35 @@ fn main() {
         }
         acc
     });
+
+    // Fault recovery's tag diff at the fleet job's size: 524 288 records
+    // of which 0.3 % are lost, the survivors shuffled into 256-record
+    // runs over 192 ASUs. Dense tags are the generator's 0..n; the
+    // sparse variant spreads them over all of u64 (multiplying by an odd
+    // constant is a bijection, so they stay unique).
+    let n = 1usize << 19;
+    let dense = generate_rec128(n as u64, KeyDist::Uniform, 4);
+    let sparse: Vec<Rec128> = dense
+        .iter()
+        .map(|r| Rec128::new(r.key(), r.tag().wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        .collect();
+    let mut rng = DetRng::new(5);
+    for (name, data) in [("tag_diff", &dense), ("tag_diff_sparse", &sparse)] {
+        let mut survivors: Vec<Rec128> = data
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 333 != 0)
+            .map(|(_, r)| r.clone())
+            .collect();
+        rng.shuffle(&mut survivors);
+        let mut runs: Vec<Vec<Packet<Rec128>>> = vec![Vec::new(); 192];
+        for (i, run) in survivors.chunks(256).enumerate() {
+            runs[i % 192].push(Packet::new(run.to_vec()));
+        }
+        report.bench(&format!("{name}/n={n},lost=0.3%"), n as u64, || {
+            lost_records(data, &runs).expect("tags are unique").len()
+        });
+    }
 
     write_results("BENCH_kernels.json", &report.to_json());
 }

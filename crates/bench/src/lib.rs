@@ -106,17 +106,17 @@ pub mod timing {
             self.entries.push((name.to_string(), ns));
         }
 
-        /// Render the flat `{"name": ns, ...}` JSON object.
+        /// Render the flat `{"name": ns, ...}` JSON object, closed by the
+        /// `host_cores` the figures were measured on.
         pub fn to_json(&self) -> String {
             let mut out = String::from("{\n");
-            for (i, (name, v)) in self.entries.iter().enumerate() {
-                let comma = if i + 1 == self.entries.len() { "" } else { "," };
+            for (name, v) in &self.entries {
                 // Names are ASCII identifiers chosen by the benches; no
                 // escaping beyond quotes is needed.
-                out.push_str(&format!("  \"{name}\": {v:.3}{comma}\n"));
+                out.push_str(&format!("  \"{name}\": {v:.3},\n"));
             }
-            out.push('}');
-            out.push('\n');
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            out.push_str(&format!("  \"host_cores\": {cores}\n}}\n"));
             out
         }
     }

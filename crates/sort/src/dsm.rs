@@ -71,6 +71,22 @@ pub enum DsmError {
     Plan(lmas_plan::PlanError),
     /// The planner's wiring was internally inconsistent.
     Wire(PlanWireError),
+    /// Fault recovery found a record in the surviving runs more than
+    /// once (a retry delivered after its original was processed).
+    DuplicateSurvivor {
+        /// The record's [`Record::tag64`].
+        tag: u64,
+        /// Every ASU whose runs hold a copy.
+        asus: Vec<usize>,
+    },
+    /// Fault recovery found a record in the surviving runs whose tag the
+    /// input never carried.
+    ForeignSurvivor {
+        /// The record's [`Record::tag64`].
+        tag: u64,
+        /// Every ASU whose runs hold it.
+        asus: Vec<usize>,
+    },
 }
 
 impl fmt::Display for DsmError {
@@ -81,6 +97,14 @@ impl fmt::Display for DsmError {
             DsmError::InputShape(s) => write!(f, "input: {s}"),
             DsmError::Plan(e) => write!(f, "planner: {e}"),
             DsmError::Wire(e) => write!(f, "plan wiring: {e}"),
+            DsmError::DuplicateSurvivor { tag, asus } => write!(
+                f,
+                "recovery: record with tag {tag} survived pass 1 more than once (runs on ASUs {asus:?})"
+            ),
+            DsmError::ForeignSurvivor { tag, asus } => write!(
+                f,
+                "recovery: surviving record with tag {tag} (runs on ASUs {asus:?}) is not in the input"
+            ),
         }
     }
 }

@@ -40,7 +40,7 @@ pub use dsm::{
     run_pass2, run_pass2_auto, run_pass2_with, split_across_asus, DsmError, DsmMultiOutcome,
     DsmOutcome, DsmPlanInfo, Pass1Job, Pass1Result, Pass2Result, PlanWireError,
 };
-pub use fault::{run_dsm_sort_faulty, FaultyDsmOutcome};
+pub use fault::{lost_records, run_dsm_sort_faulty, FaultyDsmOutcome};
 pub use functors::{DistributeSortFunctor, FullMergeFunctor, SubsetMergeFunctor};
 pub use verify::{
     canonical_equal, canonical_records, check_tag_permutation, reconstruct_sorted,

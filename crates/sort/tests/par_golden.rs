@@ -193,6 +193,22 @@ fn pinned_faulted_multi_host_golden() {
     assert_identical_faulty_sort(&par2, &par4);
     assert_same_faulty_sort(&seq, &par4);
 
+    // Recovery on one and on two threads. The repair pass's makespan
+    // moves if the lost records reach `split_across_asus` in any order
+    // but ascending tag.
+    for out in [&seq, &par2] {
+        let repair = out.repair.as_ref().expect("records were lost");
+        assert_eq!(
+            (
+                out.recovered_records,
+                repair.makespan.as_nanos(),
+                out.total.as_nanos()
+            ),
+            (1000, 2_920_376, 39_062_142),
+            "repair golden drifted"
+        );
+    }
+
     // The frozen constants of the threads=4 faulted run.
     let s = par4.pass1.fault;
     let pinned = format!(

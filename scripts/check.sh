@@ -193,4 +193,22 @@ for gate in verified_aware_beats_naive_p50_at_70pct verified_aware_beats_naive_p
 done
 echo "multi-tenant scheduler verified (aware beats naive at >=70% util on p50+p99; artifact deterministic)"
 
+echo "== wall-clock benchmark gate (harness self-tests + every workload at --quick) =="
+# benchmark/ is a package of its own (own lockfile and target dir), so
+# the workspace test above does not reach it. The self-tests hold the
+# traced recomposition to the untraced entry points; the --quick pass
+# runs all six workloads in both modes and verifies every output (it
+# times nothing worth reading: 2 reps each).
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+bq="$(mktemp -d)"
+benchmark/run.sh --quick --out "$bq" > /dev/null
+for f in "$bq"/*.json; do
+    case "$f" in */trace_*) continue ;; esac
+    if ! grep -q '"correct": true' "$f" || ! grep -q '"ops_failed": 0' "$f"; then
+        echo "benchmark gate FAILED: $(basename "$f") reports an incorrect run or failed operations" >&2
+        exit 1
+    fi
+done
+echo "benchmark verified (self-tests pass; all workloads correct, ops_failed = 0)"
+
 echo "check.sh: all green"
