@@ -1,11 +1,11 @@
 //! Feedback-driven runtime load balancing.
 //!
 //! The planner (`lmas-plan`) fixes placement and replication *offline*
-//! from declared costs; this module closes the loop *online*. A
-//! balancer actor inside the emulated cluster wakes on a virtual-time
-//! period, samples per-instance queue depth (the backlog gauges the
-//! routers already consult) and per-node CPU backlog, and — when the
-//! observed imbalance exceeds a deadband — re-weights the replica
+//! from declared costs; this module closes the loop *online*. Watched
+//! instances sample their own queue depth and their node's CPU backlog
+//! on a virtual-time grid and report to a balancer actor inside the
+//! emulated cluster, which — when the previous window's snapshot shows
+//! an imbalance beyond a deadband — re-weights the replica
 //! [`Router`](lmas_core::Router) through its
 //! [`pick_routed`](lmas_core::Router::pick_routed) weight channel:
 //! weights proportional to inverse backlog, floored at `min_weight` so
@@ -41,15 +41,6 @@ pub struct BalanceSpec {
     /// Weight floor for live replicas, in (0, 1]. Keeps every replica
     /// reachable so a transiently slow node can recover its share.
     pub min_weight: f64,
-    /// Compat mode: sample backlog *live* at the balancer instead of
-    /// through the snapshot protocol. The pre-snapshot semantics — the
-    /// balancer actor reads the shared gauges and node clocks directly at
-    /// its tick — which cannot run partitioned, so it forces the
-    /// sequential engine (`par_fallback = "balancer"`). Default `false`
-    /// (snapshot mode: instances self-report depth on the sampling grid,
-    /// the balancer reweights from the previous window's reports, one
-    /// window delayed, identical in both engines).
-    pub live: bool,
 }
 
 impl BalanceSpec {
@@ -61,7 +52,6 @@ impl BalanceSpec {
             deadband: 0,
             cpu_deadband: SimDuration::ZERO,
             min_weight: 0.0,
-            live: false,
         }
     }
 
@@ -74,7 +64,6 @@ impl BalanceSpec {
             deadband: 2048,
             cpu_deadband: SimDuration::from_millis(20),
             min_weight: 0.05,
-            live: false,
         }
     }
 
@@ -87,13 +76,6 @@ impl BalanceSpec {
     /// This spec with the given CPU-backlog deadband.
     pub const fn with_cpu_deadband(mut self, spread: SimDuration) -> BalanceSpec {
         self.cpu_deadband = spread;
-        self
-    }
-
-    /// This spec in live-read compat mode (see the `live` field):
-    /// pre-snapshot semantics, sequential engine only.
-    pub const fn live_sampling(mut self) -> BalanceSpec {
-        self.live = true;
         self
     }
 

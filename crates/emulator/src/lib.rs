@@ -10,7 +10,10 @@
 //! - [`node`]: per-node CPU/NIC/disk resources;
 //! - [`runtime`]: compiles a (`FlowGraph`, `Placement`) pair into
 //!   simulation actors and runs it ([`run_job`],
-//!   [`run_job_with_faults`]);
+//!   [`run_job_with_faults`]) — entry points, errors and report types in
+//!   `runtime/mod.rs`, the one builder in `runtime/build.rs`, and one
+//!   file per actor protocol (`msg`, `instance`, `fault_ctl`,
+//!   `balancer`, `repair_actors`, `sched_actor`);
 //! - [`fault`]: deterministic fault injection — crash/degrade/lossy
 //!   nodes, heartbeat failure detection, retrying delivery;
 //! - [`balance`]: feedback-driven runtime load balancing — periodic

@@ -138,37 +138,29 @@ impl GaugeJournal {
         }
     }
 
-    /// Records were routed to instance `i` at `now`.
-    pub fn add(&mut self, i: usize, records: u64, now: SimTime, key: (u64, u64)) {
+    fn push(&mut self, kind: GaugeOpKind, inst: usize, records: u64, at: SimTime, key: (u64, u64)) {
         self.ops.push(GaugeOp {
-            at: now,
+            at,
             key,
-            inst: i,
-            kind: GaugeOpKind::Add,
+            inst,
+            kind,
             records,
         });
+    }
+
+    /// Records were routed to instance `i` at `now`.
+    pub fn add(&mut self, i: usize, records: u64, now: SimTime, key: (u64, u64)) {
+        self.push(GaugeOpKind::Add, i, records, now, key);
     }
 
     /// Instance `i` started records at `now`.
     pub fn sub(&mut self, i: usize, records: u64, now: SimTime, key: (u64, u64)) {
-        self.ops.push(GaugeOp {
-            at: now,
-            key,
-            inst: i,
-            kind: GaugeOpKind::Sub,
-            records,
-        });
+        self.push(GaugeOpKind::Sub, i, records, now, key);
     }
 
     /// Instance `i`'s queue vanished at `now` (node crash).
     pub fn clear(&mut self, i: usize, now: SimTime, key: (u64, u64)) {
-        self.ops.push(GaugeOp {
-            at: now,
-            key,
-            inst: i,
-            kind: GaugeOpKind::Clear,
-            records: 0,
-        });
+        self.push(GaugeOpKind::Clear, i, 0, now, key);
     }
 
     /// Placeholder depths (all zero; see the type docs).

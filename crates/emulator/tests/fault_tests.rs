@@ -204,6 +204,28 @@ fn out_of_range_plan_node_is_rejected() {
     assert!(matches!(err, JobError::FaultPlanNode { node: 99 }));
 }
 
+/// A zero heartbeat period under an active plan is caller input the
+/// detector cannot run on: a typed error on both drivers, not an abort.
+/// An inactive spec never consults the detector, so it still runs.
+#[test]
+fn zero_heartbeat_period_is_a_typed_error() {
+    for threads in [1, 2] {
+        let cfg = ClusterConfig::era_2002(2, 1, 8.0).with_threads(threads);
+        let job = || {
+            let (graph, placement, inputs) = replicated_relay_job(100, 1, RoutingPolicy::Static);
+            Job { graph, placement, inputs }
+        };
+        let mut spec = FaultSpec::with_plan(FaultPlan::new().crash(asu_index(&cfg, 0), SimTime(1)));
+        spec.heartbeat_period = SimDuration::ZERO;
+        let err = run_job_with_faults(&cfg, &spec, job()).unwrap_err();
+        assert!(matches!(err, JobError::FaultConfig(_)), "threads {threads}: {err}");
+
+        let mut idle = FaultSpec::none();
+        idle.heartbeat_period = SimDuration::ZERO;
+        run_job_with_faults(&cfg, &idle, job()).expect("an empty plan needs no detector");
+    }
+}
+
 /// The same seeded chaos run, executed twice, is bit-identical: same
 /// makespan, same fault counters, same dispatch count, same output.
 #[test]

@@ -312,6 +312,36 @@ fn input_for_non_source_rejected() {
     assert!(matches!(err, JobError::InputForNonSource { stage: 1, .. }));
 }
 
+/// Input keyed to an instance the graph does not have is rejected
+/// before anything runs, under both drivers: a stage past the end used
+/// to panic on the index, and an instance at or past the replication
+/// used to run to a "successful" report without its records.
+#[test]
+fn input_for_unknown_instance_rejected() {
+    for threads in [1, 2] {
+        let cfg = ClusterConfig::era_2002(2, 1, 8.0).with_threads(threads);
+        for key in [(7usize, 0usize), (0, 1)] {
+            let mut g: FlowGraph<Rec8> = FlowGraph::new();
+            let src = g.add_source_stage(1, identity_factory());
+            let dst = g.add_stage(1, identity_factory());
+            g.connect(src, dst, RoutingPolicy::Static, EdgeKind::Set).unwrap();
+            let mut placement = Placement::new();
+            placement.assign(src, 0, NodeId::Asu(0));
+            placement.assign(dst, 0, NodeId::Host(0));
+            let mut inputs = BTreeMap::new();
+            inputs.insert((0usize, 0usize), vec![Packet::new(vec![Rec8 { key: 1, tag: 0 }])]);
+            inputs.insert(key, vec![Packet::new(vec![Rec8 { key: 2, tag: 1 }])]);
+            let err = run_job(&cfg, Job { graph: g, placement, inputs }).unwrap_err();
+            let (stage, instance) = key;
+            assert!(
+                matches!(err, JobError::InputForUnknownInstance { stage: s, instance: i }
+                    if s == stage && i == instance),
+                "threads {threads}, key {key:?}: {err}"
+            );
+        }
+    }
+}
+
 /// A non-source stage with no incoming edge is rejected.
 #[test]
 fn disconnected_stage_rejected() {

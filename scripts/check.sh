@@ -4,6 +4,39 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# run_twice_diff FAIL_MSG BIN ENV WHAT [FILTER]
+# Build lmas-bench's release binary BIN and run it twice, each run with
+# the space-separated ENV assignments and its own scratch
+# LMAS_RESULTS_DIR. Exit 1 with FAIL_MSG and the diff unless both runs
+# agree on WHAT: `stdout`, an artifact file name, or `stdout+ARTIFACT`.
+# Lines matching the optional FILTER regex are dropped before comparing
+# (wall-clock noise). Stdout has the run's results dir rewritten to
+# RESULTS; run 1's copy is left at $RTD_STDOUT for the caller to print.
+run_twice_diff() {
+    local msg="$1" bin="$2" envs="$3" what="$4" filter="${5:-}"
+    cargo build -q --release -p lmas-bench --bin "$bin"
+    local d d1 d2 f out=""
+    d1="$(mktemp -d)"; d2="$(mktemp -d)"
+    for d in "$d1" "$d2"; do
+        # shellcheck disable=SC2086  # ENV is a word list by contract
+        env $envs LMAS_RESULTS_DIR="$d" "./target/release/$bin" | sed "s|$d|RESULTS|" > "$d/.stdout"
+    done
+    for f in ${what//+/ }; do
+        [ "$f" = stdout ] && f=.stdout
+        if [ -n "$filter" ]; then
+            out+="$(diff <(grep -v -- "$filter" "$d1/$f") <(grep -v -- "$filter" "$d2/$f") || true)"
+        else
+            out+="$(diff "$d1/$f" "$d2/$f" || true)"
+        fi
+    done
+    if [ -n "$out" ]; then
+        echo "$msg" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+    RTD_STDOUT="$d1/.stdout"
+}
+
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
@@ -18,15 +51,9 @@ echo "== determinism gate (seeded emulation + chaos + planned + parallel runs, t
 # snapshot-balanced partitioned run: bounces, retries, fencing, repair,
 # plan reports, reweights, and the parallel kernel's merged reports
 # must all be run-to-run stable despite real thread interleaving.
-cargo build -q --release -p lmas-bench --bin determinism
-run1="$(./target/release/determinism)"
-run2="$(./target/release/determinism)"
-if [ "$run1" != "$run2" ]; then
-    echo "determinism gate FAILED: two runs of the pinned emulation differ" >&2
-    diff <(echo "$run1") <(echo "$run2") >&2 || true
-    exit 1
-fi
-echo "$run1"
+run_twice_diff "determinism gate FAILED: two runs of the pinned emulation differ" \
+    determinism "" stdout
+cat "$RTD_STDOUT"
 
 echo "== parallel kernel gate (goldens at 1/2/4/8 threads, byte-diffed) =="
 # par_golden re-runs the frozen sequential pins of tests/golden.rs at
@@ -47,17 +74,8 @@ echo "== parallel scaling gate (par_scaling at reduced scale, twice, diff; speed
 # byte-identical across two runs. barrier_wait_hist is wall-clock
 # scheduling noise — stripped before the diff; every other figure is
 # virtual time and must be stable.
-cargo build -q --release -p lmas-bench --bin par_scaling
-pg1="$(mktemp -d)"; pg2="$(mktemp -d)"
-LMAS_SCALE="${LMAS_PAR_SCALE:-0.1}" LMAS_RESULTS_DIR="$pg1" ./target/release/par_scaling > /dev/null
-LMAS_SCALE="${LMAS_PAR_SCALE:-0.1}" LMAS_RESULTS_DIR="$pg2" ./target/release/par_scaling > /dev/null
-if ! diff -q <(grep -v barrier_wait_hist "$pg1/BENCH_par_sim.json") \
-             <(grep -v barrier_wait_hist "$pg2/BENCH_par_sim.json") > /dev/null; then
-    echo "parallel scaling gate FAILED: two par_scaling runs differ" >&2
-    diff <(grep -v barrier_wait_hist "$pg1/BENCH_par_sim.json") \
-         <(grep -v barrier_wait_hist "$pg2/BENCH_par_sim.json") >&2 || true
-    exit 1
-fi
+run_twice_diff "parallel scaling gate FAILED: two par_scaling runs differ" \
+    par_scaling "LMAS_SCALE=${LMAS_PAR_SCALE:-0.1}" BENCH_par_sim.json barrier_wait_hist
 # Bench-regression guard: the checked-in full-scale artifact must still
 # assert both dispatch-speedup gates (the binary writes `false` — and
 # aborts — when a gate misses at full scale).
@@ -88,30 +106,15 @@ echo "== planner smoke (placement sweep at reduced scale, twice, diff) =="
 # always-in-deadband balancer leaves the planned run untouched; the
 # JSON artifact must also be byte-identical across runs.
 cargo test -q -p lmas-plan > /dev/null
-cargo build -q --release -p lmas-bench --bin placement_sweep
-ps1="$(mktemp -d)"; ps2="$(mktemp -d)"
-LMAS_SCALE="${LMAS_PLAN_SCALE:-0.25}" LMAS_RESULTS_DIR="$ps1" ./target/release/placement_sweep > /dev/null
-LMAS_SCALE="${LMAS_PLAN_SCALE:-0.25}" LMAS_RESULTS_DIR="$ps2" ./target/release/placement_sweep > /dev/null
-if ! diff -q "$ps1/BENCH_placement.json" "$ps2/BENCH_placement.json" > /dev/null; then
-    echo "planner smoke FAILED: two placement_sweep runs differ" >&2
-    diff "$ps1/BENCH_placement.json" "$ps2/BENCH_placement.json" >&2 || true
-    exit 1
-fi
+run_twice_diff "planner smoke FAILED: two placement_sweep runs differ" \
+    placement_sweep "LMAS_SCALE=${LMAS_PLAN_SCALE:-0.25}" BENCH_placement.json
 echo "placement sweep verified (planned never loses to naive layouts; artifact deterministic)"
 
 echo "== storage substrate smoke (disk_scaling at tiny n, twice, diff) =="
 # The multi-disk/pool/read-ahead bench must be run-to-run byte-identical
 # in all printed virtual-time figures and in its JSON artifact.
-cargo build -q --release -p lmas-bench --bin disk_scaling
-ds1="$(mktemp -d)"; ds2="$(mktemp -d)"
-out1="$(LMAS_SCALE=0.05 LMAS_RESULTS_DIR="$ds1" ./target/release/disk_scaling | sed 's|'"$ds1"'|RESULTS|')"
-out2="$(LMAS_SCALE=0.05 LMAS_RESULTS_DIR="$ds2" ./target/release/disk_scaling | sed 's|'"$ds2"'|RESULTS|')"
-if [ "$out1" != "$out2" ] || ! diff -q "$ds1/BENCH_storage.json" "$ds2/BENCH_storage.json" > /dev/null; then
-    echo "storage smoke FAILED: two disk_scaling runs differ" >&2
-    diff <(echo "$out1") <(echo "$out2") >&2 || true
-    diff "$ds1/BENCH_storage.json" "$ds2/BENCH_storage.json" >&2 || true
-    exit 1
-fi
+run_twice_diff "storage smoke FAILED: two disk_scaling runs differ" \
+    disk_scaling "LMAS_SCALE=0.05" stdout+BENCH_storage.json
 echo "disk_scaling deterministic (stdout + JSON byte-identical across runs)"
 
 echo "== coded shuffle smoke (coded_shuffle at reduced scale, twice, diff) =="
@@ -120,15 +123,8 @@ echo "== coded shuffle smoke (coded_shuffle at reduced scale, twice, diff) =="
 # all be run-to-run byte-identical (the thread and r=1 gates are hard
 # asserts at any scale; the tracking/agreement gates are asserted at
 # full scale and recorded as verified_* booleans here).
-cargo build -q --release -p lmas-bench --bin coded_shuffle
-cs1="$(mktemp -d)"; cs2="$(mktemp -d)"
-LMAS_SCALE="${LMAS_CODED_SCALE:-0.25}" LMAS_RESULTS_DIR="$cs1" ./target/release/coded_shuffle > /dev/null
-LMAS_SCALE="${LMAS_CODED_SCALE:-0.25}" LMAS_RESULTS_DIR="$cs2" ./target/release/coded_shuffle > /dev/null
-if ! diff -q "$cs1/BENCH_coded.json" "$cs2/BENCH_coded.json" > /dev/null; then
-    echo "coded shuffle smoke FAILED: two coded_shuffle runs differ" >&2
-    diff "$cs1/BENCH_coded.json" "$cs2/BENCH_coded.json" >&2 || true
-    exit 1
-fi
+run_twice_diff "coded shuffle smoke FAILED: two coded_shuffle runs differ" \
+    coded_shuffle "LMAS_SCALE=${LMAS_CODED_SCALE:-0.25}" BENCH_coded.json
 # Bench-regression guard: the checked-in full-scale artifact must carry
 # all four verified gates (the binary aborts before writing `true` when
 # a gate misses at full scale).
@@ -147,15 +143,8 @@ echo "== repair smoke (fleet durability sweep at reduced scale, twice, diff) =="
 # (the binary aborts on a miss), and the JSON artifact must be
 # byte-identical across runs. The determinism binary's repair/parrepair
 # sections already pin the same engine across thread counts above.
-cargo build -q --release -p lmas-bench --bin repair_fleet
-rf1="$(mktemp -d)"; rf2="$(mktemp -d)"
-LMAS_SCALE="${LMAS_REPAIR_SCALE:-0.1}" LMAS_RESULTS_DIR="$rf1" ./target/release/repair_fleet > /dev/null
-LMAS_SCALE="${LMAS_REPAIR_SCALE:-0.1}" LMAS_RESULTS_DIR="$rf2" ./target/release/repair_fleet > /dev/null
-if ! diff -q "$rf1/BENCH_repair.json" "$rf2/BENCH_repair.json" > /dev/null; then
-    echo "repair smoke FAILED: two repair_fleet runs differ" >&2
-    diff "$rf1/BENCH_repair.json" "$rf2/BENCH_repair.json" >&2 || true
-    exit 1
-fi
+run_twice_diff "repair smoke FAILED: two repair_fleet runs differ" \
+    repair_fleet "LMAS_SCALE=${LMAS_REPAIR_SCALE:-0.1}" BENCH_repair.json
 # Bench-regression guard: the checked-in full-scale artifact must carry
 # the mean-field validation stamp (the binary aborts before writing it
 # when any cell misses its tolerance).
@@ -173,15 +162,8 @@ echo "== scheduler smoke (multi_tenant, twice, diff; latency gates) =="
 # tests (quota-never-exceeded and starvation-freedom proptests, the
 # single-job golden) ride along.
 cargo test -q -p lmas-sched > /dev/null
-cargo build -q --release -p lmas-bench --bin multi_tenant
-mt1="$(mktemp -d)"; mt2="$(mktemp -d)"
-LMAS_RESULTS_DIR="$mt1" ./target/release/multi_tenant > /dev/null
-LMAS_RESULTS_DIR="$mt2" ./target/release/multi_tenant > /dev/null
-if ! diff -q "$mt1/BENCH_sched.json" "$mt2/BENCH_sched.json" > /dev/null; then
-    echo "scheduler smoke FAILED: two multi_tenant runs differ" >&2
-    diff "$mt1/BENCH_sched.json" "$mt2/BENCH_sched.json" >&2 || true
-    exit 1
-fi
+run_twice_diff "scheduler smoke FAILED: two multi_tenant runs differ" \
+    multi_tenant "" BENCH_sched.json
 # Bench-regression guard: the checked-in artifact must carry all four
 # verified gates (the binary aborts before writing them on a miss).
 for gate in verified_aware_beats_naive_p50_at_70pct verified_aware_beats_naive_p99_at_70pct \
