@@ -12,8 +12,10 @@ use lmas_bench::timing::BenchReport;
 use lmas_bench::write_results;
 use lmas_core::kernels::{block_sort, bucket_of, merge_runs, radix_sort_u32, select_splitters};
 use lmas_core::{generate_rec128, generate_rec8, KeyDist, Packet, Rec128, Rec8, Record};
+use lmas_emulator::ClusterConfig;
+use lmas_plan::ResidualCapacity;
 use lmas_sim::DetRng;
-use lmas_sort::lost_records;
+use lmas_sort::{choose_splitters, lost_records, DsmConfig, Pass1Planner};
 
 fn main() {
     let mut report = BenchReport::new();
@@ -111,6 +113,33 @@ fn main() {
             lost_records(data, &runs).expect("tags are unique").len()
         });
     }
+
+    // The scheduler's per-arrival control plane at the benchmark's
+    // `sched_mix` geometry (4 hosts, 4 ASUs, α = 2, 2 500 records): one
+    // residual plan against a half-loaded cluster and one solo estimate,
+    // on a planner kept across calls as `run_scheduled` keeps it (ns per
+    // call); and sampled splitter selection at the scheduler's and the
+    // fleet job's sizes (ns per input record).
+    let cluster = ClusterConfig::era_2002(4, 4, 2.0);
+    let dsm = DsmConfig::new(2, 256, 4, 64);
+    let mut planner = Pass1Planner::new::<Rec8>(&cluster, &dsm, 2_500);
+    let mut res = ResidualCapacity::full(8);
+    for u in 0..8 {
+        let share = 0.1 * (u % 4) as f64;
+        res.occupy(u, share, share / 2.0, share / 4.0);
+    }
+    report.bench("plan/residual_4h4a", 1, || {
+        planner.plan_residual(&res).expect("plans").estimate.makespan_ns
+    });
+    let layout = planner.plan_residual(&res).expect("plans").assignment;
+    report.bench("plan/estimate_4h4a", 1, || {
+        planner.estimate_solo(&layout).makespan_ns
+    });
+    let small = generate_rec8(10_000, KeyDist::Uniform, 6);
+    report.bench("splitters/n=10000,k=2", 10_000, || choose_splitters(&small, 2));
+    report.bench("splitters/n=524288,k=16", 1 << 19, || {
+        choose_splitters(&dense, 16)
+    });
 
     write_results("BENCH_kernels.json", &report.to_json());
 }

@@ -122,6 +122,10 @@ impl CostModel {
     /// (1.0 = host; an ASU with ratio `c` has speed `1/c`).
     pub fn charge(&self, work: Work, speed: f64) -> SimDuration {
         assert!(speed > 0.0, "CPU speed must be positive");
+        if work.is_zero() {
+            // No work takes no time at any speed (relays, empty flushes).
+            return SimDuration::ZERO;
+        }
         let ns = work.compares as f64 * self.ns_per_compare
             + work.record_moves as f64 * self.ns_per_record_move
             + work.bytes as f64 * self.ns_per_byte;
@@ -173,6 +177,7 @@ mod tests {
         let asu8 = m.charge(Work::compares(100), 1.0 / 8.0);
         assert_eq!(host, SimDuration::from_nanos(1000));
         assert_eq!(asu8, SimDuration::from_nanos(8000));
+        assert_eq!(m.charge(Work::ZERO, 1.0 / 8.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -305,6 +305,24 @@ impl<R: Record> FlowGraph<R> {
         Ok(())
     }
 
+    /// Move every stage and edge of `other` onto the end of this graph
+    /// and return the [`StageId`] offset they now sit at: `other`'s
+    /// stage `s` is `StageId(offset + s)` here. Stages keep the
+    /// metadata their probe reported and their factory handle, and
+    /// edges were checked when `other` connected them, so nothing is
+    /// instantiated or re-validated — merging `j` jobs costs the sum of
+    /// their stage and edge counts.
+    pub fn append(&mut self, other: FlowGraph<R>) -> usize {
+        let offset = self.stages.len();
+        self.stages.extend(other.stages);
+        self.edges.extend(other.edges.into_iter().map(|e| Edge {
+            from: StageId(e.from.0 + offset),
+            to: StageId(e.to.0 + offset),
+            ..e
+        }));
+        offset
+    }
+
     /// The stages, indexed by [`StageId`].
     pub fn stages(&self) -> &[Stage<R>] {
         &self.stages
@@ -547,6 +565,42 @@ mod tests {
         let y = ident(2, &mut g2, false);
         g2.connect(x, y, RoutingPolicy::Static, EdgeKind::Set).unwrap();
         assert_eq!(g2.out_edge(x).unwrap().coded_group, 1);
+    }
+
+    #[test]
+    fn append_offsets_stages_and_edges() {
+        let mut a = FlowGraph::new();
+        let a0 = ident(2, &mut a, true);
+        let a1 = ident(3, &mut a, false);
+        a.connect(a0, a1, RoutingPolicy::RoundRobin, EdgeKind::Set).unwrap();
+        let mut b = FlowGraph::new();
+        let b0 = ident(1, &mut b, true);
+        let b1 = ident(4, &mut b, false);
+        b.connect_coded(
+            b0,
+            b1,
+            RoutingPolicy::SimpleRandomization,
+            EdgeKind::Set,
+            RouteScope::PortGroups { group_size: 2 },
+            2,
+        )
+        .unwrap();
+        assert_eq!(a.append(b), 2);
+        assert_eq!(a.stages().len(), 4);
+        let reps: Vec<usize> = a.stages().iter().map(|s| s.replication).collect();
+        assert_eq!(reps, [2, 3, 1, 4]);
+        assert!(a.stage(StageId(2)).is_source && !a.stage(StageId(3)).is_source);
+        let e = *a.out_edge(StageId(2)).unwrap();
+        assert_eq!((e.from, e.to), (StageId(2), StageId(3)));
+        assert_eq!(e.routing, RoutingPolicy::SimpleRandomization);
+        assert_eq!(e.scope, RouteScope::PortGroups { group_size: 2 });
+        assert_eq!(e.coded_group, 2);
+        assert_eq!(a.out_edge(a0).unwrap().to, a1);
+        assert_eq!(a.validate().unwrap().len(), 4);
+        // Appending onto an empty graph is the identity.
+        let mut empty = FlowGraph::new();
+        assert_eq!(empty.append(a), 0);
+        assert_eq!(empty.edges().len(), 2);
     }
 
     #[test]

@@ -181,19 +181,45 @@ pub fn is_sorted_by_key<R: Record>(records: &[R]) -> bool {
 
 /// Choose `k - 1` splitter keys that partition `sample` into `k` roughly
 /// equal buckets (the classic sampled-quantile splitter selection used by
-/// distribution sorts). `sample` need not be sorted; it is sorted here.
-/// Returns an ascending splitter vector of length `k - 1` (may contain
-/// duplicates when the sample is highly skewed).
-pub fn select_splitters<R: Record>(mut sample: Vec<R>, k: usize) -> Vec<R::Key> {
+/// distribution sorts). `sample` need not be sorted. Returns an ascending
+/// splitter vector of length `k - 1` (may contain duplicates when the
+/// sample is highly skewed).
+pub fn select_splitters<R: Record>(sample: Vec<R>, k: usize) -> Vec<R::Key> {
+    splitters_of_keys(sample.iter().map(Record::key).collect(), k)
+}
+
+/// [`select_splitters`] over a sample's keys alone: splitter `i` is the
+/// key at rank `i·n/k` of the sample in key order. Only those `k - 1`
+/// order statistics are computed (a multi-select, O(n log k)); the
+/// sample is never fully sorted and no record is moved.
+pub fn splitters_of_keys<K: Ord + Copy>(mut keys: Vec<K>, k: usize) -> Vec<K> {
     assert!(k >= 1, "need at least one bucket");
-    if k == 1 || sample.is_empty() {
+    if k == 1 || keys.is_empty() {
         return Vec::new();
     }
-    sample.sort_by_key(|r| r.key());
-    let n = sample.len();
-    (1..k)
-        .map(|i| sample[(i * n / k).min(n - 1)].key())
-        .collect()
+    let n = keys.len();
+    let rank = |i: usize| (i * n / k).min(n - 1);
+    // Distinct ranks, ascending (a sample shorter than k repeats some).
+    let mut ranks: Vec<usize> = (1..k).map(rank).collect();
+    ranks.dedup();
+    place_ranks(&mut keys, 0, &ranks);
+    (1..k).map(|i| keys[rank(i)]).collect()
+}
+
+/// Permute `keys` (positions `base..base + keys.len()` of the sample)
+/// so that every position in `ranks` — ascending, distinct, within that
+/// range — holds the key a full sort would put there: select the middle
+/// rank, which splits the slice around it, and recurse into each side
+/// with the ranks that fall there.
+fn place_ranks<K: Ord>(keys: &mut [K], base: usize, ranks: &[usize]) {
+    if ranks.is_empty() {
+        return;
+    }
+    let mid = ranks.len() / 2;
+    let at = ranks[mid] - base;
+    let (below, _, above) = keys.select_nth_unstable(at);
+    place_ranks(below, base, &ranks[..mid]);
+    place_ranks(above, base + at + 1, &ranks[mid + 1..]);
 }
 
 /// Bucket index of `key` given ascending `splitters` (`len = k-1`):
@@ -395,6 +421,41 @@ mod tests {
         assert_eq!(bucket_of(30, &sp), 3);
         assert_eq!(bucket_of(99, &sp), 3);
         assert_eq!(bucket_of(5u32, &[]), 0, "k=1 has a single bucket");
+    }
+
+    /// The definition: stable-sort the sample by key, read rank i·n/k.
+    fn splitters_by_sorting(mut sample: Vec<Rec8>, k: usize) -> Vec<u32> {
+        if k == 1 || sample.is_empty() {
+            return Vec::new();
+        }
+        sample.sort_by_key(|r| r.key);
+        let n = sample.len();
+        (1..k).map(|i| sample[(i * n / k).min(n - 1)].key).collect()
+    }
+
+    #[test]
+    fn rank_selected_splitters_equal_the_sorted_definition() {
+        let uniform = generate_rec8(5_000, KeyDist::Uniform, 11);
+        let skewed: Vec<Rec8> = uniform
+            .iter()
+            .map(|r| Rec8 { key: if r.key % 10 < 7 { 42 } else { r.key % 97 }, tag: r.tag })
+            .collect();
+        let all_equal = recs(&[9; 300]);
+        let short = recs(&[5, 1, 4]);
+        let descending: Vec<Rec8> = recs(&(0..1_000).rev().collect::<Vec<u32>>());
+        for sample in [uniform, skewed, all_equal, short, descending, recs(&[3]), recs(&[])] {
+            for k in [1usize, 2, 3, 16, 64] {
+                let want = splitters_by_sorting(sample.clone(), k);
+                assert_eq!(
+                    select_splitters(sample.clone(), k),
+                    want,
+                    "n={} k={k}",
+                    sample.len()
+                );
+                let keys: Vec<u32> = sample.iter().map(|r| r.key).collect();
+                assert_eq!(splitters_of_keys(keys, k), want, "n={} k={k}", sample.len());
+            }
+        }
     }
 
     #[test]

@@ -156,13 +156,15 @@ pub struct MultiJobReport<R: Record> {
 ///
 /// Graph/placement validation errors surface exactly as for a single
 /// job. A job with an empty graph is rejected up front (it could never
-/// complete).
+/// complete), and so is an empty job list ([`JobError::NoJobs`]).
 pub fn run_jobs<R: Record>(
     cfg: &ClusterConfig,
     jobs: Vec<TenantJob<R>>,
     gate: Box<dyn SchedGate>,
 ) -> Result<MultiJobReport<R>, JobError> {
-    assert!(!jobs.is_empty(), "run_jobs needs at least one job");
+    if jobs.is_empty() {
+        return Err(JobError::NoJobs);
+    }
     let mut graph = lmas_core::FlowGraph::new();
     let mut placement = lmas_core::Placement::new();
     let mut inputs: BTreeMap<(usize, usize), Vec<Packet<R>>> = BTreeMap::new();
@@ -188,29 +190,6 @@ pub fn run_jobs<R: Record>(
             return Err(JobError::Graph(lmas_core::GraphError::Empty));
         }
         let base = graph.stages().len();
-        // Stages re-add through their shared factory handles: name,
-        // ports, kind and replication all re-probe identically, so the
-        // merged stage is indistinguishable from the original.
-        let mut ids = Vec::with_capacity(g.stages().len());
-        for s in g.stages() {
-            let f = s.factory_handle();
-            let id = if s.is_source {
-                graph.add_source_stage(s.replication, move |i| f(i))
-            } else {
-                graph.add_stage(s.replication, move |i| f(i))
-            };
-            ids.push(id);
-        }
-        for e in g.edges() {
-            graph.connect_coded(
-                ids[e.from.0],
-                ids[e.to.0],
-                e.routing,
-                e.kind,
-                e.scope,
-                e.coded_group,
-            )?;
-        }
         let mut srcs = Vec::new();
         let mut sink_insts = 0usize;
         for (s, st) in g.stages().iter().enumerate() {
@@ -235,6 +214,9 @@ pub fn run_jobs<R: Record>(
         for ((s, i), v) in inp {
             inputs.insert((base + s, i), v);
         }
+        // The job's stages and edges move into the merged graph as they
+        // are: same probed metadata, same factory handles.
+        graph.append(g);
         sources.push(srcs);
         sinks.push(sink_insts);
         arrivals.push(arrival);
@@ -527,6 +509,15 @@ mod tests {
             .map(|u| u.disk_read_bytes)
             .sum();
         assert_eq!(read, whole);
+    }
+
+    #[test]
+    fn empty_job_list_is_a_typed_error() {
+        let err = run_jobs::<Rec8>(&cfg(), Vec::new(), Box::new(AdmitAll))
+            .err()
+            .expect("nothing to run");
+        assert!(matches!(err, JobError::NoJobs), "{err}");
+        assert!(err.to_string().contains("no jobs"), "{err}");
     }
 
     #[test]

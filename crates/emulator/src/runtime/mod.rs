@@ -112,6 +112,9 @@ pub enum JobError {
     },
     /// A non-source stage has no incoming edge (it would never start).
     DisconnectedStage(StageId),
+    /// A multi-tenant run ([`run_jobs`](crate::multi::run_jobs)) was
+    /// handed an empty job list.
+    NoJobs,
     /// An instance has no node assigned (surfaced as a typed error so a
     /// fault-injected run never aborts the process).
     UnplacedInstance {
@@ -165,6 +168,7 @@ impl fmt::Display for JobError {
             JobError::DisconnectedStage(s) => {
                 write!(f, "non-source stage {s:?} has no incoming edge")
             }
+            JobError::NoJobs => write!(f, "no jobs to run"),
             JobError::UnplacedInstance { stage, instance } => {
                 write!(f, "stage {stage} instance {instance} has no node assigned")
             }

@@ -23,6 +23,7 @@
 
 use crate::model::{ClusterShape, PlanSpec};
 use crate::residual::ResidualCapacity;
+use crate::search::Planner;
 use lmas_core::placement::NodeId;
 use std::fmt;
 
@@ -122,9 +123,457 @@ impl Estimate {
     }
 }
 
-/// Per-instance record share under even dealing.
-fn recs_per_instance(records: u64, replication: usize) -> f64 {
-    records as f64 / replication as f64
+/// Everything the estimate needs from `(spec, shape, residual)` that no
+/// assignment can change, as tables indexed `[stage * nn + node]` or
+/// `[node]`: what one instance of a stage costs a node it is put on
+/// (work → ns through `cost.charge`, bytes → ns through the disk
+/// rate), and the link rate it would send at. Built once per plan (the
+/// residual changes with every arrival, so there is nothing to keep
+/// across plans but the buffers), read by every probe of the search.
+/// Each entry is the value of the expression the estimator would
+/// otherwise evaluate per use, operand for operand.
+#[derive(Debug, Default)]
+pub(crate) struct Rates {
+    hosts: usize,
+    /// Node count; row stride of the per-(stage, node) tables.
+    nn: usize,
+    /// Planner node order: hosts, then ASUs.
+    pub(crate) nodes: Vec<NodeId>,
+    /// `cost.charge(per_record)` in ns.
+    per_rec: Vec<f64>,
+    /// `cost.charge(flush_per_instance)` in ns.
+    flush: Vec<f64>,
+    /// One instance's CPU time: `recs · per_rec + flush`.
+    cpu: Vec<f64>,
+    /// One instance's share of the stage's source reads, in disk ns.
+    disk_in: Vec<f64>,
+    /// One instance's share of the stage's sink writes, in disk ns.
+    disk_out: Vec<f64>,
+    /// One instance's share of reads and writes together, in disk ns.
+    disk_io: Vec<f64>,
+    /// One inbound packet of the stage through the node's disk, ns.
+    packet_disk: Vec<f64>,
+    /// Residual-scaled disk ns per byte, per node.
+    disk_npb: Vec<f64>,
+    /// Residual-scaled outbound-link ns per byte, per node.
+    link_npb: Vec<f64>,
+    /// Records per instance under even dealing, per stage.
+    recs: Vec<f64>,
+    /// Bytes of one inbound packet, per stage.
+    packet_bytes: Vec<f64>,
+}
+
+impl Rates {
+    /// Refill the tables for `(spec, shape, res)`, keeping the buffers.
+    pub(crate) fn load(&mut self, spec: &PlanSpec, shape: &ClusterShape, res: &ResidualCapacity) {
+        debug_assert_eq!(res.len(), shape.total_nodes());
+        self.hosts = shape.hosts;
+        self.nn = shape.total_nodes();
+        self.nodes.clear();
+        self.nodes.extend((0..shape.hosts).map(NodeId::Host));
+        self.nodes.extend((0..shape.asus).map(NodeId::Asu));
+        self.disk_npb.clear();
+        self.link_npb.clear();
+        for (ui, &node) in self.nodes.iter().enumerate() {
+            self.disk_npb
+                .push(1e9 / (shape.disk_rate(node) * res.disk[ui]));
+            self.link_npb.push(1e9 / (shape.link_rate * res.nic[ui]));
+        }
+        for table in [
+            &mut self.per_rec,
+            &mut self.flush,
+            &mut self.cpu,
+            &mut self.disk_in,
+            &mut self.disk_out,
+            &mut self.disk_io,
+            &mut self.packet_disk,
+            &mut self.recs,
+            &mut self.packet_bytes,
+        ] {
+            table.clear();
+        }
+        for st in &spec.stages {
+            let recs = st.records as f64 / st.replication as f64;
+            let packet_bytes = st.packet_records as f64 * spec.record_bytes as f64;
+            self.recs.push(recs);
+            self.packet_bytes.push(packet_bytes);
+            for (ui, &node) in self.nodes.iter().enumerate() {
+                let speed = shape.node_speed(node) * res.cpu[ui];
+                let ns = |work| shape.cost.charge(work, speed).as_nanos() as f64;
+                let (per_rec, flush) = (ns(st.per_record), ns(st.flush_per_instance));
+                let disk_npb = self.disk_npb[ui];
+                self.per_rec.push(per_rec);
+                self.flush.push(flush);
+                self.cpu.push(recs * per_rec + flush);
+                self.disk_in
+                    .push(st.bytes_in as f64 / st.replication as f64 * disk_npb);
+                self.disk_out
+                    .push(st.bytes_out as f64 / st.replication as f64 * disk_npb);
+                self.disk_io
+                    .push((st.bytes_in + st.bytes_out) as f64 / st.replication as f64 * disk_npb);
+                self.packet_disk.push(packet_bytes * disk_npb);
+            }
+        }
+    }
+
+    /// Planner index of `node`.
+    pub(crate) fn index(&self, node: NodeId) -> usize {
+        ResidualCapacity::node_index(self.hosts, node)
+    }
+}
+
+/// What binds the makespan of the last scored assignment, by index (a
+/// [`Bottleneck`] without the stage-name allocation).
+#[derive(Debug, Clone, Copy, Default)]
+enum Binding {
+    #[default]
+    None,
+    Pipeline(usize),
+    Cpu(usize),
+    Disk(usize),
+    Link(usize),
+}
+
+/// The intermediate vectors of one estimate, sized by
+/// [`fit`](Scratch::fit) and overwritten by every [`score`]. After a
+/// call they hold everything an [`Estimate`] is made of, so the search
+/// probes for free and only the final answer is copied out.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Planner node index of every instance, stage after stage.
+    at: Vec<usize>,
+    /// Where each stage's instances start in `at` (one past the end
+    /// for the last).
+    from: Vec<usize>,
+    node_cpu: Vec<f64>,
+    node_disk: Vec<f64>,
+    node_nic: Vec<f64>,
+    /// `[stage * nn + node]`.
+    stage_nic_on: Vec<f64>,
+    /// `[stage * nn + node]`.
+    stage_coded_disk_on: Vec<f64>,
+    cpu_on: Vec<f64>,
+    disk_on: Vec<f64>,
+    first_ready: Vec<f64>,
+    slowest_per_rec: Vec<f64>,
+    slowest_flush: Vec<f64>,
+    stage_busy: Vec<f64>,
+    ready: Vec<f64>,
+    done: Vec<f64>,
+    stage_resources: Vec<StageResource>,
+    makespan: f64,
+    binding: Binding,
+}
+
+/// Stage `s`'s row of a `[stage * nn + node]` table.
+fn row_of(table: &[f64], s: usize, nn: usize) -> &[f64] {
+    &table[s * nn..(s + 1) * nn]
+}
+
+fn peak(values: impl Iterator<Item = f64>) -> f64 {
+    values.fold(0.0, f64::max)
+}
+
+impl Scratch {
+    /// Size every vector for `nstages` stages on `nn` nodes ([`score`]
+    /// overwrites them in place).
+    pub(crate) fn fit(&mut self, nstages: usize, nn: usize) {
+        for per_node in [
+            &mut self.node_cpu,
+            &mut self.node_disk,
+            &mut self.node_nic,
+            &mut self.cpu_on,
+            &mut self.disk_on,
+            &mut self.first_ready,
+        ] {
+            per_node.resize(nn, 0.0);
+        }
+        for per_stage in [
+            &mut self.slowest_per_rec,
+            &mut self.slowest_flush,
+            &mut self.stage_busy,
+            &mut self.ready,
+            &mut self.done,
+        ] {
+            per_stage.resize(nstages, 0.0);
+        }
+        self.stage_nic_on.resize(nstages * nn, 0.0);
+        self.stage_coded_disk_on.resize(nstages * nn, 0.0);
+        let idle = StageResource { cpu_ns: 0.0, disk_ns: 0.0, nic_ns: 0.0 };
+        self.stage_resources.resize(nstages, idle);
+    }
+
+    /// Sum of squared per-node CPU demand of the last scored
+    /// assignment (the search's plateau-escape objective).
+    pub(crate) fn imbalance(&self) -> f64 {
+        self.node_cpu.iter().map(|c| c * c).sum()
+    }
+
+    /// Copy the last scored assignment's verdict out.
+    pub(crate) fn to_estimate(&self, spec: &PlanSpec, rates: &Rates) -> Estimate {
+        let per_node = |v: &[f64]| rates.nodes.iter().copied().zip(v.iter().copied()).collect();
+        let node = |ui: usize| rates.nodes[ui];
+        Estimate {
+            makespan_ns: self.makespan,
+            bottleneck: match self.binding {
+                Binding::None => unreachable!("to_estimate before any score"),
+                Binding::Pipeline(s) => Bottleneck::Pipeline {
+                    stage: spec.stages[s].name.clone(),
+                },
+                Binding::Cpu(ui) => Bottleneck::Cpu { node: node(ui) },
+                Binding::Disk(ui) => Bottleneck::Disk { node: node(ui) },
+                Binding::Link(ui) => Bottleneck::Link { node: node(ui) },
+            },
+            stage_busy_ns: self.stage_busy.clone(),
+            stage_done_ns: self.done.clone(),
+            node_cpu_ns: per_node(&self.node_cpu),
+            node_disk_ns: per_node(&self.node_disk),
+            node_nic_ns: per_node(&self.node_nic),
+            stage_resources: self.stage_resources.clone(),
+        }
+    }
+}
+
+/// Score `asg` against the loaded `rates`; returns the predicted
+/// makespan and leaves the rest of the estimate in `w`.
+///
+/// Bit-identity contract: this performs the f64 operations of the
+/// estimator it replaced (kept as the test-only `reference` module) in
+/// the same order — sums run over stages, edges and instances exactly
+/// as listed, nothing is accumulated incrementally across probes — so
+/// no 1 ns tie in the search can fall the other way.
+pub(crate) fn score(
+    rates: &Rates,
+    w: &mut Scratch,
+    spec: &PlanSpec,
+    shape: &ClusterShape,
+    asg: &[Vec<NodeId>],
+    topo: &[usize],
+) -> f64 {
+    let nstages = spec.stages.len();
+    let nn = rates.nn;
+    let Scratch {
+        at,
+        from,
+        node_cpu,
+        node_disk,
+        node_nic,
+        stage_nic_on,
+        stage_coded_disk_on,
+        cpu_on,
+        disk_on,
+        first_ready,
+        slowest_per_rec,
+        slowest_flush,
+        stage_busy,
+        ready,
+        done,
+        stage_resources,
+        makespan,
+        binding,
+    } = w;
+
+    at.clear();
+    from.clear();
+    for stage_nodes in asg {
+        from.push(at.len());
+        at.extend(stage_nodes.iter().map(|&u| rates.index(u)));
+    }
+    from.push(at.len());
+    // Node indices of stage `s`'s instances.
+    let on = |s: usize| &at[from[s]..from[s + 1]];
+
+    // Slowest node hosting each stage (the pipeline's pace setter) and
+    // the worst-case flush.
+    for s in 0..nstages {
+        let (per_rec, flush) = (row_of(&rates.per_rec, s, nn), row_of(&rates.flush, s, nn));
+        slowest_per_rec[s] = peak(on(s).iter().map(|&ui| per_rec[ui]));
+        slowest_flush[s] = peak(on(s).iter().map(|&ui| flush[ui]));
+    }
+
+    // Per-node aggregates: CPU, disk, outbound NIC, across all stages.
+    node_cpu.fill(0.0);
+    node_disk.fill(0.0);
+    node_nic.fill(0.0);
+    for (s, st) in spec.stages.iter().enumerate() {
+        let cpu = row_of(&rates.cpu, s, nn);
+        let (disk_in, disk_out) = (row_of(&rates.disk_in, s, nn), row_of(&rates.disk_out, s, nn));
+        for &ui in on(s) {
+            node_cpu[ui] += cpu[ui];
+            if st.bytes_in > 0 {
+                node_disk[ui] += disk_in[ui];
+            }
+            if st.bytes_out > 0 {
+                node_disk[ui] += disk_out[ui];
+            }
+        }
+    }
+    // Outbound NIC: each record leaving stage `s` for a remote instance
+    // of `t` is charged at the sender. With routing spreading records
+    // across destinations, the remote fraction for a sender on node `u`
+    // is the share of destination instances not on `u`. A coded edge
+    // (receiver's `coded_group = r > 1`) coalesces every r remote
+    // records into one frame — 1/r of the NIC bytes — and charges the
+    // sender an (r-1)-way replicated disk write for the side
+    // information.
+    stage_nic_on.fill(0.0);
+    stage_coded_disk_on.fill(0.0);
+    for e in &spec.edges {
+        let recs = rates.recs[e.from];
+        let dests = &asg[e.to];
+        let r = spec.stages[e.to].coded_group.max(1);
+        for (&u, &ui) in asg[e.from].iter().zip(on(e.from)) {
+            let remote =
+                dests.iter().filter(|&&d| d != u).count() as f64 / dests.len() as f64;
+            let nic = recs * remote * spec.record_bytes as f64 * rates.link_npb[ui] / r as f64;
+            node_nic[ui] += nic;
+            stage_nic_on[e.from * nn + ui] += nic;
+            if r > 1 {
+                let extra = recs
+                    * remote
+                    * spec.record_bytes as f64
+                    * (r - 1) as f64
+                    * rates.disk_npb[ui];
+                node_disk[ui] += extra;
+                stage_coded_disk_on[e.from * nn + ui] += extra;
+            }
+        }
+    }
+
+    // Per-stage busy: max over nodes of the time this stage's instances
+    // occupy that node (CPU overlapped with local disk for sources; a
+    // coded out-edge adds its replicated writes to the disk share).
+    // Attribution (cpu/disk/nic maxes) is recorded alongside.
+    for s in 0..nstages {
+        let (cpu, disk_io) = (row_of(&rates.cpu, s, nn), row_of(&rates.disk_io, s, nn));
+        cpu_on.fill(0.0);
+        disk_on.fill(0.0);
+        for &ui in on(s) {
+            cpu_on[ui] += cpu[ui];
+            disk_on[ui] += disk_io[ui];
+        }
+        let coded = row_of(stage_coded_disk_on, s, nn);
+        for ui in 0..nn {
+            disk_on[ui] += coded[ui];
+            // The replicated side-information writes share the device
+            // with everything else the node's disk serves (source
+            // reads, co-resident sink writes): once coding competes
+            // for the disk, the stage cannot finish before the whole
+            // device drains.
+            if coded[ui] > 0.0 {
+                disk_on[ui] = disk_on[ui].max(node_disk[ui]);
+            }
+        }
+        stage_busy[s] = peak(cpu_on.iter().zip(&*disk_on).map(|(&c, &d)| c.max(d)));
+        stage_resources[s] = StageResource {
+            cpu_ns: peak(cpu_on.iter().copied()),
+            disk_ns: peak(disk_on.iter().copied()),
+            nic_ns: peak(row_of(stage_nic_on, s, nn).iter().copied()),
+        };
+    }
+
+    // Fill/drain recurrence in topo order.
+    ready.fill(0.0);
+    done.fill(0.0);
+    for &s in topo {
+        let st = &spec.stages[s];
+        let packet_bytes = rates.packet_bytes[s];
+        let mut rdy = 0.0f64;
+        if st.is_source {
+            // First packet is one disk read away on the slowest source
+            // node.
+            let packet_disk = row_of(&rates.packet_disk, s, nn);
+            rdy = peak(on(s).iter().map(|&ui| packet_disk[ui]));
+        }
+        let mut drain_floor = 0.0f64;
+        for e in spec.in_edges(s) {
+            let up = e.from;
+            // A packet pays the link in proportion to how often routing
+            // sends it off-node: the fraction of (sender, dest) instance
+            // pairs living on different nodes.
+            let pairs = (asg[up].len() * asg[s].len()) as f64;
+            let remote = asg[up]
+                .iter()
+                .flat_map(|&a| asg[s].iter().map(move |&b| (a, b)))
+                .filter(|(a, b)| a != b)
+                .count() as f64
+                / pairs;
+            // A coded inbound edge ships full-width frames (the byte
+            // savings are in frame *count*, charged in `node_nic`), and
+            // the first frame only forms once r packets have been
+            // produced upstream.
+            let rcv = st.coded_group.max(1) as f64;
+            // Charged at the slowest sender's residual-scaled link.
+            let up_link_ns = peak(on(up).iter().map(|&ui| rates.link_npb[ui]));
+            let link = remote * (packet_bytes * up_link_ns + shape.link_latency_ns);
+            let step = spec.stages[up].packet_records as f64 * slowest_per_rec[up];
+            let feed = if spec.stages[up].blocking {
+                done[up] + link
+            } else {
+                ready[up] + rcv * step + link
+            };
+            rdy = rdy.max(feed);
+            // Last upstream packet still has to pass through `s`.
+            let tail = done[up]
+                + link
+                + st.packet_records as f64 * slowest_per_rec[s]
+                + slowest_flush[s];
+            drain_floor = drain_floor.max(tail);
+        }
+        ready[s] = rdy;
+        done[s] = (rdy + stage_busy[s]).max(drain_floor);
+    }
+
+    // Critical path: sinks plus their final disk write.
+    let mut cp = 0.0f64;
+    let mut cp_stage = 0usize;
+    for (s, &drained) in done.iter().enumerate() {
+        if !spec.is_sink(s) {
+            continue;
+        }
+        let tail = if spec.stages[s].bytes_out > 0 {
+            let packet_disk = row_of(&rates.packet_disk, s, nn);
+            peak(on(s).iter().map(|&ui| packet_disk[ui]))
+        } else {
+            0.0
+        };
+        let t = drained + tail;
+        if t > cp {
+            cp = t;
+            cp_stage = s;
+        }
+    }
+
+    // Node bounds: a node cannot finish before its first work arrives
+    // plus everything it must serve.
+    first_ready.fill(f64::INFINITY);
+    for (s, &fed) in ready.iter().enumerate() {
+        for &ui in on(s) {
+            first_ready[ui] = first_ready[ui].min(fed);
+        }
+    }
+    let mut best = cp;
+    let mut bound_by = Binding::Pipeline(cp_stage);
+    for ui in 0..nn {
+        if !first_ready[ui].is_finite() {
+            continue;
+        }
+        let base = first_ready[ui];
+        for (total, resource) in [
+            (node_cpu[ui], Binding::Cpu(ui)),
+            (node_disk[ui], Binding::Disk(ui)),
+            (node_nic[ui], Binding::Link(ui)),
+        ] {
+            let bound = base + total;
+            if bound > best {
+                best = bound;
+                bound_by = resource;
+            }
+        }
+    }
+    *makespan = best;
+    *binding = bound_by;
+    best
 }
 
 /// Score `asg` (node of every `(stage, instance)`) for `spec` on
@@ -149,6 +598,9 @@ pub fn estimate(
 /// outbound link rate is scaled by its headroom fraction in `res`
 /// (planner node order). `ResidualCapacity::full` reproduces
 /// [`estimate`] bit for bit — a rate times 1.0 is the rate.
+///
+/// One-shot wrapper over [`Planner::estimate_residual`], which keeps
+/// its buffers between calls.
 pub fn estimate_residual(
     spec: &PlanSpec,
     shape: &ClusterShape,
@@ -156,298 +608,7 @@ pub fn estimate_residual(
     topo: &[usize],
     res: &ResidualCapacity,
 ) -> Estimate {
-    debug_assert_eq!(res.len(), shape.total_nodes());
-    let nstages = spec.stages.len();
-    let nodes = shape.nodes();
-    let node_index = |node: NodeId| -> usize {
-        match node {
-            NodeId::Host(i) => i,
-            NodeId::Asu(i) => shape.hosts + i,
-        }
-    };
-    // Work → ns on a given node, per record and per flush.
-    let per_rec_ns = |s: usize, node: NodeId| -> f64 {
-        shape
-            .cost
-            .charge(
-                spec.stages[s].per_record,
-                shape.node_speed(node) * res.cpu[node_index(node)],
-            )
-            .as_nanos() as f64
-    };
-    let flush_ns = |s: usize, node: NodeId| -> f64 {
-        shape
-            .cost
-            .charge(
-                spec.stages[s].flush_per_instance,
-                shape.node_speed(node) * res.cpu[node_index(node)],
-            )
-            .as_nanos() as f64
-    };
-    let disk_ns_per_byte = |node: NodeId| -> f64 {
-        1e9 / (shape.disk_rate(node) * res.disk[node_index(node)])
-    };
-    let link_ns_per_byte =
-        |node: NodeId| -> f64 { 1e9 / (shape.link_rate * res.nic[node_index(node)]) };
-
-    // Slowest node hosting each stage (the pipeline's pace setter) and
-    // the worst-case flush.
-    let slowest_per_rec: Vec<f64> = (0..nstages)
-        .map(|s| {
-            asg[s]
-                .iter()
-                .map(|&u| per_rec_ns(s, u))
-                .fold(0.0, f64::max)
-        })
-        .collect();
-    let slowest_flush: Vec<f64> = (0..nstages)
-        .map(|s| {
-            asg[s].iter().map(|&u| flush_ns(s, u)).fold(0.0, f64::max)
-        })
-        .collect();
-
-    // Per-node aggregates: CPU, disk, outbound NIC, across all stages.
-    let mut node_cpu = vec![0.0f64; nodes.len()];
-    let mut node_disk = vec![0.0f64; nodes.len()];
-    let mut node_nic = vec![0.0f64; nodes.len()];
-    for (s, stage_nodes) in asg.iter().enumerate() {
-        let st = &spec.stages[s];
-        let recs = recs_per_instance(st.records, st.replication);
-        for &u in stage_nodes {
-            let ui = node_index(u);
-            node_cpu[ui] += recs * per_rec_ns(s, u) + flush_ns(s, u);
-            if st.bytes_in > 0 {
-                node_disk[ui] += st.bytes_in as f64
-                    / st.replication as f64
-                    * disk_ns_per_byte(u);
-            }
-            if st.bytes_out > 0 {
-                node_disk[ui] += st.bytes_out as f64
-                    / st.replication as f64
-                    * disk_ns_per_byte(u);
-            }
-        }
-    }
-    // Outbound NIC: each record leaving stage `s` for a remote instance
-    // of `t` is charged at the sender. With routing spreading records
-    // across destinations, the remote fraction for a sender on node `u`
-    // is the share of destination instances not on `u`. A coded edge
-    // (receiver's `coded_group = r > 1`) coalesces every r remote
-    // records into one frame — 1/r of the NIC bytes — and charges the
-    // sender an (r-1)-way replicated disk write for the side
-    // information.
-    let mut stage_nic_on = vec![vec![0.0f64; nodes.len()]; nstages];
-    let mut stage_coded_disk_on = vec![vec![0.0f64; nodes.len()]; nstages];
-    for e in &spec.edges {
-        let st = &spec.stages[e.from];
-        let recs = recs_per_instance(st.records, st.replication);
-        let dests = &asg[e.to];
-        let r = spec.stages[e.to].coded_group.max(1);
-        for &u in &asg[e.from] {
-            let ui = node_index(u);
-            let remote =
-                dests.iter().filter(|&&d| d != u).count() as f64
-                    / dests.len() as f64;
-            let nic = recs * remote * spec.record_bytes as f64
-                * link_ns_per_byte(u)
-                / r as f64;
-            node_nic[ui] += nic;
-            stage_nic_on[e.from][ui] += nic;
-            if r > 1 {
-                let extra = recs
-                    * remote
-                    * spec.record_bytes as f64
-                    * (r - 1) as f64
-                    * disk_ns_per_byte(u);
-                node_disk[ui] += extra;
-                stage_coded_disk_on[e.from][ui] += extra;
-            }
-        }
-    }
-
-    // Per-stage busy: max over nodes of the time this stage's instances
-    // occupy that node (CPU overlapped with local disk for sources; a
-    // coded out-edge adds its replicated writes to the disk share).
-    // Attribution (cpu/disk/nic maxes) is recorded alongside.
-    let mut stage_busy = vec![0.0f64; nstages];
-    let mut stage_resources = Vec::with_capacity(nstages);
-    for s in 0..nstages {
-        let st = &spec.stages[s];
-        let recs = recs_per_instance(st.records, st.replication);
-        let mut cpu_on = vec![0.0f64; nodes.len()];
-        let mut disk_on = vec![0.0f64; nodes.len()];
-        for &u in &asg[s] {
-            let ui = node_index(u);
-            cpu_on[ui] += recs * per_rec_ns(s, u) + flush_ns(s, u);
-            disk_on[ui] += (st.bytes_in + st.bytes_out) as f64
-                / st.replication as f64
-                * disk_ns_per_byte(u);
-        }
-        for ui in 0..nodes.len() {
-            disk_on[ui] += stage_coded_disk_on[s][ui];
-            // The replicated side-information writes share the device
-            // with everything else the node's disk serves (source
-            // reads, co-resident sink writes): once coding competes
-            // for the disk, the stage cannot finish before the whole
-            // device drains.
-            if stage_coded_disk_on[s][ui] > 0.0 {
-                disk_on[ui] = disk_on[ui].max(node_disk[ui]);
-            }
-        }
-        stage_busy[s] = cpu_on
-            .iter()
-            .zip(&disk_on)
-            .map(|(&c, &d)| c.max(d))
-            .fold(0.0, f64::max);
-        stage_resources.push(StageResource {
-            cpu_ns: cpu_on.iter().copied().fold(0.0, f64::max),
-            disk_ns: disk_on.iter().copied().fold(0.0, f64::max),
-            nic_ns: stage_nic_on[s].iter().copied().fold(0.0, f64::max),
-        });
-    }
-
-    // Fill/drain recurrence in topo order.
-    let mut ready = vec![0.0f64; nstages];
-    let mut done = vec![0.0f64; nstages];
-    for &s in topo {
-        let st = &spec.stages[s];
-        let packet_bytes =
-            st.packet_records as f64 * spec.record_bytes as f64;
-        let mut rdy = 0.0f64;
-        if st.is_source {
-            // First packet is one disk read away on the slowest source
-            // node.
-            rdy = asg[s]
-                .iter()
-                .map(|&u| packet_bytes * disk_ns_per_byte(u))
-                .fold(0.0, f64::max);
-        }
-        let mut drain_floor = 0.0f64;
-        for e in spec.in_edges(s) {
-            let up = e.from;
-            // A packet pays the link in proportion to how often routing
-            // sends it off-node: the fraction of (sender, dest) instance
-            // pairs living on different nodes.
-            let pairs = (asg[up].len() * asg[s].len()) as f64;
-            let remote = asg[up]
-                .iter()
-                .flat_map(|&a| asg[s].iter().map(move |&b| (a, b)))
-                .filter(|(a, b)| a != b)
-                .count() as f64
-                / pairs;
-            // A coded inbound edge ships full-width frames (the byte
-            // savings are in frame *count*, charged in `node_nic`), and
-            // the first frame only forms once r packets have been
-            // produced upstream.
-            let rcv = st.coded_group.max(1) as f64;
-            // Charged at the slowest sender's residual-scaled link.
-            let up_link_ns = asg[up]
-                .iter()
-                .map(|&u| link_ns_per_byte(u))
-                .fold(0.0, f64::max);
-            let link = remote
-                * (packet_bytes * up_link_ns + shape.link_latency_ns);
-            let step =
-                spec.stages[up].packet_records as f64 * slowest_per_rec[up];
-            let feed = if spec.stages[up].blocking {
-                done[up] + link
-            } else {
-                ready[up] + rcv * step + link
-            };
-            rdy = rdy.max(feed);
-            // Last upstream packet still has to pass through `s`.
-            let tail = done[up]
-                + link
-                + st.packet_records as f64 * slowest_per_rec[s]
-                + slowest_flush[s];
-            drain_floor = drain_floor.max(tail);
-        }
-        ready[s] = rdy;
-        done[s] = (rdy + stage_busy[s]).max(drain_floor);
-    }
-
-    // Critical path: sinks plus their final disk write.
-    let mut cp = 0.0f64;
-    let mut cp_stage = 0usize;
-    for s in 0..nstages {
-        if !spec.is_sink(s) {
-            continue;
-        }
-        let st = &spec.stages[s];
-        let tail = if st.bytes_out > 0 {
-            let packet_bytes =
-                st.packet_records as f64 * spec.record_bytes as f64;
-            asg[s]
-                .iter()
-                .map(|&u| packet_bytes * disk_ns_per_byte(u))
-                .fold(0.0, f64::max)
-        } else {
-            0.0
-        };
-        let t = done[s] + tail;
-        if t > cp {
-            cp = t;
-            cp_stage = s;
-        }
-    }
-
-    // Node bounds: a node cannot finish before its first work arrives
-    // plus everything it must serve.
-    let mut first_ready = vec![f64::INFINITY; nodes.len()];
-    for s in 0..nstages {
-        for &u in &asg[s] {
-            let ui = node_index(u);
-            first_ready[ui] = first_ready[ui].min(ready[s]);
-        }
-    }
-    let mut best = cp;
-    let mut bottleneck = Bottleneck::Pipeline {
-        stage: spec.stages[cp_stage].name.clone(),
-    };
-    for (ui, &node) in nodes.iter().enumerate() {
-        if !first_ready[ui].is_finite() {
-            continue;
-        }
-        let base = first_ready[ui];
-        for (total, mk) in [
-            (node_cpu[ui], 0),
-            (node_disk[ui], 1),
-            (node_nic[ui], 2),
-        ] {
-            let bound = base + total;
-            if bound > best {
-                best = bound;
-                bottleneck = match mk {
-                    0 => Bottleneck::Cpu { node },
-                    1 => Bottleneck::Disk { node },
-                    _ => Bottleneck::Link { node },
-                };
-            }
-        }
-    }
-
-    Estimate {
-        makespan_ns: best,
-        bottleneck,
-        stage_busy_ns: stage_busy,
-        stage_done_ns: done,
-        node_cpu_ns: nodes
-            .iter()
-            .copied()
-            .zip(node_cpu.iter().copied())
-            .collect(),
-        node_disk_ns: nodes
-            .iter()
-            .copied()
-            .zip(node_disk.iter().copied())
-            .collect(),
-        node_nic_ns: nodes
-            .iter()
-            .copied()
-            .zip(node_nic.iter().copied())
-            .collect(),
-        stage_resources,
-    }
+    Planner::new().estimate_residual(spec, shape, asg, topo, res)
 }
 
 #[cfg(test)]

@@ -30,6 +30,8 @@
 pub mod auto;
 pub mod estimate;
 pub mod model;
+#[cfg(test)]
+mod reference;
 pub mod report;
 pub mod residual;
 pub mod search;
@@ -39,4 +41,4 @@ pub use estimate::{estimate, estimate_residual, Bottleneck, Estimate, StageResou
 pub use model::{ClusterShape, PlanEdge, PlanError, PlanSpec, StageSpec};
 pub use report::{CodedPoint, PlanReport, StageBinding, StageRate};
 pub use residual::ResidualCapacity;
-pub use search::{plan, plan_best, plan_best_residual, plan_residual, PlanOutcome};
+pub use search::{plan, plan_best, plan_best_residual, plan_residual, PlanOutcome, Planner};

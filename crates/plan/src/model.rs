@@ -322,6 +322,19 @@ impl PlanSpec {
     /// stage indices (Kahn's algorithm, ready stages taken in index
     /// order).
     pub fn topo_order(&self) -> Result<Vec<usize>, PlanError> {
+        let mut order = Vec::new();
+        self.topo_order_into(&mut order, &mut (Vec::new(), Vec::new()))?;
+        Ok(order)
+    }
+
+    /// [`topo_order`](Self::topo_order) into caller-kept buffers:
+    /// `order` receives the result, `work` is Kahn's in-degree table
+    /// and ready list.
+    pub(crate) fn topo_order_into(
+        &self,
+        order: &mut Vec<usize>,
+        work: &mut (Vec<usize>, Vec<usize>),
+    ) -> Result<(), PlanError> {
         if self.stages.is_empty() {
             return Err(PlanError::EmptySpec);
         }
@@ -339,13 +352,15 @@ impl PlanSpec {
                 return Err(PlanError::BadEdge { edge: e });
             }
         }
-        let mut indeg = vec![0usize; n];
+        let (indeg, ready) = work;
+        indeg.clear();
+        indeg.resize(n, 0);
         for e in &self.edges {
             indeg[e.to] += 1;
         }
-        let mut order = Vec::with_capacity(n);
-        let mut ready: Vec<usize> =
-            (0..n).filter(|&i| indeg[i] == 0).collect();
+        order.clear();
+        ready.clear();
+        ready.extend((0..n).filter(|&i| indeg[i] == 0));
         while let Some(&s) = ready.first() {
             ready.remove(0);
             order.push(s);
@@ -365,7 +380,7 @@ impl PlanSpec {
         if order.len() != n {
             return Err(PlanError::Cycle);
         }
-        Ok(order)
+        Ok(())
     }
 
     /// In-edges of stage `t`.

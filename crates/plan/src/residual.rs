@@ -47,6 +47,14 @@ impl ResidualCapacity {
         }
     }
 
+    /// Back to full headroom everywhere, keeping the buffers (a ledger
+    /// rebuilt per arrival starts here).
+    pub fn reset(&mut self) {
+        self.cpu.fill(1.0);
+        self.disk.fill(1.0);
+        self.nic.fill(1.0);
+    }
+
     /// Number of nodes this view covers.
     pub fn len(&self) -> usize {
         self.cpu.len()
@@ -117,6 +125,8 @@ mod tests {
         assert_eq!(r.cpu[0], ResidualCapacity::FLOOR);
         assert!((r.peak_cpu_load() - (1.0 - ResidualCapacity::FLOOR)).abs() < 1e-12);
         assert!(!r.is_full());
+        r.reset();
+        assert_eq!(r, ResidualCapacity::full(2));
     }
 
     #[test]

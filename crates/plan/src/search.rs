@@ -9,8 +9,13 @@
 //! [`plan_best`](crate::search::plan_best), which scores one fully
 //! planned candidate per replication degree. The search has no RNG:
 //! same spec + shape → byte-identical placement and report.
+//!
+//! A plan costs what its arithmetic costs: [`Planner`] loads the
+//! assignment-independent rates once per plan, scores every probe out
+//! of buffers it keeps between plans, and builds an [`Estimate`] only
+//! for the assignment it hands out.
 
-use crate::estimate::{estimate_residual, Estimate};
+use crate::estimate::{score, Estimate, Rates, Scratch};
 use crate::model::{ClusterShape, PlanError, PlanSpec};
 use crate::report::PlanReport;
 use crate::residual::ResidualCapacity;
@@ -36,28 +41,283 @@ const MAX_MOVES: usize = 512;
 /// by a full nanosecond to be taken, so f64 dust cannot flip decisions.
 const EPS_NS: f64 = 1.0;
 
-/// Secondary objective: sum of squared per-node CPU demand. The
-/// makespan is a *max* over node bounds, so unloading one of several
-/// equally saturated nodes leaves it flat — a plateau first-improvement
-/// search cannot cross (moving each of four overloaded instances helps
-/// only once all four have moved). Accepting makespan-neutral moves
-/// that strictly reduce this imbalance walks the search off such
-/// plateaus deterministically.
-fn imbalance(e: &Estimate) -> f64 {
-    e.node_cpu_ns.iter().map(|(_, c)| c * c).sum()
+/// Reusable planning state: the rate tables of the plan in progress
+/// and the estimator's scratch vectors. A caller that plans many jobs
+/// (the scheduler: one plan per arrival) keeps one `Planner` and pays
+/// for buffers once; [`plan_residual`] and
+/// [`estimate_residual`](crate::estimate::estimate_residual) are
+/// one-shot wrappers. Results never depend on what was planned before.
+#[derive(Debug, Default)]
+pub struct Planner {
+    rates: Rates,
+    scratch: Scratch,
+    topo: Vec<usize>,
+    /// Kahn's in-degree and ready list for `topo`.
+    topo_work: (Vec<usize>, Vec<usize>),
+    /// One stage's nodes, set aside by rehome and canonicalization.
+    saved: Vec<NodeId>,
 }
 
-/// Feasible nodes for a stage, in planner order (hosts, then ASUs).
-fn candidates(
-    spec: &PlanSpec,
-    shape: &ClusterShape,
-    s: usize,
-) -> Vec<NodeId> {
-    let st = &spec.stages[s];
-    if st.kind.asu_placeable(shape.asu_mem) {
-        shape.nodes()
-    } else {
-        (0..shape.hosts).map(NodeId::Host).collect()
+/// The incumbent of the local search: its makespan and its secondary
+/// objective, the sum of squared per-node CPU demand. The makespan is
+/// a *max* over node bounds, so unloading one of several equally
+/// saturated nodes leaves it flat — a plateau first-improvement search
+/// cannot cross (moving each of four overloaded instances helps only
+/// once all four have moved). Accepting makespan-neutral moves that
+/// strictly reduce the imbalance walks the search off such plateaus
+/// deterministically.
+struct Incumbent {
+    makespan_ns: f64,
+    imbalance: f64,
+}
+
+impl Incumbent {
+    /// Take the assignment just scored into `w` when it beats the
+    /// incumbent makespan, or holds it while strictly evening out
+    /// per-node CPU demand.
+    fn improved_by(&mut self, makespan_ns: f64, w: &Scratch) -> bool {
+        let imbalance = w.imbalance();
+        let accept = makespan_ns < self.makespan_ns - EPS_NS
+            || (makespan_ns < self.makespan_ns + EPS_NS && imbalance < self.imbalance - 1.0);
+        if accept {
+            *self = Incumbent { makespan_ns, imbalance };
+        }
+        accept
+    }
+}
+
+impl Planner {
+    /// A planner with empty buffers.
+    pub fn new() -> Planner {
+        Planner::default()
+    }
+
+    /// [`estimate_residual`](crate::estimate::estimate_residual) on
+    /// this planner's buffers.
+    pub fn estimate_residual(
+        &mut self,
+        spec: &PlanSpec,
+        shape: &ClusterShape,
+        asg: &[Vec<NodeId>],
+        topo: &[usize],
+        res: &ResidualCapacity,
+    ) -> Estimate {
+        self.rates.load(spec, shape, res);
+        self.scratch.fit(spec.stages.len(), shape.total_nodes());
+        score(&self.rates, &mut self.scratch, spec, shape, asg, topo);
+        self.scratch.to_estimate(spec, &self.rates)
+    }
+
+    /// [`plan_residual`] on this planner's buffers.
+    pub fn plan_residual(
+        &mut self,
+        spec: &PlanSpec,
+        shape: &ClusterShape,
+        res: &ResidualCapacity,
+    ) -> Result<PlanOutcome, PlanError> {
+        if res.len() != shape.total_nodes() {
+            return Err(PlanError::ResidualShape {
+                expected: shape.total_nodes(),
+                got: res.len(),
+            });
+        }
+        let Planner { rates, scratch, topo, topo_work, saved } = self;
+        spec.topo_order_into(topo, topo_work)?;
+        let topo = &topo[..];
+        let nstages = spec.stages.len();
+
+        // Feasibility and pin validation up front. A stage's feasible
+        // nodes are a prefix of planner order (hosts, then ASUs): all
+        // of it when the functor may run on an ASU, the hosts otherwise.
+        let feasible = |s: usize| -> usize {
+            if spec.stages[s].kind.asu_placeable(shape.asu_mem) {
+                shape.total_nodes()
+            } else {
+                shape.hosts
+            }
+        };
+        for (s, st) in spec.stages.iter().enumerate() {
+            if feasible(s) == 0 {
+                return Err(PlanError::NoFeasibleNode { stage: s });
+            }
+            for pin in st.pinned.iter().flatten() {
+                let in_cluster = match *pin {
+                    NodeId::Host(i) => i < shape.hosts,
+                    NodeId::Asu(i) => i < shape.asus,
+                };
+                if !in_cluster || (pin.is_asu() && !st.kind.asu_placeable(shape.asu_mem)) {
+                    return Err(PlanError::BadPin { stage: s });
+                }
+            }
+        }
+        rates.load(spec, shape, res);
+        scratch.fit(nstages, shape.total_nodes());
+        let cands = |s: usize| &rates.nodes[..feasible(s)];
+        let allows = |s: usize, node: NodeId| rates.index(node) < feasible(s);
+
+        // Greedy seed: stages in topo order, instances dealt round-robin
+        // across the feasible nodes. Pins win outright.
+        let mut asg: Vec<Vec<NodeId>> = vec![Vec::new(); nstages];
+        for &s in topo {
+            let st = &spec.stages[s];
+            let cands = cands(s);
+            asg[s] = (0..st.replication)
+                .map(|i| {
+                    st.pinned
+                        .get(i)
+                        .copied()
+                        .flatten()
+                        .unwrap_or(cands[i % cands.len()])
+                })
+                .collect();
+        }
+
+        // First-improvement local search: migrate, then swap, to fixpoint.
+        let mut best = Incumbent {
+            makespan_ns: score(rates, scratch, spec, shape, &asg, topo),
+            imbalance: scratch.imbalance(),
+        };
+        let mut moves_applied = 0usize;
+        let pinned = |s: usize, i: usize| -> bool {
+            spec.stages[s].pinned.get(i).copied().flatten().is_some()
+        };
+        'search: for _round in 0..MAX_ROUNDS {
+            let mut improved = false;
+            // Migrate: every unpinned instance tries every other node.
+            for s in 0..nstages {
+                for i in 0..spec.stages[s].replication {
+                    if pinned(s, i) {
+                        continue;
+                    }
+                    let cur = asg[s][i];
+                    for &cand in cands(s) {
+                        if cand == cur {
+                            continue;
+                        }
+                        asg[s][i] = cand;
+                        let mk = score(rates, scratch, spec, shape, &asg, topo);
+                        if best.improved_by(mk, scratch) {
+                            improved = true;
+                            moves_applied += 1;
+                            if moves_applied >= MAX_MOVES {
+                                break 'search;
+                            }
+                            break; // keep this node, rescan later
+                        }
+                        asg[s][i] = cur;
+                    }
+                }
+            }
+            // Swap: exchange nodes across stage pairs (useful when both
+            // stages are at their per-stage optimum but contend on a node).
+            for s in 0..nstages {
+                for t in (s + 1)..nstages {
+                    for i in 0..spec.stages[s].replication {
+                        for j in 0..spec.stages[t].replication {
+                            if pinned(s, i) || pinned(t, j) {
+                                continue;
+                            }
+                            let (a, b) = (asg[s][i], asg[t][j]);
+                            if a == b || !allows(s, b) || !allows(t, a) {
+                                continue;
+                            }
+                            asg[s][i] = b;
+                            asg[t][j] = a;
+                            let mk = score(rates, scratch, spec, shape, &asg, topo);
+                            if best.improved_by(mk, scratch) {
+                                improved = true;
+                                moves_applied += 1;
+                                if moves_applied >= MAX_MOVES {
+                                    break 'search;
+                                }
+                            } else {
+                                asg[s][i] = a;
+                                asg[t][j] = b;
+                            }
+                        }
+                    }
+                }
+            }
+            // Rehome: a stage straddling slow nodes can sit behind a
+            // multi-move barrier — migrating any single replica off a slow
+            // node looks worse until the *last* one leaves, because the
+            // slowest remaining replica still paces the whole stage while
+            // the fast node's backlog grows. Jumping every unpinned replica
+            // of the stage onto the host candidates (round-robin) crosses
+            // that barrier as one compound move.
+            for s in 0..nstages {
+                // Every stage's candidates start with all the hosts.
+                let hosts = &rates.nodes[..shape.hosts];
+                if hosts.is_empty() {
+                    continue;
+                }
+                saved.clear();
+                saved.extend_from_slice(&asg[s]);
+                let mut dealt = 0usize;
+                for (i, slot) in asg[s].iter_mut().enumerate() {
+                    if !pinned(s, i) {
+                        *slot = hosts[dealt % hosts.len()];
+                        dealt += 1;
+                    }
+                }
+                if asg[s] == *saved {
+                    continue;
+                }
+                let mk = score(rates, scratch, spec, shape, &asg, topo);
+                if best.improved_by(mk, scratch) {
+                    improved = true;
+                    moves_applied += 1;
+                    if moves_applied >= MAX_MOVES {
+                        break 'search;
+                    }
+                } else {
+                    asg[s].copy_from_slice(saved);
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+
+        // Canonical form: instances of one stage are symmetric in the model
+        // (each carries the same share of records), so permuting a stage's
+        // nodes across its unpinned instances estimates identically. Sort
+        // each stage's unpinned nodes (hosts first, then ASUs, index
+        // ascending) so tied layouts always materialize the same way —
+        // e.g. k = 1 all-on-hosts becomes the paper's contiguous static
+        // assignment instead of an artifact of move order. Re-score so the
+        // report describes exactly the assignment handed out.
+        for (s, stage_nodes) in asg.iter_mut().enumerate() {
+            let unpinned = |i: &usize| !pinned(s, *i);
+            saved.clear();
+            saved.extend((0..stage_nodes.len()).filter(unpinned).map(|i| stage_nodes[i]));
+            saved.sort_by_key(|&n| rates.index(n));
+            for (i, &n) in (0..stage_nodes.len()).filter(unpinned).zip(saved.iter()) {
+                stage_nodes[i] = n;
+            }
+        }
+        score(rates, scratch, spec, shape, &asg, topo);
+        let estimate = scratch.to_estimate(spec, rates);
+
+        // Materialize and self-check: an invalid placement is a typed
+        // planner bug, never an artifact handed to the caller.
+        let mut placement = Placement::new();
+        for (s, nodes) in asg.iter().enumerate() {
+            for (i, &node) in nodes.iter().enumerate() {
+                placement.assign(StageId(s), i, node);
+            }
+        }
+        placement
+            .validate(&spec.placement_rows(), shape.asu_mem)
+            .map_err(PlanError::Invalid)?;
+
+        let report = PlanReport::from_plan(spec, shape, &asg, &estimate, moves_applied);
+        Ok(PlanOutcome {
+            placement,
+            report,
+            assignment: asg,
+            estimate,
+        })
     }
 }
 
@@ -74,226 +334,14 @@ pub fn plan(
 /// [`estimate_residual`](crate::estimate::estimate_residual)): the
 /// search places this job *around* the occupied nodes. A
 /// [`ResidualCapacity::full`] view reproduces [`plan`] bit for bit.
+///
+/// One-shot wrapper over [`Planner::plan_residual`].
 pub fn plan_residual(
     spec: &PlanSpec,
     shape: &ClusterShape,
     res: &ResidualCapacity,
 ) -> Result<PlanOutcome, PlanError> {
-    if res.len() != shape.total_nodes() {
-        return Err(PlanError::ResidualShape {
-            expected: shape.total_nodes(),
-            got: res.len(),
-        });
-    }
-    let estimate = |spec: &PlanSpec,
-                    shape: &ClusterShape,
-                    asg: &[Vec<NodeId>],
-                    topo: &[usize]|
-     -> Estimate { estimate_residual(spec, shape, asg, topo, res) };
-    let topo = spec.topo_order()?;
-    let nstages = spec.stages.len();
-
-    // Feasibility and pin validation up front.
-    let cands: Vec<Vec<NodeId>> =
-        (0..nstages).map(|s| candidates(spec, shape, s)).collect();
-    for (s, st) in spec.stages.iter().enumerate() {
-        if cands[s].is_empty() {
-            return Err(PlanError::NoFeasibleNode { stage: s });
-        }
-        for pin in st.pinned.iter().flatten() {
-            let in_cluster = match *pin {
-                NodeId::Host(i) => i < shape.hosts,
-                NodeId::Asu(i) => i < shape.asus,
-            };
-            if !in_cluster || (pin.is_asu() && !st.kind.asu_placeable(shape.asu_mem))
-            {
-                return Err(PlanError::BadPin { stage: s });
-            }
-        }
-    }
-
-    // Greedy seed: stages in topo order, instances dealt round-robin
-    // across the feasible nodes. Pins win outright.
-    let mut asg: Vec<Vec<NodeId>> = vec![Vec::new(); nstages];
-    for &s in &topo {
-        let st = &spec.stages[s];
-        asg[s] = (0..st.replication)
-            .map(|i| {
-                st.pinned
-                    .get(i)
-                    .copied()
-                    .flatten()
-                    .unwrap_or(cands[s][i % cands[s].len()])
-            })
-            .collect();
-    }
-
-    // First-improvement local search: migrate, then swap, to fixpoint.
-    // A move is taken when it beats the incumbent makespan, or holds it
-    // while strictly evening out per-node CPU demand (plateau escape).
-    let mut best = estimate(spec, shape, &asg, &topo);
-    let mut best_imb = imbalance(&best);
-    let mut moves_applied = 0usize;
-    let pinned = |s: usize, i: usize| -> bool {
-        spec.stages[s].pinned.get(i).copied().flatten().is_some()
-    };
-    let accepts = |e: &Estimate, best: &Estimate, best_imb: f64| -> bool {
-        e.makespan_ns < best.makespan_ns - EPS_NS
-            || (e.makespan_ns < best.makespan_ns + EPS_NS
-                && imbalance(e) < best_imb - 1.0)
-    };
-    'search: for _round in 0..MAX_ROUNDS {
-        let mut improved = false;
-        // Migrate: every unpinned instance tries every other node.
-        for s in 0..nstages {
-            for i in 0..spec.stages[s].replication {
-                if pinned(s, i) {
-                    continue;
-                }
-                let cur = asg[s][i];
-                for &cand in &cands[s] {
-                    if cand == cur {
-                        continue;
-                    }
-                    asg[s][i] = cand;
-                    let e = estimate(spec, shape, &asg, &topo);
-                    if accepts(&e, &best, best_imb) {
-                        best_imb = imbalance(&e);
-                        best = e;
-                        improved = true;
-                        moves_applied += 1;
-                        if moves_applied >= MAX_MOVES {
-                            break 'search;
-                        }
-                        break; // keep this node, rescan later
-                    }
-                    asg[s][i] = cur;
-                }
-            }
-        }
-        // Swap: exchange nodes across stage pairs (useful when both
-        // stages are at their per-stage optimum but contend on a node).
-        for s in 0..nstages {
-            for t in (s + 1)..nstages {
-                for i in 0..spec.stages[s].replication {
-                    for j in 0..spec.stages[t].replication {
-                        if pinned(s, i) || pinned(t, j) {
-                            continue;
-                        }
-                        let (a, b) = (asg[s][i], asg[t][j]);
-                        if a == b
-                            || !cands[s].contains(&b)
-                            || !cands[t].contains(&a)
-                        {
-                            continue;
-                        }
-                        asg[s][i] = b;
-                        asg[t][j] = a;
-                        let e = estimate(spec, shape, &asg, &topo);
-                        if accepts(&e, &best, best_imb) {
-                            best_imb = imbalance(&e);
-                            best = e;
-                            improved = true;
-                            moves_applied += 1;
-                            if moves_applied >= MAX_MOVES {
-                                break 'search;
-                            }
-                        } else {
-                            asg[s][i] = a;
-                            asg[t][j] = b;
-                        }
-                    }
-                }
-            }
-        }
-        // Rehome: a stage straddling slow nodes can sit behind a
-        // multi-move barrier — migrating any single replica off a slow
-        // node looks worse until the *last* one leaves, because the
-        // slowest remaining replica still paces the whole stage while
-        // the fast node's backlog grows. Jumping every unpinned replica
-        // of the stage onto the host candidates (round-robin) crosses
-        // that barrier as one compound move.
-        for s in 0..nstages {
-            let hosts: Vec<NodeId> = cands[s]
-                .iter()
-                .copied()
-                .filter(|n| !n.is_asu())
-                .collect();
-            if hosts.is_empty() {
-                continue;
-            }
-            let saved = asg[s].clone();
-            let mut dealt = 0usize;
-            for (i, slot) in asg[s].iter_mut().enumerate() {
-                if !pinned(s, i) {
-                    *slot = hosts[dealt % hosts.len()];
-                    dealt += 1;
-                }
-            }
-            if asg[s] == saved {
-                continue;
-            }
-            let e = estimate(spec, shape, &asg, &topo);
-            if accepts(&e, &best, best_imb) {
-                best_imb = imbalance(&e);
-                best = e;
-                improved = true;
-                moves_applied += 1;
-                if moves_applied >= MAX_MOVES {
-                    break 'search;
-                }
-            } else {
-                asg[s] = saved;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-
-    // Canonical form: instances of one stage are symmetric in the model
-    // (each carries the same share of records), so permuting a stage's
-    // nodes across its unpinned instances estimates identically. Sort
-    // each stage's unpinned nodes (hosts first, then ASUs, index
-    // ascending) so tied layouts always materialize the same way —
-    // e.g. k = 1 all-on-hosts becomes the paper's contiguous static
-    // assignment instead of an artifact of move order. Re-score so the
-    // report describes exactly the assignment handed out.
-    for (s, stage_nodes) in asg.iter_mut().enumerate() {
-        let unpinned: Vec<usize> = (0..spec.stages[s].replication)
-            .filter(|&i| !pinned(s, i))
-            .collect();
-        let mut nodes: Vec<NodeId> =
-            unpinned.iter().map(|&i| stage_nodes[i]).collect();
-        nodes.sort_by_key(|n| match *n {
-            NodeId::Host(i) => (0, i),
-            NodeId::Asu(i) => (1, i),
-        });
-        for (&i, &n) in unpinned.iter().zip(&nodes) {
-            stage_nodes[i] = n;
-        }
-    }
-    best = estimate(spec, shape, &asg, &topo);
-
-    // Materialize and self-check: an invalid placement is a typed
-    // planner bug, never an artifact handed to the caller.
-    let mut placement = Placement::new();
-    for (s, nodes) in asg.iter().enumerate() {
-        for (i, &node) in nodes.iter().enumerate() {
-            placement.assign(StageId(s), i, node);
-        }
-    }
-    placement
-        .validate(&spec.placement_rows(), shape.asu_mem)
-        .map_err(PlanError::Invalid)?;
-
-    let report = PlanReport::from_plan(spec, shape, &asg, &best, moves_applied);
-    Ok(PlanOutcome {
-        placement,
-        report,
-        assignment: asg,
-        estimate: best,
-    })
+    Planner::new().plan_residual(spec, shape, res)
 }
 
 /// Plan every candidate spec (e.g. one per replication degree) and keep
@@ -318,11 +366,12 @@ pub fn plan_best_residual(
     if specs.is_empty() {
         return Err(PlanError::EmptySpec);
     }
+    let mut planner = Planner::new();
     let mut winner: Option<(usize, PlanOutcome)> = None;
     let mut rejected = 0usize;
     let mut last_err = None;
     for (k, spec) in specs.iter().enumerate() {
-        match plan_residual(spec, shape, res) {
+        match planner.plan_residual(spec, shape, res) {
             Ok(outcome) => {
                 let better = winner
                     .as_ref()

@@ -28,9 +28,8 @@ use lmas_emulator::{
 use lmas_plan::{Estimate, ResidualCapacity};
 use lmas_sim::{ArrivalSpec, SimDuration, SimTime};
 use lmas_sort::{
-    build_pass1_job, build_pass1_job_placed, choose_splitters, estimate_pass1_solo,
-    plan_pass1_coded, plan_pass1_residual, split_across_asus, DsmConfig, DsmError, LoadMode,
-    Pass1Job, PlanWireError,
+    build_pass1_job, build_pass1_job_placed, choose_splitters, split_across_asus, DsmConfig,
+    DsmError, LoadMode, Pass1Planner, PlanWireError,
 };
 
 /// Everything a multi-tenant run needs beyond the cluster and sort
@@ -63,12 +62,10 @@ pub struct SchedSpec {
 
 impl SchedSpec {
     /// A spec with permissive defaults: FCFS, quota 1, queue cap 8,
-    /// load limit 1.0, uniform weights, naive placement.
+    /// load limit 1.0, uniform weights, naive placement. An empty
+    /// `kind_records` is refused by [`run_scheduled`]
+    /// ([`SchedRunError::NoJobKinds`]).
     pub fn new(arrivals: ArrivalSpec, kind_records: Vec<u64>) -> SchedSpec {
-        assert!(
-            !kind_records.is_empty(),
-            "need at least one job kind"
-        );
         SchedSpec {
             arrivals,
             kind_records,
@@ -134,6 +131,18 @@ pub enum SchedRunError {
     Dsm(DsmError),
     /// The emulator rejected the merged run.
     Job(JobError),
+    /// [`SchedSpec::kind_records`] is empty: no arrival could name a
+    /// job kind.
+    NoJobKinds,
+    /// An arrival names a job kind outside [`SchedSpec::kind_records`].
+    UnknownKind {
+        /// The arrival's position in firing order.
+        job: usize,
+        /// The kind it asked for.
+        kind: usize,
+        /// Job kinds the spec defines.
+        kinds: usize,
+    },
 }
 
 impl std::fmt::Display for SchedRunError {
@@ -142,6 +151,11 @@ impl std::fmt::Display for SchedRunError {
             SchedRunError::Sched(e) => write!(f, "scheduler: {e}"),
             SchedRunError::Dsm(e) => write!(f, "job build: {e}"),
             SchedRunError::Job(e) => write!(f, "emulator: {e}"),
+            SchedRunError::NoJobKinds => write!(f, "spec defines no job kinds"),
+            SchedRunError::UnknownKind { job, kind, kinds } => write!(
+                f,
+                "arrival {job} asks for job kind {kind}, but the spec defines {kinds}"
+            ),
         }
     }
 }
@@ -357,6 +371,8 @@ fn footprint(estimate: &Estimate, hosts: usize, nodes: usize, at: SimTime) -> Fo
 ///
 /// # Errors
 ///
+/// [`SchedRunError::NoJobKinds`] / [`SchedRunError::UnknownKind`] for a
+/// spec whose arrivals cannot be matched to job kinds;
 /// [`SchedRunError::Sched`] when planning cannot place a job
 /// ([`SchedError::PlanInfeasible`]); [`SchedRunError::Dsm`] /
 /// [`SchedRunError::Job`] for configuration, input-shape, or emulator
@@ -367,6 +383,9 @@ pub fn run_scheduled(
     dsm: &DsmConfig,
     spec: &SchedSpec,
 ) -> Result<SchedOutcome, SchedRunError> {
+    if spec.kind_records.is_empty() {
+        return Err(SchedRunError::NoJobKinds);
+    }
     let events = spec.arrivals.sorted_events();
     if events.is_empty() {
         return Ok(SchedOutcome {
@@ -382,51 +401,58 @@ pub fn run_scheduled(
     let mut shapes: Vec<JobShape> = Vec::with_capacity(events.len());
     let mut kinds: Vec<usize> = Vec::with_capacity(events.len());
     let mut predicted_ns: Vec<u64> = Vec::with_capacity(events.len());
-    let mut footprints: Vec<Footprint> = Vec::new();
     let mut shared_cluster: Option<ClusterConfig> = None;
+    // One planner per job kind: its spec, shape and buffers are built
+    // at the kind's first arrival and reused by every later one.
+    let mut planners: Vec<Option<Pass1Planner>> =
+        spec.kind_records.iter().map(|_| None).collect();
+    // Footprints of the jobs still inside their predicted window, in
+    // arrival order. Arrivals come time-sorted, so an expired window
+    // stays expired and is dropped instead of rescanned; the live ones
+    // keep their order, hence the `occupy` sums theirs.
+    let mut live: Vec<Footprint> = Vec::new();
+    let mut res = ResidualCapacity::full(nodes);
 
     for (j, e) in events.iter().enumerate() {
-        assert!(
-            e.kind < spec.kind_records.len(),
-            "arrival kind {} outside the job-kind table (len {})",
-            e.kind,
-            spec.kind_records.len()
-        );
-        let n = spec.kind_records[e.kind];
+        let Some(&n) = spec.kind_records.get(e.kind) else {
+            return Err(SchedRunError::UnknownKind {
+                job: j,
+                kind: e.kind,
+                kinds: spec.kind_records.len(),
+            });
+        };
+        let planner =
+            planners[e.kind].get_or_insert_with(|| Pass1Planner::new::<Rec8>(cluster, dsm, n));
         let data_seed = spec.seed ^ ((j as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let data = generate_rec8(n, KeyDist::Uniform, data_seed);
         let splitters = choose_splitters(&data, dsm.alpha);
         let per_asu = split_across_asus(&data, cluster.asus);
 
-        let (assignment, built): (Vec<Vec<lmas_core::NodeId>>, Pass1Job<Rec8>) = if spec.aware {
+        let (assignment, built) = if spec.aware {
             // Plan against the capacity left by jobs predicted to still
             // be running at this arrival.
-            let mut res = ResidualCapacity::full(nodes);
-            for fp in footprints.iter() {
+            live.retain(|fp| e.at < fp.done_pred);
+            res.reset();
+            for fp in &live {
                 let w = fp.remaining(e.at);
-                if w <= 0.0 {
-                    continue;
-                }
                 for u in 0..nodes {
                     res.occupy(u, fp.cpu[u] * w, fp.disk[u] * w, fp.nic[u] * w);
                 }
             }
-            let outcome = plan_pass1_residual::<Rec8>(cluster, dsm, n, &res)?;
+            let outcome = planner.plan_residual(&res)?;
             let sorters = outcome
                 .assignment
                 .get(1)
                 .filter(|s| s.len() == dsm.alpha)
-                .cloned()
                 .ok_or(SchedError::PlanInfeasible(
                     PlanWireError::MissingSorterNodes,
                 ))?;
-            let built = build_pass1_job_placed(cluster, per_asu, splitters, dsm, &sorters)?;
+            let built = build_pass1_job_placed(cluster, per_asu, splitters, dsm, sorters)?;
             (outcome.assignment, built)
         } else {
             // Naive: predict on (and run with) the static block-subset
             // layout — concurrent jobs stack onto the same hosts.
-            let (_, outcome) =
-                plan_pass1_coded::<Rec8>(cluster, dsm, n, &[dsm.coded_r.max(1)])?;
+            let outcome = planner.plan_static()?;
             let built = build_pass1_job(cluster, per_asu, splitters, dsm, LoadMode::Static)?;
             (outcome.assignment, built)
         };
@@ -434,7 +460,7 @@ pub fn run_scheduled(
         // Gate currency: the chosen assignment scored on an EMPTY
         // cluster. Same units for both paths — residual-planned jobs
         // are charged what they demand, not what congestion predicts.
-        let solo = estimate_pass1_solo::<Rec8>(cluster, dsm, n, &assignment);
+        let solo = planner.estimate_solo(&assignment);
         let fp = footprint(&solo, cluster.hosts, nodes, e.at);
         let cost_ns = (solo.makespan_ns.max(1.0)) as u64;
         shapes.push(JobShape {
@@ -442,7 +468,9 @@ pub fn run_scheduled(
             cost_ns,
             cpu_share: fp.cpu.clone(),
         });
-        footprints.push(fp);
+        if spec.aware {
+            live.push(fp);
+        }
         predicted_ns.push(cost_ns);
         kinds.push(e.kind);
         shared_cluster.get_or_insert(built.cluster);

@@ -6,7 +6,8 @@
 use lmas_core::{generate_rec8, KeyDist, Rec8};
 use lmas_emulator::{ClusterConfig, GateDecision, SchedGate};
 use lmas_sched::{
-    run_scheduled, ArrivalSpec, GateConfig, JobShape, Policy, PolicyGate, SchedError, SchedSpec,
+    run_scheduled, ArrivalSpec, GateConfig, JobShape, Policy, PolicyGate, SchedError,
+    SchedRunError, SchedSpec,
 };
 use lmas_sim::{SimDuration, SimTime};
 use lmas_sort::{choose_splitters, run_pass1, split_across_asus, DsmConfig, LoadMode};
@@ -157,6 +158,31 @@ fn aware_placement_completes_under_contention() {
     assert_eq!(out.completed(), 3, "all aware jobs complete");
     assert!(out.rejections.is_empty());
     assert!(out.predicted_ns.iter().all(|&c| c > 0));
+}
+
+/// A spec whose arrivals cannot be matched to job kinds is refused with
+/// a typed error naming the mismatch, aware or not, before any job is
+/// built.
+#[test]
+fn unmatched_job_kinds_are_typed_errors() {
+    let arrivals = ArrivalSpec::new()
+        .job(0, 0, SimTime::ZERO)
+        .job(1, 2, SimTime(1_000));
+    for aware in [false, true] {
+        let spec = SchedSpec::new(arrivals.clone(), vec![2_000, 4_000]).with_aware(aware);
+        let err = run_scheduled(&cluster(), &dsm(), &spec).expect_err("kind 2 of 2");
+        assert!(
+            matches!(err, SchedRunError::UnknownKind { job: 1, kind: 2, kinds: 2 }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("kind 2"), "{err}");
+    }
+    // No kinds at all: refused even when nothing would arrive.
+    for arrivals in [arrivals, ArrivalSpec::new()] {
+        let spec = SchedSpec::new(arrivals, Vec::new());
+        let err = run_scheduled(&cluster(), &dsm(), &spec).expect_err("no kinds");
+        assert!(matches!(err, SchedRunError::NoJobKinds), "{err}");
+    }
 }
 
 /// Drive a standalone gate through an arrival/completion schedule,

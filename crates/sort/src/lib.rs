@@ -10,6 +10,8 @@
 //! - [`functors`]: the merge-phase kernels (ASU γ₁-merge, host γ₂-merge);
 //! - [`dsm`]: two-pass orchestration ([`run_dsm_sort`], [`run_pass1`],
 //!   [`run_pass2`]);
+//! - [`planner`]: the passes as planner specs, the Auto-mode and coded
+//!   sweeps, and [`Pass1Planner`], the reusable per-job-kind planner;
 //! - [`baseline`]: the passive-storage comparison of Figure 9;
 //! - [`adaptive`]: model-driven (α, γ₁, γ₂) selection;
 //! - [`skew`]: workload layouts, incl. Figure 10's half-uniform/half-
@@ -27,6 +29,7 @@ pub mod config;
 pub mod dsm;
 pub mod fault;
 pub mod functors;
+pub mod planner;
 pub mod skew;
 pub mod verify;
 
@@ -34,13 +37,15 @@ pub use adaptive::{adaptive_alpha, adaptive_config, ALPHA_CANDIDATES};
 pub use baseline::{pass1_speedup, run_pass1_baseline};
 pub use config::{DsmConfig, DsmConfigError, LoadMode};
 pub use dsm::{
-    build_pass1_job, build_pass1_job_placed, choose_splitters, estimate_pass1_solo,
-    plan_pass1_coded, plan_pass1_residual, planner_shape, run_dsm_sort,
+    build_pass1_job, build_pass1_job_placed, choose_splitters, run_dsm_sort,
     run_dsm_sort_multipass, run_intermediate_merge, run_pass1, run_pass1_placed, run_pass1_with,
     run_pass2, run_pass2_auto, run_pass2_with, split_across_asus, DsmError, DsmMultiOutcome,
     DsmOutcome, DsmPlanInfo, Pass1Job, Pass1Result, Pass2Result, PlanWireError,
 };
 pub use fault::{lost_records, run_dsm_sort_faulty, FaultyDsmOutcome};
+pub use planner::{
+    estimate_pass1_solo, plan_pass1_coded, plan_pass1_residual, planner_shape, Pass1Planner,
+};
 pub use functors::{DistributeSortFunctor, FullMergeFunctor, SubsetMergeFunctor};
 pub use verify::{
     canonical_equal, canonical_records, check_tag_permutation, reconstruct_sorted,
