@@ -6,19 +6,34 @@
 //! directory.
 //!
 //! The scenarios mirror the calendar's hot paths in the emulator:
-//! random-time schedule/pop (pass boundaries), interleaved cancels
-//! (revised timers), same-instant FIFO cascades (`send_now` chains),
-//! full engine dispatch, FCFS grants, and an end-to-end DSM-Sort
-//! emulation on the default config.
+//! random-time schedule/pop (pass boundaries), the same under explicit
+//! keys (what a partition of a parallel run inserts), same-instant FIFO
+//! cascades (`send_now` chains) on the bare calendar, the sequential
+//! engine and a one-partition parallel run, FCFS grants, and an
+//! end-to-end DSM-Sort emulation on the default config.
 
 use lmas_bench::timing::BenchReport;
 use lmas_bench::write_results;
 use lmas_core::{generate_rec128, KeyDist};
 use lmas_emulator::ClusterConfig;
 use lmas_sim::{
-    Ctx, DetRng, EventQueue, MultiResource, Resource, SimDuration, SimTime, Simulation,
+    run_partitioned, Ctx, DetRng, EventKey, EventQueue, MultiResource, ParOps, PartitionWorker,
+    Resource, SimDuration, SimTime, Simulation,
 };
 use lmas_sort::{run_dsm_sort, DsmConfig, LoadMode};
+use std::sync::Arc;
+
+/// One actor that re-sends a countdown to itself at the current instant:
+/// `n` dispatches, all at t=0.
+fn install_cascade(sim: &mut Simulation<u64>, n: u64) {
+    let a = sim.add_actor(Box::new(|ctx: &mut Ctx<'_, u64>, left: u64| {
+        if left > 0 {
+            let me = ctx.me();
+            ctx.send_now(me, left - 1);
+        }
+    }));
+    sim.seed_message(a, SimTime::ZERO, n - 1);
+}
 
 fn main() {
     let mut report = BenchReport::new();
@@ -37,16 +52,14 @@ fn main() {
         acc
     });
 
-    report.bench("calendar/schedule_cancel_64k", n, || {
-        let mut rng = DetRng::new(2);
+    report.bench("calendar/push_pop_keyed_64k", n, || {
+        // A partition's inserts: the same arrival times as above under
+        // explicit keys, scheduling instants tying in runs of 16.
+        let mut rng = DetRng::new(1);
         let mut q = EventQueue::new();
-        let mut tokens = Vec::with_capacity(n as usize);
         for i in 0..n {
-            tokens.push(q.schedule(SimTime(rng.gen_range(1_000_000)), i));
-        }
-        // Cancel every other event (the blocked-timer-revision idiom).
-        for tok in tokens.iter().step_by(2) {
-            q.cancel(*tok);
+            let at = SimTime(rng.gen_range(1_000_000));
+            q.push(EventKey { at, sched: i / 16, packed: (1 << 63) | (i << 15) }, i);
         }
         let mut acc = 0u64;
         while let Some((_, v)) = q.pop() {
@@ -74,15 +87,26 @@ fn main() {
 
     report.bench("engine/send_now_cascade_64k", n, || {
         let mut sim: Simulation<u64> = Simulation::new(0);
-        let a = sim.add_actor(Box::new(|ctx: &mut Ctx<'_, u64>, left: u64| {
-            if left > 0 {
-                let me = ctx.me();
-                ctx.send_now(me, left - 1);
-            }
-        }));
-        sim.seed_message(a, SimTime::ZERO, n - 1);
+        install_cascade(&mut sim, n);
         sim.run();
         sim.dispatched()
+    });
+
+    report.bench("engine/one_partition_cascade_64k", n, || {
+        // The same cascade as one partition of a parallel run: keys come
+        // from the partition's counters, the lane still takes them.
+        struct Cascade(u64);
+        impl PartitionWorker<u64, u64> for Cascade {
+            type Built = ();
+            fn build(&mut self, sim: &mut Simulation<u64>) {
+                install_cascade(sim, self.0);
+            }
+            fn finish(self, (): (), sim: Simulation<u64>, _: &ParOps<'_>) -> u64 {
+                sim.dispatched()
+            }
+        }
+        let lookahead = SimDuration::from_nanos(1);
+        run_partitioned(0, Arc::new(vec![0]), lookahead, vec![Cascade(n)]).dispatched
     });
 
     report.bench("resource/acquire_100k", 100_000, || {

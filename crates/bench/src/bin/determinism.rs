@@ -1,11 +1,13 @@
 //! Determinism gate: run the pinned seeded DSM-Sort emulation and print
 //! every virtual-time observable. `scripts/check.sh` runs this twice and
 //! diffs the output — any nondeterminism in the calendar, dispatch loop,
-//! resource accounting, or trace rendering shows up as a diff.
+//! resource accounting, or trace rendering shows up as a diff — and diffs
+//! each run against the recorded `results/determinism.txt`, so a change
+//! that moves virtual time at all has to re-record that file on purpose.
 //!
-//! The same figures are frozen in the emulator's golden test
-//! (`crates/emulator/tests/golden.rs`), which pins them across simulator
-//! rewrites; this binary guards run-to-run stability within one build.
+//! The fault-free figures are also frozen in the sort crate's golden test
+//! (`crates/sort/tests/golden.rs`), which pins them across simulator
+//! rewrites.
 
 use lmas_core::functor::lib::MapFunctor;
 use lmas_core::{

@@ -16,16 +16,17 @@
 //! A `Simulation` can alternatively be created as one *partition* of a
 //! parallel run (see the [`crate::par`] coordinator). The actor-id space is
 //! global — every partition calls [`Simulation::reserve_to`] so ids agree —
-//! but each partition installs only the actors it owns and runs its own
-//! keyed calendar ([`crate::event::KeyedQueue`]). Sends to non-owned actors
-//! are buffered in an outbox and flushed between lookahead windows; the
-//! composite [`crate::event::EventKey`] reproduces the sequential
-//! dispatch order exactly, so virtual time is byte-identical to a
-//! single-threaded run. Cancellation and `request_stop` are not available
-//! in this mode (the conservative window protocol cannot retract or halt
-//! remote progress); both panic.
+//! but each partition installs only the actors it owns. It runs the same
+//! calendar and the same dispatch loop as a sequential simulation; what a
+//! partition adds is a remote half (`Remote`): sends to non-owned actors are
+//! buffered in an outbox and flushed between lookahead windows, and event
+//! keys are minted from partition-local counters instead of the global
+//! sequence number ([`crate::event::EventKey`]), which reproduces the
+//! sequential dispatch order exactly, so virtual time is byte-identical to
+//! a single-threaded run. `request_stop` is not available in this mode (the
+//! conservative window protocol cannot halt remote progress); it panics.
 
-use crate::event::{EventKey, EventQueue, EventToken, KeyedQueue};
+use crate::event::{EventKey, EventQueue};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -54,17 +55,17 @@ struct Envelope<M> {
 }
 
 /// A cross-partition message in flight: the destination partition pushes
-/// it into its keyed calendar at the next window boundary.
+/// it into its calendar at the next window boundary.
 pub(crate) struct RemoteEvent<M> {
     pub(crate) key: EventKey,
     pub(crate) to: ActorId,
     pub(crate) msg: M,
 }
 
-/// Partitioned-mode calendar state: a keyed queue for owned events plus
-/// the bookkeeping that makes locally-computed keys globally consistent.
-struct ParCal<M> {
-    queue: KeyedQueue<Envelope<M>>,
+/// What one partition of a parallel run adds to a calendar: the
+/// bookkeeping that makes locally-minted keys globally consistent, and
+/// the outbox for sends that leave the partition.
+struct Remote<M> {
     /// This partition's index.
     part: u32,
     /// Owning partition of every actor id (global, shared).
@@ -77,8 +78,6 @@ struct ParCal<M> {
     /// sequence number, and exactly that number when the run has a
     /// single partition.
     ctr: u64,
-    /// Key `(sched, packed)` of the event currently being dispatched.
-    cur: (u64, u64),
     /// Partition-chronological *seed* counter (bits 15..63 of a seed's
     /// event key, kind bit clear). Same-instant seeds to one actor would
     /// collide under any id-derived tiebreak; issuance order is the
@@ -91,34 +90,73 @@ struct ParCal<M> {
     remote_sent: u64,
 }
 
-impl<M> ParCal<M> {
-    fn send(&mut self, now: SimTime, _from: ActorId, to: ActorId, at: SimTime, msg: M) {
-        let c = self.ctr;
-        self.ctr += 1;
-        assert!(c < 1 << 48, "partition send counter overflows the event key");
-        let packed = (1u64 << 63) | (c << 15) | self.part as u64;
-        let key = EventKey { at, sched: now.as_nanos(), packed };
-        let dest = self.owners[to.0];
-        if dest == self.part {
+impl<M> Remote<M> {
+    /// Key of the `c`-th seed (`kind` 0) or runtime send (`kind` 1) this
+    /// partition issues.
+    fn key(&self, at: SimTime, sched: SimTime, kind: u64, c: u64) -> EventKey {
+        assert!(c < 1 << 48, "partition counter overflows the event key");
+        let packed = (kind << 63) | (c << 15) | self.part as u64;
+        EventKey { at, sched: sched.as_nanos(), packed }
+    }
+}
+
+/// The event calendar: one queue, plus the remote half when this
+/// simulation is a partition. The only thing the two modes do differently
+/// is mint a key: the queue's global sequence number, or a [`Remote`]
+/// counter.
+struct Calendar<M> {
+    queue: EventQueue<Envelope<M>>,
+    /// Key `(sched, packed)` of the event currently being dispatched.
+    cur: (u64, u64),
+    remote: Option<Box<Remote<M>>>,
+}
+
+impl<M> Calendar<M> {
+    /// File a message sent at `now` for delivery at `at`.
+    fn send(&mut self, now: SimTime, to: ActorId, at: SimTime, msg: M) {
+        let Some(r) = &mut self.remote else {
+            return self.queue.schedule(at, Envelope { to, msg });
+        };
+        let key = r.key(at, now, 1, r.ctr);
+        r.ctr += 1;
+        let dest = r.owners[to.0];
+        if dest == r.part {
             self.queue.push(key, Envelope { to, msg });
         } else {
             // Conservative synchronization is only sound if every remote
             // arrival lands beyond the current lookahead window.
             assert!(
-                at >= now + self.lookahead,
+                at >= now + r.lookahead,
                 "cross-partition send violates the lookahead bound"
             );
-            self.remote_sent += 1;
-            self.outbox[dest as usize].push(RemoteEvent { key, to, msg });
+            r.remote_sent += 1;
+            r.outbox[dest as usize].push(RemoteEvent { key, to, msg });
         }
     }
-}
 
-/// The event calendar: a sequential queue with tokens and cancellation,
-/// or one partition's keyed calendar in parallel mode.
-enum Calendar<M> {
-    Seq(EventQueue<Envelope<M>>),
-    Par(Box<ParCal<M>>),
+    /// File a message issued outside dispatch (before or between runs).
+    fn seed(&mut self, to: ActorId, at: SimTime, msg: M) {
+        let Some(r) = &mut self.remote else {
+            return self.queue.schedule(at, Envelope { to, msg });
+        };
+        assert_eq!(r.owners[to.0], r.part, "seeded a non-owned actor");
+        // Kind bit 0, sched 0: seeds order before any runtime send at the
+        // same instant, exactly like pre-run sequence numbers. Same-instant
+        // seeds tiebreak on (issuance order, partition) — unique even when
+        // one actor is seeded twice at the same instant (e.g. several
+        // fault-plan events firing together).
+        let key = r.key(at, SimTime::ZERO, 0, r.seed_ctr);
+        r.seed_ctr += 1;
+        self.queue.push(key, Envelope { to, msg });
+    }
+
+    fn remote(&self) -> &Remote<M> {
+        self.remote.as_deref().expect("not a partition of a parallel run")
+    }
+
+    fn remote_mut(&mut self) -> &mut Remote<M> {
+        self.remote.as_deref_mut().expect("not a partition of a parallel run")
+    }
 }
 
 /// Handle through which an actor interacts with the engine during dispatch.
@@ -144,39 +182,25 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Send `msg` to `to` after `delay`.
-    pub fn send(&mut self, to: ActorId, delay: SimDuration, msg: M) -> EventToken {
+    pub fn send(&mut self, to: ActorId, delay: SimDuration, msg: M) {
         self.send_at(to, self.now + delay, msg)
     }
 
     /// Send `msg` to `to` at the current instant (fires after all messages
     /// already scheduled for this instant — scheduling order is preserved).
-    pub fn send_now(&mut self, to: ActorId, msg: M) -> EventToken {
+    pub fn send_now(&mut self, to: ActorId, msg: M) {
         self.send(to, SimDuration::ZERO, msg)
     }
 
     /// Send `msg` to `to` at absolute time `at` (must be >= now).
-    pub fn send_at(&mut self, to: ActorId, at: SimTime, msg: M) -> EventToken {
+    pub fn send_at(&mut self, to: ActorId, at: SimTime, msg: M) {
         assert!(at >= self.now, "cannot schedule into the past");
-        match self.cal {
-            Calendar::Seq(ref mut q) => q.schedule(at, Envelope { to, msg }),
-            Calendar::Par(ref mut p) => {
-                p.send(self.now, self.me, to, at, msg);
-                EventToken::NULL
-            }
-        }
+        self.cal.send(self.now, to, at, msg)
     }
 
     /// Schedule a message to self.
-    pub fn timer(&mut self, delay: SimDuration, msg: M) -> EventToken {
+    pub fn timer(&mut self, delay: SimDuration, msg: M) {
         self.send(self.me, delay, msg)
-    }
-
-    /// Cancel a previously scheduled message.
-    pub fn cancel(&mut self, token: EventToken) {
-        match self.cal {
-            Calendar::Seq(ref mut q) => q.cancel(token),
-            Calendar::Par(_) => panic!("event cancellation is unsupported in partitioned mode"),
-        }
     }
 
     /// Engine-level RNG stream (distinct from per-component streams an
@@ -190,10 +214,11 @@ impl<'a, M> Ctx<'a, M> {
     /// Ask the engine to stop after this dispatch completes; pending
     /// events stay in the calendar.
     pub fn request_stop(&mut self) {
-        match self.cal {
-            Calendar::Seq(_) => *self.stop = true,
-            Calendar::Par(_) => panic!("request_stop is unsupported in partitioned mode"),
-        }
+        assert!(
+            self.cal.remote.is_none(),
+            "request_stop is unsupported in partitioned mode"
+        );
+        *self.stop = true;
     }
 
     /// In partitioned mode, the composite ordering key `(sched, packed)` of
@@ -202,10 +227,7 @@ impl<'a, M> Ctx<'a, M> {
     /// with it so per-partition logs merge back into the exact sequential
     /// order.
     pub fn par_key(&self) -> Option<(u64, u64)> {
-        match self.cal {
-            Calendar::Seq(_) => None,
-            Calendar::Par(ref p) => Some(p.cur),
-        }
+        self.cal.remote.as_ref().map(|_| self.cal.cur)
     }
 }
 
@@ -233,17 +255,11 @@ pub struct Simulation<M> {
 impl<M> Simulation<M> {
     /// New simulation at `t=0` with the given master seed.
     pub fn new(seed: u64) -> Self {
-        Simulation {
-            actors: Vec::new(),
-            cal: Calendar::Seq(EventQueue::new()),
-            now: SimTime::ZERO,
-            rng: DetRng::stream(seed, u64::MAX),
-            dispatched: 0,
-        }
+        Self::with_remote(seed, 0, None)
     }
 
     /// New simulation acting as partition `part` of a parallel run (see
-    /// [`crate::par::run_partitioned`]): keyed calendar, outbox for
+    /// [`crate::par::run_partitioned`]): locally-minted keys, outbox for
     /// cross-partition sends, per-partition RNG stream.
     pub(crate) fn new_partition(
         seed: u64,
@@ -257,22 +273,25 @@ impl<M> Simulation<M> {
             "partitioned mode needs a positive lookahead"
         );
         assert!(part < 1 << 15, "partition index overflows the event key");
+        let remote = Remote {
+            part,
+            owners,
+            lookahead,
+            ctr: 0,
+            seed_ctr: 0,
+            outbox: (0..nparts).map(|_| Vec::new()).collect(),
+            remote_sent: 0,
+        };
+        Self::with_remote(seed, part, Some(Box::new(remote)))
+    }
+
+    fn with_remote(seed: u64, part: u32, remote: Option<Box<Remote<M>>>) -> Self {
         Simulation {
             actors: Vec::new(),
-            cal: Calendar::Par(Box::new(ParCal {
-                queue: KeyedQueue::new(),
-                part,
-                owners,
-                lookahead,
-                ctr: 0,
-                cur: (0, 0),
-                seed_ctr: 0,
-                outbox: (0..nparts).map(|_| Vec::new()).collect(),
-                remote_sent: 0,
-            })),
+            cal: Calendar { queue: EventQueue::new(), cur: (0, 0), remote },
             now: SimTime::ZERO,
-            // Partition 0's stream coincides with the sequential engine
-            // stream; others are disjoint SplitMix64 streams.
+            // Partition 0's stream is the sequential engine's stream;
+            // others are disjoint SplitMix64 streams.
             rng: DetRng::stream(seed, u64::MAX ^ part as u64),
             dispatched: 0,
         }
@@ -320,25 +339,8 @@ impl<M> Simulation<M> {
     /// sequential build does (the natural build order), so the per-partition
     /// seed counter reproduces the sequential insertion sequence at one
     /// partition and a stable total order at several.
-    pub fn seed_message(&mut self, to: ActorId, at: SimTime, msg: M) -> EventToken {
-        match &mut self.cal {
-            Calendar::Seq(q) => q.schedule(at, Envelope { to, msg }),
-            Calendar::Par(p) => {
-                assert_eq!(p.owners[to.0], p.part, "seeded a non-owned actor");
-                let c = p.seed_ctr;
-                p.seed_ctr += 1;
-                assert!(c < 1 << 48, "partition seed counter overflows the event key");
-                // Kind bit 0: seeds order before any runtime send at the
-                // same instant, exactly like pre-run sequence numbers.
-                // Same-instant seeds tiebreak on (issuance order, partition)
-                // — unique even when one actor is seeded twice at the same
-                // instant (e.g. several fault-plan events firing together).
-                let packed = (c << 15) | p.part as u64;
-                p.queue
-                    .push(EventKey { at, sched: 0, packed }, Envelope { to, msg });
-                EventToken::NULL
-            }
-        }
+    pub fn seed_message(&mut self, to: ActorId, at: SimTime, msg: M) {
+        self.cal.seed(to, at, msg)
     }
 
     /// Current virtual time.
@@ -351,35 +353,19 @@ impl<M> Simulation<M> {
         self.dispatched
     }
 
-    /// Run until the calendar drains, an actor requests a stop, or virtual
-    /// time would exceed `horizon`.
+    /// Dispatch every event arriving at or before `horizon` (inclusive),
+    /// in key order, until none is left or an actor requests a stop;
+    /// returns whether one did. The one dispatch loop of both modes.
     ///
-    /// The loop allocates nothing per dispatch: envelopes are recycled
-    /// through the calendar's slot free list, and the horizon check is
-    /// folded into the pop ([`EventQueue::pop_not_after`]) instead of a
-    /// separate peek.
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
+    /// It allocates nothing per dispatch: envelopes are recycled through
+    /// the calendar's slot free list, and the horizon check is folded into
+    /// the pop ([`EventQueue::pop_not_after`]) instead of a separate peek.
+    fn dispatch_through(&mut self, horizon: SimTime) -> bool {
         let mut stop = false;
-        loop {
-            let popped = match &mut self.cal {
-                Calendar::Seq(queue) => queue.pop_not_after(horizon),
-                Calendar::Par(_) => {
-                    panic!("run_until is sequential-only; partitions advance via the coordinator")
-                }
-            };
-            let Some((t, env)) = popped else {
-                let empty = match &mut self.cal {
-                    Calendar::Seq(queue) => queue.is_empty(),
-                    Calendar::Par(_) => unreachable!(),
-                };
-                return if empty {
-                    RunOutcome::Drained
-                } else {
-                    RunOutcome::HorizonReached
-                };
-            };
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
+        while let Some((key, env)) = self.cal.queue.pop_not_after(horizon) {
+            debug_assert!(key.at >= self.now, "time went backwards");
+            self.now = key.at;
+            self.cal.cur = (key.sched, key.packed);
             self.dispatched += 1;
             let mut actor = self.actors[env.to.0]
                 .take()
@@ -396,8 +382,25 @@ impl<M> Simulation<M> {
             }
             self.actors[env.to.0] = Some(actor);
             if stop {
-                return RunOutcome::Stopped;
+                return true;
             }
+        }
+        false
+    }
+
+    /// Run until the calendar drains, an actor requests a stop, or virtual
+    /// time would exceed `horizon`.
+    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
+        assert!(
+            self.cal.remote.is_none(),
+            "run_until is sequential-only; partitions advance via the coordinator"
+        );
+        if self.dispatch_through(horizon) {
+            RunOutcome::Stopped
+        } else if self.cal.queue.is_empty() {
+            RunOutcome::Drained
+        } else {
+            RunOutcome::HorizonReached
         }
     }
 
@@ -408,65 +411,26 @@ impl<M> Simulation<M> {
     }
 
     /// Partitioned mode: dispatch every owned event arriving at or before
-    /// `horizon` (inclusive), in composite-key order. Cross-partition sends
+    /// `horizon` (inclusive), in key order. Cross-partition sends
     /// accumulate in the outbox. Returns the number of dispatches.
     pub(crate) fn run_window(&mut self, horizon: SimTime) -> u64 {
-        let mut count = 0u64;
-        loop {
-            let popped = match &mut self.cal {
-                Calendar::Par(p) => match p.queue.pop_not_after(horizon) {
-                    Some((key, env)) => {
-                        p.cur = (key.sched, key.packed);
-                        Some((key.at, env))
-                    }
-                    None => None,
-                },
-                Calendar::Seq(_) => unreachable!("run_window on a sequential calendar"),
-            };
-            let Some((t, env)) = popped else {
-                return count;
-            };
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.dispatched += 1;
-            count += 1;
-            let mut actor = self.actors[env.to.0]
-                .take()
-                .unwrap_or_else(|| panic!("message to uninstalled actor {:?}", env.to));
-            {
-                let mut stop = false;
-                let mut ctx = Ctx {
-                    now: self.now,
-                    me: env.to,
-                    cal: &mut self.cal,
-                    rng: &mut self.rng,
-                    stop: &mut stop,
-                };
-                actor.on_message(&mut ctx, env.msg);
-            }
-            self.actors[env.to.0] = Some(actor);
-        }
+        let before = self.dispatched;
+        self.dispatch_through(horizon);
+        self.dispatched - before
     }
 
     /// Partitioned mode: arrival time of this partition's earliest pending
     /// event in nanoseconds, or `u64::MAX` when idle.
     pub(crate) fn par_next_time(&self) -> u64 {
-        match &self.cal {
-            Calendar::Par(p) => p.queue.peek_at().map_or(u64::MAX, |t| t.as_nanos()),
-            Calendar::Seq(_) => unreachable!("par_next_time on a sequential calendar"),
-        }
+        self.cal.queue.peek_time().map_or(u64::MAX, |t| t.as_nanos())
     }
 
     /// Partitioned mode: accept a cross-partition message routed here by
     /// the coordinator.
     pub(crate) fn par_push_remote(&mut self, ev: RemoteEvent<M>) {
-        match &mut self.cal {
-            Calendar::Par(p) => {
-                debug_assert_eq!(p.owners[ev.to.0], p.part, "remote event misrouted");
-                p.queue.push(ev.key, Envelope { to: ev.to, msg: ev.msg });
-            }
-            Calendar::Seq(_) => unreachable!("par_push_remote on a sequential calendar"),
-        }
+        let r = self.cal.remote();
+        debug_assert_eq!(r.owners[ev.to.0], r.part, "remote event misrouted");
+        self.cal.queue.push(ev.key, Envelope { to: ev.to, msg: ev.msg });
     }
 
     /// Partitioned mode: the buffered cross-partition sends, bucketed by
@@ -474,18 +438,12 @@ impl<M> Simulation<M> {
     /// into the matching `(src, dst)` mailbox slot at the window boundary
     /// (recycling the slot's empty allocation back into the bucket).
     pub(crate) fn par_outbox_mut(&mut self) -> &mut Vec<Vec<RemoteEvent<M>>> {
-        match &mut self.cal {
-            Calendar::Par(p) => &mut p.outbox,
-            Calendar::Seq(_) => unreachable!("par_outbox_mut on a sequential calendar"),
-        }
+        &mut self.cal.remote_mut().outbox
     }
 
     /// Partitioned mode: lifetime count of cross-partition sends.
     pub(crate) fn par_remote_sent(&self) -> u64 {
-        match &self.cal {
-            Calendar::Par(p) => p.remote_sent,
-            Calendar::Seq(_) => unreachable!("par_remote_sent on a sequential calendar"),
-        }
+        self.cal.remote().remote_sent
     }
 
     /// Mutable access to a registered actor between runs (e.g. to harvest
@@ -626,25 +584,36 @@ mod tests {
     }
 
     #[test]
-    fn timer_cancellation_suppresses_delivery() {
-        let fired: Rc<RefCell<u32>> = Rc::default();
+    fn seeds_between_runs_keep_time_then_issue_order() {
+        // After a horizon stop the calendar's "current instant" is the last
+        // dispatch (t=10). Seeds issued then — at that very instant (the
+        // fast lane), later, and tied with an event still pending — must
+        // fire in (time, issue order) like any others.
+        let log: Rc<RefCell<Vec<(u64, &'static str)>>> = Rc::default();
         let mut sim: Simulation<&'static str> = Simulation::new(0);
-        let f = fired.clone();
+        let l = log.clone();
         let a = sim.add_actor(Box::new(move |ctx: &mut Ctx<'_, &'static str>, m| {
-            match m {
-                "start" => {
-                    let tok = ctx.timer(SimDuration::from_nanos(100), "late");
-                    ctx.cancel(tok);
-                    ctx.timer(SimDuration::from_nanos(50), "kept");
-                }
-                "kept" => *f.borrow_mut() += 1,
-                "late" => panic!("cancelled timer fired"),
-                _ => unreachable!(),
-            }
+            l.borrow_mut().push((ctx.now().as_nanos(), m));
         }));
-        sim.seed_message(a, SimTime(0), "start");
-        sim.run();
-        assert_eq!(*fired.borrow(), 1);
+        sim.seed_message(a, SimTime(10), "first");
+        sim.seed_message(a, SimTime(1000), "pending");
+        assert_eq!(sim.run_until(SimTime(100)), RunOutcome::HorizonReached);
+        sim.seed_message(a, SimTime(1000), "tied-after-pending");
+        sim.seed_message(a, SimTime(10), "at-front-a");
+        sim.seed_message(a, SimTime(500), "between");
+        sim.seed_message(a, SimTime(10), "at-front-b");
+        assert_eq!(sim.run(), RunOutcome::Drained);
+        assert_eq!(
+            *log.borrow(),
+            [
+                (10, "first"),
+                (10, "at-front-a"),
+                (10, "at-front-b"),
+                (500, "between"),
+                (1000, "pending"),
+                (1000, "tied-after-pending"),
+            ]
+        );
     }
 
     #[test]

@@ -1,382 +1,53 @@
 //! The event queue: a totally ordered calendar of future work.
 //!
-//! Events are ordered by `(time, sequence)` where the sequence number is
-//! assigned at scheduling time. Two events at the same instant therefore
-//! fire in the order they were scheduled — a total order that makes runs
-//! deterministic regardless of hash-map iteration or heap tie-breaking.
+//! Every event carries one [`EventKey`] and the calendar pops in
+//! ascending key order, so a run's dispatch order is a pure function of
+//! the keys it minted — independent of hash-map iteration, heap
+//! tie-breaking, insertion order and, under [`crate::par`], thread
+//! interleaving. Keys are minted in one of two ways:
+//!
+//! - [`EventQueue::schedule`] (the sequential engine) stamps
+//!   `(time, 0, seq)` with a sequence number assigned at scheduling time:
+//!   two events at the same instant fire in the order they were
+//!   scheduled.
+//! - [`EventQueue::push`] (one partition of a parallel run) takes a key
+//!   the engine computed from partition-local counters; see
+//!   [`EventKey`].
 //!
 //! ## Internals
 //!
-//! The calendar is an **index-tracked 4-ary min-heap** over recycled
-//! payload slots, plus a **same-instant FIFO fast lane**:
+//! The calendar is a **4-ary min-heap** over recycled payload slots, plus
+//! a **same-instant FIFO fast lane**:
 //!
 //! - Payloads live in a slot arena with a free list, so steady-state
-//!   scheduling allocates nothing: a fired or cancelled event's slot is
-//!   reused by the next `schedule`. Each slot carries a generation
-//!   counter; an [`EventToken`] packs `(slot, generation)`, which makes
-//!   stale tokens (fired or already-cancelled events) detectable in O(1)
-//!   without any tombstone set.
-//! - The heap orders `(time, seq)` keys stored inline in the heap array
-//!   (one cache line holds two entries), and each slot knows its heap
-//!   position, so [`EventQueue::cancel`] removes the entry eagerly — a
-//!   single sift, no tombstone accumulation, and
-//!   [`EventQueue::peek_time`] never has to skip dead entries.
-//! - Events scheduled **at the instant currently firing** — the
+//!   scheduling allocates nothing: a fired event's slot is reused by the
+//!   next insert.
+//! - The heap orders `(key, slot)` entries stored inline in the heap
+//!   array (one cache line holds two), so comparisons during sifting
+//!   never chase the arena.
+//! - Events inserted **at the instant currently firing** — the
 //!   `send_now` cascades that dominate the emulator's dispatch mix —
-//!   bypass the heap entirely: they append to a FIFO lane whose entries
-//!   all share one timestamp and arrive in `seq` order by construction.
-//!   A pop takes whichever of (lane front, heap top) has the smaller
-//!   `(time, seq)`, so the total order is exactly the one the old
-//!   binary-heap calendar produced.
+//!   bypass the heap: while their keys keep ascending (which both ways of
+//!   minting guarantee within an instant) they append to a FIFO lane. A
+//!   pop takes whichever of (lane front, heap top) has the smaller key,
+//!   so the total order is the key order however an event was routed.
 //!
-//! Cancellation via the token is O(1) for lane entries and one
-//! O(log₄ n) sift for heap entries; both free the slot immediately.
-//! This supports the paper's blocking-synchronization idiom of posting a
-//! wakeup at `t = ∞` and revising it on signal — in our engine the
-//! equivalent is cancelling the stale timer and scheduling a fresh one.
+//! There is no cancellation: a timeout that may be overtaken is modelled
+//! by the handler ignoring a stale shot, and the paper's idiom of posting
+//! a wakeup at `t = ∞` by not scheduling and waking with a message.
 
 use crate::time::SimTime;
 use std::collections::VecDeque;
 
-/// Identifies a scheduled event so it can later be cancelled. Packs the
-/// event's slot index (low 32 bits) and the slot's generation at
-/// scheduling time (high 32 bits); a token outlives its event harmlessly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventToken(pub(crate) u64);
-
-impl EventToken {
-    /// Sentinel returned by sends in partitioned mode, where events are
-    /// not cancellable. Never matches a live slot.
-    pub(crate) const NULL: EventToken = EventToken(u64::MAX);
-
-    fn pack(slot: u32, gen: u32) -> EventToken {
-        EventToken(((gen as u64) << 32) | slot as u64)
-    }
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// `Slot::pos` sentinel: the event sits in the same-instant fast lane.
-const IN_LANE: u32 = u32::MAX;
-/// `Slot::pos` sentinel: a lane entry cancelled before firing; skipped
-/// (and its slot freed) when the lane drains past it within the instant.
-const LANE_CANCELLED: u32 = u32::MAX - 1;
-/// `Slot::pos` sentinel: the slot is on the free list.
-const FREE: u32 = u32::MAX - 2;
-
-struct Slot<M> {
-    /// Bumped every time the slot is freed; stale tokens mismatch.
-    gen: u32,
-    /// Heap position, or one of the sentinels above.
-    pos: u32,
-    seq: u64,
-    time: SimTime,
-    payload: Option<M>,
-}
-
-/// Heap entries carry the full `(time, seq)` ordering key inline so
-/// comparisons during sifting never chase the slot arena.
-#[derive(Clone, Copy)]
-struct HeapEntry {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl HeapEntry {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-/// A deterministic future-event calendar.
-pub struct EventQueue<M> {
-    slots: Vec<Slot<M>>,
-    /// Recycled slot indices: the calendar's envelope free list.
-    free: Vec<u32>,
-    /// 4-ary min-heap of events *not* at the current instant.
-    heap: Vec<HeapEntry>,
-    /// Same-instant FIFO: slot indices, all at `lane_time`, seq-ascending.
-    lane: VecDeque<u32>,
-    /// Timestamp shared by every lane entry (valid while `lane` is
-    /// non-empty).
-    lane_time: SimTime,
-    /// Time of the most recently popped event — "the current instant".
-    front_time: SimTime,
-    next_seq: u64,
-    scheduled: u64,
-    fired: u64,
-    live: u64,
-}
-
-impl<M> Default for EventQueue<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M> EventQueue<M> {
-    /// An empty calendar.
-    pub fn new() -> Self {
-        EventQueue {
-            slots: Vec::new(),
-            free: Vec::new(),
-            heap: Vec::new(),
-            lane: VecDeque::new(),
-            lane_time: SimTime::ZERO,
-            front_time: SimTime::ZERO,
-            next_seq: 0,
-            scheduled: 0,
-            fired: 0,
-            live: 0,
-        }
-    }
-
-    /// Schedule `payload` to fire at `time`. `time` must be finite
-    /// (not [`SimTime::NEVER`]) — model indefinite blocking by simply not
-    /// scheduling, and waking via an explicit message instead.
-    pub fn schedule(&mut self, time: SimTime, payload: M) -> EventToken {
-        assert!(
-            time != SimTime::NEVER,
-            "cannot schedule at t=∞; wake blocked parties with a message"
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled += 1;
-        self.live += 1;
-        let idx = match self.free.pop() {
-            Some(i) => {
-                let s = &mut self.slots[i as usize];
-                s.seq = seq;
-                s.time = time;
-                s.payload = Some(payload);
-                i
-            }
-            None => {
-                assert!(self.slots.len() < FREE as usize, "calendar slot overflow");
-                self.slots.push(Slot {
-                    gen: 0,
-                    pos: FREE,
-                    seq,
-                    time,
-                    payload: Some(payload),
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        if time == self.front_time && (self.lane.is_empty() || self.lane_time == time) {
-            // send_now fast lane: same instant as the event being
-            // dispatched, seq necessarily above everything already there.
-            self.lane_time = time;
-            self.lane.push_back(idx);
-            self.slots[idx as usize].pos = IN_LANE;
-        } else {
-            self.heap_push(HeapEntry { time, seq, slot: idx });
-        }
-        EventToken::pack(idx, self.slots[idx as usize].gen)
-    }
-
-    /// Cancel a previously scheduled event. Idempotent; cancelling an
-    /// already-fired event has no effect. Lane entries are O(1); heap
-    /// entries are removed eagerly with one sift (no tombstones linger).
-    pub fn cancel(&mut self, token: EventToken) {
-        let idx = token.slot();
-        let Some(slot) = self.slots.get_mut(idx as usize) else {
-            return;
-        };
-        if slot.gen != token.gen() {
-            return; // already fired or cancelled; slot moved on
-        }
-        match slot.pos {
-            FREE | LANE_CANCELLED => {}
-            IN_LANE => {
-                // The lane index stays; the drained-lane scan frees it.
-                slot.payload = None;
-                slot.pos = LANE_CANCELLED;
-                self.live -= 1;
-            }
-            pos => {
-                self.heap_remove(pos);
-                self.free_slot(idx);
-                self.live -= 1;
-            }
-        }
-    }
-
-    /// Remove and return the earliest live event.
-    pub fn pop(&mut self) -> Option<(SimTime, M)> {
-        self.pop_not_after(SimTime::NEVER)
-    }
-
-    /// Remove and return the earliest live event if it fires at or
-    /// before `horizon`; `None` when the calendar is empty or the next
-    /// event is later. One call replaces the peek-then-pop pair in
-    /// dispatch loops.
-    pub fn pop_not_after(&mut self, horizon: SimTime) -> Option<(SimTime, M)> {
-        self.drop_cancelled_lane_prefix();
-        let lane_key = self
-            .lane
-            .front()
-            .map(|&i| (self.lane_time, self.slots[i as usize].seq));
-        let heap_key = self.heap.first().map(HeapEntry::key);
-        let from_lane = match (lane_key, heap_key) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(l), Some(h)) => l < h,
-        };
-        let idx = if from_lane {
-            if self.lane_time > horizon {
-                return None;
-            }
-            self.lane.pop_front().expect("lane front exists")
-        } else {
-            if self.heap[0].time > horizon {
-                return None;
-            }
-            let top = self.heap[0];
-            self.heap_remove(0);
-            top.slot
-        };
-        let slot = &mut self.slots[idx as usize];
-        let time = slot.time;
-        let payload = slot.payload.take().expect("live event has a payload");
-        self.free_slot(idx);
-        self.fired += 1;
-        self.live -= 1;
-        self.front_time = time;
-        Some((time, payload))
-    }
-
-    /// Time of the earliest live event without removing it. O(1).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.drop_cancelled_lane_prefix();
-        let lane = self.lane.front().map(|_| self.lane_time);
-        let heap = self.heap.first().map(|e| e.time);
-        match (lane, heap) {
-            (None, None) => None,
-            (Some(t), None) | (None, Some(t)) => Some(t),
-            (Some(a), Some(b)) => Some(a.min(b)),
-        }
-    }
-
-    /// True when no live events remain.
-    pub fn is_empty(&mut self) -> bool {
-        self.peek_time().is_none()
-    }
-
-    /// Number of live (scheduled, not yet fired or cancelled) events.
-    /// O(1) — the calendar tracks the count directly.
-    pub fn live_len(&self) -> usize {
-        self.live as usize
-    }
-
-    /// Lifetime counters: (scheduled, fired).
-    pub fn counters(&self) -> (u64, u64) {
-        (self.scheduled, self.fired)
-    }
-
-    /// Free cancelled entries parked at the head of the fast lane so the
-    /// live front is directly inspectable.
-    fn drop_cancelled_lane_prefix(&mut self) {
-        while let Some(&i) = self.lane.front() {
-            if self.slots[i as usize].pos == LANE_CANCELLED {
-                self.lane.pop_front();
-                self.free_slot(i);
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn free_slot(&mut self, idx: u32) {
-        let slot = &mut self.slots[idx as usize];
-        slot.gen = slot.gen.wrapping_add(1);
-        slot.pos = FREE;
-        slot.payload = None;
-        self.free.push(idx);
-    }
-
-    // ---- 4-ary heap primitives (children of i: 4i+1 ..= 4i+4) ----
-
-    fn heap_push(&mut self, entry: HeapEntry) {
-        let pos = self.heap.len() as u32;
-        self.slots[entry.slot as usize].pos = pos;
-        self.heap.push(entry);
-        self.sift_up(pos as usize);
-    }
-
-    /// Remove the entry at heap position `pos`, restoring heap order.
-    fn heap_remove(&mut self, pos: u32) {
-        let pos = pos as usize;
-        let last = self.heap.pop().expect("heap entry to remove");
-        if pos < self.heap.len() {
-            self.heap[pos] = last;
-            self.slots[last.slot as usize].pos = pos as u32;
-            // The replacement came from the bottom: usually sifts down,
-            // but under a different subtree it may need to rise instead.
-            if !self.sift_up(pos) {
-                self.sift_down(pos);
-            }
-        }
-    }
-
-    /// Move the entry at `i` up to its place; returns true if it moved.
-    fn sift_up(&mut self, mut i: usize) -> bool {
-        let mut moved = false;
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if self.heap[i].key() < self.heap[parent].key() {
-                self.heap.swap(i, parent);
-                self.slots[self.heap[i].slot as usize].pos = i as u32;
-                self.slots[self.heap[parent].slot as usize].pos = parent as u32;
-                i = parent;
-                moved = true;
-            } else {
-                break;
-            }
-        }
-        moved
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let first = 4 * i + 1;
-            if first >= self.heap.len() {
-                break;
-            }
-            let last = (first + 4).min(self.heap.len());
-            let mut min = first;
-            for c in first + 1..last {
-                if self.heap[c].key() < self.heap[min].key() {
-                    min = c;
-                }
-            }
-            if self.heap[min].key() < self.heap[i].key() {
-                self.heap.swap(i, min);
-                self.slots[self.heap[i].slot as usize].pos = i as u32;
-                self.slots[self.heap[min].slot as usize].pos = min as u32;
-                i = min;
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-/// Composite ordering key for events in **partitioned** mode (see
-/// `engine` / `par`): events are totally ordered by
-/// `(arrival time, schedule time, packed chronological tiebreak)`.
+/// The one ordering key of the calendar: events are totally ordered by
+/// `(arrival time, schedule time, packed tiebreak)`.
 ///
-/// The sequential calendar orders same-instant events by a global
-/// sequence number assigned at scheduling time. Worker threads cannot
-/// share such a counter without re-serializing the run, so partitioned
-/// mode replaces it with a key every partition can compute locally:
+/// The sequential engine orders same-instant events by a global sequence
+/// number assigned at scheduling time and mints `(at, 0, seq)`
+/// ([`EventQueue::schedule`]) — with `sched` constant, exactly the
+/// `(time, seq)` order. Worker threads cannot share such a counter
+/// without re-serializing the run, so a partition mints a key it can
+/// compute locally:
 ///
 /// - `at` — the arrival instant (the primary sort, as before);
 /// - `sched` — the virtual instant the event was *scheduled* at. Runs
@@ -401,86 +72,169 @@ impl<M> EventQueue<M> {
 /// ordering the sequential engine resolves by global chronology, which
 /// no local key can reconstruct; the counter-then-partition tiebreak
 /// keeps that residual case deterministic.
-///
-/// Keys are unique per event, so heap pop order is a pure function of
-/// the key set — independent of insertion order, and therefore of
-/// thread interleaving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventKey {
     /// Arrival instant.
     pub at: SimTime,
-    /// Scheduling instant (nanoseconds).
+    /// Scheduling instant (nanoseconds); 0 for [`EventQueue::schedule`].
     pub sched: u64,
-    /// `kind:1 | partition-send-counter:48 | partition:15`.
+    /// `kind:1 | partition-send-counter:48 | partition:15`, or the global
+    /// sequence number for [`EventQueue::schedule`].
     pub packed: u64,
 }
 
-/// A deterministic calendar ordered by [`EventKey`], used by partitioned
-/// workers. Same 4-ary layout as [`EventQueue`], but with explicit keys
-/// and no cancellation or same-instant lane (partitioned mode derives
-/// its total order from keys alone, so no structural fast path may
-/// reorder it).
-pub struct KeyedQueue<M> {
-    heap: Vec<(EventKey, M)>,
-    scheduled: u64,
+/// Heap and lane entries carry the full ordering key inline so
+/// comparisons never chase the slot arena.
+#[derive(Clone, Copy)]
+struct Entry {
+    key: EventKey,
+    slot: u32,
+}
+
+/// A deterministic future-event calendar.
+pub struct EventQueue<M> {
+    /// Payload arena; `None` marks a slot on the free list.
+    slots: Vec<Option<M>>,
+    /// Recycled slot indices: the calendar's envelope free list.
+    free: Vec<u32>,
+    /// 4-ary min-heap of the events not in the lane.
+    heap: Vec<Entry>,
+    /// Same-instant FIFO: key-ascending entries inserted at `front_time`.
+    lane: VecDeque<Entry>,
+    /// Time of the most recently popped event — "the current instant".
+    front_time: SimTime,
+    next_seq: u64,
     fired: u64,
 }
 
-impl<M> Default for KeyedQueue<M> {
+impl<M> Default for EventQueue<M> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M> KeyedQueue<M> {
-    /// An empty keyed calendar.
+impl<M> EventQueue<M> {
+    /// An empty calendar.
     pub fn new() -> Self {
-        KeyedQueue { heap: Vec::new(), scheduled: 0, fired: 0 }
+        EventQueue {
+            slots: Vec::new(),
+            free: Vec::new(),
+            heap: Vec::new(),
+            lane: VecDeque::new(),
+            front_time: SimTime::ZERO,
+            next_seq: 0,
+            fired: 0,
+        }
     }
 
-    /// Insert an event. Keys must be unique (the engine constructs them
-    /// so by including a chronological send counter); `at` must be finite.
+    /// Schedule `payload` to fire at `time`, after everything already
+    /// scheduled for that instant: the key is `(time, 0, seq)`. `time`
+    /// must be finite (not [`SimTime::NEVER`]) — model indefinite
+    /// blocking by simply not scheduling, and waking via an explicit
+    /// message instead.
+    pub fn schedule(&mut self, time: SimTime, payload: M) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.push(EventKey { at: time, sched: 0, packed: seq }, payload);
+    }
+
+    /// Insert an event under an explicit key. Keys must be unique (the
+    /// engine includes a chronological counter in each), which makes pop
+    /// order a function of the key set alone; `key.at` must be finite.
+    #[inline]
     pub fn push(&mut self, key: EventKey, payload: M) {
-        assert!(key.at != SimTime::NEVER, "cannot schedule at t=∞");
-        self.scheduled += 1;
-        self.heap.push((key, payload));
-        self.sift_up(self.heap.len() - 1);
+        assert!(
+            key.at != SimTime::NEVER,
+            "cannot schedule at t=∞; wake blocked parties with a message"
+        );
+        let slot = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = Some(payload);
+                i
+            }
+            None => {
+                assert!(self.slots.len() < u32::MAX as usize, "calendar slot overflow");
+                self.slots.push(Some(payload));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        let entry = Entry { key, slot };
+        if key.at == self.front_time && self.lane.back().is_none_or(|b| b.key < key) {
+            // send_now fast lane: same instant as the event being
+            // dispatched, key above everything already in the lane.
+            self.lane.push_back(entry);
+        } else {
+            self.heap.push(entry);
+            self.sift_up(self.heap.len() - 1);
+        }
     }
 
-    /// Remove and return the smallest-key event if it arrives at or
-    /// before `horizon` (inclusive).
+    /// Remove and return the earliest event.
+    pub fn pop(&mut self) -> Option<(SimTime, M)> {
+        self.pop_not_after(SimTime::NEVER).map(|(key, payload)| (key.at, payload))
+    }
+
+    /// Remove and return the smallest-key event if it fires at or before
+    /// `horizon` (inclusive); `None` when the calendar is empty or the
+    /// next event is later. One call replaces the peek-then-pop pair in
+    /// dispatch loops.
+    #[inline]
     pub fn pop_not_after(&mut self, horizon: SimTime) -> Option<(EventKey, M)> {
-        if self.heap.first().is_none_or(|(k, _)| k.at > horizon) {
-            return None;
-        }
+        let from_lane = match (self.lane.front(), self.heap.first()) {
+            (None, None) => return None,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (Some(l), Some(h)) => l.key < h.key,
+        };
+        let entry = if from_lane {
+            if self.lane[0].key.at > horizon {
+                return None;
+            }
+            self.lane.pop_front().expect("lane front exists")
+        } else {
+            let top = self.heap[0];
+            if top.key.at > horizon {
+                return None;
+            }
+            let last = self.heap.pop().expect("heap top exists");
+            if !self.heap.is_empty() {
+                self.heap[0] = last;
+                self.sift_down(0);
+            }
+            top
+        };
+        let payload = self.slots[entry.slot as usize]
+            .take()
+            .expect("pending event has a payload");
+        self.free.push(entry.slot);
         self.fired += 1;
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let out = self.heap.pop().expect("non-empty heap");
-        if !self.heap.is_empty() {
-            self.sift_down(0);
+        self.front_time = entry.key.at;
+        Some((entry.key, payload))
+    }
+
+    /// Time of the earliest event without removing it. O(1).
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let lane = self.lane.front().map(|e| e.key.at);
+        let heap = self.heap.first().map(|e| e.key.at);
+        match (lane, heap) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
-        Some(out)
-    }
-
-    /// Arrival time of the earliest event, if any. O(1).
-    pub fn peek_at(&self) -> Option<SimTime> {
-        self.heap.first().map(|(k, _)| k.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
+    }
+
+    /// Number of pending (inserted, not yet fired) events. O(1).
+    pub fn live_len(&self) -> usize {
+        self.lane.len() + self.heap.len()
     }
 
     /// Lifetime counters: (scheduled, fired).
     pub fn counters(&self) -> (u64, u64) {
-        (self.scheduled, self.fired)
+        (self.fired + self.live_len() as u64, self.fired)
     }
 
     // ---- 4-ary heap primitives (children of i: 4i+1 ..= 4i+4) ----
@@ -488,7 +242,7 @@ impl<M> KeyedQueue<M> {
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 4;
-            if self.heap[i].0 < self.heap[parent].0 {
+            if self.heap[i].key < self.heap[parent].key {
                 self.heap.swap(i, parent);
                 i = parent;
             } else {
@@ -506,11 +260,11 @@ impl<M> KeyedQueue<M> {
             let last = (first + 4).min(self.heap.len());
             let mut min = first;
             for c in first + 1..last {
-                if self.heap[c].0 < self.heap[min].0 {
+                if self.heap[c].key < self.heap[min].key {
                     min = c;
                 }
             }
-            if self.heap[min].0 < self.heap[i].0 {
+            if self.heap[min].key < self.heap[i].key {
                 self.heap.swap(i, min);
                 i = min;
             } else {
@@ -545,41 +299,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((SimTime(5), i)));
         }
-    }
-
-    #[test]
-    fn cancellation_skips_events() {
-        let mut q = EventQueue::new();
-        let _a = q.schedule(SimTime(1), "a");
-        let b = q.schedule(SimTime(2), "b");
-        let _c = q.schedule(SimTime(3), "c");
-        q.cancel(b);
-        assert_eq!(q.pop(), Some((SimTime(1), "a")));
-        assert_eq!(q.pop(), Some((SimTime(3), "c")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cancel_is_idempotent_and_safe_after_fire() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime(1), "a");
-        q.cancel(a);
-        q.cancel(a);
-        assert_eq!(q.pop(), None);
-        let b = q.schedule(SimTime(2), "b");
-        assert_eq!(q.pop(), Some((SimTime(2), "b")));
-        q.cancel(b); // already fired: no effect
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime(1), "a");
-        q.schedule(SimTime(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime(2)));
-        assert_eq!(q.live_len(), 1);
     }
 
     #[test]
@@ -639,92 +358,53 @@ mod tests {
     }
 
     #[test]
-    fn cancel_inside_fast_lane() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(0), "head");
-        assert_eq!(q.pop(), Some((SimTime(0), "head")));
-        let a = q.schedule(SimTime(0), "a");
-        let b = q.schedule(SimTime(0), "b");
-        let c = q.schedule(SimTime(0), "c");
-        q.cancel(b);
-        q.cancel(b); // idempotent on lane entries too
-        assert_eq!(q.live_len(), 2);
-        assert_eq!(q.pop(), Some((SimTime(0), "a")));
-        assert_eq!(q.pop(), Some((SimTime(0), "c")));
-        assert_eq!(q.pop(), None);
-        let _ = (a, c);
-    }
-
-    #[test]
-    fn slots_recycle_without_token_confusion() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime(1), 1u32);
-        assert_eq!(q.pop(), Some((SimTime(1), 1)));
-        // The slot is recycled for `b`; the stale token must not hit it.
-        let b = q.schedule(SimTime(2), 2u32);
-        q.cancel(a);
-        assert_eq!(q.live_len(), 1);
-        assert_eq!(q.pop(), Some((SimTime(2), 2)));
-        q.cancel(b);
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn pop_not_after_respects_horizon() {
         let mut q = EventQueue::new();
         q.schedule(SimTime(10), "x");
         q.schedule(SimTime(20), "y");
+        let key = |at, seq| EventKey { at: SimTime(at), sched: 0, packed: seq };
         assert_eq!(q.pop_not_after(SimTime(5)), None);
-        assert_eq!(q.pop_not_after(SimTime(15)), Some((SimTime(10), "x")));
+        assert_eq!(q.pop_not_after(SimTime(15)), Some((key(10, 0), "x")));
         assert_eq!(q.pop_not_after(SimTime(15)), None);
         assert!(!q.is_empty());
-        assert_eq!(q.pop_not_after(SimTime(20)), Some((SimTime(20), "y")));
+        assert_eq!(q.peek_time(), Some(SimTime(20)));
+        assert_eq!(q.pop_not_after(SimTime(20)), Some((key(20, 1), "y")));
         assert!(q.is_empty());
     }
 
     #[test]
-    fn heavy_cancel_churn_keeps_order() {
-        // Interleaved schedule/cancel across many instants; survivors
-        // must still pop in exact (time, seq) order.
+    fn explicit_keys_pop_in_key_order_whatever_the_route() {
+        // What a partition does: keys computed by the caller, inserted in
+        // an order unrelated to theirs. A key at the firing instant that
+        // does not ascend past the lane's back must take the heap.
+        let key = |at, sched, packed| EventKey { at: SimTime(at), sched, packed };
         let mut q = EventQueue::new();
-        let mut expected = Vec::new();
-        let mut tokens = Vec::new();
-        for round in 0u64..50 {
-            for k in 0..20u64 {
-                let t = (round * 7 + k * 13) % 97;
-                let id = round * 100 + k;
-                let tok = q.schedule(SimTime(t), id);
-                tokens.push((tok, t, id));
-            }
-            // Cancel a deterministic third of everything scheduled so far.
-            if round % 3 == 0 {
-                for j in (0..tokens.len()).step_by(3) {
-                    q.cancel(tokens[j].0);
-                }
-            }
+        q.push(key(4, 0, 9), "seed");
+        assert_eq!(q.pop(), Some((SimTime(4), "seed")));
+        q.push(key(4, 4, 7), "lane-7");
+        q.push(key(4, 4, 8), "lane-8");
+        q.push(key(4, 3, 2), "late-arrival-below-the-lane");
+        q.push(key(4, 4, 5), "below-the-lane-back");
+        q.push(key(6, 1, 0), "later");
+        assert_eq!(q.live_len(), 5);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, m)| m).collect();
+        assert_eq!(
+            order,
+            ["late-arrival-below-the-lane", "below-the-lane-back", "lane-7", "lane-8", "later"]
+        );
+    }
+
+    #[test]
+    fn steady_state_reuses_payload_slots() {
+        let mut q = EventQueue::new();
+        for t in 0..8u64 {
+            q.schedule(SimTime(t), t);
         }
-        // Recompute the surviving set directly from the cancel pattern.
-        let mut dead = vec![false; tokens.len()];
-        let mut scheduled_so_far = 0;
-        for round in 0u64..50 {
-            scheduled_so_far += 20;
-            if round % 3 == 0 {
-                for j in (0..scheduled_so_far).step_by(3) {
-                    dead[j] = true;
-                }
-            }
+        // Hold eight pending across heap and lane inserts alike.
+        for _ in 0..1000 {
+            let (t, v) = q.pop().expect("held non-empty");
+            q.schedule(SimTime(t.0 + v % 3), v);
         }
-        for (j, &(_, t, id)) in tokens.iter().enumerate() {
-            if !dead[j] {
-                expected.push((t, id));
-            }
-        }
-        expected.sort_by_key(|&(t, id)| (t, id));
-        let mut popped = Vec::new();
-        while let Some((t, id)) = q.pop() {
-            popped.push((t.0, id));
-        }
-        // seq order == schedule order == ascending id within equal time.
-        assert_eq!(popped, expected);
+        assert_eq!(q.slots.len(), 8);
     }
 }

@@ -8,16 +8,10 @@
 //! [`DetRng`] streams derived from the run's master seed, so a chaos run
 //! is exactly as reproducible as a fault-free one.
 //!
-//! The module also provides the two timing building blocks recovery
-//! protocols need:
-//!
-//! - [`BackoffPolicy`]: a bounded exponential backoff schedule with
-//!   deterministic jitter, for retrying failed deliveries;
-//! - [`Timer`]: a one-shot rearmable timeout handle built on the event
-//!   calendar's O(1) cancel, for heartbeat/failure-detection timeouts.
+//! The module also provides [`BackoffPolicy`], a bounded exponential
+//! backoff schedule with deterministic jitter, for retrying failed
+//! deliveries.
 
-use crate::engine::Ctx;
-use crate::event::EventToken;
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -435,59 +429,9 @@ impl BackoffPolicy {
     }
 }
 
-/// A one-shot, rearmable timeout bound to one actor.
-///
-/// Wraps an [`EventToken`] so timeout protocols (heartbeats, delivery
-/// deadlines) can re-arm without leaking stale events: `arm` cancels any
-/// outstanding shot first, using the indexed calendar's O(1) cancel.
-/// When the timeout fires, call [`Timer::clear`] in the handler so the
-/// handle stops referring to the delivered event (a stale token is
-/// harmless — generation checks make cancel a no-op — but `is_armed`
-/// would misreport).
-#[derive(Debug, Default)]
-pub struct Timer {
-    token: Option<EventToken>,
-}
-
-impl Timer {
-    /// A timer with no outstanding shot.
-    pub fn idle() -> Timer {
-        Timer { token: None }
-    }
-
-    /// Arm (or re-arm) the timer: deliver `msg` to the calling actor
-    /// after `delay`, cancelling any previously armed shot.
-    pub fn arm<M>(&mut self, ctx: &mut Ctx<'_, M>, delay: SimDuration, msg: M) {
-        self.disarm(ctx);
-        self.token = Some(ctx.timer(delay, msg));
-    }
-
-    /// Cancel the outstanding shot, if any.
-    pub fn disarm<M>(&mut self, ctx: &mut Ctx<'_, M>) {
-        if let Some(tok) = self.token.take() {
-            ctx.cancel(tok);
-        }
-    }
-
-    /// Forget the outstanding token without cancelling (call when the
-    /// shot has just been delivered).
-    pub fn clear(&mut self) {
-        self.token = None;
-    }
-
-    /// Is a shot outstanding?
-    pub fn is_armed(&self) -> bool {
-        self.token.is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Ctx, Simulation};
-    use crate::time::{SimDuration, SimTime};
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     #[test]
     fn plan_sorts_stably_by_time() {
@@ -547,36 +491,6 @@ mod tests {
         assert_eq!(p.delay(0, &mut r1), None, "attempt numbering is 1-based");
         // Worst-case sum: 1 + 2 + 4 + 8 + 8 (capped) = 23µs-in-ns.
         assert_eq!(p.max_total_delay().as_nanos(), 23_000);
-    }
-
-    #[test]
-    fn timer_rearm_cancels_previous_shot() {
-        let fired: Rc<RefCell<Vec<&'static str>>> = Rc::default();
-        let f = fired.clone();
-        let timer: Rc<RefCell<Timer>> = Rc::new(RefCell::new(Timer::idle()));
-        let t = timer.clone();
-        let mut sim: Simulation<&'static str> = Simulation::new(0);
-        let a = sim.add_actor(Box::new(
-            move |ctx: &mut Ctx<'_, &'static str>, m| match m {
-                "start" => {
-                    let mut tm = t.borrow_mut();
-                    tm.arm(ctx, SimDuration::from_nanos(100), "first");
-                    assert!(tm.is_armed());
-                    // Re-arming replaces the first shot entirely.
-                    tm.arm(ctx, SimDuration::from_nanos(50), "second");
-                }
-                "second" => {
-                    let mut tm = t.borrow_mut();
-                    tm.clear();
-                    assert!(!tm.is_armed());
-                    f.borrow_mut().push("second");
-                }
-                other => panic!("stale shot fired: {other}"),
-            },
-        ));
-        sim.seed_message(a, SimTime::ZERO, "start");
-        sim.run();
-        assert_eq!(*fired.borrow(), vec!["second"]);
     }
 
     #[test]

@@ -6,17 +6,17 @@
 //! - [`time`]: virtual nanoseconds ([`SimTime`], [`SimDuration`]);
 //! - [`arrival`]: deterministic job-arrival schedules ([`ArrivalSpec`])
 //!   for multi-tenant scheduling harnesses;
-//! - [`event`]: a cancellable, totally ordered event calendar;
+//! - [`event`]: a totally ordered event calendar;
 //! - [`engine`]: an actor loop ([`Simulation`], [`Actor`], [`Ctx`]);
-//! - [`fault`]: deterministic fault schedules ([`FaultPlan`]), retry
-//!   backoff ([`BackoffPolicy`]) and rearmable timeouts ([`Timer`]);
+//! - [`fault`]: deterministic fault schedules ([`FaultPlan`]) and retry
+//!   backoff ([`BackoffPolicy`]);
 //! - [`resource`]: FCFS servers with utilization accounting — the CPUs,
 //!   disks and links of an emulated cluster;
 //! - [`intern`]: interned resource/metric names (allocation-free stamping);
 //! - [`par`]: a conservative partitioned parallel coordinator — the same
 //!   virtual time, byte for byte, across worker threads;
 //! - [`rng`]: seed-derived deterministic random streams;
-//! - [`stats`]: counters, time-weighted values, utilization ledgers;
+//! - [`stats`]: utilization ledgers;
 //! - [`trace`]: an optional bounded event trace.
 //!
 //! Everything is deterministic: given the same seed and the same inputs, a
@@ -58,12 +58,12 @@ pub mod trace;
 
 pub use arrival::{ArrivalEvent, ArrivalSpec};
 pub use engine::{Actor, ActorId, Ctx, RunOutcome, Simulation};
-pub use event::{EventKey, EventQueue, EventToken, KeyedQueue};
-pub use fault::{BackoffPolicy, FaultEvent, FaultPlan, Timer, TraceError};
+pub use event::{EventKey, EventQueue};
+pub use fault::{BackoffPolicy, FaultEvent, FaultPlan, TraceError};
 pub use intern::{intern, Name};
 pub use par::{run_partitioned, LogHist, ParOps, ParOutcome, PartitionWorker};
 pub use resource::{Grant, MultiResource, Resource};
 pub use rng::DetRng;
-pub use stats::{Counter, DurationHistogram, TimeWeighted, UtilizationLedger};
+pub use stats::UtilizationLedger;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEntry};

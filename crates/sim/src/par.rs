@@ -2,8 +2,8 @@
 //! partitioned [`Simulation`]s.
 //!
 //! The actor graph is split across worker threads; each partition runs a
-//! private keyed calendar over the *global* actor-id space (non-owned
-//! slots stay empty). Synchronization is conservative, in the
+//! private calendar over the *global* actor-id space (non-owned slots
+//! stay empty). Synchronization is conservative, in the
 //! null-message tradition but window-based so no protocol events pollute
 //! dispatch counts: each round, every partition publishes the arrival
 //! time of its earliest pending event and — because every cross-partition
@@ -32,13 +32,13 @@
 //! are ahead of the global minimum, which is what lets faulted and
 //! rebalanced runs amortize barriers past four threads.
 //!
-//! Determinism does not depend on thread interleaving: events carry
-//! composite keys ([`crate::event::EventKey`]) that totally order them
-//! exactly as the sequential engine's `(time, seq)` order would, and keys
-//! are unique, so each partition's dispatch order is a pure function of
-//! the event set. The two barriers per round make the slot reads/writes
-//! race-free (slots are written only before barrier A and read only
-//! between A and B).
+//! Determinism does not depend on thread interleaving: partitions mint
+//! their event keys ([`crate::event::EventKey`]) so that they totally
+//! order events exactly as the sequential engine's `(time, 0, seq)` keys
+//! would, and keys are unique, so each partition's dispatch order is a
+//! pure function of the event set. The two barriers per round make the
+//! slot reads/writes race-free (slots are written only before barrier A
+//! and read only between A and B).
 
 use crate::engine::{RemoteEvent, Simulation};
 use crate::time::{SimDuration, SimTime};
@@ -466,7 +466,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ActorId, Ctx, RunOutcome};
+    use crate::engine::{Actor, ActorId, Ctx, RunOutcome};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -612,6 +612,66 @@ mod tests {
                 assert_eq!(stats.remote_messages, 0);
             }
         }
+    }
+
+    #[test]
+    fn one_partition_dispatches_exactly_as_the_sequential_engine() {
+        // Two actors; every odd countdown fans out a same-instant send to
+        // each actor (the lane) and one delayed send (the heap), with
+        // delays that collide on purpose. Both actors are double-seeded at
+        // t=0 and once more at a later shared instant.
+        type Seen = Vec<(u64, usize, u32)>;
+        fn actor(i: usize, log: Rc<RefCell<Seen>>) -> Box<dyn Actor<u32>> {
+            Box::new(move |ctx: &mut Ctx<'_, u32>, n: u32| {
+                log.borrow_mut().push((ctx.now().as_nanos(), i, n));
+                if n == 0 {
+                    return;
+                }
+                let (me, peer) = (ActorId(i), ActorId(1 - i));
+                if n % 2 == 1 {
+                    ctx.send_now(peer, n - 1);
+                    ctx.send_now(me, n / 2);
+                }
+                ctx.send(peer, SimDuration::from_nanos(10 * (n as u64 % 3)), n - 1);
+            })
+        }
+        fn seed(sim: &mut Simulation<u32>) {
+            let seeds = [(0, 0, 5), (1, 0, 4), (0, 0, 3), (1, 0, 5), (1, 20, 2), (0, 20, 3)];
+            for (to, at, n) in seeds {
+                sim.seed_message(ActorId(to), SimTime(at), n);
+            }
+        }
+        struct Solo;
+        impl PartitionWorker<u32, Seen> for Solo {
+            type Built = Rc<RefCell<Seen>>;
+            fn build(&mut self, sim: &mut Simulation<u32>) -> Self::Built {
+                let log: Rc<RefCell<Seen>> = Rc::default();
+                sim.reserve_to(2);
+                for i in 0..2 {
+                    sim.install(ActorId(i), actor(i, log.clone()));
+                }
+                seed(sim);
+                log
+            }
+            fn finish(self, built: Self::Built, sim: Simulation<u32>, _: &ParOps<'_>) -> Seen {
+                drop(sim);
+                Rc::try_unwrap(built).expect("sole owner").into_inner()
+            }
+        }
+
+        let log: Rc<RefCell<Seen>> = Rc::default();
+        let mut sim: Simulation<u32> = Simulation::new(1);
+        for i in 0..2 {
+            sim.add_actor(actor(i, log.clone()));
+        }
+        seed(&mut sim);
+        assert_eq!(sim.run(), RunOutcome::Drained);
+
+        let lookahead = SimDuration::from_nanos(LOOKAHEAD);
+        let mut par = run_partitioned(1, Arc::new(vec![0, 0]), lookahead, vec![Solo]);
+        assert_eq!(par.results.pop().expect("one partition"), *log.borrow());
+        assert_eq!(par.dispatched, sim.dispatched());
+        assert!(par.dispatched > 100, "the cascade is long enough to interleave");
     }
 
     #[test]

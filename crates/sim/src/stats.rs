@@ -1,101 +1,11 @@
-//! Measurement primitives: counters, time-weighted values, utilization
-//! ledgers, and simple histograms.
+//! Measurement primitives: the busy-time ledger behind every resource's
+//! utilization series.
 //!
 //! The emulator's instrumentation (Section 5 of the paper reports
 //! "application progress, overall runtime, and resource utilization for
-//! each host and ASU") is built from these pieces.
+//! each host and ASU") is built on it.
 
 use crate::time::{SimDuration, SimTime};
-
-/// A monotone event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increment by one.
-    #[inline]
-    pub fn bump(&mut self) {
-        self.0 += 1;
-    }
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-    /// Current count.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-    /// Fold another partition's counter into this one.
-    #[inline]
-    pub fn merge(&mut self, other: Counter) {
-        self.0 += other.0;
-    }
-}
-
-/// Integral of a piecewise-constant value over virtual time; yields the
-/// time-weighted mean (e.g. mean queue depth).
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: SimTime,
-    integral: f64, // value * ns
-    start: SimTime,
-    peak: f64,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `t0` with initial value `v0`.
-    pub fn new(t0: SimTime, v0: f64) -> Self {
-        TimeWeighted {
-            value: v0,
-            last_change: t0,
-            integral: 0.0,
-            start: t0,
-            peak: v0,
-        }
-    }
-
-    /// Record that the value changed to `v` at time `now` (must be >= the
-    /// previous change time).
-    pub fn set(&mut self, now: SimTime, v: f64) {
-        assert!(now >= self.last_change, "TimeWeighted updates must be in order");
-        self.integral += self.value * now.since(self.last_change).as_nanos() as f64;
-        self.last_change = now;
-        self.value = v;
-        if v > self.peak {
-            self.peak = v;
-        }
-    }
-
-    /// Adjust the value by `delta` at `now`.
-    pub fn adjust(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
-    /// The current value.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// Largest value seen.
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// Time-weighted mean over `[start, now]`.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let tail = self.value * now.saturating_since(self.last_change).as_nanos() as f64;
-        let span = now.saturating_since(self.start).as_nanos() as f64;
-        if span == 0.0 {
-            self.value
-        } else {
-            (self.integral + tail) / span
-        }
-    }
-}
 
 /// Busy-time ledger with fixed-width bins, for utilization-vs-time series
 /// like the paper's Figure 10.
@@ -204,119 +114,9 @@ impl UtilizationLedger {
     }
 }
 
-/// A power-of-two bucketed histogram of durations (latency distributions).
-#[derive(Debug, Clone, Default)]
-pub struct DurationHistogram {
-    // bucket i counts samples with floor(log2(ns)) == i; bucket 0 also
-    // holds zero-length samples.
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u128,
-    max: u64,
-}
-
-impl DurationHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one duration sample.
-    pub fn record(&mut self, d: SimDuration) {
-        let ns = d.as_nanos();
-        let bucket = if ns == 0 { 0 } else { 63 - ns.leading_zeros() as usize };
-        if self.buckets.len() <= bucket {
-            self.buckets.resize(bucket + 1, 0);
-        }
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum += ns as u128;
-        self.max = self.max.max(ns);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean sample, or zero when empty.
-    pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration((self.sum / self.count as u128) as u64)
-        }
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> SimDuration {
-        SimDuration(self.max)
-    }
-
-    /// Fold another histogram into this one, bucket-wise. Exact: buckets,
-    /// counts, sums, and maxima are all order-independent.
-    pub fn merge(&mut self, other: &DurationHistogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
-    /// Approximate quantile (upper edge of the bucket containing it).
-    pub fn quantile(&self, q: f64) -> SimDuration {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return SimDuration(1u64 << (i + 1).min(63));
-            }
-        }
-        SimDuration(self.max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::default();
-        c.bump();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn time_weighted_mean_of_step_function() {
-        // value 0 on [0,10), 4 on [10,20): mean over [0,20] = 2
-        let mut tw = TimeWeighted::new(SimTime(0), 0.0);
-        tw.set(SimTime(10), 4.0);
-        assert!((tw.mean(SimTime(20)) - 2.0).abs() < 1e-12);
-        assert_eq!(tw.peak(), 4.0);
-        assert_eq!(tw.current(), 4.0);
-    }
-
-    #[test]
-    fn time_weighted_adjust_tracks_queue_depth() {
-        let mut tw = TimeWeighted::new(SimTime(0), 0.0);
-        tw.adjust(SimTime(0), 1.0); // arrival
-        tw.adjust(SimTime(5), 1.0); // arrival
-        tw.adjust(SimTime(10), -1.0); // departure
-        // depth: 1 on [0,5), 2 on [5,10), 1 on [10,20)
-        let mean = tw.mean(SimTime(20));
-        assert!((mean - (5.0 + 10.0 + 10.0) / 20.0).abs() < 1e-12);
-    }
 
     #[test]
     fn ledger_splits_interval_across_bins() {
@@ -346,33 +146,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_mean_max_quantiles() {
-        let mut h = DurationHistogram::new();
-        for ns in [1u64, 2, 4, 8, 1024] {
-            h.record(SimDuration(ns));
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.mean(), SimDuration((1 + 2 + 4 + 8 + 1024) / 5));
-        assert_eq!(h.max(), SimDuration(1024));
-        assert!(h.quantile(0.5) >= SimDuration(2));
-        assert!(h.quantile(1.0) >= SimDuration(1024));
-    }
-
-    #[test]
-    fn histogram_zero_duration_goes_to_bucket_zero() {
-        let mut h = DurationHistogram::new();
-        h.record(SimDuration::ZERO);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.mean(), SimDuration::ZERO);
-    }
-
-    #[test]
     fn merges_equal_the_unpartitioned_aggregates() {
-        // Counter: partition sums == whole.
-        let mut c = Counter(3);
-        c.merge(Counter(4));
-        assert_eq!(c.get(), 7);
-
         // Ledger: splitting the busy intervals across two ledgers and
         // merging reproduces the single-ledger series bit-for-bit.
         let mut whole = UtilizationLedger::new(SimDuration(10));
@@ -385,25 +159,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.series(SimTime(35)), whole.series(SimTime(35)));
         assert_eq!(a.total_busy(), whole.total_busy());
-
-        // Histogram: bucket-wise merge matches recording everything in one.
-        let mut whole_h = DurationHistogram::new();
-        let mut ha = DurationHistogram::new();
-        let mut hb = DurationHistogram::new();
-        for ns in [1u64, 2, 4, 8, 1024] {
-            whole_h.record(SimDuration(ns));
-        }
-        for ns in [1u64, 4, 1024] {
-            ha.record(SimDuration(ns));
-        }
-        for ns in [2u64, 8] {
-            hb.record(SimDuration(ns));
-        }
-        ha.merge(&hb);
-        assert_eq!(ha.count(), whole_h.count());
-        assert_eq!(ha.mean(), whole_h.mean());
-        assert_eq!(ha.max(), whole_h.max());
-        assert_eq!(ha.quantile(0.5), whole_h.quantile(0.5));
     }
 
     #[test]
@@ -412,12 +167,5 @@ mod tests {
         let mut a = UtilizationLedger::new(SimDuration(10));
         let b = UtilizationLedger::new(SimDuration(20));
         a.merge(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "in order")]
-    fn time_weighted_rejects_out_of_order() {
-        let mut tw = TimeWeighted::new(SimTime(10), 0.0);
-        tw.set(SimTime(5), 1.0);
     }
 }

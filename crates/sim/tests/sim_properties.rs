@@ -26,31 +26,6 @@ proptest! {
         }
     }
 
-    /// Cancelling an arbitrary subset removes exactly that subset.
-    #[test]
-    fn event_queue_cancellation_exact(
-        times in prop::collection::vec(0u64..100, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let tokens: Vec<_> = times.iter().enumerate().map(|(i, &t)| (i, q.schedule(SimTime(t), i))).collect();
-        let mut kept = Vec::new();
-        for ((i, tok), &cancel) in tokens.into_iter().zip(cancel_mask.iter().chain(std::iter::repeat(&false))) {
-            if cancel {
-                q.cancel(tok);
-            } else {
-                kept.push(i);
-            }
-        }
-        let mut popped: Vec<usize> = Vec::new();
-        while let Some((_, i)) = q.pop() {
-            popped.push(i);
-        }
-        popped.sort_unstable();
-        kept.sort_unstable();
-        prop_assert_eq!(popped, kept);
-    }
-
     /// FCFS resource: grants never overlap, never start before request,
     /// and total busy time equals the sum of service times.
     #[test]
@@ -94,77 +69,67 @@ proptest! {
         prop_assert!((series_sum - total as f64).abs() < 1e-6 * (total.max(1) as f64) + 1e-6);
     }
 
-    /// Differential model check: the indexed calendar agrees with a naive
-    /// lazy-deletion `BinaryHeap` reference under arbitrary interleavings
-    /// of schedule, cancel (idempotent, including cancel-after-fire),
-    /// pop, and horizon-bounded pop. Timestamps come from a tiny range so
-    /// same-instant ties — and the FIFO fast lane behind them — are
-    /// exercised constantly.
+    /// Differential model check: the calendar agrees with a naive
+    /// `BinaryHeap` of full keys under arbitrary interleavings of
+    /// `schedule` (key `(time, 0, seq)`), explicit-key `push` (what a
+    /// partition does), pop, and horizon-bounded pop. Timestamps come
+    /// from a tiny range so same-instant ties — and the FIFO fast lane
+    /// behind them — are exercised constantly, and explicit keys land
+    /// above, below and between the lane's.
     #[test]
     fn event_queue_matches_reference_model(
         ops in prop::collection::vec((0u8..6, 0u64..8, any::<u16>()), 1..400),
     ) {
+        use lmas_sim::EventKey;
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
-        let mut q: lmas_sim::EventQueue<usize> = EventQueue::new();
-        let mut model: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        let mut tokens: Vec<lmas_sim::EventToken> = Vec::new();
-        let mut alive: Vec<bool> = Vec::new();
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut model: BinaryHeap<Reverse<(EventKey, usize)>> = BinaryHeap::new();
+        let mut next_seq = 0u64;
 
         fn model_pop(
-            model: &mut BinaryHeap<Reverse<(u64, usize)>>,
-            alive: &mut [bool],
+            model: &mut BinaryHeap<Reverse<(EventKey, usize)>>,
             horizon: u64,
-        ) -> Option<(u64, usize)> {
-            while let Some(&Reverse((t, id))) = model.peek() {
-                if !alive[id] {
-                    model.pop();
-                    continue;
-                }
-                if t > horizon {
-                    return None;
-                }
-                model.pop();
-                alive[id] = false;
-                return Some((t, id));
+        ) -> Option<(EventKey, usize)> {
+            let &Reverse((key, _)) = model.peek()?;
+            if key.at.as_nanos() > horizon {
+                return None;
             }
-            None
+            model.pop().map(|Reverse(e)| e)
         }
 
-        for &(kind, t, sel) in &ops {
+        for (id, &(kind, t, sel)) in ops.iter().enumerate() {
             match kind {
-                0..=2 => {
-                    // Ids double as payloads; id order == seq order, so the
-                    // reference's (time, id) order is the spec's (time, seq).
-                    let id = tokens.len();
-                    tokens.push(q.schedule(SimTime(t), id));
-                    alive.push(true);
-                    model.push(Reverse((t, id)));
+                0 | 1 => {
+                    q.schedule(SimTime(t), id);
+                    model.push(Reverse((EventKey { at: SimTime(t), sched: 0, packed: next_seq }, id)));
+                    next_seq += 1;
                 }
-                3 => {
-                    if !tokens.is_empty() {
-                        let i = sel as usize % tokens.len();
-                        q.cancel(tokens[i]); // may be live, fired, or cancelled
-                        alive[i] = false;
-                    }
+                2 | 3 => {
+                    // `sched` from 0..4 ties with and brackets other keys;
+                    // the id in `packed` (above any seq) keeps keys unique.
+                    let key = EventKey {
+                        at: SimTime(t),
+                        sched: u64::from(sel % 4),
+                        packed: (1 << 32) | id as u64,
+                    };
+                    q.push(key, id);
+                    model.push(Reverse((key, id)));
                 }
-                4 => {
-                    let got = q.pop().map(|(at, id)| (at.as_nanos(), id));
-                    prop_assert_eq!(got, model_pop(&mut model, &mut alive, u64::MAX));
-                }
-                _ => {
-                    let got = q.pop_not_after(SimTime(t)).map(|(at, id)| (at.as_nanos(), id));
-                    prop_assert_eq!(got, model_pop(&mut model, &mut alive, t));
-                }
+                4 => prop_assert_eq!(
+                    q.pop(),
+                    model_pop(&mut model, u64::MAX).map(|(key, id)| (key.at, id))
+                ),
+                _ => prop_assert_eq!(q.pop_not_after(SimTime(t)), model_pop(&mut model, t)),
             }
-            prop_assert_eq!(q.live_len(), alive.iter().filter(|&&a| a).count());
+            prop_assert_eq!(q.live_len(), model.len());
+            prop_assert_eq!(q.peek_time(), model.peek().map(|Reverse((key, _))| key.at));
         }
         // Drain both; the remaining sequences must agree one-for-one.
         loop {
-            let got = q.pop().map(|(at, id)| (at.as_nanos(), id));
-            let want = model_pop(&mut model, &mut alive, u64::MAX);
-            prop_assert_eq!(got, want);
+            let want = model_pop(&mut model, u64::MAX);
+            prop_assert_eq!(q.pop_not_after(SimTime::NEVER), want);
             if want.is_none() {
                 break;
             }

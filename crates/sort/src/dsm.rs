@@ -551,6 +551,22 @@ pub fn run_pass2_auto<R: Record>(
     Ok(res)
 }
 
+/// Pass 2 as `mode` runs it: the planner's host-merge placement under
+/// [`LoadMode::Auto`], the static layout otherwise. Every driver (plain,
+/// multi-pass, faulted) makes that choice here.
+pub(crate) fn run_pass2_in_mode<R: Record>(
+    cluster: &ClusterConfig,
+    runs_per_asu: Vec<Vec<Packet<R>>>,
+    splitters: Vec<R::Key>,
+    dsm: &DsmConfig,
+    mode: LoadMode,
+) -> Result<Pass2Result<R>, DsmError> {
+    match mode {
+        LoadMode::Auto => run_pass2_auto(cluster, runs_per_asu, splitters, dsm),
+        _ => run_pass2(cluster, runs_per_asu, splitters, dsm),
+    }
+}
+
 fn run_pass2_inner<R: Record>(
     cluster: &ClusterConfig,
     spec: &FaultSpec,
@@ -653,9 +669,7 @@ pub fn run_intermediate_merge<R: Record>(
     runs_per_asu: Vec<Vec<Packet<R>>>,
     splitters: Vec<R::Key>,
     gamma1: usize,
-    packet_records: usize,
 ) -> Result<(EmulationReport<R>, RunsPerAsu<R>), DsmError> {
-    let _ = packet_records;
     let d = cluster.asus;
     if runs_per_asu.len() != d {
         return Err(DsmError::InputShape(format!(
@@ -743,13 +757,8 @@ pub fn run_dsm_sort_multipass<R: Record>(
     let mut runs = p1.runs_per_asu;
     let mut intermediate = Vec::new();
     while max_host_fanin(&runs, &splitters, dsm.gamma1) > dsm.gamma2 {
-        let (report, merged) = run_intermediate_merge(
-            cluster,
-            runs,
-            splitters.clone(),
-            dsm.gamma1,
-            dsm.input_packet_records,
-        )?;
+        let (report, merged) =
+            run_intermediate_merge(cluster, runs, splitters.clone(), dsm.gamma1)?;
         total += report.makespan;
         intermediate.push(report);
         runs = merged;
@@ -759,10 +768,7 @@ pub fn run_dsm_sort_multipass<R: Record>(
             ));
         }
     }
-    let p2 = match mode {
-        LoadMode::Auto => run_pass2_auto(cluster, runs, splitters.clone(), dsm)?,
-        _ => run_pass2(cluster, runs, splitters.clone(), dsm)?,
-    };
+    let p2 = run_pass2_in_mode(cluster, runs, splitters.clone(), dsm, mode)?;
     total += p2.report.makespan;
     Ok(DsmMultiOutcome {
         pass1: p1.report,
@@ -809,10 +815,7 @@ pub fn run_dsm_sort<R: Record>(
     let per_asu = split_across_asus(&data, cluster.asus);
     drop(data);
     let p1 = run_pass1(cluster, per_asu, splitters.clone(), dsm, mode)?;
-    let p2 = match mode {
-        LoadMode::Auto => run_pass2_auto(cluster, p1.runs_per_asu, splitters.clone(), dsm)?,
-        _ => run_pass2(cluster, p1.runs_per_asu, splitters.clone(), dsm)?,
-    };
+    let p2 = run_pass2_in_mode(cluster, p1.runs_per_asu, splitters.clone(), dsm, mode)?;
     let total = p1.report.makespan + p2.report.makespan;
     let plan = plan_info(dsm, p1.coded_r, p1.plan.as_ref(), p2.plan.as_ref());
     Ok(DsmOutcome {

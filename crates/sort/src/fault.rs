@@ -26,7 +26,7 @@
 
 use crate::config::{DsmConfig, LoadMode};
 use crate::dsm::{
-    choose_splitters, run_pass1_with, run_pass2_with, split_across_asus, DsmError, Pass1Result,
+    choose_splitters, run_pass1_with, run_pass2_in_mode, split_across_asus, DsmError, Pass1Result,
 };
 use lmas_core::{NodeId, Packet, Record};
 use lmas_emulator::{ClusterConfig, EmulationReport, FaultSpec};
@@ -255,7 +255,7 @@ pub fn run_dsm_sort_faulty<R: Record>(
 
     // Pass 2 runs fault-free on the original cluster: the plan's events
     // already fired, and offline ASUs simply hold no runs to merge.
-    let p2 = run_pass2_with(cluster, &FaultSpec::none(), runs, splitters.clone(), dsm)?;
+    let p2 = run_pass2_in_mode(cluster, runs, splitters.clone(), dsm, mode)?;
     let total = pass1.makespan
         + repair.as_ref().map_or(SimDuration::ZERO, |r| r.makespan)
         + p2.report.makespan;

@@ -111,3 +111,27 @@ fn pinned_crash_mid_distribute_recovers_exactly() {
         golden.total
     );
 }
+
+/// With nothing to inject, the faulted driver is the plain driver: same
+/// virtual times and byte-identical output in every load mode — Auto's
+/// planned pass 2 included.
+#[test]
+fn inactive_spec_matches_the_plain_driver_in_every_mode() {
+    let cluster = ClusterConfig::era_2002(HOSTS, ASUS, 8.0);
+    let dsm = dsm();
+    let data = generate_rec128(N, KeyDist::Uniform, 7);
+    for mode in [
+        LoadMode::Static,
+        LoadMode::Managed(RoutingPolicy::SimpleRandomization),
+        LoadMode::Auto,
+    ] {
+        let plain = run_dsm_sort(&cluster, data.clone(), &dsm, mode).unwrap();
+        let faulted =
+            run_dsm_sort_faulty(&cluster, &FaultSpec::none(), data.clone(), &dsm, mode).unwrap();
+        assert_eq!(faulted.total, plain.total, "{mode:?}");
+        assert_eq!(faulted.pass1.makespan, plain.pass1.makespan, "{mode:?}");
+        assert_eq!(faulted.pass2.makespan, plain.pass2.makespan, "{mode:?}");
+        assert_eq!(faulted.output, plain.output, "{mode:?}");
+        assert!(faulted.repair.is_none() && faulted.recovered_records == 0);
+    }
+}

@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# run_twice_diff FAIL_MSG BIN ENV WHAT [FILTER]
+# run_twice_diff FAIL_MSG BIN ENV WHAT [FILTER [RECORDED]]
 # Build lmas-bench's release binary BIN and run it twice, each run with
 # the space-separated ENV assignments and its own scratch
 # LMAS_RESULTS_DIR. Exit 1 with FAIL_MSG and the diff unless both runs
@@ -12,8 +12,9 @@ cd "$(dirname "$0")/.."
 # Lines matching the optional FILTER regex are dropped before comparing
 # (wall-clock noise). Stdout has the run's results dir rewritten to
 # RESULTS; run 1's copy is left at $RTD_STDOUT for the caller to print.
+# With RECORDED, both runs' stdout must also equal that checked-in file.
 run_twice_diff() {
-    local msg="$1" bin="$2" envs="$3" what="$4" filter="${5:-}"
+    local msg="$1" bin="$2" envs="$3" what="$4" filter="${5:-}" recorded="${6:-}"
     cargo build -q --release -p lmas-bench --bin "$bin"
     local d d1 d2 f out=""
     d1="$(mktemp -d)"; d2="$(mktemp -d)"
@@ -29,6 +30,9 @@ run_twice_diff() {
             out+="$(diff "$d1/$f" "$d2/$f" || true)"
         fi
     done
+    if [ -n "$recorded" ]; then
+        out+="$(diff "$recorded" "$d1/.stdout" || true)$(diff "$recorded" "$d2/.stdout" || true)"
+    fi
     if [ -n "$out" ]; then
         echo "$msg" >&2
         echo "$out" >&2
@@ -50,9 +54,12 @@ echo "== determinism gate (seeded emulation + chaos + planned + parallel runs, t
 # run (static timelines + per-partition controllers), and a
 # snapshot-balanced partitioned run: bounces, retries, fencing, repair,
 # plan reports, reweights, and the parallel kernel's merged reports
-# must all be run-to-run stable despite real thread interleaving.
-run_twice_diff "determinism gate FAILED: two runs of the pinned emulation differ" \
-    determinism "" stdout
+# must all be run-to-run stable despite real thread interleaving. Both
+# runs must also equal results/determinism.txt, the binary's recorded
+# stdout: a change that means to move virtual time re-records it
+# (./target/release/determinism > results/determinism.txt) and says why.
+run_twice_diff "determinism gate FAILED: the pinned emulation's runs differ from each other or from results/determinism.txt" \
+    determinism "" stdout "" results/determinism.txt
 cat "$RTD_STDOUT"
 
 echo "== parallel kernel gate (goldens at 1/2/4/8 threads, byte-diffed) =="
