@@ -68,7 +68,10 @@ impl WatershedLabeler {
         self.pq.len()
     }
 
-    /// Label one cell. Cells **must** arrive in increasing key order.
+    /// Label one cell. Cells **must** arrive in increasing key order, and
+    /// the stream must be one consistent restructured grid: a message
+    /// left addressed to a key that never arrived is a panic at the first
+    /// cell past it, not a stranded queue.
     pub fn label(&mut self, mut cell: CellRec) -> CellRec {
         let key = cell.key();
         assert!(
@@ -76,30 +79,40 @@ impl WatershedLabeler {
             "cells must arrive in sorted order (time-forward processing)"
         );
         self.last_key = Some(key);
-        let msgs = self.pq.pop_all_eq(key);
-        let color = match cell.flow_direction() {
+        if let Some(stale) = self.pq.peek_min_key().filter(|&k| k < key) {
+            panic!(
+                "stale color message keyed {stale:#x} below cell ({},{}) keyed {key:#x}: \
+                 its addressee never arrived (input is not one consistent restructured grid)",
+                cell.x, cell.y
+            );
+        }
+        // The steepest lower neighbour (the D8 flow direction), whose
+        // color this cell adopts; its message was forwarded when it was
+        // processed. Every message addressed here is drained, that one
+        // is kept.
+        let flow_from = cell.flow_direction().map(|fd| {
+            let (dx, dy) = crate::grid::NEIGHBOR_OFFSETS[fd];
+            ((cell.x as isize + dx) as u16, (cell.y as isize + dy) as u16)
+        });
+        let mut adopted = None;
+        self.pq.pop_all_eq(key, |m| {
+            if Some((m.sender_x, m.sender_y)) == flow_from {
+                adopted = Some(m.color);
+            }
+        });
+        let color = match flow_from {
             None => {
                 // Local minimum: a new watershed springs here.
                 let c = self.next_color;
                 self.next_color += 1;
                 c
             }
-            Some(fd) => {
-                // Adopt the color of the steepest lower neighbour; its
-                // message was forwarded when it was processed.
-                let (dx, dy) = crate::grid::NEIGHBOR_OFFSETS[fd];
-                let nx = (cell.x as isize + dx) as u16;
-                let ny = (cell.y as isize + dy) as u16;
-                msgs.iter()
-                    .find(|m| m.sender_x == nx && m.sender_y == ny)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "missing color message from ({nx},{ny}) to ({},{})",
-                            cell.x, cell.y
-                        )
-                    })
-                    .color
-            }
+            Some((nx, ny)) => adopted.unwrap_or_else(|| {
+                panic!(
+                    "missing color message from ({nx},{ny}) to ({},{})",
+                    cell.x, cell.y
+                )
+            }),
         };
         cell.color = color;
         // Forward my color to every strictly higher neighbour.
@@ -125,9 +138,12 @@ impl WatershedLabeler {
 /// Sequential oracle: restructure + sort + label, all in memory. Returns
 /// row-major colors.
 pub fn watershed_oracle(grid: &Grid) -> Vec<u32> {
+    label_grid(grid, WatershedLabeler::default())
+}
+
+fn label_grid(grid: &Grid, mut labeler: WatershedLabeler) -> Vec<u32> {
     let mut cells = crate::cell::restructure(grid);
     cells.sort_by_key(|c| c.key());
-    let mut labeler = WatershedLabeler::default();
     let w = grid.width();
     let mut colors = vec![0u32; grid.len()];
     for cell in cells {
@@ -168,13 +184,11 @@ impl Functor<CellRec> for WatershedFunctor {
         // why the paper says step 3 resists ASU offload.
         FunctorKind::HostOnly
     }
-    fn process(&mut self, input: Packet<CellRec>, out: &mut Emit<CellRec>) {
-        let labeled: Packet<CellRec> = input
-            .into_records()
-            .into_iter()
-            .map(|c| self.labeler.label(c))
-            .collect();
-        out.push0(labeled);
+    fn process(&mut self, mut input: Packet<CellRec>, out: &mut Emit<CellRec>) {
+        for c in input.records_mut() {
+            *c = self.labeler.label(*c);
+        }
+        out.push0(input);
     }
     fn flush(&mut self, _out: &mut Emit<CellRec>) {}
     fn cost(&self, input: &Packet<CellRec>) -> Work {
@@ -260,6 +274,71 @@ mod tests {
         let mut labeler = WatershedLabeler::default();
         labeler.label(hi);
         labeler.label(lo);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale color message keyed 0x700000001")]
+    fn message_to_a_cell_that_never_arrives_is_rejected_at_the_next_cell() {
+        use crate::cell::{CellRec, NO_NEIGHBOR};
+        // (0,0) believes its east neighbour stands at elevation 7 and
+        // forwards its color there; the cell that arrives from (1,0)
+        // stands at 9, so the message keyed (7, 0, 1) is left behind.
+        let mut neighbors = [NO_NEIGHBOR; 8];
+        neighbors[2] = 7; // east, per NEIGHBOR_OFFSETS
+        let lo = CellRec { x: 0, y: 0, elev: 5, neighbors, color: 0 };
+        let hi = CellRec { x: 1, y: 0, elev: 9, neighbors: [NO_NEIGHBOR; 8], color: 0 };
+        let mut labeler = WatershedLabeler::default();
+        labeler.label(lo);
+        labeler.label(hi);
+    }
+
+    /// An oracle that shares nothing with [`WatershedLabeler`]: no queue,
+    /// no arrival order. Chase `flow_direction` from every cell to the
+    /// local minimum it drains into, and number the minima in ascending
+    /// key order (the order in which the labeler meets them).
+    fn flow_chase_oracle(grid: &Grid) -> Vec<u32> {
+        let cells = crate::cell::restructure(grid);
+        let w = grid.width();
+        let downhill: Vec<Option<usize>> = cells
+            .iter()
+            .map(|c| {
+                c.flow_direction().map(|fd| {
+                    let (dx, dy) = crate::grid::NEIGHBOR_OFFSETS[fd];
+                    (c.y as isize + dy) as usize * w + (c.x as isize + dx) as usize
+                })
+            })
+            .collect();
+        let mut sinks: Vec<usize> = (0..cells.len())
+            .filter(|&i| downhill[i].is_none())
+            .collect();
+        sinks.sort_by_key(|&i| cells[i].key());
+        (0..cells.len())
+            .map(|mut i| {
+                while let Some(next) = downhill[i] {
+                    i = next;
+                }
+                let sink = sinks.iter().position(|&s| s == i);
+                sink.expect("chase ends at a sink") as u32
+            })
+            .collect()
+    }
+
+    #[test]
+    fn labeler_matches_flow_chase_oracle() {
+        let terrains = [
+            cone_terrain(17, 17),
+            twin_valley_terrain(16, 8),
+            fractal_terrain(33, 33, 0.55, 4),
+            fractal_terrain(65, 65, 0.55, 6),
+        ];
+        for g in &terrains {
+            let want = flow_chase_oracle(g);
+            assert_eq!(watershed_oracle(g), want);
+            // A four-item buffer spills on nearly every cell.
+            for pq_buffer in [4, 1 << 16] {
+                assert_eq!(label_grid(g, WatershedLabeler::new(pq_buffer)), want);
+            }
+        }
     }
 
     #[test]

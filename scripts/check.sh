@@ -182,6 +182,21 @@ for gate in verified_aware_beats_naive_p50_at_70pct verified_aware_beats_naive_p
 done
 echo "multi-tenant scheduler verified (aware beats naive at >=70% util on p50+p99; artifact deterministic)"
 
+echo "== GIS gate (terraflow_steps at full scale, twice, diff; equals results/terraflow_steps.csv) =="
+# TerraFlow's per-step virtual times on the 257 x 257 terrain: the
+# binary audits its labels against the sequential oracle, two runs must
+# agree byte for byte, and the CSV must equal the checked-in one. Step
+# 3's cost reads the time-forward queue's length per packet, so a queue
+# that ever holds a different number of messages moves step3_s. A change
+# that means to move virtual time re-records the CSV and says why.
+run_twice_diff "GIS gate FAILED: two terraflow_steps runs differ" \
+    terraflow_steps "" stdout+terraflow_steps.csv
+diff results/terraflow_steps.csv "$(dirname "$RTD_STDOUT")/terraflow_steps.csv" || {
+    echo "GIS gate FAILED: terraflow_steps.csv differs from the checked-in results/terraflow_steps.csv" >&2
+    exit 1
+}
+echo "terraflow verified (labels match the oracle; step times deterministic and as recorded)"
+
 echo "== wall-clock benchmark gate (harness self-tests + every workload at --quick) =="
 # benchmark/ is a package of its own (own lockfile and target dir), so
 # the workspace test above does not reach it. The self-tests hold the

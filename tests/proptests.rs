@@ -190,22 +190,56 @@ proptest! {
         check_tag_permutation(sorted.iter().map(|r| r.tag()), n).expect("permutation");
     }
 
-    /// The external PQ behaves like a heap for any operation sequence.
+    /// The external PQ against a flat model, for any operation sequence
+    /// over (key, value) items: the same key comes out of every pop,
+    /// every key carries the same multiset of values, and `len()` /
+    /// `spilled_items()` / `in_memory_items()` agree after every op. The
+    /// model is the queue's contract with nothing clever in it: a bag in
+    /// memory, emptied into a second bag once it holds more than `cap`
+    /// items; the minimum comes from the first bag on a tie. (`lmas-gis`
+    /// runs the same differential against the sort-based queue this one
+    /// replaced, which is test-only there.)
     #[test]
-    fn external_pq_matches_heap(ops in prop::collection::vec((any::<bool>(), 0u64..1000), 1..300), cap in 1usize..32) {
-        use std::collections::BinaryHeap;
-        use std::cmp::Reverse;
-        let mut pq = lmas::gis::ExternalPq::new(cap);
-        let mut heap = BinaryHeap::new();
-        for (push, key) in ops {
-            if push || heap.is_empty() {
-                pq.push(key, ());
-                heap.push(Reverse(key));
-            } else {
-                prop_assert_eq!(pq.pop_min().map(|(k, _)| k), heap.pop().map(|r| r.0));
-            }
+    fn external_pq_matches_heap(
+        ops in prop::collection::vec((any::<bool>(), 0u64..1000, any::<u32>()), 1..300),
+        cap in 1usize..32,
+    ) {
+        fn min_at(bag: &[(u64, u32)]) -> Option<(u64, usize)> {
+            bag.iter().enumerate().map(|(i, &(k, _))| (k, i)).min()
         }
-        prop_assert_eq!(pq.len(), heap.len());
+        let mut pq = lmas::gis::ExternalPq::new(cap);
+        let (mut memory, mut spilled) = (Vec::new(), Vec::new());
+        let mut spilled_items = 0u64;
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (push, key, value) in ops {
+            if push || memory.len() + spilled.len() == 0 {
+                pq.push(key, value);
+                memory.push((key, value));
+                if memory.len() > cap {
+                    spilled_items += memory.len() as u64;
+                    spilled.append(&mut memory);
+                }
+            } else {
+                let popped = match (min_at(&memory), min_at(&spilled)) {
+                    (Some((m, i)), Some((s, _))) if m <= s => memory.swap_remove(i),
+                    (Some((_, i)), None) => memory.swap_remove(i),
+                    (_, Some((_, i))) => spilled.swap_remove(i),
+                    (None, None) => unreachable!("the model is non-empty here"),
+                };
+                prop_assert_eq!(pq.peek_min_key(), Some(popped.0));
+                want.push(popped);
+                got.extend(pq.pop_min());
+                prop_assert_eq!(got.last().map(|p| p.0), Some(popped.0));
+            }
+            prop_assert_eq!(
+                (pq.len(), pq.spilled_items(), pq.in_memory_items()),
+                (memory.len() + spilled.len(), spilled_items, memory.len())
+            );
+        }
+        // Equal keys pop in the queue's own order: compare per key.
+        got.sort_unstable();
+        want.sort_unstable();
+        prop_assert_eq!(got, want);
     }
 
     /// R-tree queries equal linear scans for arbitrary points/queries.
