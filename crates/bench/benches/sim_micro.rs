@@ -17,8 +17,8 @@ use lmas_bench::write_results;
 use lmas_core::{generate_rec128, KeyDist};
 use lmas_emulator::ClusterConfig;
 use lmas_sim::{
-    run_partitioned, Ctx, DetRng, EventKey, EventQueue, MultiResource, ParOps, PartitionWorker,
-    Resource, SimDuration, SimTime, Simulation,
+    run_partitioned, Ctx, DetRng, EventKey, EventQueue, ParOps, PartitionWorker, Resource,
+    SimDuration, SimTime, Simulation,
 };
 use lmas_sort::{run_dsm_sort, DsmConfig, LoadMode};
 use std::sync::Arc;
@@ -115,16 +115,6 @@ fn main() {
         for _ in 0..100_000 {
             let grant = r.acquire(t, SimDuration::from_micros(3));
             t = grant.end;
-        }
-        t
-    });
-
-    report.bench("multi_resource/acquire_8x100k", 100_000, || {
-        let mut m = MultiResource::new("raid", 8, SimDuration::from_millis(100));
-        let mut t = SimTime::ZERO;
-        for _ in 0..100_000 {
-            let grant = m.acquire(t, SimDuration::from_micros(3));
-            t = grant.start;
         }
         t
     });

@@ -13,9 +13,19 @@
 //! | `routing_ablation` | T4 — routing policies under skew |
 //! | `rtree_layouts` | F5 — partition vs stripe query latency/throughput |
 //! | `terraflow_steps` | F-TF — per-step TerraFlow scaling |
+//! | `interference` | T5 — shared-ASU interference and adaptation |
+//! | `fault_sweep` | F-FT — makespan inflation under a masked crash (`BENCH_faults.json`) |
+//! | `disk_scaling` | BENCH-storage — spindles, buffer pool, read-ahead (`BENCH_storage.json`) |
+//! | `placement_sweep` | F-PLACE — planned vs naive layouts (`BENCH_placement.json`) |
+//! | `par_scaling` | BENCH-par-sim — partitioned kernel scaling (`BENCH_par_sim.json`) |
+//! | `coded_shuffle` | F-CS — coded-shuffle r-sweep vs the planner (`BENCH_coded.json`) |
+//! | `repair_fleet` | F-RF — re-replication vs the mean-field ODE (`BENCH_repair.json`) |
+//! | `multi_tenant` | F-MT — job latency under open arrivals (`BENCH_sched.json`) |
+//! | `determinism` | the pinned run behind `results/determinism.txt` |
 //!
-//! Each binary prints the paper-style series and writes a CSV next to the
-//! workspace root under `results/`.
+//! Each binary prints its series and writes a CSV or `BENCH_*.json`
+//! under `results/` at the workspace root. `benches/` holds the
+//! wall-clock micro-benches (`kernels`, `sim_micro`, `gis_micro`).
 
 use std::fs;
 use std::path::PathBuf;

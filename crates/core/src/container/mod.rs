@@ -1,20 +1,14 @@
-//! Data containers of the LMAS model: streams, sets, arrays, packets.
+//! Data containers of the LMAS model.
 //!
 //! Figure 3 of the paper: *sets* have no defined order (the system may
 //! deliver any pending record group, enabling load-balanced routing);
-//! *streams* deliver records strictly in sequence; *arrays* allow
-//! random access. *Packets* group records that must travel together.
-//!
-//! Sets and streams are processed in their entirety per scan, with
-//! pending/completed marking; destructive scans release completed storage
-//! (Section 3.2).
+//! *streams* deliver records strictly in sequence. Here a container is
+//! not an object that holds records but the contract on a dataflow edge:
+//! [`EdgeKind::Set`](crate::EdgeKind::Set) lets the router pick any
+//! replica per packet, [`EdgeKind::Stream`](crate::EdgeKind::Stream)
+//! pins the order, and the records themselves travel as [`Packet`]s —
+//! groups that must stay together.
 
-pub mod array;
 pub mod packet;
-pub mod set;
-pub mod stream;
 
-pub use array::ArrayC;
 pub use packet::{packetize, Packet};
-pub use set::{PacketTicket, SetC};
-pub use stream::StreamC;

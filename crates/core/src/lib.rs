@@ -9,8 +9,8 @@
 //!
 //! - [`record`]: fixed-size records ([`Rec128`]: the paper's 128-byte /
 //!   4-byte-key experimental record) and workload key distributions;
-//! - [`container`]: sets (unordered, system-routable), streams (ordered),
-//!   arrays (random access), packets (indivisible groups);
+//! - [`container`]: packets (indivisible record groups); sets and
+//!   streams are the [`EdgeKind`] contracts packets travel under;
 //! - [`functor`]: the [`Functor`] contract and the standard library
 //!   (map, filter, tally, distribute, block-sort, merge);
 //! - [`kernels`]: verified in-memory kernels with comparison audits;
@@ -39,7 +39,7 @@ pub mod record;
 pub mod routing;
 
 pub use adapt::PipelineModel;
-pub use container::{packetize, ArrayC, Packet, PacketTicket, SetC, StreamC};
+pub use container::{packetize, Packet};
 pub use cost::{log2_ceil, CostModel, Work};
 pub use functor::{Emit, Functor, FunctorKind};
 pub use graph::{Edge, EdgeKind, FlowGraph, GraphError, RouteScope, Stage, StageFactory};

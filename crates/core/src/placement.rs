@@ -103,14 +103,6 @@ impl Placement {
         self
     }
 
-    /// Assign all `n` instances of `stage` to `node`.
-    pub fn assign_all(&mut self, stage: StageId, n: usize, node: NodeId) -> &mut Self {
-        for i in 0..n {
-            self.assign(stage, i, node);
-        }
-        self
-    }
-
     /// Assign instance `i` of `stage` to `Host(i % hosts)`.
     pub fn spread_over_hosts(&mut self, stage: StageId, n: usize, hosts: usize) -> &mut Self {
         assert!(hosts > 0, "need at least one host");

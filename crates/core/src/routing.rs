@@ -34,8 +34,7 @@ use lmas_sim::DetRng;
 /// failure detector may lag reality).
 ///
 /// [`UpMask::All`] is the fault-free fast path — every policy makes
-/// exactly the same decisions (and RNG draws) through
-/// [`Router::pick_available`] with `All` as through [`Router::pick`],
+/// exactly the decisions (and RNG draws) it made before masks existed,
 /// so enabling the fault layer with no faults perturbs nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpMask {
@@ -128,123 +127,38 @@ impl Router {
         self.policy
     }
 
-    /// Choose a destination among `n` instances, all assumed live.
+    /// Choose a destination among `n` instances: the ones `up` marks
+    /// live and `weights` (set by the runtime load balancer) leaves
+    /// eligible.
     ///
     /// * `port` — the source port the packet left on (static hint);
     /// * `backlog` — per-instance observed load (e.g. queued work in ns);
     ///   empty when unknown;
     /// * `capacity` — per-instance static capacity weights; empty when
-    ///   homogeneous.
+    ///   homogeneous;
+    /// * `weights` — per-instance routing weights. Instances beyond the
+    ///   slice default to `1.0`, so an empty slice means "unweighted" and
+    ///   a balancer that never re-weights perturbs nothing. Weight `0.0`
+    ///   (or negative) makes an instance ineligible — it is never picked,
+    ///   even when every other replica is masked down.
     ///
-    /// Returns `None` when `n == 0` — a typed "nowhere to route" the
-    /// caller must surface (e.g. as `JobError::AllReplicasDown`) rather
-    /// than a process abort.
-    pub fn pick(
-        &mut self,
-        n: usize,
-        port: usize,
-        backlog: &[u64],
-        capacity: &[f64],
-    ) -> Option<usize> {
-        self.pick_available(n, port, backlog, capacity, &UpMask::All)
-    }
-
-    /// Choose a destination among the instances `up` marks live.
+    /// Semantics per policy:
     ///
-    /// Failover semantics per policy:
+    /// * **Static** — the pinned instance `port % n`, or the next
+    ///   eligible index (wrapping linear probe) when it is not;
+    /// * **RoundRobin** — advances the cursor past ineligible instances;
+    /// * **SimpleRandomization** — proportional to weight over the
+    ///   eligible instances; unweighted, uniform over the live ones;
+    /// * **LoadAware** — least backlog divided by `capacity × weight`
+    ///   among the eligible instances, so a heavier weight absorbs
+    ///   proportionally more traffic and a down instance can never win;
+    /// * **PowerOfTwoChoices** — both samples are drawn among the
+    ///   eligible instances only, compared on the same normalized load.
     ///
-    /// * **Static** — the pinned instance `port % n`, or the next live
-    ///   index (wrapping linear probe) when it is down;
-    /// * **RoundRobin** — advances the cursor past down instances;
-    /// * **SimpleRandomization** — uniform over the live instances only
-    ///   (with [`UpMask::All`] this makes the identical RNG draw as the
-    ///   unmasked path, preserving fault-free determinism);
-    /// * **LoadAware** — a down instance is treated as infinite backlog:
-    ///   it can never win the minimum while any live instance exists;
-    /// * **PowerOfTwoChoices** — both samples are drawn among the live
-    ///   instances only.
-    ///
-    /// Returns `None` when no instance is live.
-    pub fn pick_available(
-        &mut self,
-        n: usize,
-        port: usize,
-        backlog: &[u64],
-        capacity: &[f64],
-        up: &UpMask,
-    ) -> Option<usize> {
-        if n == 0 {
-            return None;
-        }
-        match self.policy {
-            RoutingPolicy::Static => {
-                let pinned = port % n;
-                (0..n).map(|d| (pinned + d) % n).find(|&i| up.is_up(i))
-            }
-            RoutingPolicy::RoundRobin => {
-                for _ in 0..n {
-                    let i = self.rr_next % n;
-                    self.rr_next = self.rr_next.wrapping_add(1);
-                    if up.is_up(i) {
-                        return Some(i);
-                    }
-                }
-                None
-            }
-            RoutingPolicy::SimpleRandomization => match up {
-                // Fast path: same draw as the unmasked router.
-                UpMask::All => Some(self.rng.gen_index(n)),
-                UpMask::Bits(_) => {
-                    let live = up.count_up(n);
-                    if live == 0 {
-                        return None;
-                    }
-                    let k = self.rng.gen_index(live);
-                    (0..n).filter(|&i| up.is_up(i)).nth(k)
-                }
-            },
-            RoutingPolicy::LoadAware => {
-                let score = |i: usize| {
-                    normalized_load(i, backlog, capacity, &[])
-                };
-                let capw = |i: usize| {
-                    capacity.get(i).copied().unwrap_or(1.0)
-                };
-                // Least backlog normalized by capacity among live
-                // instances; ties to larger capacity, then lower index
-                // for determinism. Down == infinite backlog == filtered.
-                (0..n).filter(|&i| up.is_up(i)).min_by(|&a, &b| {
-                    score(a)
-                        .total_cmp(&score(b))
-                        .then(capw(b).total_cmp(&capw(a)))
-                        .then(a.cmp(&b))
-                })
-            }
-            RoutingPolicy::PowerOfTwoChoices => {
-                let live: Vec<usize> =
-                    (0..n).filter(|&i| up.is_up(i)).collect();
-                self.two_choices(&live, backlog, capacity, &[])
-            }
-        }
-    }
-
-    /// Choose a destination with per-instance routing *weights*, as set
-    /// by the runtime load balancer.
-    ///
-    /// * An empty `weights` slice means "unweighted": the call is
-    ///   byte-identical (same RNG draws, same picks) to
-    ///   [`Router::pick_available`], so a balancer that never re-weights
-    ///   perturbs nothing.
-    /// * Weight `0.0` (or negative) makes an instance ineligible — it is
-    ///   never picked, even when every other replica is masked down; the
-    ///   router returns `None` rather than silently falling back.
-    /// * Instances beyond the slice default to weight `1.0`.
-    ///
-    /// Weighted semantics per policy: Static and RoundRobin treat
-    /// weights as eligibility only (probe / cursor skip ineligible);
-    /// SimpleRandomization draws proportionally to weight; LoadAware and
-    /// PowerOfTwoChoices divide backlog by `capacity × weight`, so a
-    /// heavier weight absorbs proportionally more traffic.
+    /// Returns `None` when no instance is eligible (including `n == 0`) —
+    /// a typed "nowhere to route" the caller must surface (e.g. as
+    /// `JobError::AllReplicasDown`) rather than a silent fallback or a
+    /// process abort.
     pub fn pick_routed(
         &mut self,
         n: usize,
@@ -254,9 +168,6 @@ impl Router {
         weights: &[f64],
         up: &UpMask,
     ) -> Option<usize> {
-        if weights.is_empty() {
-            return self.pick_available(n, port, backlog, capacity, up);
-        }
         if n == 0 {
             return None;
         }
@@ -277,23 +188,36 @@ impl Router {
                 }
                 None
             }
-            RoutingPolicy::SimpleRandomization => {
-                let total: f64 =
-                    (0..n).filter(|&i| eligible(i)).map(w).sum();
-                if total <= 0.0 || !total.is_finite() {
-                    return None;
-                }
-                let mut x = self.rng.gen_f64() * total;
-                let mut last = None;
-                for i in (0..n).filter(|&i| eligible(i)) {
-                    last = Some(i);
-                    x -= w(i);
-                    if x < 0.0 {
-                        break;
+            // Three draw shapes, not one: the goldens pin the exact RNG
+            // draws of the two unweighted ones.
+            RoutingPolicy::SimpleRandomization => match (weights, up) {
+                ([], UpMask::All) => Some(self.rng.gen_index(n)),
+                ([], UpMask::Bits(_)) => {
+                    let live = up.count_up(n);
+                    if live == 0 {
+                        return None;
                     }
+                    let k = self.rng.gen_index(live);
+                    (0..n).filter(|&i| up.is_up(i)).nth(k)
                 }
-                last
-            }
+                _ => {
+                    let total: f64 =
+                        (0..n).filter(|&i| eligible(i)).map(w).sum();
+                    if total <= 0.0 || !total.is_finite() {
+                        return None;
+                    }
+                    let mut x = self.rng.gen_f64() * total;
+                    let mut last = None;
+                    for i in (0..n).filter(|&i| eligible(i)) {
+                        last = Some(i);
+                        x -= w(i);
+                        if x < 0.0 {
+                            break;
+                        }
+                    }
+                    last
+                }
+            },
             RoutingPolicy::LoadAware => {
                 let score = |i: usize| {
                     normalized_load(i, backlog, capacity, weights)
@@ -301,6 +225,8 @@ impl Router {
                 let capw = |i: usize| {
                     capacity.get(i).copied().unwrap_or(1.0) * w(i)
                 };
+                // Ties to larger capacity, then lower index for
+                // determinism.
                 (0..n).filter(|&i| eligible(i)).min_by(|&a, &b| {
                     score(a)
                         .total_cmp(&score(b))
@@ -365,6 +291,30 @@ fn normalized_load(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The unweighted call shapes most of these tests use.
+    impl Router {
+        fn pick(
+            &mut self,
+            n: usize,
+            port: usize,
+            backlog: &[u64],
+            capacity: &[f64],
+        ) -> Option<usize> {
+            self.pick_routed(n, port, backlog, capacity, &[], &UpMask::All)
+        }
+
+        fn pick_available(
+            &mut self,
+            n: usize,
+            port: usize,
+            backlog: &[u64],
+            capacity: &[f64],
+            up: &UpMask,
+        ) -> Option<usize> {
+            self.pick_routed(n, port, backlog, capacity, &[], up)
+        }
+    }
 
     #[test]
     fn static_pins_port_to_instance() {
@@ -467,16 +417,8 @@ mod tests {
         let mut r = Router::new(RoutingPolicy::RoundRobin, 0, 0);
         assert_eq!(r.pick_available(3, 0, &[], &[], &all), Some(0));
 
-        // SR: never picks a dead instance; All-mask draw matches pick().
+        // SR: never picks a dead instance.
         let mut masked = Router::new(RoutingPolicy::SimpleRandomization, 9, 1);
-        let mut plain = Router::new(RoutingPolicy::SimpleRandomization, 9, 1);
-        for _ in 0..500 {
-            assert_eq!(
-                masked.pick_available(3, 0, &[], &[], &all),
-                plain.pick(3, 0, &[], &[]),
-                "All-mask SR must draw identically to unmasked SR"
-            );
-        }
         let mut hit = [0usize; 3];
         for _ in 0..600 {
             let p = masked
@@ -539,30 +481,71 @@ mod tests {
         assert_eq!(r.pick(1, 0, &[], &[]), Some(0));
     }
 
-    /// Empty weights must be byte-identical to the unweighted router —
-    /// same picks *and* same RNG stream positions — for every policy.
+    /// Pick sequences recorded at the commit before the three entry
+    /// points were folded into one: FNV-1a over 200 picks per policy ×
+    /// mask × weighting. Unit weights must route exactly as no weights
+    /// do; SimpleRandomization alone is excused, because it draws a
+    /// float when weighted and an index when not.
     #[test]
-    fn empty_weights_match_pick_available_exactly() {
-        let policies = [
-            RoutingPolicy::Static,
-            RoutingPolicy::RoundRobin,
-            RoutingPolicy::SimpleRandomization,
-            RoutingPolicy::LoadAware,
-            RoutingPolicy::PowerOfTwoChoices,
+    fn pick_sequences_match_recorded_golden() {
+        // Columns: no weights, unit weights, skewed weights.
+        const GOLDEN: [(RoutingPolicy, [[u64; 3]; 2]); 5] = [
+            (
+                RoutingPolicy::Static,
+                [
+                    [0x74be2a12d3cc7ae5, 0x74be2a12d3cc7ae5, 0x74be2a12d3cc7ae5],
+                    [0xc0fa27131ea8028d, 0xc0fa27131ea8028d, 0xc0fa27131ea8028d],
+                ],
+            ),
+            (
+                RoutingPolicy::RoundRobin,
+                [
+                    [0x48857fb505788925, 0x48857fb505788925, 0x48857fb505788925],
+                    [0xc4adebbf88aaa6a5, 0xc4adebbf88aaa6a5, 0xc4adebbf88aaa6a5],
+                ],
+            ),
+            (
+                RoutingPolicy::SimpleRandomization,
+                [
+                    [0x1d477ecf97193ec2, 0x1d477ecf97193ec2, 0x5549c166d58d59f3],
+                    [0x1f965ec7bba7b6a1, 0x1f965ec7bba7b6a1, 0xee9c95d80cb9d28a],
+                ],
+            ),
+            (
+                RoutingPolicy::LoadAware,
+                [
+                    [0xa79ffab8eb520579, 0xa79ffab8eb520579, 0x13df72106eb75af7],
+                    [0x12086a8834d27379, 0x12086a8834d27379, 0x5c6c34e2f49425f9],
+                ],
+            ),
+            (
+                RoutingPolicy::PowerOfTwoChoices,
+                [
+                    [0xb24b5cf2575dfeec, 0xb24b5cf2575dfeec, 0x10cb168c0d1c8ca2],
+                    [0x87a13c76e04cefc2, 0x87a13c76e04cefc2, 0x2c2dca20d8660886],
+                ],
+            ),
         ];
-        let masks =
-            [UpMask::all(), UpMask::from_fn(4, |i| i != 2)];
-        for policy in policies {
-            for mask in &masks {
-                let mut weighted = Router::new(policy, 11, 3);
-                let mut plain = Router::new(policy, 11, 3);
-                for port in 0..200 {
-                    let backlog = [port as u64 % 7, 3, 0, 5];
-                    assert_eq!(
-                        weighted.pick_routed(4, port, &backlog, &[], &[], mask),
-                        plain.pick_available(4, port, &backlog, &[], mask),
-                        "{policy:?} diverged with empty weights"
-                    );
+        // All up / instance 2 down.
+        let masks = [UpMask::all(), UpMask::from_fn(5, |i| i != 2)];
+        let weightings: [&[f64]; 3] =
+            [&[], &[1.0; 5], &[1.0, 3.0, 0.5, 2.0, 0.25]];
+        for (policy, want) in GOLDEN {
+            for (mask, want_row) in masks.iter().zip(want) {
+                let row = weightings.map(|weights| {
+                    let mut r = Router::new(policy, 11, 3);
+                    (0..200).fold(0xcbf2_9ce4_8422_2325u64, |h, port| {
+                        let p = port as u64;
+                        let backlog = [p % 7, 3, p * 5 % 11, 5, p % 3];
+                        let pick = r
+                            .pick_routed(5, port, &backlog, &[], weights, mask)
+                            .expect("a live replica exists");
+                        (h ^ pick as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                    })
+                });
+                assert_eq!(row, want_row, "{policy:?} under {mask:?}: got {row:#018x?}");
+                if policy != RoutingPolicy::SimpleRandomization {
+                    assert_eq!(row[0], row[1], "{policy:?}: unit weights moved a pick");
                 }
             }
         }

@@ -73,11 +73,12 @@ pub struct ClusterConfig {
     /// the classic sequential engine. Larger values partition the actor
     /// graph across threads under conservative lookahead synchronization
     /// (see `lmas_sim::par`); virtual time stays byte-identical, wall
-    /// clock shrinks. Fault plans and the (snapshot-mode) balancer run
-    /// partitioned too; the few shapes the partitioned engine cannot
-    /// preserve exactly (backlog-sensitive routing, zero cross-node
-    /// delay, `fail_fast` fault specs, the live-read balancer compat
-    /// mode) fall back to the sequential path, recording the reason in
+    /// clock shrinks. Fault plans and the balancer run partitioned too;
+    /// the four shapes the partitioned engine cannot preserve exactly (a
+    /// scheduler-gated multi-tenant run, backlog-sensitive routing, zero
+    /// cross-node delay, `fail_fast` fault specs) fall back to the
+    /// sequential path, recording the reason (`"scheduler"`,
+    /// `"backlog routing"`, `"zero latency"`, `"fault plan"`) in
     /// `EmulationReport::par_fallback`.
     pub threads: usize,
 }

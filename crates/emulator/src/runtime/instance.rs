@@ -412,7 +412,7 @@ impl<R: Record> InstanceActor<R> {
             };
             let backlog = d.gauge.depths();
             // Empty until the balancer's first reweight: `pick_routed`
-            // then takes the exact `pick_available` path (same draws).
+            // then makes the unweighted draws.
             let wslice: &[f64] = if d.weights.is_empty() {
                 &[]
             } else {

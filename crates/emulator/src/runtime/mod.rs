@@ -25,7 +25,7 @@
 //! (detections land on the first heartbeat tick past the timeout after
 //! each crash). Delivery becomes optimistic-with-recovery: a packet
 //! arriving at a down node bounces back as a NACK; the sender re-routes
-//! it through [`Router::pick_available`] masked by the *detected* node
+//! it through [`Router::pick_routed`] masked by the *detected* node
 //! health, after a deterministic exponential backoff. Down nodes are
 //! thus masked, not fatal — and with an empty plan the whole layer
 //! vanishes: no controller actor, all-up masks (identical RNG draws),
@@ -49,7 +49,7 @@
 //! (dataflow), `fault_ctl`, `balancer`, `repair_actors`, `sched_actor`.
 //!
 //! [`DetectedTimeline`]: crate::fault::DetectedTimeline
-//! [`Router::pick_available`]: lmas_core::Router::pick_available
+//! [`Router::pick_routed`]: lmas_core::Router::pick_routed
 
 mod balancer;
 mod build;

@@ -6,8 +6,9 @@
 //! per-stage declared [`Work`](lmas_core::Work), functor memory
 //! contracts, and the cluster model (H, D, c, disk/link rates), it
 //!
-//! 1. enumerates replication degrees ([`plan_best`] scores one
-//!    candidate per degree),
+//! 1. plans one candidate per replication degree the caller
+//!    enumerates (a shared [`Planner`]; DSM-Sort's sweep is
+//!    `lmas_sort::planner::sweep_pass1`),
 //! 2. scores host/ASU assignments with an analytic bottleneck-makespan
 //!    [`estimate`](estimate::estimate) (pipelined fill/busy/drain
 //!    critical path, tightened by per-node CPU/disk/link bounds),
@@ -22,12 +23,11 @@
 //! [`Router::pick_routed`](lmas_core::Router::pick_routed) weight
 //! channel this planner's placements are scored against.
 //!
-//! Entry points: [`AutoPlace::auto`] (`Placement::auto(...)`) for graph
-//! + hints, or [`plan`]/[`plan_best`] on an explicit [`PlanSpec`].
+//! Entry points: [`plan`] / [`plan_residual`] on an explicit
+//! [`PlanSpec`], or a reused [`Planner`] when planning many.
 
 #![warn(missing_docs)]
 
-pub mod auto;
 pub mod estimate;
 pub mod model;
 #[cfg(test)]
@@ -36,9 +36,8 @@ pub mod report;
 pub mod residual;
 pub mod search;
 
-pub use auto::{spec_from_graph, AutoPlace, GraphHints, StageHint};
 pub use estimate::{estimate, estimate_residual, Bottleneck, Estimate, StageResource};
 pub use model::{ClusterShape, PlanEdge, PlanError, PlanSpec, StageSpec};
 pub use report::{CodedPoint, PlanReport, StageBinding, StageRate};
 pub use residual::ResidualCapacity;
-pub use search::{plan, plan_best, plan_best_residual, plan_residual, PlanOutcome, Planner};
+pub use search::{plan, plan_residual, PlanOutcome, Planner};

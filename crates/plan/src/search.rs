@@ -5,10 +5,11 @@
 //! node, subject to pins (data residency) and the functor's placement
 //! contract. Moves are *migrate* (one instance to another feasible
 //! node) and *swap* (exchange the nodes of two instances of different
-//! stages); *re-replicate* is handled one level up by
-//! [`plan_best`](crate::search::plan_best), which scores one fully
-//! planned candidate per replication degree. The search has no RNG:
-//! same spec + shape → byte-identical placement and report.
+//! stages); *re-replicate* is handled one level up by the caller
+//! (`lmas_sort::planner::sweep_pass1`), which plans one candidate per
+//! replication degree on a shared [`Planner`] and keeps the best. The
+//! search has no RNG: same spec + shape → byte-identical placement and
+//! report.
 //!
 //! A plan costs what its arithmetic costs: [`Planner`] loads the
 //! assignment-independent rates once per plan, scores every probe out
@@ -344,67 +345,6 @@ pub fn plan_residual(
     Planner::new().plan_residual(spec, shape, res)
 }
 
-/// Plan every candidate spec (e.g. one per replication degree) and keep
-/// the one with the lowest predicted makespan; ties go to the earliest
-/// candidate. Returns the winning index and its outcome, with the
-/// report's candidate counters filled in.
-pub fn plan_best(
-    specs: &[PlanSpec],
-    shape: &ClusterShape,
-) -> Result<(usize, PlanOutcome), PlanError> {
-    plan_best_residual(specs, shape, &ResidualCapacity::full(shape.total_nodes()))
-}
-
-/// [`plan_best`], scored against residual capacity (see
-/// [`plan_residual`]); the winning candidate minimizes the predicted
-/// makespan *on the shared cluster*.
-pub fn plan_best_residual(
-    specs: &[PlanSpec],
-    shape: &ClusterShape,
-    res: &ResidualCapacity,
-) -> Result<(usize, PlanOutcome), PlanError> {
-    if specs.is_empty() {
-        return Err(PlanError::EmptySpec);
-    }
-    let mut planner = Planner::new();
-    let mut winner: Option<(usize, PlanOutcome)> = None;
-    let mut rejected = 0usize;
-    let mut last_err = None;
-    for (k, spec) in specs.iter().enumerate() {
-        match planner.plan_residual(spec, shape, res) {
-            Ok(outcome) => {
-                let better = winner
-                    .as_ref()
-                    .map(|(_, w)| {
-                        outcome.estimate.makespan_ns
-                            < w.estimate.makespan_ns - EPS_NS
-                    })
-                    .unwrap_or(true);
-                if better {
-                    if winner.is_some() {
-                        rejected += 1;
-                    }
-                    winner = Some((k, outcome));
-                } else {
-                    rejected += 1;
-                }
-            }
-            Err(e) => {
-                rejected += 1;
-                last_err = Some(e);
-            }
-        }
-    }
-    match winner {
-        Some((k, mut outcome)) => {
-            outcome.report.candidates_considered = specs.len();
-            outcome.report.candidates_rejected = rejected;
-            Ok((k, outcome))
-        }
-        None => Err(last_err.unwrap_or(PlanError::EmptySpec)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,26 +541,5 @@ mod tests {
             plan_residual(&spec, &shape, &ResidualCapacity::full(3)).unwrap_err(),
             PlanError::ResidualShape { expected: 4, got: 3 }
         );
-    }
-
-    #[test]
-    fn plan_best_prefers_lower_makespan_and_counts_rejects() {
-        let mk = |repl: usize| PlanSpec {
-            record_bytes: 128,
-            stages: vec![
-                StageSpec::new("src", 2, eligible())
-                    .with_source(128 * 500_000)
-                    .pinned_per_asu(2),
-                StageSpec::new("work", repl, FunctorKind::HostOnly)
-                    .with_work(Work::compares(24) + Work::moves(1), 500_000),
-            ],
-            edges: vec![PlanEdge { from: 0, to: 1 }],
-        };
-        let shape = ClusterShape::era_2002(4, 2, 8.0);
-        let specs: Vec<PlanSpec> = (1..=4).map(mk).collect();
-        let (k, out) = plan_best(&specs, &shape).expect("plans");
-        assert!(k > 0, "more host parallelism must beat one instance");
-        assert_eq!(out.report.candidates_considered, 4);
-        assert!(out.report.candidates_rejected >= 1);
     }
 }

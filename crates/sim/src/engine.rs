@@ -198,11 +198,6 @@ impl<'a, M> Ctx<'a, M> {
         self.cal.send(self.now, to, at, msg)
     }
 
-    /// Schedule a message to self.
-    pub fn timer(&mut self, delay: SimDuration, msg: M) {
-        self.send(self.me, delay, msg)
-    }
-
     /// Engine-level RNG stream (distinct from per-component streams an
     /// actor may own). Deterministic across runs. In partitioned mode each
     /// partition owns an independent stream (partition 0 matches the
@@ -444,15 +439,6 @@ impl<M> Simulation<M> {
     /// Partitioned mode: lifetime count of cross-partition sends.
     pub(crate) fn par_remote_sent(&self) -> u64 {
         self.cal.remote().remote_sent
-    }
-
-    /// Mutable access to a registered actor between runs (e.g. to harvest
-    /// results). Panics if the actor is mid-dispatch (impossible between
-    /// runs) or uninstalled.
-    pub fn actor_mut(&mut self, id: ActorId) -> &mut dyn Actor<M> {
-        self.actors[id.0]
-            .as_deref_mut()
-            .expect("actor uninstalled")
     }
 }
 

@@ -62,7 +62,7 @@ pub use event::{EventKey, EventQueue};
 pub use fault::{BackoffPolicy, FaultEvent, FaultPlan, TraceError};
 pub use intern::{intern, Name};
 pub use par::{run_partitioned, LogHist, ParOps, ParOutcome, PartitionWorker};
-pub use resource::{Grant, MultiResource, Resource};
+pub use resource::{Grant, Resource};
 pub use rng::DetRng;
 pub use stats::UtilizationLedger;
 pub use time::{SimDuration, SimTime};

@@ -7,9 +7,6 @@
 //! at `end`. This models the paper's emulator, where each execution segment
 //! or I/O occupies its device exclusively and the event queue enforces
 //! causal order.
-//!
-//! Multi-server variants (e.g. a RAID group or multi-core host) are
-//! provided by [`MultiResource`].
 
 use crate::intern::{intern, Name};
 use crate::stats::UtilizationLedger;
@@ -127,101 +124,6 @@ impl Resource {
     }
 }
 
-/// `k` identical FCFS servers fed from one queue (join-shortest-backlog,
-/// which for identical servers equals FCFS-to-first-free).
-#[derive(Debug)]
-pub struct MultiResource {
-    name: Name,
-    /// Binary min-heap of `(free_at, server index)`. The root is the
-    /// next server to free; the index tie-break reproduces exactly the
-    /// `(time, index)` order of the old linear min-scan, so grant
-    /// assignment is unchanged while each acquire costs O(log k).
-    heap: Vec<(SimTime, u32)>,
-    ledger: UtilizationLedger,
-    grants: u64,
-}
-
-impl MultiResource {
-    /// `k` idle servers. Panics if `k == 0`.
-    pub fn new(name: impl AsRef<str>, k: usize, bin_width: SimDuration) -> Self {
-        assert!(k > 0, "MultiResource needs at least one server");
-        MultiResource {
-            name: intern(name.as_ref()),
-            // Ascending indices at equal times already satisfy the heap
-            // invariant.
-            heap: (0..k).map(|i| (SimTime::ZERO, i as u32)).collect(),
-            ledger: UtilizationLedger::new(bin_width),
-            grants: 0,
-        }
-    }
-
-    /// Book `service` on the server that frees first (ties broken by
-    /// lowest server index, as ever).
-    pub fn acquire(&mut self, now: SimTime, service: SimDuration) -> Grant {
-        let (free_at, idx) = self.heap[0];
-        let start = now.max(free_at);
-        let end = start + service;
-        self.heap[0] = (end, idx);
-        self.sift_down_root();
-        self.ledger.add_busy(start, end);
-        self.grants += 1;
-        Grant { start, end }
-    }
-
-    /// Restore the heap invariant after the root's key grew.
-    fn sift_down_root(&mut self) {
-        let mut i = 0;
-        loop {
-            let l = 2 * i + 1;
-            if l >= self.heap.len() {
-                break;
-            }
-            let r = l + 1;
-            let min = if r < self.heap.len() && self.heap[r] < self.heap[l] {
-                r
-            } else {
-                l
-            };
-            if self.heap[min] < self.heap[i] {
-                self.heap.swap(i, min);
-                i = min;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Earliest time any server frees. O(1).
-    pub fn next_free(&self) -> SimTime {
-        self.heap[0].0
-    }
-
-    /// Number of servers.
-    pub fn servers(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Resource name (for reports).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total busy time across all servers.
-    pub fn total_busy(&self) -> SimDuration {
-        self.ledger.total_busy()
-    }
-
-    /// Aggregate utilization series; values range over `[0, k]`.
-    pub fn utilization_series(&self, horizon: SimTime) -> Vec<f64> {
-        self.ledger.series(horizon)
-    }
-
-    /// Grants issued.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,34 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_resource_runs_k_in_parallel() {
-        let mut m = MultiResource::new("raid", 2, BIN);
-        let a = m.acquire(SimTime(0), SimDuration(100));
-        let b = m.acquire(SimTime(0), SimDuration(100));
-        let c = m.acquire(SimTime(0), SimDuration(100));
-        assert_eq!(a.start, SimTime(0));
-        assert_eq!(b.start, SimTime(0));
-        assert_eq!(c.start, SimTime(100), "third waits for a server");
-        assert_eq!(m.servers(), 2);
-        assert_eq!(m.next_free(), SimTime(100));
-    }
-
-    #[test]
-    fn multi_resource_aggregate_utilization_can_exceed_one() {
-        let mut m = MultiResource::new("raid", 2, BIN);
-        m.acquire(SimTime(0), SimDuration(1_000));
-        m.acquire(SimTime(0), SimDuration(1_000));
-        let s = m.utilization_series(SimTime(999));
-        assert!((s[0] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn zero_server_multi_resource_panics() {
-        MultiResource::new("bad", 0, BIN);
-    }
-
-    #[test]
     fn acquire_batch_matches_repeated_acquires() {
         let mut batched = Resource::new("cpu", SimDuration(10));
         let mut looped = Resource::new("cpu", SimDuration(10));
@@ -339,30 +213,5 @@ mod tests {
         assert_eq!(g.end, SimTime(50));
         assert_eq!(r.grants(), 4);
         assert_eq!(r.total_busy(), SimDuration(50));
-    }
-
-    #[test]
-    fn multi_resource_heap_matches_linear_scan_reference() {
-        // The heap must pick exactly the server the old O(k) min-scan
-        // picked: min by (free_at, index).
-        let mut m = MultiResource::new("raid", 5, BIN);
-        let mut reference = [SimTime::ZERO; 5];
-        let mut rng = crate::rng::DetRng::new(99);
-        let mut now = SimTime::ZERO;
-        for _ in 0..500 {
-            now += SimDuration(rng.gen_range(40));
-            let service = SimDuration(rng.gen_range(100));
-            let got = m.acquire(now, service);
-            let (idx, _) = reference
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, t)| (**t, *i))
-                .unwrap();
-            let start = now.max(reference[idx]);
-            let end = start + service;
-            reference[idx] = end;
-            assert_eq!(got, Grant { start, end });
-            assert_eq!(m.next_free(), *reference.iter().min().unwrap());
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! Audit regression tests: `Resource`/`MultiResource` utilization
+//! Audit regression tests: `Resource` utilization
 //! accounting under *overlapping jobs*.
 //!
 //! Historically every emulation ran one job, so each resource only ever
@@ -10,7 +10,7 @@
 //! disjoint by construction), and total busy time equals the sum of
 //! service demands regardless of which job issued which request.
 
-use lmas_sim::{MultiResource, Resource, SimDuration, SimTime, UtilizationLedger};
+use lmas_sim::{Resource, SimDuration, SimTime, UtilizationLedger};
 
 #[test]
 fn interleaved_jobs_serialize_and_account_exactly() {
@@ -71,31 +71,4 @@ fn ledger_windows_from_two_jobs_never_double_count() {
         (integrated - total as f64).abs() < 1e-6,
         "integral {integrated} != total busy {total}"
     );
-}
-
-#[test]
-fn multi_resource_aggregate_accounts_all_servers() {
-    // k=2 disks serving three jobs' interleaved requests: aggregate
-    // busy is the sum of all service, and the two servers genuinely
-    // overlap (makespan < serialized sum).
-    let mut disks = MultiResource::new("disks", 2, SimDuration::from_micros(1));
-    let mut end = SimTime::ZERO;
-    let services = [400u64, 300, 500, 200, 350, 250];
-    for &s in &services {
-        let g = disks.acquire(SimTime(0), SimDuration::from_nanos(s));
-        end = end.max(g.end);
-    }
-    let total: u64 = services.iter().sum();
-    assert_eq!(disks.total_busy(), SimDuration::from_nanos(total));
-    assert_eq!(disks.grants(), services.len() as u64);
-    assert!(
-        end.0 < total,
-        "two servers must overlap: finished at {} vs serialized {total}",
-        end.0
-    );
-    // Aggregate series may exceed 1.0 (it sums k servers) but never k.
-    let series = disks.utilization_series(end);
-    for u in &series {
-        assert!(*u <= 2.0 + 1e-9, "aggregate utilization {u} exceeds k=2");
-    }
 }

@@ -305,10 +305,9 @@ fn pass1_uncoded_shuffle_bytes<R: Record>(n: u64, out: &PlanOutcome) -> f64 {
 /// Joint sweep over block-sort replication `k` and coded group size `r`
 /// (both enumerated ascending, r-major with `r = 1` first, so an
 /// all-tie sweep resolves exactly as the historical k-only sweep did).
-/// Mirrors `plan_best` semantics: lowest predicted makespan wins, ties
-/// go to the earliest candidate (1 ns epsilon). The winner's report
-/// carries the candidate counters and the predicted per-r tradeoff
-/// curve.
+/// Lowest predicted makespan wins, ties go to the earliest candidate
+/// (1 ns epsilon). The winner's report carries the candidate counters
+/// and the predicted per-r tradeoff curve.
 fn sweep_pass1<R: Record>(
     cluster: &ClusterConfig,
     dsm: &DsmConfig,
@@ -442,5 +441,22 @@ mod tests {
         // α = 12: 8 does not divide it.
         let c = DsmConfig::new(12, 64, 2, 4);
         assert_eq!(coded_r_candidates(&c), vec![1, 2, 4]);
+    }
+
+    #[test]
+    fn sweep_counts_every_cell_and_ties_keep_the_earliest() {
+        use lmas_core::Rec128;
+        let cluster = ClusterConfig::era_2002(4, 8, 8.0);
+        let dsm = DsmConfig::new(8, 64, 2, 4);
+        let cells = cluster.hosts * coded_r_candidates(&dsm).len();
+        let (_, _, out) = plan_pass1::<Rec128>(&cluster, &dsm, 400_000).expect("plans");
+        assert_eq!(out.report.candidates_considered, cells);
+        assert!(out.report.candidates_rejected >= 1);
+        // Nothing to sort: every cell predicts the same makespan, so the
+        // first one enumerated (k = 1, r = 1) must stand.
+        let (k, r, out) = plan_pass1::<Rec128>(&cluster, &dsm, 0).expect("plans");
+        assert_eq!((k, r), (1, 1));
+        assert_eq!(out.report.candidates_considered, cells);
+        assert_eq!(out.report.candidates_rejected, cells - 1);
     }
 }

@@ -1,21 +1,16 @@
-//! The Block Transfer Engine (BTE) abstraction.
+//! Transfer counters.
 //!
-//! TPIE — the external-memory toolkit the paper extends — abstracts the
-//! underlying storage system behind a pluggable BTE. We keep the same
-//! seam: containers and the emulator speak [`BlockTransferEngine`], and an
-//! engine may live in memory (tests, emulation) or on the filesystem
-//! (examples exercising real I/O).
+//! TPIE — the external-memory toolkit the paper extends — puts storage
+//! behind a pluggable Block Transfer Engine (BTE) and counts what crosses
+//! it. This crate models what an I/O *costs*, not what it holds, so the
+//! counters are the part of that seam it keeps.
 
-use crate::block::{Block, BlockId, Extent};
-use std::io;
-
-/// Transfer counters — the single counter type shared by the block
-/// engines, [`DiskSim`](crate::DiskSim), the striped array, and the
-/// emulator's per-node reports.
+/// Transfer counters — the single counter type shared by
+/// [`DiskSim`](crate::DiskSim), the striped array, and the emulator's
+/// per-node reports.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BteStats {
-    /// Read requests (blocks for a block engine, media requests for a
-    /// timing model).
+    /// Read requests issued to the media.
     pub reads: u64,
     /// Write requests.
     pub writes: u64,
@@ -47,41 +42,4 @@ impl std::ops::AddAssign for BteStats {
     fn add_assign(&mut self, other: BteStats) {
         *self = self.merged(other);
     }
-}
-
-/// A pluggable block store: fixed block size, id-addressed reads/writes.
-pub trait BlockTransferEngine {
-    /// The engine's block size in bytes.
-    fn block_size(&self) -> usize;
-
-    /// Allocate a contiguous extent of `len` blocks.
-    fn allocate(&mut self, len: u64) -> Extent;
-
-    /// Release an extent. Reading a freed block is an error.
-    fn free(&mut self, extent: Extent) -> io::Result<()>;
-
-    /// Write `block` at `id`. The block's capacity must equal the engine
-    /// block size; only the valid prefix is meaningful.
-    fn write_block(&mut self, id: BlockId, block: &Block) -> io::Result<()>;
-
-    /// Read the block at `id`.
-    fn read_block(&mut self, id: BlockId) -> io::Result<Block>;
-
-    /// Transfer counters.
-    fn stats(&self) -> BteStats;
-}
-
-/// Validate a block against an engine's block size; shared by engines.
-pub(crate) fn check_block_size(engine_bs: usize, block: &Block) -> io::Result<()> {
-    if block.capacity() != engine_bs {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "block capacity {} does not match engine block size {}",
-                block.capacity(),
-                engine_bs
-            ),
-        ));
-    }
-    Ok(())
 }

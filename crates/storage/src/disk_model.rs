@@ -186,8 +186,8 @@ impl DiskSim {
         self.media_free
     }
 
-    /// Lifetime transfer counters (the BTE counter type — one source of
-    /// truth shared with the engines and the emulator reports).
+    /// Lifetime transfer counters (one counter type, shared with the
+    /// striped array and the emulator reports).
     pub fn stats(&self) -> BteStats {
         self.stats
     }

@@ -1,44 +1,30 @@
-//! # lmas-storage — block transfer engines and disk timing models
+//! # lmas-storage — disk timing models
 //!
-//! The storage substrate beneath the LMAS programming model, mirroring the
-//! pluggable Block Transfer Engine (BTE) seam of TPIE, the external-memory
-//! toolkit the paper extends:
+//! The storage substrate beneath the LMAS programming model. It decides
+//! what an I/O *costs* in virtual time and holds no bytes: record
+//! contents travel through the emulator as packets, and a node charges
+//! the models here for the transfers those packets imply.
 //!
-//! - [`block`]: blocks, ids, extents, a bump allocator;
-//! - [`bte`]: the [`BlockTransferEngine`] trait and transfer counters;
-//! - [`memory`]: heap-backed engine (default under emulation);
-//! - [`file`]: flat-file engine for examples that exercise real I/O;
+//! - [`bte`]: transfer counters ([`BteStats`]);
 //! - [`disk_model`]: the paper's sequential-rate disk timing model with
 //!   read-ahead and write-behind;
-//! - [`record_io`]: packing fixed-size records into blocks;
 //! - [`stripe`]: striped multi-disk extents (`d` spindles per ASU,
 //!   deterministic block→disk placement, parallel virtual-time charges);
 //! - [`pool`]: sharded clock-LRU buffer pool with pin/unpin, dirty
 //!   tracking, and write-behind coalescing;
 //! - [`sched`]: bounded-window elevator scheduler (FCFS across windows).
-//!
-//! Timing and contents are deliberately separated: any engine can hold the
-//! bytes while [`DiskSim`] decides what the I/O *costs* in virtual time.
 
 #![warn(missing_docs)]
 
-pub mod block;
 pub mod bte;
 pub mod disk_model;
-pub mod file;
-pub mod memory;
 pub mod pool;
-pub mod record_io;
 pub mod sched;
 pub mod stripe;
 
-pub use block::{Block, BlockId, Extent, ExtentAllocator};
-pub use bte::{BlockTransferEngine, BteStats};
+pub use bte::BteStats;
 pub use disk_model::{DiskParams, DiskSim};
-pub use file::FileBte;
-pub use memory::MemoryBte;
 pub use pool::{BufferPool, PoolEvent, PoolParams, PoolStats};
-pub use record_io::RecordCodec;
 pub use sched::{DiskScheduler, IoReq};
 pub use stripe::StripedDisk;
 

@@ -42,6 +42,12 @@ run_twice_diff() {
 }
 
 echo "== cargo test (workspace) =="
+# Every crate's tests run here, once; the gates below add only what a
+# test cannot (release binaries run twice and diffed, checks on the
+# checked-in artifacts). The parallel kernel's pins are tests too:
+# lmas-sort's par_golden holds the frozen sequential goldens at threads
+# 2 and 4, par_diff fuzzes cluster shapes x fault plans x the balancer
+# across thread counts against the sequential run.
 cargo test -q --workspace
 
 echo "== cargo clippy -D warnings (workspace, all targets) =="
@@ -61,19 +67,6 @@ echo "== determinism gate (seeded emulation + chaos + planned + parallel runs, t
 run_twice_diff "determinism gate FAILED: the pinned emulation's runs differ from each other or from results/determinism.txt" \
     determinism "" stdout "" results/determinism.txt
 cat "$RTD_STDOUT"
-
-echo "== parallel kernel gate (goldens at 1/2/4/8 threads, byte-diffed) =="
-# par_golden re-runs the frozen sequential pins of tests/golden.rs at
-# threads 2 and 4 (makespans, dispatch counts, trace FNVs — all must
-# match the pre-parallel constants byte-for-byte) and pins
-# representative multi-host partitioned runs, faulted ones included;
-# par_diff fuzzes random cluster shapes × random fault plans × the
-# snapshot balancer across thread counts — faulted and balanced runs go
-# through the partitioned engine and must reproduce the sequential run.
-# Named here so a parallel-kernel regression fails loudly in its own
-# step.
-cargo test -q -p lmas-sort --test par_golden --test par_diff > /dev/null
-echo "parallel gate verified (pins hold at threads 1/2/4/8; faulted+balanced runs partition)"
 
 echo "== parallel scaling gate (par_scaling at reduced scale, twice, diff; speedup regression guard) =="
 # Faulted-parallel determinism: the BENCH-par-sim sweep (fault-free,
@@ -98,9 +91,7 @@ echo "parallel scaling verified (artifact deterministic; speedup gates hold in c
 
 echo "== chaos recovery gate (fault sweep at reduced scale) =="
 # Every cell of the sweep verifies its recovered output byte-identical
-# to the fault-free golden run (the binary asserts it). The storage
-# proptests (pool durability/determinism, disk timing) ride along.
-cargo test -q -p lmas-storage > /dev/null
+# to the fault-free golden run (the binary asserts it).
 cargo build -q --release -p lmas-bench --bin fault_sweep
 # Reduced scale, scratch results dir: don't clobber the full-scale
 # results/BENCH_faults.json artifact.
@@ -112,7 +103,6 @@ echo "== planner smoke (placement sweep at reduced scale, twice, diff) =="
 # Every cell asserts planned <= both naive layouts and that an
 # always-in-deadband balancer leaves the planned run untouched; the
 # JSON artifact must also be byte-identical across runs.
-cargo test -q -p lmas-plan > /dev/null
 run_twice_diff "planner smoke FAILED: two placement_sweep runs differ" \
     placement_sweep "LMAS_SCALE=${LMAS_PLAN_SCALE:-0.25}" BENCH_placement.json
 echo "placement sweep verified (planned never loses to naive layouts; artifact deterministic)"
@@ -165,10 +155,7 @@ echo "== scheduler smoke (multi_tenant, twice, diff; latency gates) =="
 # Multi-tenant scheduler: every >=70%-utilization cell asserts aware
 # (residual-planned) placement beats the naive static stack on both
 # p50 and p99 latency (the binary aborts on a miss), deep queues admit
-# everything, and one cell re-runs byte-identically. The sched crate's
-# tests (quota-never-exceeded and starvation-freedom proptests, the
-# single-job golden) ride along.
-cargo test -q -p lmas-sched > /dev/null
+# everything, and one cell re-runs byte-identically.
 run_twice_diff "scheduler smoke FAILED: two multi_tenant runs differ" \
     multi_tenant "" BENCH_sched.json
 # Bench-regression guard: the checked-in artifact must carry all four

@@ -96,42 +96,3 @@ fn deterministic_end_to_end() {
     assert_eq!(run(), run());
 }
 
-#[test]
-fn storage_stack_roundtrips_records_through_files() {
-    // The file BTE + record codec path (real I/O, no emulation).
-    use lmas::storage::{BlockTransferEngine, FileBte, RecordCodec};
-    let mut path = std::env::temp_dir();
-    path.push(format!("lmas-e2e-{}.bte", std::process::id()));
-    let codec = RecordCodec::new(Rec128::SIZE, 4096);
-    let mut bte = FileBte::create(&path, 4096).expect("create");
-    let records = generate_rec128(100, KeyDist::Uniform, 9);
-
-    let extent = bte.allocate(codec.blocks_for(100));
-    let mut payload = Vec::new();
-    for r in &records {
-        let mut buf = [0u8; 128];
-        r.to_bytes(&mut buf);
-        payload.extend_from_slice(&buf);
-    }
-    let mut written = 0usize;
-    for (i, chunk) in payload.chunks(codec.records_per_block() * 128).enumerate() {
-        let (block, n) = codec.pack(chunk);
-        bte.write_block(extent.first.offset(i as u64), &block).expect("write");
-        written += n;
-    }
-    assert_eq!(written, 100);
-
-    let mut back = Vec::new();
-    for id in extent.blocks() {
-        let block = bte.read_block(id).expect("read");
-        for raw in codec.unpack(&block) {
-            back.push(Rec128::from_bytes(raw));
-        }
-    }
-    assert_eq!(back.len(), 100);
-    for (a, b) in records.iter().zip(&back) {
-        assert_eq!(a.key(), b.key());
-        assert_eq!(a.tag(), b.tag());
-    }
-    std::fs::remove_file(path).ok();
-}

@@ -3,7 +3,7 @@
 use lmas::core::kernels::{
     bucket_of, is_sorted_by_key, merge_runs, radix_sort_u32, select_splitters,
 };
-use lmas::core::{packetize, Packet, Rec128, Rec8, Record};
+use lmas::core::{packetize, Packet, Rec128, Rec8, Record, Router, RoutingPolicy, UpMask};
 use lmas::emulator::ClusterConfig;
 use lmas::sort::{
     check_tag_permutation, reconstruct_sorted, run_dsm_sort, DsmConfig, LoadMode,
@@ -159,6 +159,54 @@ proptest! {
         let mut buf = [0u8; 8];
         r.to_bytes(&mut buf);
         prop_assert_eq!(Rec8::from_bytes(&buf), r);
+    }
+
+    /// The router conserves work (cf. the liveness property "no idle
+    /// capacity left while client load remains"): under every policy,
+    /// whenever some replica is up with a positive weight the packet goes
+    /// to such a replica, and it is refused only when there is none. `n`
+    /// reaches past two mask words; a short weight slice leaves its tail
+    /// at weight 1, an empty one is the unweighted call.
+    #[test]
+    fn router_routes_iff_an_eligible_replica_exists(
+        n in 0usize..131,
+        mask_kind in 0usize..4,
+        up_bits in prop::collection::vec(any::<bool>(), 130..131),
+        weighted in any::<bool>(),
+        weight_ix in prop::collection::vec(0usize..4, 0..131),
+        backlog in prop::collection::vec(0u64..1000, 0..131),
+        port in any::<usize>(),
+        seed in any::<u64>(),
+    ) {
+        let up = match mask_kind {
+            0 => UpMask::all(),
+            1 => UpMask::from_fn(n, |i| up_bits[i]),
+            2 => UpMask::from_fn(n, |i| i == port % n),
+            _ => UpMask::from_fn(n, |_| false),
+        };
+        let weights: Vec<f64> = if weighted {
+            weight_ix.iter().map(|&w| [0.0, -1.0, 0.5, 3.0][w]).collect()
+        } else {
+            Vec::new()
+        };
+        let eligible = |i: usize| up.is_up(i) && weights.get(i).is_none_or(|&w| w > 0.0);
+        let any_eligible = (0..n).any(eligible);
+        for policy in [
+            RoutingPolicy::Static,
+            RoutingPolicy::RoundRobin,
+            RoutingPolicy::SimpleRandomization,
+            RoutingPolicy::LoadAware,
+            RoutingPolicy::PowerOfTwoChoices,
+        ] {
+            let mut router = Router::new(policy, seed, 3);
+            // Several picks: the round-robin cursor and the RNG both move.
+            for k in 0..8 {
+                match router.pick_routed(n, port.wrapping_add(k), &backlog, &[], &weights, &up) {
+                    Some(i) => prop_assert!(i < n && eligible(i), "{policy:?} picked ineligible {i}"),
+                    None => prop_assert!(!any_eligible, "{policy:?} refused with a replica free"),
+                }
+            }
+        }
     }
 }
 
