@@ -29,20 +29,11 @@ use lmas_bench::{row, scale, scaled_n, write_results};
 use lmas_core::kernels::select_splitters;
 use lmas_core::{generate_rec128, KeyDist, NodeId, Rec128, Record};
 use lmas_emulator::{ClusterConfig, StorageSpec};
+use lmas_sim::fnv1a;
 use lmas_sort::{plan_pass1_coded, run_dsm_sort, run_pass1, split_across_asus, DsmConfig, LoadMode};
 
 const R_SWEEP: [usize; 3] = [1, 2, 4];
 const SEED: u64 = 3;
-
-/// FNV-1a over a byte stream; stable and dependency-free.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 /// The bench's DSM shape: α = 8 subsets (so r ∈ {1, 2, 4} divide
 /// evenly) and large input packets, which shrink the multinomial

@@ -18,19 +18,9 @@ use lmas_emulator::{
     asu_index, run_job_with_faults, BalanceSpec, ClusterConfig, EmulationReport, FaultSpec, Job,
     RepairSpec,
 };
-use lmas_sim::{FaultPlan, SimDuration, SimTime};
+use lmas_sim::{fnv1a, FaultPlan, SimDuration, SimTime};
 use lmas_sort::{run_dsm_sort, run_dsm_sort_faulty, DsmConfig, LoadMode};
 use std::collections::BTreeMap;
-
-/// FNV-1a over a byte stream; stable and dependency-free.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 fn main() {
     let cluster = ClusterConfig::era_2002(1, 2, 8.0).with_trace(4096);
@@ -407,11 +397,10 @@ fn main() {
         println!("{tag}.dispatched {}", r.dispatched);
         let s = r.repair;
         println!(
-            "{tag}.repair enqueued {} completed {} cancelled {} reassigned {} wasted {} \
+            "{tag}.repair enqueued {} completed {} reassigned {} wasted {} \
              blocks_lost {} bytes_repaired {}",
             s.enqueued,
             s.completed,
-            s.cancelled,
             s.reassigned,
             s.wasted,
             s.blocks_lost,

@@ -156,9 +156,10 @@ impl Router {
     ///   eligible instances only, compared on the same normalized load.
     ///
     /// Returns `None` when no instance is eligible (including `n == 0`) —
-    /// a typed "nowhere to route" the caller must surface (e.g. as
-    /// `JobError::AllReplicasDown`) rather than a silent fallback or a
-    /// process abort.
+    /// a typed "nowhere to route" the caller must handle (the emulator
+    /// holds the packet through its retry backoff, then counts its
+    /// records abandoned) rather than a silent fallback or a process
+    /// abort.
     pub fn pick_routed(
         &mut self,
         n: usize,
@@ -534,6 +535,8 @@ mod tests {
             for (mask, want_row) in masks.iter().zip(want) {
                 let row = weightings.map(|weights| {
                     let mut r = Router::new(policy, 11, 3);
+                    // The published FNV-64 prime, not `lmas_sim::fnv1a`'s
+                    // multiplier: the pins were recorded with this fold.
                     (0..200).fold(0xcbf2_9ce4_8422_2325u64, |h, port| {
                         let p = port as u64;
                         let backlog = [p % 7, 3, p * 5 % 11, 5, p % 3];

@@ -8,7 +8,7 @@
 //! an imbalance beyond a deadband — re-weights the replica
 //! [`Router`](lmas_core::Router) through its
 //! [`pick_routed`](lmas_core::Router::pick_routed) weight channel:
-//! weights proportional to inverse backlog, floored at `min_weight` so
+//! weights proportional to inverse backlog, floored at [`MIN_WEIGHT`] so
 //! no live replica is ever starved outright. Down replicas stay the
 //! fault layer's business: weights *compose* with the detected
 //! [`UpMask`](lmas_core::UpMask), they do not replace it.
@@ -38,10 +38,11 @@ pub struct BalanceSpec {
     /// service times so ordinary arrival jitter between symmetric
     /// replicas never trips it.
     pub cpu_deadband: SimDuration,
-    /// Weight floor for live replicas, in (0, 1]. Keeps every replica
-    /// reachable so a transiently slow node can recover its share.
-    pub min_weight: f64,
 }
+
+/// Weight floor for live replicas, in (0, 1]. Keeps every replica
+/// reachable so a transiently slow node can recover its share.
+pub const MIN_WEIGHT: f64 = 0.05;
 
 impl BalanceSpec {
     /// Balancer off (zero period). The runtime spawns no actor and the
@@ -51,19 +52,17 @@ impl BalanceSpec {
             period: SimDuration::ZERO,
             deadband: 0,
             cpu_deadband: SimDuration::ZERO,
-            min_weight: 0.0,
         }
     }
 
     /// Balance every `period` with defaults sized for packetized
-    /// workloads: a two-packet (2×1024 record) queue deadband, a 20 ms
-    /// CPU-backlog deadband, and a 5% weight floor.
+    /// workloads: a two-packet (2×1024 record) queue deadband and a
+    /// 20 ms CPU-backlog deadband.
     pub const fn every(period: SimDuration) -> BalanceSpec {
         BalanceSpec {
             period,
             deadband: 2048,
             cpu_deadband: SimDuration::from_millis(20),
-            min_weight: 0.05,
         }
     }
 
@@ -99,14 +98,14 @@ const MIN_CPU_BACKLOG_NS: u64 = 1_000;
 /// is how far the replica's *node* CPU is committed past the sampling
 /// instant. Each signal is normalized by its max across replicas, the
 /// two are summed into a load in `[0, 2]`, and the weight is the
-/// inverse `1 / (1 + load)` floored at `min_weight` and rescaled so the
+/// inverse `1 / (1 + load)` floored at `floor` and rescaled so the
 /// least-loaded replica has weight 1.
 pub fn reweight(
     depths: &[u64],
     cpu_backlog_ns: &[u64],
     deadband: u64,
     cpu_deadband_ns: u64,
-    min_weight: f64,
+    floor: f64,
 ) -> Option<Vec<f64>> {
     let n = depths.len();
     debug_assert_eq!(n, cpu_backlog_ns.len());
@@ -129,9 +128,7 @@ pub fn reweight(
         };
         d + b
     };
-    let mut w: Vec<f64> = (0..n)
-        .map(|i| (1.0 / (1.0 + load(i))).max(min_weight))
-        .collect();
+    let mut w: Vec<f64> = (0..n).map(|i| (1.0 / (1.0 + load(i))).max(floor)).collect();
     // Rescale so the least-loaded replica carries full weight; the
     // floor only rises under the division (top ≤ 1), so it still holds.
     let top = w.iter().cloned().fold(f64::MIN, f64::max);

@@ -9,10 +9,9 @@
 //! and a SAN whose links are fast enough that "the processor saturates
 //! before the individual network links".
 //!
-//! `ClusterConfig` describes the *healthy* cluster; fault-injection
-//! knobs (the plan, heartbeat cadence, detection timeout, and delivery
-//! retry backoff) live in [`FaultSpec`](crate::fault::FaultSpec), which
-//! is passed separately to
+//! `ClusterConfig` describes the *healthy* cluster; the fault plan and
+//! background repair live in [`FaultSpec`](crate::fault::FaultSpec),
+//! which is passed separately to
 //! [`run_job_with_faults`](crate::run_job_with_faults).
 
 use crate::balance::BalanceSpec;
@@ -39,14 +38,9 @@ pub struct ClusterConfig {
     pub storage: StorageSpec,
     /// Host↔ASU link bandwidth, bytes per second (per node NIC).
     pub link_bytes_per_sec: f64,
-    /// One-way network latency.
+    /// One-way network latency: the minimum cross-node delay, which the
+    /// partitioned engine uses as its lookahead.
     pub link_latency: SimDuration,
-    /// Fixed per-frame NIC bytes charged on every transfer (headers,
-    /// preamble). Zero by default. Together with `link_latency` it sets
-    /// the *minimum cross-node delay* the partitioned engine uses as its
-    /// lookahead, so zero-latency links with a positive per-hop charge
-    /// still parallelize.
-    pub nic_frame_overhead_bytes: u64,
     /// ASU memory available for functor state and buffers.
     pub asu_mem_bytes: usize,
     /// Host memory available for functor state and buffers.
@@ -74,12 +68,11 @@ pub struct ClusterConfig {
     /// graph across threads under conservative lookahead synchronization
     /// (see `lmas_sim::par`); virtual time stays byte-identical, wall
     /// clock shrinks. Fault plans and the balancer run partitioned too;
-    /// the four shapes the partitioned engine cannot preserve exactly (a
-    /// scheduler-gated multi-tenant run, backlog-sensitive routing, zero
-    /// cross-node delay, `fail_fast` fault specs) fall back to the
-    /// sequential path, recording the reason (`"scheduler"`,
-    /// `"backlog routing"`, `"zero latency"`, `"fault plan"`) in
-    /// `EmulationReport::par_fallback`.
+    /// the three shapes the partitioned engine cannot preserve exactly
+    /// (a scheduler-gated multi-tenant run, backlog-sensitive routing,
+    /// zero link latency) fall back to the sequential path, recording
+    /// the reason (`"scheduler"`, `"backlog routing"`, `"zero latency"`)
+    /// in `EmulationReport::par_fallback`.
     pub threads: usize,
 }
 
@@ -100,7 +93,6 @@ impl ClusterConfig {
             // links, saturate (the paper's stated network assumption).
             link_bytes_per_sec: 1.0e9,
             link_latency: SimDuration::from_micros(50),
-            nic_frame_overhead_bytes: 0,
             asu_mem_bytes: 32 << 20,
             host_mem_bytes: 512 << 20,
             util_bin: SimDuration::from_millis(100),
@@ -118,13 +110,6 @@ impl ClusterConfig {
     pub fn with_threads(mut self, n: usize) -> ClusterConfig {
         assert!(n >= 1, "need at least one worker thread");
         self.threads = n;
-        self
-    }
-
-    /// This cluster with `bytes` of per-frame NIC overhead charged on
-    /// every transfer (and folded into the parallel engine's lookahead).
-    pub fn with_nic_frame_overhead(mut self, bytes: u64) -> ClusterConfig {
-        self.nic_frame_overhead_bytes = bytes;
         self
     }
 

@@ -1,8 +1,10 @@
 //! Fault injection surface of the emulator.
 //!
-//! A [`FaultSpec`] bundles a deterministic [`FaultPlan`] with the
-//! recovery-protocol knobs: heartbeat cadence and detection timeout,
-//! and the delivery retry [`BackoffPolicy`]. Passing
+//! A [`FaultSpec`] bundles a deterministic [`FaultPlan`] with optional
+//! background repair; the recovery protocol runs at fixed 2002-era
+//! settings ([`HEARTBEAT_PERIOD`], [`HEARTBEAT_TIMEOUT`] and
+//! [`BackoffPolicy::default_2002`](lmas_sim::BackoffPolicy::default_2002)
+//! retries). Passing
 //! [`FaultSpec::none`] (or an empty plan) to
 //! [`run_job_with_faults`](crate::runtime::run_job_with_faults) is
 //! exactly [`run_job`](crate::runtime::run_job): no controller actor is
@@ -14,7 +16,9 @@
 //! - **Crash**: the node's instances stop (in-flight and queued work is
 //!   lost with volatile state); packets arriving at the node bounce back
 //!   to their senders as NACKs, which retry with exponential backoff
-//!   against the live replicas the failure detector currently reports.
+//!   against the live replicas the failure detector currently reports;
+//!   records whose retry budget runs out are abandoned (counted in
+//!   [`FaultStats`]) and the run drains.
 //! - **Detection latency is charged**: senders keep routing to a dead
 //!   node until the heartbeat timeout expires; every such delivery pays
 //!   a bounce round-trip plus backoff before failing over.
@@ -31,7 +35,7 @@
 use crate::config::ClusterConfig;
 use crate::repair::RepairSpec;
 use lmas_core::NodeId;
-use lmas_sim::{BackoffPolicy, FaultEvent, FaultPlan, SimDuration, SimTime};
+use lmas_sim::{FaultEvent, FaultPlan, SimDuration, SimTime};
 
 /// Health of one emulated node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,26 +53,20 @@ pub enum NodeHealth {
     Down,
 }
 
+/// Heartbeat probe cadence of the failure detector.
+pub const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_millis(5);
+
+/// Silence threshold before a node is declared Down. Detection lands on
+/// the first heartbeat tick at or after `crash + timeout`, so that
+/// latency is charged in virtual time (senders keep paying bounce
+/// round-trips until then).
+pub const HEARTBEAT_TIMEOUT: SimDuration = SimDuration::from_millis(15);
+
 /// Fault-injection parameters for one run.
 #[derive(Debug, Clone)]
 pub struct FaultSpec {
     /// The scheduled fault events (node indices per [`node_index`]).
     pub plan: FaultPlan,
-    /// Heartbeat probe cadence of the failure detector.
-    pub heartbeat_period: SimDuration,
-    /// Silence threshold before a node is declared Down. Must be at
-    /// least one period; detection lands on the first heartbeat tick at
-    /// or after `crash + timeout`, so that latency is charged in
-    /// virtual time (senders keep paying bounce round-trips until then).
-    pub heartbeat_timeout: SimDuration,
-    /// Retry schedule for failed deliveries.
-    pub backoff: BackoffPolicy,
-    /// When true, exhausting every live replica of a stage aborts the
-    /// run with [`JobError::AllReplicasDown`](crate::JobError); when
-    /// false the affected records are dropped (counted in
-    /// [`FaultStats`]) and the run drains — degraded-mode operation for
-    /// callers with an orchestration-level repair path.
-    pub fail_fast: bool,
     /// Background re-replication of durable blocks (see
     /// [`RepairSpec`]). `None` (the default) leaves the runtime exactly
     /// as before; `Some` tracks a replicated block population across
@@ -83,24 +81,9 @@ impl FaultSpec {
         FaultSpec::with_plan(FaultPlan::new())
     }
 
-    /// `plan` with 2002-era protocol defaults: 5 ms heartbeats, 15 ms
-    /// detection timeout, [`BackoffPolicy::default_2002`] retries, and
-    /// degraded-mode (non-fatal) delivery failures.
+    /// `plan` without background repair.
     pub fn with_plan(plan: FaultPlan) -> FaultSpec {
-        FaultSpec {
-            plan,
-            heartbeat_period: SimDuration::from_millis(5),
-            heartbeat_timeout: SimDuration::from_millis(15),
-            backoff: BackoffPolicy::default_2002(),
-            fail_fast: false,
-            repair: None,
-        }
-    }
-
-    /// This spec with `fail_fast` set.
-    pub fn failing_fast(mut self, yes: bool) -> FaultSpec {
-        self.fail_fast = yes;
-        self
+        FaultSpec { plan, repair: None }
     }
 
     /// This spec with background re-replication enabled per `repair`.
@@ -116,15 +99,6 @@ impl FaultSpec {
     }
 }
 
-/// An unrecoverable delivery failure that stopped the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FatalFault {
-    /// The destination stage whose replicas were all unreachable.
-    pub stage: usize,
-    /// Virtual time of the failure.
-    pub at: SimTime,
-}
-
 /// Counters of fault-layer activity during a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
@@ -137,8 +111,7 @@ pub struct FaultStats {
     /// Records lost when a crash discarded an instance's queue and
     /// in-flight unit.
     pub lost_queued_records: u64,
-    /// Records abandoned after the retry budget was exhausted (only in
-    /// non-`fail_fast` mode).
+    /// Records abandoned after the retry budget was exhausted.
     pub abandoned_records: u64,
     /// Instances that had EOS sent on their behalf after their node was
     /// detected down.
@@ -368,9 +341,7 @@ mod tests {
     #[test]
     fn empty_plan_is_inactive() {
         assert!(!FaultSpec::none().is_active());
-        let spec = FaultSpec::with_plan(FaultPlan::new().crash(0, SimTime(5))).failing_fast(true);
-        assert!(spec.is_active());
-        assert!(spec.fail_fast);
+        assert!(FaultSpec::with_plan(FaultPlan::new().crash(0, SimTime(5))).is_active());
     }
 
     fn ms(n: u64) -> SimDuration {

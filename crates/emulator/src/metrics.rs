@@ -7,7 +7,7 @@
 //! the job-level counters: per-stage declared work, sink outputs,
 //! progress, and contract violations.
 
-use crate::fault::{FatalFault, FaultStats};
+use crate::fault::FaultStats;
 use crate::repair::{RepairSample, RepairStats};
 use lmas_core::{Packet, Record, Work};
 use lmas_sim::{SimTime, Trace};
@@ -198,8 +198,7 @@ pub struct QueueStat {
     pub mean_depth: f64,
     /// Peak queued records.
     pub peak_depth: u64,
-    /// Records still queued when the run ended (nonzero only after a
-    /// fatal fault).
+    /// Records still queued when the run ended.
     pub final_depth: u64,
 }
 
@@ -275,9 +274,9 @@ pub type SinkOutputs<R> = BTreeMap<(usize, usize), Vec<(usize, Packet<R>)>>;
 
 /// Mutable metrics shared by all instance actors of a job.
 ///
-/// `Clone` exists for graceful degradation: if an early-terminated run
-/// leaves an actor alive holding a reference, the runtime clones the
-/// contents out instead of panicking on `Rc::try_unwrap`.
+/// `Clone` exists for graceful degradation: if an actor outlives the
+/// simulation holding a reference, the runtime clones the contents out
+/// instead of panicking on `Rc::try_unwrap`.
 #[derive(Debug, Clone)]
 pub struct Metrics<R: Record> {
     /// Declared [`Work`] charged per stage (indexed by stage id).
@@ -300,9 +299,6 @@ pub struct Metrics<R: Record> {
     pub trace: Trace,
     /// Fault-layer activity counters (all zero on a fault-free run).
     pub fault: FaultStats,
-    /// Set when a delivery failure was fatal (`fail_fast`); the runtime
-    /// surfaces it as `JobError::AllReplicasDown`.
-    pub fatal: Option<FatalFault>,
     /// Last instant any *application* progress happened (processing,
     /// source reads, sink writes). Fault-injected runs use this for the
     /// makespan so that late plan events (e.g. a recovery scheduled
@@ -342,7 +338,6 @@ impl<R: Record> Metrics<R> {
             mem_violations: Vec::new(),
             trace: Trace::disabled(),
             fault: FaultStats::default(),
-            fatal: None,
             last_activity: SimTime::ZERO,
             reweights: 0,
             repair: RepairStats::default(),
@@ -430,9 +425,6 @@ impl<R: Record> Metrics<R> {
             }
             m.violations_total += p.violations_total;
             m.last_activity = m.last_activity.max(p.last_activity);
-            if m.fatal.is_none() {
-                m.fatal = p.fatal;
-            }
             viols.extend(
                 p.viol_keys
                     .drain(..)

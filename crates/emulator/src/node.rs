@@ -28,13 +28,12 @@ use lmas_storage::{
 /// the two block ranges never alias.
 const WRITE_BASE_BLOCK: u64 = 1 << 40;
 
-/// NIC serialization time for `bytes` at `rate` bytes/sec.
-///
-/// The one formula every NIC charge goes through. The parallel runtime
-/// derives its lookahead from the same expression (frame overhead over
-/// the link rate), so the bound it enforces bit-matches what the nodes
-/// actually charge.
-pub fn nic_service(bytes: u64, rate: f64) -> SimDuration {
+/// Buffer-pool shards per node (when the pool is on).
+const POOL_SHARDS: usize = 4;
+
+/// NIC serialization time for `bytes` at `rate` bytes/sec: the one
+/// formula both NIC charges go through.
+fn nic_service(bytes: u64, rate: f64) -> SimDuration {
     SimDuration::from_secs_f64(bytes as f64 / rate)
 }
 
@@ -131,12 +130,8 @@ pub struct NodeRes {
     /// Healthy-state disk rate, restored on recovery.
     base_disk_rate: f64,
     health: NodeHealth,
-    /// Fixed per-frame NIC bytes added to every transfer (zero by
-    /// default; gives zero-latency links a positive per-hop charge).
-    nic_frame_overhead_bytes: u64,
-    /// Payload bytes serialized onto the wire by this node (frame
-    /// overhead excluded): the measured shuffle-byte counter the coded
-    /// distribute mode is judged against.
+    /// Payload bytes serialized onto the wire by this node: the measured
+    /// shuffle-byte counter the coded distribute mode is judged against.
     nic_bytes_tx: u64,
 }
 
@@ -172,7 +167,7 @@ impl NodeRes {
             pool: (spec.pool_frames > 0).then(|| {
                 BufferPool::new(PoolParams {
                     frames: spec.pool_frames,
-                    shards: spec.pool_shards,
+                    shards: POOL_SHARDS,
                 })
             }),
             sched: (spec.sched_window > 1).then(|| DiskScheduler::new(spec.sched_window)),
@@ -193,7 +188,6 @@ impl NodeRes {
             base_speed: speed,
             base_disk_rate: disk.rate_bytes_per_sec,
             health: NodeHealth::Up,
-            nic_frame_overhead_bytes: cfg.nic_frame_overhead_bytes,
             nic_bytes_tx: 0,
         }
     }
@@ -232,17 +226,15 @@ impl NodeRes {
         self.cpu.acquire(now, service)
     }
 
-    /// Book NIC serialization for `bytes` (plus the per-frame overhead)
-    /// at `now`.
+    /// Book NIC serialization for `bytes` at `now`.
     pub fn charge_nic(&mut self, now: SimTime, bytes: u64, link_rate: f64) -> Grant {
-        let service = nic_service(bytes + self.nic_frame_overhead_bytes, link_rate);
+        let service = nic_service(bytes, link_rate);
         self.nic_bytes_tx += bytes;
         self.nic.acquire(now, service)
     }
 
-    /// Book `count` back-to-back NIC serializations of `bytes` each
-    /// (plus the per-frame overhead) at `now` in one batched ledger
-    /// update; returns the combined window.
+    /// Book `count` back-to-back NIC serializations of `bytes` each at
+    /// `now` in one batched ledger update; returns the combined window.
     pub fn charge_nic_batch(
         &mut self,
         now: SimTime,
@@ -250,7 +242,7 @@ impl NodeRes {
         link_rate: f64,
         count: u64,
     ) -> Grant {
-        let service = nic_service(bytes + self.nic_frame_overhead_bytes, link_rate);
+        let service = nic_service(bytes, link_rate);
         self.nic_bytes_tx += bytes * count;
         self.nic.acquire_batch(now, count, service)
     }
@@ -458,17 +450,6 @@ mod tests {
         let mut h = NodeRes::new(NodeId::Host(0), &cfg());
         let g = h.charge_nic(SimTime::ZERO, 1_000_000, 1.0e9);
         assert_eq!(g.end.since(g.start), SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn nic_frame_overhead_adds_to_every_charge() {
-        let c = cfg().with_nic_frame_overhead(1_000);
-        let mut h = NodeRes::new(NodeId::Host(0), &c);
-        let g = h.charge_nic(SimTime::ZERO, 1_000_000, 1.0e9);
-        assert_eq!(g.end.since(g.start), nic_service(1_001_000, 1.0e9));
-        // Even a zero-byte frame (e.g. an EOS marker) pays the overhead.
-        let g = h.charge_nic(g.end, 0, 1.0e9);
-        assert_eq!(g.end.since(g.start), SimDuration::from_micros(1));
     }
 
     #[test]

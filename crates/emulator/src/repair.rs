@@ -2,14 +2,14 @@
 //!
 //! The emulator's durability layer models a set of `blocks` durable
 //! blocks, each replicated on `target_replicas` distinct ASUs. Node
-//! crashes destroy (or, in restore mode, take offline) the copies on
-//! the crashed ASU; a background repair engine re-creates the missing
-//! copies by streaming the block from a surviving holder to a fresh
-//! destination, under a per-node repair-bandwidth cap. Repair traffic
-//! is charged against the same disk and NIC resources foreground jobs
-//! use, so re-replication *contends* with the application — the paper's
-//! "network storage is a shared resource" premise applied to the
-//! storage system's own maintenance traffic.
+//! crashes destroy the copies on the crashed ASU; a background repair
+//! engine re-creates the missing copies by streaming the block from a
+//! surviving holder to a fresh destination, under a per-node
+//! repair-bandwidth cap. Repair traffic is charged against the same
+//! disk and NIC resources foreground jobs use, so re-replication
+//! *contends* with the application — the paper's "network storage is a
+//! shared resource" premise applied to the storage system's own
+//! maintenance traffic.
 //!
 //! The module is split the same way the fault layer is:
 //!
@@ -30,10 +30,8 @@
 //! Repair triggering follows the failure detector: a crash enqueues its
 //! blocks for repair only once the detector fires ([`DetectedTimeline`]
 //! semantics — a node that recovers within the detection window is
-//! never detected, which *is* the "cancellation on timely recovery"
-//! path: in restore mode the copies come back and no repair was ever
-//! queued). In non-restore mode a timely-recovered node rejoins blank,
-//! so its rejoin announcement triggers the repairs instead.
+//! never detected). Such a timely-recovered node rejoins blank, so its
+//! rejoin announcement triggers the repairs instead.
 
 use crate::fault::DetectedTimeline;
 use lmas_sim::{DetRng, FaultEvent, FaultPlan, SimDuration, SimTime};
@@ -57,31 +55,20 @@ pub struct RepairSpec {
     /// disk and NIC could go. (The actual transfer still pays the disk
     /// and NIC models on top, so repair contends with foreground work.)
     pub repair_bandwidth: f64,
-    /// Seed of the deterministic placement / source / destination
-    /// choices (independent of the run's routing seed).
-    pub placement_seed: u64,
-    /// When true, a recovering node brings its durable copies back
-    /// online (an outage, not data loss). When false — the default, and
-    /// the regime the mean-field model describes — a crash destroys the
-    /// node's copies and it rejoins empty.
-    pub restore_on_recover: bool,
     /// Replica-histogram sampling cadence for the trajectory record;
     /// zero disables sampling (the final histogram is always reported).
     pub sample_every: SimDuration,
 }
 
 impl RepairSpec {
-    /// A repair spec with the given fleet-model parameters, defaults
-    /// elsewhere: fresh placement seed, crash-destroys-copies
-    /// semantics, no trajectory sampling.
+    /// A repair spec with the given fleet-model parameters and no
+    /// trajectory sampling.
     pub fn new(blocks: u64, target_replicas: u32, block_bytes: u64, repair_bandwidth: f64) -> Self {
         RepairSpec {
             blocks,
             target_replicas,
             block_bytes,
             repair_bandwidth,
-            placement_seed: 0x0B10,
-            restore_on_recover: false,
             sample_every: SimDuration::ZERO,
         }
     }
@@ -89,18 +76,6 @@ impl RepairSpec {
     /// This spec sampling the replica histogram every `every`.
     pub fn with_sampling(mut self, every: SimDuration) -> Self {
         self.sample_every = every;
-        self
-    }
-
-    /// This spec with recover-restores-copies semantics.
-    pub fn with_restore(mut self, yes: bool) -> Self {
-        self.restore_on_recover = yes;
-        self
-    }
-
-    /// This spec with a different placement seed.
-    pub fn with_placement_seed(mut self, seed: u64) -> Self {
-        self.placement_seed = seed;
         self
     }
 
@@ -142,18 +117,13 @@ pub struct RepairStats {
     pub enqueued: u64,
     /// Repairs that landed a new copy.
     pub completed: u64,
-    /// Assignments cancelled because a timely recovery restored the
-    /// copies before the repair ran (restore mode only).
-    pub cancelled: u64,
     /// Assignments reissued after bouncing off a down source or
     /// destination.
     pub reassigned: u64,
     /// Completed transfers whose result was discarded (stale assignment
     /// id, or the destination died before the copy could be credited).
     pub wasted: u64,
-    /// Blocks whose available-copy count hit zero. In the default
-    /// crash-destroys-copies mode this is permanent data loss; in
-    /// restore mode it counts unavailability episodes.
+    /// Blocks whose available-copy count hit zero: permanent data loss.
     pub blocks_lost: u64,
     /// Total bytes of repair traffic credited as new copies.
     pub bytes_repaired: u64,
@@ -169,7 +139,6 @@ impl RepairStats {
     pub fn absorb(&mut self, other: &RepairStats) {
         self.enqueued += other.enqueued;
         self.completed += other.completed;
-        self.cancelled += other.cancelled;
         self.reassigned += other.reassigned;
         self.wasted += other.wasted;
         self.blocks_lost += other.blocks_lost;
@@ -207,24 +176,14 @@ pub struct RepairJob {
     pub critical: bool,
 }
 
-/// A command the engine asks the harness to carry out.
+/// A command the engine asks the harness to carry out: queue `job` at
+/// the repair agent of source ASU `src`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairCmd {
-    /// Queue `job` at the repair agent of source ASU `src`.
-    Fetch {
-        /// Source ASU ordinal (a current up holder of the block).
-        src: u32,
-        /// The transfer to perform.
-        job: RepairJob,
-    },
-    /// Remove assignment `id` from source ASU `src`'s queue if it is
-    /// still queued there (timely recovery made it moot).
-    Cancel {
-        /// Source ASU ordinal the job was queued at.
-        src: u32,
-        /// Assignment id to drop.
-        id: u64,
-    },
+pub struct RepairCmd {
+    /// Source ASU ordinal (a current up holder of the block).
+    pub src: u32,
+    /// The transfer to perform.
+    pub job: RepairJob,
 }
 
 /// An input event for the repair coordinator, precomputed from the
@@ -232,7 +191,7 @@ pub enum RepairCmd {
 /// ordinal (`0..asus`), not the dense fault-layer node index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairEv {
-    /// ASU crashed (copies destroyed, or offline in restore mode).
+    /// ASU crashed (its copies are destroyed).
     Crash(u32),
     /// ASU returned to service.
     Recover(u32),
@@ -280,6 +239,10 @@ struct Assignment {
     dest: u32,
 }
 
+/// Seed of the deterministic initial placement (independent of the
+/// run's routing seed).
+const PLACEMENT_SEED: u64 = 0x0B10;
+
 /// The pure re-replication state machine.
 ///
 /// Apply events in virtual-time order; every method returns the repair
@@ -293,16 +256,16 @@ pub struct RepairEngine {
     spec: RepairSpec,
     asus: usize,
     up: Vec<bool>,
-    /// Per block: ASUs holding a copy (possibly down ones in restore
-    /// mode; in destroy mode holders are always up).
+    /// Per block: ASUs holding a copy (always up: a crash destroys its
+    /// node's copies).
     holders: Vec<Vec<u32>>,
     /// Per block: currently *available* (up-holder) copies.
     avail: Vec<u32>,
     assign: Vec<Option<Assignment>>,
-    /// Per ASU: blocks holding a copy there (kept exact in both modes).
+    /// Per ASU: blocks holding a copy there.
     copies_on: Vec<Vec<u64>>,
     /// Per ASU: blocks degraded by its crash, awaiting the repair
-    /// trigger (detection, or rejoin in destroy mode).
+    /// trigger (detection, or rejoin).
     pending: Vec<Vec<u64>>,
     /// Per ASU: outstanding assignments sourced there. Source selection
     /// is least-loaded over the live holders, so a crash burst spreads
@@ -324,12 +287,17 @@ impl RepairEngine {
     /// A fresh engine over `asus` ASUs: every block placed on
     /// `target_replicas` distinct ASUs by the placement seed.
     pub fn new(spec: RepairSpec, asus: usize) -> RepairEngine {
+        RepairEngine::placed(spec, asus, PLACEMENT_SEED)
+    }
+
+    /// [`RepairEngine::new`] with the initial placement drawn from `seed`.
+    fn placed(spec: RepairSpec, asus: usize, seed: u64) -> RepairEngine {
         debug_assert!(spec.validate(asus).is_ok(), "spec validated upstream");
         let r = spec.target_replicas;
         let mut holders = Vec::with_capacity(spec.blocks as usize);
         let mut copies_on: Vec<Vec<u64>> = vec![Vec::new(); asus];
         for b in 0..spec.blocks {
-            let mut rng = DetRng::stream(spec.placement_seed, b);
+            let mut rng = DetRng::stream(seed, b);
             let mut hs: Vec<u32> = Vec::with_capacity(r as usize);
             while hs.len() < r as usize {
                 let cand = rng.gen_index(asus) as u32;
@@ -401,27 +369,19 @@ impl RepairEngine {
             return Vec::new(); // double crash in the plan: idempotent
         }
         self.up[a] = false;
-        let blocks: Vec<u64> = if self.spec.restore_on_recover {
-            self.copies_on[a].clone()
-        } else {
-            std::mem::take(&mut self.copies_on[a])
-        };
-        if !self.spec.restore_on_recover {
-            // The crash destroyed this node's copies; planned fill from
-            // in-flight assignments targeting it stays until they
-            // resolve (their completions are discarded as wasted).
-            self.fill[a] -= blocks.len() as u64;
-        }
-        for &b in &blocks {
-            if !self.spec.restore_on_recover {
-                self.holders[b as usize].retain(|&h| h != asu);
-            }
+        // The crash destroyed this node's copies; planned fill from
+        // in-flight assignments targeting it stays until they resolve
+        // (their completions are discarded as wasted).
+        let blocks = std::mem::take(&mut self.copies_on[a]);
+        self.fill[a] -= blocks.len() as u64;
+        for b in blocks {
+            self.holders[b as usize].retain(|&h| h != asu);
             let av = self.avail[b as usize] - 1;
             self.set_avail(b, av);
             // Repairs enqueue when the loss is *observed*: at the
-            // detector's verdict, or at rejoin in destroy mode. An
-            // assignment already covering the block keeps running (its
-            // source was a different holder, or it will bounce).
+            // detector's verdict, or at rejoin. An assignment already
+            // covering the block keeps running (its source was a
+            // different holder, or it will bounce).
             self.pending[a].push(b);
         }
         Vec::new()
@@ -433,40 +393,12 @@ impl RepairEngine {
             return Vec::new();
         }
         self.up[a] = true;
+        // The node rejoins blank and announces itself; that report
+        // triggers the repairs its crash caused — including for crashes
+        // the detector never saw (timely recovery).
         let mut cmds = Vec::new();
-        if self.spec.restore_on_recover {
-            // The outage ends: copies come back online. Assignments the
-            // recovery made moot are cancelled — this, together with
-            // never-detected timely recoveries, is the cancellation
-            // path. Pending triggers for this node's crash are void.
-            self.pending[a].clear();
-            for b in self.copies_on[a].clone() {
-                let av = self.avail[b as usize] + 1;
-                self.set_avail(b, av);
-                let target = self.spec.target_replicas;
-                if av >= target {
-                    if let Some(asg) = self.assign[b as usize].take() {
-                        self.load[asg.src as usize] -= 1;
-                        self.fill[asg.dest as usize] -= 1;
-                        self.stats.cancelled += 1;
-                        cmds.push(RepairCmd::Cancel {
-                            src: asg.src,
-                            id: asg.id,
-                        });
-                    }
-                } else if av > 0 && self.assign[b as usize].is_none() {
-                    // A holder resurfaced for a block that had no live
-                    // source left: repair can proceed again.
-                    self.try_enqueue(b, &mut cmds);
-                }
-            }
-        } else {
-            // The node rejoins blank and announces itself; that report
-            // triggers the repairs its crash caused — including for
-            // crashes the detector never saw (timely recovery).
-            for b in std::mem::take(&mut self.pending[a]) {
-                self.try_enqueue(b, &mut cmds);
-            }
+        for b in std::mem::take(&mut self.pending[a]) {
+            self.try_enqueue(b, &mut cmds);
         }
         cmds
     }
@@ -485,7 +417,7 @@ impl RepairEngine {
         let mut cmds = Vec::new();
         let bi = block as usize;
         let Some(asg) = self.assign[bi].filter(|a| a.id == id) else {
-            self.stats.wasted += 1; // stale: cancelled or reassigned meanwhile
+            self.stats.wasted += 1; // stale: reassigned meanwhile
             return cmds;
         };
         self.assign[bi] = None;
@@ -500,8 +432,8 @@ impl RepairEngine {
         let target = self.spec.target_replicas;
         if !self.up[dest as usize] || self.holders[bi].contains(&dest) || self.avail[bi] >= target {
             // The copy landed somewhere useless: the destination died
-            // before it could be credited, or a recovery already
-            // restored the block. The write is discarded (trimmed).
+            // before it could be credited, or the block no longer needs
+            // it. The write is discarded (trimmed).
             self.fill[asg.dest as usize] -= 1;
             self.stats.wasted += 1;
         } else {
@@ -564,7 +496,7 @@ impl RepairEngine {
         self.load[src as usize] += 1;
         self.fill[dest as usize] += 1;
         self.stats.enqueued += 1;
-        cmds.push(RepairCmd::Fetch {
+        cmds.push(RepairCmd {
             src,
             job: RepairJob {
                 id,
@@ -724,7 +656,7 @@ mod tests {
             assert!(d.iter().all(|&h| (h as usize) < 8));
         }
         assert_eq!(e1.hist(), &[0, 0, 0, 64]);
-        let e3 = RepairEngine::new(spec(64, 3).with_placement_seed(99), 8);
+        let e3 = RepairEngine::placed(spec(64, 3), 8, 99);
         assert_ne!(
             e1.holders, e3.holders,
             "different seed, different placement"
@@ -740,7 +672,7 @@ mod tests {
         let mut cmds = e.on_detect(0);
         assert_eq!(cmds.len() as u64, degraded, "one fetch per degraded block");
         // Drive every transfer to completion (all other nodes are up).
-        while let Some(RepairCmd::Fetch { src, job }) = cmds.pop() {
+        while let Some(RepairCmd { src, job }) = cmds.pop() {
             assert_ne!(src, 0, "no repair sourced from the down node");
             assert_ne!(job.dest, 0, "no repair written to the down node");
             cmds.extend(e.on_done(job.id, job.block, job.dest, true));
@@ -748,31 +680,6 @@ mod tests {
         assert_eq!(e.hist()[2], 32, "all blocks back at target");
         assert_eq!(e.stats.completed, degraded);
         assert_eq!(e.stats.blocks_lost, 0);
-    }
-
-    #[test]
-    fn timely_recovery_cancels_queued_repairs_in_restore_mode() {
-        let mut e = RepairEngine::new(spec(32, 2).with_restore(true), 6);
-        e.on_crash(0);
-        let fetches = e.on_detect(0);
-        assert!(!fetches.is_empty());
-        let cancels = e.on_recover(0);
-        assert_eq!(
-            cancels.len(),
-            fetches.len(),
-            "every queued repair cancelled"
-        );
-        assert!(cancels
-            .iter()
-            .all(|c| matches!(c, RepairCmd::Cancel { .. })));
-        assert_eq!(e.stats.cancelled as usize, fetches.len());
-        assert_eq!(e.hist()[2], 32, "copies restored");
-        // The cancelled ids are stale if their transfers finish anyway.
-        if let RepairCmd::Fetch { job, .. } = fetches[0] {
-            e.on_done(job.id, job.block, job.dest, true);
-            assert_eq!(e.stats.wasted, 1);
-            assert_eq!(e.hist()[2], 32, "stale completion not credited");
-        }
     }
 
     #[test]
@@ -809,15 +716,13 @@ mod tests {
         let mut e = RepairEngine::new(spec(32, 2), 6);
         e.on_crash(0);
         let cmds = e.on_detect(0);
-        let RepairCmd::Fetch { src, job } = cmds[0] else {
-            panic!("fetch")
-        };
+        let RepairCmd { src, job } = cmds[0];
         // The chosen source crashes before serving the fetch; the agent
         // bounces the job back.
         e.on_crash(src);
         let re = e.on_bounce(job.id, job.block);
         match re.first() {
-            Some(&RepairCmd::Fetch { src: s2, job: j2 }) => {
+            Some(&RepairCmd { src: s2, job: j2 }) => {
                 assert_ne!(s2, src);
                 assert_ne!(j2.id, job.id, "fresh assignment id");
             }
@@ -825,9 +730,13 @@ mod tests {
                 // Both holders down: block is lost (r=2), nothing to do.
                 assert_eq!(e.avail[job.block as usize], 0);
             }
-            other => panic!("unexpected {other:?}"),
         }
         assert!(e.stats.reassigned >= 1);
+        // The superseded id is stale if its transfer finishes anyway.
+        let hist = e.hist().to_vec();
+        assert!(e.on_done(job.id, job.block, job.dest, true).is_empty());
+        assert_eq!(e.stats.wasted, 1);
+        assert_eq!(e.hist(), hist, "stale completion not credited");
     }
 
     #[test]
@@ -896,7 +805,7 @@ mod tests {
             r in 2u32..4,
             ops in prop::collection::vec((0u8..3, 0u32..10), 1..40),
         ) {
-            let sp = spec(blocks, r).with_placement_seed(seed);
+            let sp = spec(blocks, r);
             fn apply(
                 cmds: Vec<RepairCmd>,
                 inflight: &mut Vec<(u32, RepairJob)>,
@@ -905,20 +814,14 @@ mod tests {
             ) {
                 for c in cmds {
                     log.push(c);
-                    match c {
-                        RepairCmd::Fetch { src, job } => {
-                            prop_assert!(!down[src as usize], "fetch from down node");
-                            prop_assert!(!down[job.dest as usize], "repair to down node");
-                            inflight.push((src, job));
-                        }
-                        RepairCmd::Cancel { id, .. } => {
-                            inflight.retain(|(_, j)| j.id != id);
-                        }
-                    }
+                    let RepairCmd { src, job } = c;
+                    prop_assert!(!down[src as usize], "fetch from down node");
+                    prop_assert!(!down[job.dest as usize], "repair to down node");
+                    inflight.push((src, job));
                 }
             }
             let run = |sp: RepairSpec| {
-                let mut e = RepairEngine::new(sp, asus);
+                let mut e = RepairEngine::placed(sp, asus, seed);
                 let mut log: Vec<RepairCmd> = Vec::new();
                 // Queued (not yet completed) fetches, as the agents
                 // would hold them.

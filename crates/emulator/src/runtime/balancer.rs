@@ -26,7 +26,7 @@ pub(super) struct SnapTarget {
 /// [`Msg::DepthReport`]s with a fixed delay; a batch of reports
 /// triggers one reweight from the snapshot they form, and changed
 /// weights travel to the senders as [`Msg::WeightUpdate`]s with the
-/// control delay (weights compose with the fault layer's detected-up
+/// link latency (weights compose with the fault layer's detected-up
 /// mask, which stays an independent filter). The balancer thus
 /// always acts on the *previous* window's backlog — one window of
 /// staleness buys an actor protocol the partitioned engine replays
@@ -39,7 +39,7 @@ pub(super) struct SnapshotBalancer<R: Record> {
     /// A `BalanceTick` is queued for the batch currently landing.
     pub(super) pending: bool,
     /// Minimum cross-node delay; weight updates travel with it.
-    pub(super) ctl: SimDuration,
+    pub(super) link_latency: SimDuration,
     /// Weights currently in force per stage (absent = never reweighted).
     pub(super) cur: BTreeMap<usize, Vec<f64>>,
     pub(super) metrics: Rc<RefCell<Metrics<R>>>,
@@ -61,7 +61,7 @@ impl<R: Record> SnapshotBalancer<R> {
                 &cpu,
                 self.spec.deadband,
                 self.spec.cpu_deadband.as_nanos(),
-                self.spec.min_weight,
+                balance::MIN_WEIGHT,
             );
             if let Some(w) = new {
                 if self.cur.get(&t.stage) != Some(&w) {
@@ -76,7 +76,7 @@ impl<R: Record> SnapshotBalancer<R> {
                     for &a in &t.senders {
                         ctx.send(
                             a,
-                            self.ctl,
+                            self.link_latency,
                             Msg::WeightUpdate {
                                 stage,
                                 weights: w.clone(),

@@ -38,13 +38,16 @@ use super::repair_actors::{RepairAgent, RepairCoordinator};
 use super::sched_actor::{SchedActor, SchedSetup};
 use super::{EmulationReport, JobError, NodeReport, ParRunStats};
 use crate::config::ClusterConfig;
-use crate::fault::{node_index, DetectedTimeline, FaultSpec, LossTimeline, NodeHealth};
+use crate::fault::{
+    node_index, DetectedTimeline, FaultSpec, LossTimeline, NodeHealth, HEARTBEAT_PERIOD,
+    HEARTBEAT_TIMEOUT,
+};
 use crate::metrics::{GaugeJournal, Metrics, StageGauge, StageQueueStats};
 use crate::node::NodeRes;
 use crate::repair::{repair_timeline, RepairEngine, RepairEv, RepairSpec};
 use lmas_core::{FlowGraph, NodeId, Packet, Placement, Record, RouteScope, Router, StageId};
 use lmas_sim::{
-    ActorId, DetRng, FaultEvent, ParOps, PartitionWorker, SimDuration, SimTime, Simulation, Trace,
+    ActorId, BackoffPolicy, DetRng, FaultEvent, ParOps, PartitionWorker, SimTime, Simulation, Trace,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -113,8 +116,6 @@ pub(super) struct Shared<R: Record> {
     /// The run is under `run_partitioned`: calendars are keyed, so
     /// gauge mutations are journaled instead of applied live.
     keyed: bool,
-    /// Minimum cross-node delay — the control delay and the lookahead.
-    ctl: SimDuration,
     graph: FlowGraph<R>,
     specs: Vec<InstSpec>,
     /// First global instance index of each stage.
@@ -149,7 +150,6 @@ impl<R: Record> Shared<R> {
         spec: &FaultSpec,
         graph: FlowGraph<R>,
         placement: &Placement,
-        ctl: SimDuration,
         partitions: Option<usize>,
     ) -> Result<Shared<R>, JobError> {
         let nparts = partitions.unwrap_or(1);
@@ -184,8 +184,8 @@ impl<R: Record> Shared<R> {
         // Cheap to build and unused when inactive.
         let detected = Arc::new(DetectedTimeline::build(
             &spec.plan,
-            spec.heartbeat_period,
-            spec.heartbeat_timeout,
+            HEARTBEAT_PERIOD,
+            HEARTBEAT_TIMEOUT,
             total_nodes,
         ));
         let loss = Arc::new(LossTimeline::build(&spec.plan, total_nodes));
@@ -228,7 +228,6 @@ impl<R: Record> Shared<R> {
             repair,
             nparts,
             keyed: partitions.is_some(),
-            ctl,
             graph,
             specs,
             stage_base,
@@ -455,14 +454,12 @@ impl<R: Record> EmWorker<R> {
                 my_gauge: (!stage.is_source).then(|| (gauges[sp.stage].clone(), sp.instance)),
                 metrics: metrics.clone(),
                 link_rate: cfg.link_bytes_per_sec,
-                latency: cfg.link_latency,
-                ctl: sh.ctl,
+                link_latency: cfg.link_latency,
                 fault: sh.active.then(|| InstanceFault {
                     detected: sh.detected.clone(),
                     loss: sh.loss.clone(),
                     flags: flags.clone(),
-                    backoff: sh.spec.backoff,
-                    fail_fast: sh.spec.fail_fast,
+                    backoff: BackoffPolicy::default_2002(),
                     my_node: node_index(cfg, sp.node),
                     my_global: idx,
                     factory: stage.factory_handle(),
@@ -472,7 +469,7 @@ impl<R: Record> EmWorker<R> {
                 }),
                 sample: watched_here.then(|| SampleState {
                     period: cfg.balance.period,
-                    report_delay: cfg.balance.period.max(sh.ctl),
+                    report_delay: cfg.balance.period.max(cfg.link_latency),
                     balancer: bal_actor,
                 }),
                 // Sink instances of a gated run report their flush to
@@ -529,7 +526,7 @@ impl<R: Record> EmWorker<R> {
                     flags: flags.clone(),
                     instances_on: sh.instances_on.clone(),
                     inst_downstream: sh.inst_downstream.clone(),
-                    ctl: sh.ctl,
+                    link_latency: cfg.link_latency,
                     metrics: metrics.clone(),
                 }),
             );
@@ -564,7 +561,7 @@ impl<R: Record> EmWorker<R> {
                     targets,
                     snap: BTreeMap::new(),
                     pending: false,
-                    ctl: sh.ctl,
+                    link_latency: cfg.link_latency,
                     cur: BTreeMap::new(),
                     metrics: metrics.clone(),
                 }),
@@ -595,8 +592,7 @@ impl<R: Record> EmWorker<R> {
                         wflush_at: SimTime::NEVER,
                         pace: rs.pace(),
                         link_rate: cfg.link_bytes_per_sec,
-                        latency: cfg.link_latency,
-                        ctl: sh.ctl,
+                        link_latency: cfg.link_latency,
                         metrics: metrics.clone(),
                     }),
                 );
@@ -629,7 +625,7 @@ impl<R: Record> EmWorker<R> {
                         engine,
                         timeline: sh.repair_tl.clone(),
                         agents: (0..cfg.asus).map(|d| ActorId(sh.agents_base + d)).collect(),
-                        ctl: sh.ctl,
+                        link_latency: cfg.link_latency,
                         sampling: rs.sample_every.as_nanos() > 0,
                         buf: Vec::new(),
                         flush_at: SimTime::NEVER,
@@ -832,9 +828,6 @@ pub(super) fn assemble<R: Record>(
         "every node reported once"
     );
     let m = Metrics::merge(metrics_parts);
-    // A `fail_fast` stop returns its typed error before harvesting, and
-    // such specs never partition, so no report carries a fatal fault.
-    debug_assert!(m.fatal.is_none(), "fatal fault reached the report");
     let down_nodes: Vec<NodeId> = node_reports
         .iter()
         .filter(|(_, r)| matches!(r.health, NodeHealth::Down))

@@ -21,7 +21,7 @@ pub(super) type FenceTargets = Vec<Option<Vec<(ActorId, usize)>>>;
 /// per partition, each seeded only with the events whose node it owns
 /// (a one-partition run's single controller owns every node). Every
 /// send it makes is either node-local (`send_now` to instances resident
-/// on the event's node) or carries the control delay, so replay is
+/// on the event's node) or carries the link latency, so replay is
 /// byte-identical however the actors partition.
 pub(super) struct FaultController<R: Record> {
     pub(super) events: Vec<FaultEvent>,
@@ -36,7 +36,7 @@ pub(super) struct FaultController<R: Record> {
     pub(super) inst_downstream: Arc<FenceTargets>,
     /// Minimum cross-node delay (the parallel lookahead); fence EOS to
     /// other nodes travels with it.
-    pub(super) ctl: SimDuration,
+    pub(super) link_latency: SimDuration,
     pub(super) metrics: Rc<RefCell<Metrics<R>>>,
 }
 
@@ -75,7 +75,7 @@ impl<R: Record> FaultController<R> {
                     if target_node == node {
                         ctx.send_now(a, Msg::Eos);
                     } else {
-                        ctx.send(a, self.ctl, Msg::Eos);
+                        ctx.send(a, self.link_latency, Msg::Eos);
                     }
                 }
             }

@@ -5,7 +5,7 @@
 
 use super::msg::{par_key, DeliveryMeta, Msg};
 use crate::config::ClusterConfig;
-use crate::fault::{DetectedTimeline, FatalFault, LossTimeline};
+use crate::fault::{DetectedTimeline, LossTimeline};
 use crate::metrics::{GaugeJournal, Metrics, StageGauge};
 use crate::node::NodeRes;
 use lmas_core::{Emit, Functor, NodeId, Packet, Record, Router, StageFactory, UpMask, Work};
@@ -144,7 +144,7 @@ pub(super) struct Downstream<R: Record> {
     pub(super) weights: Vec<f64>,
     /// Instances per port group (= replication for global scope).
     pub(super) group_size: usize,
-    /// Destination stage id (for `AllReplicasDown` reporting).
+    /// Destination stage id (checked against balancer weight updates).
     pub(super) dest_stage: usize,
     /// Coded broadcast-group size of this edge (1 = plain delivery).
     /// With `r > 1` the destinations partition into groups of `r`
@@ -173,7 +173,6 @@ pub(super) struct InstanceFault<R: Record> {
     pub(super) loss: Arc<LossTimeline>,
     pub(super) flags: Rc<RefCell<Vec<InstFlags>>>,
     pub(super) backoff: BackoffPolicy,
-    pub(super) fail_fast: bool,
     pub(super) my_node: usize,
     pub(super) my_global: usize,
     pub(super) factory: StageFactory<R>,
@@ -187,7 +186,7 @@ pub(super) struct InstanceFault<R: Record> {
 /// *previous* window's snapshot in both engines.
 pub(super) struct SampleState {
     pub(super) period: SimDuration,
-    /// Shipping delay of a report: `period.max(ctl)` — uniform for all
+    /// Shipping delay of a report: `period.max(link_latency)` — uniform for all
     /// replicas, and at least the cross-partition lookahead.
     pub(super) report_delay: SimDuration,
     pub(super) balancer: ActorId,
@@ -219,12 +218,11 @@ pub(super) struct InstanceActor<R: Record> {
     pub(super) my_gauge: Option<(GaugeHandle, usize)>,
     pub(super) metrics: Rc<RefCell<Metrics<R>>>,
     pub(super) link_rate: f64,
-    pub(super) latency: SimDuration,
-    /// Minimum cross-node delay (latency + NIC frame-overhead service):
+    /// One-way link latency, the minimum cross-node delay: data and
     /// every control message (NACK bounce, fence EOS, weight update)
-    /// travels with at least this much, which is exactly the parallel
+    /// travel with at least this much, which is exactly the parallel
     /// engine's lookahead.
-    pub(super) ctl: SimDuration,
+    pub(super) link_latency: SimDuration,
     pub(super) fault: Option<InstanceFault<R>>,
     /// Snapshot-balancer sampling (watched instances only).
     pub(super) sample: Option<SampleState>,
@@ -475,7 +473,7 @@ impl<R: Record> InstanceActor<R> {
             d.node_ids[dest],
             p.bytes() as u64,
             self.link_rate,
-            self.latency,
+            self.link_latency,
         );
         if let Some(busy) = nic_busy {
             let mut m = self.metrics.borrow_mut();
@@ -498,11 +496,15 @@ impl<R: Record> InstanceActor<R> {
                 let prob = f.loss.prob(f.my_node, d.node_idx[dest], ctx.now());
                 if prob > 0.0 && f.rng.gen_f64() < prob {
                     // The frame left the NIC but never arrived; the loss
-                    // surfaces as a NACK one control delay later (the
+                    // surfaces as a NACK one link latency later (the
                     // receiver's link-level reject), and the retry path
                     // takes over.
                     self.metrics.borrow_mut().fault.drops += 1;
-                    ctx.send_at(ctx.me(), deliver_at + self.ctl, Msg::Nack { p, meta });
+                    ctx.send_at(
+                        ctx.me(),
+                        deliver_at + self.link_latency,
+                        Msg::Nack { p, meta },
+                    );
                 } else {
                     ctx.send_at(
                         to_actor,
@@ -544,22 +546,7 @@ impl<R: Record> InstanceActor<R> {
                 ctx.send(ctx.me(), delay, Msg::Retry { p, meta });
             }
             None => {
-                let fail_fast = f.fail_fast;
-                let stage = self
-                    .down
-                    .as_ref()
-                    .map(|d| d.dest_stage)
-                    .unwrap_or(self.stage);
-                let mut m = self.metrics.borrow_mut();
-                m.fault.abandoned_records += p.len() as u64;
-                if fail_fast && m.fatal.is_none() {
-                    m.fatal = Some(FatalFault {
-                        stage,
-                        at: ctx.now(),
-                    });
-                    drop(m);
-                    ctx.request_stop();
-                }
+                self.metrics.borrow_mut().fault.abandoned_records += p.len() as u64;
             }
         }
     }
@@ -587,7 +574,7 @@ impl<R: Record> InstanceActor<R> {
             u.nic_bytes += frame;
             u.nic_busy_ns += grant.end.since(grant.start).as_nanos();
         }
-        let at = grant.end + self.latency;
+        let at = grant.end + self.link_latency;
         for (di, q) in d.coded_buf[group].drain(..) {
             ctx.send_at(d.actors[di], at, Msg::Arrive { p: q, meta: None });
         }
@@ -624,7 +611,7 @@ impl<R: Record> InstanceActor<R> {
                     self.node
                         .borrow_mut()
                         .charge_nic_batch(now, 0, self.link_rate, remote as u64);
-                g.end + self.latency
+                g.end + self.link_latency
             } else {
                 now
             };
@@ -805,11 +792,11 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
                     match meta {
                         Some(meta) => {
                             // Bounce: a control-plane NACK back to the
-                            // sender, one control delay later (the
+                            // sender, one link latency later (the
                             // minimum cross-node delay, so the parallel
                             // engine's lookahead always covers it).
                             self.metrics.borrow_mut().fault.nacks += 1;
-                            ctx.send(meta.sender, self.ctl, Msg::Nack { p, meta });
+                            ctx.send(meta.sender, self.link_latency, Msg::Nack { p, meta });
                         }
                         None => {
                             // A source self-delivery racing the crash;
@@ -899,7 +886,6 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
             | Msg::SinkFlushed(_)
             | Msg::RepairStep(_)
             | Msg::RepairFetch(_)
-            | Msg::RepairCancel(_)
             | Msg::RepairNext
             | Msg::RepairWrite(_)
             | Msg::RepairDone { .. }

@@ -62,17 +62,14 @@ mod sched_actor;
 pub(crate) use sched_actor::SchedSetup;
 
 use crate::config::ClusterConfig;
-use crate::fault::{FatalFault, FaultSpec, FaultStats, NodeHealth};
+use crate::fault::{FaultSpec, FaultStats, NodeHealth};
 use crate::metrics::{SinkOutputs, StageQueueStats, StageUsage};
-use crate::node::nic_service;
 use crate::repair::{RepairSample, RepairStats};
 use build::{assemble, parallel_eligible, Shared};
 use lmas_core::{
     FlowGraph, GraphError, NodeId, Packet, Placement, PlacementError, Record, StageId,
 };
-use lmas_sim::{
-    run_partitioned, FaultEvent, LogHist, RunOutcome, SimDuration, SimTime, Simulation, Trace,
-};
+use lmas_sim::{run_partitioned, FaultEvent, LogHist, RunOutcome, SimDuration, Simulation, Trace};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -129,23 +126,9 @@ pub enum JobError {
         /// `0..hosts + asus`).
         node: usize,
     },
-    /// The fault spec's detector settings cannot drive a run (checked
-    /// only under an active plan).
-    FaultConfig(&'static str),
     /// The repair spec does not fit the cluster (see
     /// [`RepairSpec::validate`](crate::repair::RepairSpec::validate)).
     RepairConfig(&'static str),
-    /// Every replica of a stage was unreachable and the retry budget was
-    /// exhausted with [`FaultSpec::fail_fast`] set. Partial progress is
-    /// reported so callers can decide how much work was lost.
-    AllReplicasDown {
-        /// The stage whose replicas were all down.
-        stage: usize,
-        /// Virtual time the run gave up.
-        at: SimTime,
-        /// Records processed before the failure.
-        records_processed: u64,
-    },
 }
 
 impl fmt::Display for JobError {
@@ -178,17 +161,7 @@ impl fmt::Display for JobError {
                     "fault plan names node {node}, which is not in the cluster"
                 )
             }
-            JobError::FaultConfig(why) => write!(f, "fault spec invalid: {why}"),
             JobError::RepairConfig(why) => write!(f, "repair spec invalid: {why}"),
-            JobError::AllReplicasDown {
-                stage,
-                at,
-                records_processed,
-            } => write!(
-                f,
-                "all replicas of stage {stage} down at t={}ns after {records_processed} records",
-                at.as_nanos()
-            ),
         }
     }
 }
@@ -232,9 +205,9 @@ pub struct NodeReport {
     pub pool: lmas_storage::PoolStats,
     /// NIC busy time.
     pub nic_busy: SimDuration,
-    /// Payload bytes this node put on the wire (frame overhead and
-    /// zero-byte EOS marks excluded) — the measured shuffle volume a
-    /// coded edge divides by `r`.
+    /// Payload bytes this node put on the wire (zero-byte EOS marks
+    /// carry none) — the measured shuffle volume a coded edge divides by
+    /// `r`.
     pub nic_bytes_tx: u64,
     /// Peak functor-state bytes observed.
     pub peak_state_bytes: usize,
@@ -309,9 +282,8 @@ pub struct EmulationReport<R: Record> {
     /// reasons: `"scheduler"` (a gated multi-tenant run holds source
     /// seeds back until dispatch), `"backlog routing"` (a
     /// backlog-sensitive policy reads live cross-partition queue
-    /// depths), `"zero latency"` (no minimum cross-node delay, hence no
-    /// lookahead), `"fault plan"` (a `fail_fast` spec needs a global
-    /// early stop). Always `None` at `threads == 1`.
+    /// depths) and `"zero latency"` (no link latency, hence no
+    /// lookahead). Always `None` at `threads == 1`.
     pub par_fallback: Option<&'static str>,
 }
 
@@ -452,11 +424,7 @@ fn run_job_inner<R: Record>(
             _ => return Err(JobError::InputForUnknownInstance { stage, instance }),
         }
     }
-    let active = spec.is_active();
-    if active {
-        if spec.heartbeat_period.as_nanos() == 0 {
-            return Err(JobError::FaultConfig("heartbeat period must be positive"));
-        }
+    if spec.is_active() {
         let total_nodes = cfg.total_nodes();
         for ev in spec.plan.sorted_events() {
             let bad = match ev {
@@ -476,17 +444,8 @@ fn run_job_inner<R: Record>(
         }
     }
 
-    // The control delay: the minimum cross-node delay (link latency
-    // plus the NIC's per-frame overhead service), which is exactly the
-    // partitioned engine's lookahead. Every cross-node control message
-    // (NACK bounce, fence EOS, depth report, weight update) travels
-    // with at least this much, so the protocol partitions cleanly.
-    let ctl = SimDuration::from_nanos(
-        cfg.link_latency.as_nanos()
-            + nic_service(cfg.nic_frame_overhead_bytes, cfg.link_bytes_per_sec).as_nanos(),
-    );
     // The partition decision, in one place. `threads > 1` asks for the
-    // partitioned engine; four shapes it cannot reproduce stay on the
+    // partitioned engine; three shapes it cannot reproduce stay on the
     // plain calendar and record why. Faulted and balanced runs
     // partition fine.
     let par_fallback: Option<&'static str> = if cfg.threads <= 1 {
@@ -499,12 +458,10 @@ fn run_job_inner<R: Record>(
     } else if !parallel_eligible(&graph) {
         // Reads live cross-partition queue depths at pick time.
         Some("backlog routing")
-    } else if ctl.as_nanos() == 0 {
-        // No minimum cross-node delay, hence no lookahead.
+    } else if cfg.link_latency.as_nanos() == 0 {
+        // The link latency is the minimum cross-node delay, hence the
+        // lookahead; zero leaves none.
         Some("zero latency")
-    } else if active && spec.fail_fast {
-        // A global early stop.
-        Some("fault plan")
     } else {
         None
     };
@@ -515,7 +472,7 @@ fn run_job_inner<R: Record>(
     let partitions =
         (cfg.threads > 1 && par_fallback.is_none()).then(|| cfg.threads.min(cfg.hosts).max(1));
 
-    let shared = Arc::new(Shared::new(cfg, spec, graph, &placement, ctl, partitions)?);
+    let shared = Arc::new(Shared::new(cfg, spec, graph, &placement, partitions)?);
     let mut workers = shared.workers(inputs);
     let Some(nparts) = partitions else {
         // Sequential: partition 0 of 1 on the plain calendar, on this
@@ -524,16 +481,6 @@ fn run_job_inner<R: Record>(
         let mut sim = Simulation::new(cfg.seed);
         let built = worker.build_part(&mut sim, sched);
         let outcome = sim.run();
-        let fatal = built.metrics.borrow().fatal;
-        if let Some(FatalFault { stage, at }) = fatal {
-            debug_assert_eq!(outcome, RunOutcome::Stopped);
-            let records_processed = built.metrics.borrow().records_processed;
-            return Err(JobError::AllReplicasDown {
-                stage,
-                at,
-                records_processed,
-            });
-        }
         debug_assert_eq!(outcome, RunOutcome::Drained, "job should drain");
         let dispatched = sim.dispatched();
         let part = worker.finish_part(built, sim, &|v| v);
@@ -545,7 +492,12 @@ fn run_job_inner<R: Record>(
             par_fallback,
         ));
     };
-    let outcome = run_partitioned(cfg.seed, Arc::new(shared.owners()), ctl, workers);
+    let outcome = run_partitioned(
+        cfg.seed,
+        Arc::new(shared.owners()),
+        cfg.link_latency,
+        workers,
+    );
     let par = ParRunStats {
         partitions: nparts,
         windows: outcome.windows,

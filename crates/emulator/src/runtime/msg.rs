@@ -78,9 +78,6 @@ pub(super) enum Msg<R: Record> {
     RepairStep(usize),
     /// Coordinator → source agent: queue this transfer.
     RepairFetch(RepairJob),
-    /// Coordinator → source agent: drop the queued assignment with this
-    /// id, if it is still queued (a timely recovery made it moot).
-    RepairCancel(u64),
     /// Repair agent self-message: dispatch the next queued transfer
     /// (the pacing chain).
     RepairNext,
@@ -120,7 +117,7 @@ pub(super) enum Msg<R: Record> {
     /// reach it in an arrival-order-independent sequence — the flush
     /// fires after every other message at the instant in both engines
     /// (seeds sort first; runtime sends carry strictly earlier send
-    /// times because the control delay is positive).
+    /// times because the link latency is positive).
     RepairFlush,
     /// Agent self-message: charge the destination writes that arrived
     /// at this instant through the disk in canonical (assignment-id)

@@ -42,7 +42,7 @@ impl RepairOutcome {
 /// [`RepairEngine`] and exchanges transfer commands with the per-ASU
 /// repair agents. Exactly like the fault controller, every input is
 /// either pre-seeded static data or a message that travelled at least
-/// one control delay, so repair runs partition cleanly (the coordinator
+/// one link latency, so repair runs partition cleanly (the coordinator
 /// lives on partition 0).
 ///
 /// The engine is the ground truth for replica state; transfers are
@@ -55,7 +55,7 @@ pub(super) struct RepairCoordinator<R: Record> {
     pub(super) timeline: Arc<Vec<(SimTime, RepairEv)>>,
     /// Repair agent of ASU ordinal `d`.
     pub(super) agents: Vec<ActorId>,
-    pub(super) ctl: SimDuration,
+    pub(super) link_latency: SimDuration,
     /// Trajectory recording on (`RepairSpec::sample_every > 0`).
     pub(super) sampling: bool,
     /// Completions awaiting this instant's flush. The engine's source
@@ -74,15 +74,12 @@ impl<R: Record> RepairCoordinator<R> {
     /// Ship the engine's commands and mirror its state into the run
     /// metrics (the report reads the mirror after the drain).
     fn emit(&mut self, ctx: &mut Ctx<'_, Msg<R>>, cmds: Vec<RepairCmd>) {
-        for c in cmds {
-            match c {
-                RepairCmd::Fetch { src, job } => {
-                    ctx.send(self.agents[src as usize], self.ctl, Msg::RepairFetch(job));
-                }
-                RepairCmd::Cancel { src, id } => {
-                    ctx.send(self.agents[src as usize], self.ctl, Msg::RepairCancel(id));
-                }
-            }
+        for RepairCmd { src, job } in cmds {
+            ctx.send(
+                self.agents[src as usize],
+                self.link_latency,
+                Msg::RepairFetch(job),
+            );
         }
         let mut m = self.metrics.borrow_mut();
         m.repair = self.engine.stats;
@@ -200,8 +197,7 @@ pub(super) struct RepairAgent<R: Record> {
     pub(super) wflush_at: SimTime,
     pub(super) pace: SimDuration,
     pub(super) link_rate: f64,
-    pub(super) latency: SimDuration,
-    pub(super) ctl: SimDuration,
+    pub(super) link_latency: SimDuration,
     pub(super) metrics: Rc<RefCell<Metrics<R>>>,
 }
 
@@ -209,7 +205,7 @@ impl<R: Record> RepairAgent<R> {
     fn bounce(&mut self, ctx: &mut Ctx<'_, Msg<R>>, job: RepairJob) {
         ctx.send(
             self.coord,
-            self.ctl,
+            self.link_latency,
             Msg::RepairBounce {
                 id: job.id,
                 block: job.block,
@@ -247,12 +243,11 @@ impl<R: Record> RepairAgent<R> {
         };
         self.metrics.borrow_mut().repair_src_bytes[self.ordinal] += job.bytes;
         // Arrival pays the full NIC serialization plus the link latency,
-        // so even an agent-local hop travels at least one control delay
-        // (the frame overhead is inside the grant) — the partitioned
-        // lookahead holds for every repair message.
+        // so even an agent-local hop travels at least one link latency —
+        // the partitioned lookahead holds for every repair message.
         ctx.send_at(
             ActorId(self.agents_base + job.dest as usize),
-            grant_end + self.latency,
+            grant_end + self.link_latency,
             Msg::RepairWrite(job),
         );
         ctx.send_at(ctx.me(), ready.max(self.next_slot), Msg::RepairNext);
@@ -286,9 +281,6 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for RepairAgent<R> {
                     self.pump(ctx);
                 }
             }
-            Msg::RepairCancel(id) => {
-                self.queue.retain(|j| j.id != id);
-            }
             Msg::RepairNext => self.pump(ctx),
             Msg::RepairWrite(job) => {
                 self.wbuf.push(job);
@@ -313,7 +305,7 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for RepairAgent<R> {
                     };
                     ctx.send_at(
                         self.coord,
-                        done_at + self.ctl,
+                        done_at + self.link_latency,
                         Msg::RepairDone {
                             id: job.id,
                             block: job.block,

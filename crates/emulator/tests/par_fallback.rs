@@ -3,14 +3,11 @@
 //!
 //! `run_job_inner` decides in one place whether a job runs on the plain
 //! calendar or under `run_partitioned`, and with how many partitions.
-//! Every row below pins one outcome of that decision: the four
+//! Every row below pins one outcome of that decision: the three
 //! fallback reasons (`"scheduler"`, `"backlog routing"`, `"zero
-//! latency"`, `"fault plan"`), the zero-latency boundary from both
-//! sides (a zero `link_latency` with a positive NIC frame overhead
-//! still yields a positive minimum cross-node delay and parallelizes),
-//! the faulted and balanced shapes that must partition, the one-host
-//! cluster that must go through the partitioned driver with a single
-//! partition, and `threads == 1`, which never consults the chain.
+//! latency"`), the faulted and balanced shapes that must partition, the
+//! one-host cluster that must go through the partitioned driver with a
+//! single partition, and `threads == 1`, which never consults the chain.
 //! Whatever the decision, the report must equal the `threads = 1` run.
 
 use lmas_core::functor::lib::MapFunctor;
@@ -85,10 +82,10 @@ fn plain(routing: RoutingPolicy) -> Run {
 }
 
 /// The round-robin job with ASU 0 crashing mid-run.
-fn crashing(fail_fast: bool) -> Run {
-    Box::new(move |c| {
+fn crashing() -> Run {
+    Box::new(|c| {
         let plan = FaultPlan::new().crash(asu_index(c, 0), SimTime(200_000));
-        let spec = FaultSpec::with_plan(plan).failing_fast(fail_fast);
+        let spec = FaultSpec::with_plan(plan);
         run_job_with_faults(c, &spec, job(c, RoutingPolicy::RoundRobin)).unwrap()
     })
 }
@@ -125,17 +122,12 @@ fn observables(r: &EmulationReport<Rec8>) -> impl PartialEq + std::fmt::Debug {
 #[test]
 fn partition_decision_table() {
     let zero = {
-        // Zero propagation latency AND zero per-frame NIC overhead: no
-        // cross-node message can be bounded away from "now".
+        // Zero link latency: no cross-node message can be bounded away
+        // from "now".
         let mut c = cfg();
         c.link_latency = SimDuration::ZERO;
-        c.nic_frame_overhead_bytes = 0;
         c
     };
-    // Zero latency but a positive per-frame overhead: the minimum
-    // cross-node delay is the NIC service time of an empty frame, a
-    // valid (if narrow) conservative lookahead.
-    let framed = zero.with_nic_frame_overhead(64);
     let balanced = cfg().with_balancer(BalanceSpec::every(SimDuration::from_micros(500)));
     let one_host = ClusterConfig::era_2002(1, 2, 8.0);
 
@@ -146,10 +138,8 @@ fn partition_decision_table() {
         ("power of two",        cfg(),    plain(PowerOfTwoChoices),   4, None,    Some("backlog routing")),
         ("load aware",          cfg(),    plain(LoadAware),           4, None,    Some("backlog routing")),
         ("zero delay",          zero,     plain(RoundRobin),          4, None,    Some("zero latency")),
-        ("fail-fast plan",      cfg(),    crashing(true),             4, None,    Some("fault plan")),
-        ("frame overhead only", framed,   plain(RoundRobin),          4, Some(2), None),
         ("randomized routing",  cfg(),    plain(SimpleRandomization), 4, Some(2), None),
-        ("ordinary plan",       cfg(),    crashing(false),            4, Some(2), None),
+        ("ordinary plan",       cfg(),    crashing(),                 4, Some(2), None),
         ("snapshot balancer",   balanced, plain(SimpleRandomization), 4, Some(2), None),
         ("two threads",         cfg(),    plain(RoundRobin),          2, Some(2), None),
         ("one host",            one_host, plain(RoundRobin),          4, Some(1), None),

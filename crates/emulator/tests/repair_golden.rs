@@ -12,18 +12,8 @@ use lmas_core::{
 use lmas_emulator::{
     run_job_with_faults, ClusterConfig, EmulationReport, FaultSpec, Job, RepairSpec,
 };
-use lmas_sim::{FaultPlan, SimDuration};
+use lmas_sim::{fnv1a, FaultPlan, SimDuration};
 use std::collections::BTreeMap;
-
-/// FNV-1a over a byte stream; stable and dependency-free.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 const HOSTS: usize = 4;
 const ASUS: usize = 8;
@@ -82,7 +72,6 @@ fn assert_pinned(r: &EmulationReport<Rec8>) {
     assert_eq!(r.dispatched, 2_163, "dispatched");
     assert_eq!(r.repair.enqueued, 313, "enqueued");
     assert_eq!(r.repair.completed, 286, "completed");
-    assert_eq!(r.repair.cancelled, 0, "cancelled");
     assert_eq!(r.repair.reassigned, 22, "reassigned");
     assert_eq!(r.repair.wasted, 5, "wasted");
     assert_eq!(r.repair.blocks_lost, 14, "blocks_lost");
@@ -137,10 +126,9 @@ fn dump() {
     println!("makespan {}", r.makespan.as_nanos());
     println!("dispatched {}", r.dispatched);
     println!(
-        "repair enq {} comp {} canc {} reass {} wasted {} lost {} bytes {}",
+        "repair enq {} comp {} reass {} wasted {} lost {} bytes {}",
         r.repair.enqueued,
         r.repair.completed,
-        r.repair.cancelled,
         r.repair.reassigned,
         r.repair.wasted,
         r.repair.blocks_lost,

@@ -94,47 +94,34 @@ fn crash_repairs_back_to_target_on_survivors() {
     );
 }
 
-/// Restore mode + recovery inside the heartbeat timeout: the detector
-/// never fires, the copies come back, and the repair layer stays quiet.
-/// The same outage in destroy mode re-replicates at rejoin instead.
+/// Recovery inside the heartbeat timeout: the detector never fires, but
+/// the crash destroyed the node's copies, so it rejoins blank and its
+/// rejoin report triggers the repairs.
 #[test]
-fn timely_recovery_cancels_repair_restore_mode_and_rejoins_destroy_mode() {
+fn timely_recovery_rejoins_blank_and_repairs_at_rejoin() {
     let cfg = ClusterConfig::era_2002(1, 4, 8.0);
     let t_crash = SimTime(1_000_000);
     let t_back = t_crash + SimDuration::from_millis(5); // < 15 ms timeout
-    let run = |restore: bool| {
-        let plan = FaultPlan::new()
-            .crash(asu_index(&cfg, 2), t_crash)
-            .recover(asu_index(&cfg, 2), t_back);
-        let rs = RepairSpec::new(32, 2, MIB, 64.0 * MIB as f64).with_restore(restore);
-        let spec = FaultSpec::with_plan(plan).with_repair(rs);
-        let (g, placement, inputs) = fleet_job(1, 4, 500);
-        run_job_with_faults(
-            &cfg,
-            &spec,
-            Job {
-                graph: g,
-                placement,
-                inputs,
-            },
-        )
-        .unwrap()
-    };
-    let restored = run(true);
-    assert_eq!(restored.fault.detections, 0, "recovered before the timeout");
-    assert_eq!(
-        restored.repair.enqueued, 0,
-        "no detection, copies back: nothing to repair"
-    );
-    assert_eq!(restored.replica_hist, vec![0, 0, 32]);
-
-    let destroyed = run(false);
-    assert!(
-        destroyed.repair.enqueued > 0,
-        "destroy mode rejoins blank: the rejoin report triggers repairs"
-    );
-    assert_eq!(destroyed.replica_hist, vec![0, 0, 32], "and they converge");
-    assert_eq!(destroyed.repair.blocks_lost, 0);
+    let plan = FaultPlan::new()
+        .crash(asu_index(&cfg, 2), t_crash)
+        .recover(asu_index(&cfg, 2), t_back);
+    let rs = RepairSpec::new(32, 2, MIB, 64.0 * MIB as f64);
+    let spec = FaultSpec::with_plan(plan).with_repair(rs);
+    let (g, placement, inputs) = fleet_job(1, 4, 500);
+    let r = run_job_with_faults(
+        &cfg,
+        &spec,
+        Job {
+            graph: g,
+            placement,
+            inputs,
+        },
+    )
+    .unwrap();
+    assert_eq!(r.fault.detections, 0, "recovered before the timeout");
+    assert!(r.repair.enqueued > 0, "the rejoin report triggers repairs");
+    assert_eq!(r.replica_hist, vec![0, 0, 32], "and they converge");
+    assert_eq!(r.repair.blocks_lost, 0);
 }
 
 /// A repair spec that does not fit the cluster is a typed error.

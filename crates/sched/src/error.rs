@@ -3,16 +3,13 @@
 //! Admission failures are *per-job outcomes*, not run aborts: a
 //! rejected job is recorded in the run's [`SchedOutcome`] with the
 //! variant that explains which limit was binding, while the other
-//! tenants' jobs keep running. Only planning failures
-//! ([`SchedError::PlanInfeasible`]) abort a run — there is no layout to
-//! run the job on.
+//! tenants' jobs keep running.
 //!
 //! [`SchedOutcome`]: crate::run::SchedOutcome
 
-use lmas_sort::PlanWireError;
 use std::fmt;
 
-/// Why the scheduler refused (or could not place) a job.
+/// Why the scheduler refused a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedError {
     /// The admission gate turned the job away: the cluster was
@@ -35,8 +32,6 @@ pub enum SchedError {
         /// The tenant's in-flight quota.
         limit: usize,
     },
-    /// Phase-1 planning could not produce a runnable layout for a job.
-    PlanInfeasible(PlanWireError),
 }
 
 impl fmt::Display for SchedError {
@@ -56,25 +51,11 @@ impl fmt::Display for SchedError {
                 f,
                 "tenant {tenant} at its in-flight quota ({limit}) with no queue room"
             ),
-            SchedError::PlanInfeasible(e) => write!(f, "no feasible layout: {e}"),
         }
     }
 }
 
-impl std::error::Error for SchedError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SchedError::PlanInfeasible(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<PlanWireError> for SchedError {
-    fn from(e: PlanWireError) -> Self {
-        SchedError::PlanInfeasible(e)
-    }
-}
+impl std::error::Error for SchedError {}
 
 #[cfg(test)]
 mod tests {
@@ -101,18 +82,5 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("tenant 1"), "{msg}");
         assert!(msg.contains("quota (4)"), "{msg}");
-    }
-
-    #[test]
-    fn plan_infeasible_wraps_the_wire_error() {
-        let e = SchedError::from(PlanWireError::MissingSorterNodes);
-        assert_eq!(
-            e,
-            SchedError::PlanInfeasible(PlanWireError::MissingSorterNodes)
-        );
-        assert!(e.to_string().contains("no feasible layout"));
-        // The source chain exposes the wrapped planner error.
-        let src = std::error::Error::source(&e).expect("has a source");
-        assert_eq!(src.to_string(), PlanWireError::MissingSorterNodes.to_string());
     }
 }

@@ -29,7 +29,7 @@ use lmas_plan::{Estimate, ResidualCapacity};
 use lmas_sim::{ArrivalSpec, SimDuration, SimTime};
 use lmas_sort::{
     build_pass1_job, build_pass1_job_placed, choose_splitters, split_across_asus, DsmConfig,
-    DsmError, LoadMode, Pass1Planner, PlanWireError,
+    DsmError, LoadMode, Pass1Planner,
 };
 
 /// Everything a multi-tenant run needs beyond the cluster and sort
@@ -125,8 +125,6 @@ impl SchedSpec {
 /// Why a whole multi-tenant run (as opposed to one job) failed.
 #[derive(Debug)]
 pub enum SchedRunError {
-    /// A scheduler-level failure (planning could not place a job).
-    Sched(SchedError),
     /// Job construction failed (configuration or input shape).
     Dsm(DsmError),
     /// The emulator rejected the merged run.
@@ -148,7 +146,6 @@ pub enum SchedRunError {
 impl std::fmt::Display for SchedRunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SchedRunError::Sched(e) => write!(f, "scheduler: {e}"),
             SchedRunError::Dsm(e) => write!(f, "job build: {e}"),
             SchedRunError::Job(e) => write!(f, "emulator: {e}"),
             SchedRunError::NoJobKinds => write!(f, "spec defines no job kinds"),
@@ -162,20 +159,9 @@ impl std::fmt::Display for SchedRunError {
 
 impl std::error::Error for SchedRunError {}
 
-impl From<SchedError> for SchedRunError {
-    fn from(e: SchedError) -> Self {
-        SchedRunError::Sched(e)
-    }
-}
-
 impl From<DsmError> for SchedRunError {
     fn from(e: DsmError) -> Self {
-        // Plan-wiring failures are the scheduler's typed
-        // `PlanInfeasible`; everything else stays a build error.
-        match e {
-            DsmError::Wire(w) => SchedRunError::Sched(SchedError::PlanInfeasible(w)),
-            other => SchedRunError::Dsm(other),
-        }
+        SchedRunError::Dsm(e)
     }
 }
 
@@ -373,11 +359,9 @@ fn footprint(estimate: &Estimate, hosts: usize, nodes: usize, at: SimTime) -> Fo
 ///
 /// [`SchedRunError::NoJobKinds`] / [`SchedRunError::UnknownKind`] for a
 /// spec whose arrivals cannot be matched to job kinds;
-/// [`SchedRunError::Sched`] when planning cannot place a job
-/// ([`SchedError::PlanInfeasible`]); [`SchedRunError::Dsm`] /
-/// [`SchedRunError::Job`] for configuration, input-shape, or emulator
-/// failures. Admission rejections are *not* errors — they land in
-/// [`SchedOutcome::rejections`].
+/// [`SchedRunError::Dsm`] / [`SchedRunError::Job`] for configuration,
+/// input-shape, or emulator failures. Admission rejections are *not*
+/// errors — they land in [`SchedOutcome::rejections`].
 pub fn run_scheduled(
     cluster: &ClusterConfig,
     dsm: &DsmConfig,
@@ -440,14 +424,8 @@ pub fn run_scheduled(
                 }
             }
             let outcome = planner.plan_residual(&res)?;
-            let sorters = outcome
-                .assignment
-                .get(1)
-                .filter(|s| s.len() == dsm.alpha)
-                .ok_or(SchedError::PlanInfeasible(
-                    PlanWireError::MissingSorterNodes,
-                ))?;
-            let built = build_pass1_job_placed(cluster, per_asu, splitters, dsm, sorters)?;
+            let built =
+                build_pass1_job_placed(cluster, per_asu, splitters, dsm, &outcome.assignment[1])?;
             (outcome.assignment, built)
         } else {
             // Naive: predict on (and run with) the static block-subset

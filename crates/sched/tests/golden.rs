@@ -9,6 +9,8 @@ use lmas_sched::{run_scheduled, ArrivalSpec, Policy, SchedSpec};
 use lmas_sim::SimDuration;
 use lmas_sort::DsmConfig;
 
+/// FNV-1a with the published FNV-64 prime, not `lmas_sim::fnv1a`'s
+/// multiplier: the pins below were recorded with this one.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)

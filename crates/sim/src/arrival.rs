@@ -9,7 +9,6 @@
 //! the same seed reproduces the schedule byte for byte and a
 //! multi-tenant run is exactly as replayable as a fault-free one.
 
-use crate::fault::TraceError;
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -27,10 +26,10 @@ pub struct ArrivalEvent {
 
 /// A deterministic schedule of job arrivals for one run.
 ///
-/// Build with the chainable constructors, [`ArrivalSpec::poisson`], or
-/// [`ArrivalSpec::from_trace`]; [`sorted_events`](ArrivalSpec::sorted_events)
-/// interleaves the per-tenant streams into firing order (stable: ties
-/// keep insertion order, which is tenant-major for generated specs).
+/// Build with the chainable constructors or [`ArrivalSpec::poisson`];
+/// [`sorted_events`](ArrivalSpec::sorted_events) interleaves the
+/// per-tenant streams into firing order (stable: ties keep insertion
+/// order, which is tenant-major for generated specs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArrivalSpec {
     events: Vec<ArrivalEvent>,
@@ -123,59 +122,8 @@ impl ArrivalSpec {
         spec
     }
 
-    /// Parse an arrival schedule from a trace file: one submission per
-    /// line, whitespace-separated, `#`-comments and blank lines ignored.
-    ///
-    /// ```text
-    /// job <tenant> <kind> <at_ns>
-    /// ```
-    pub fn from_trace(text: &str) -> Result<ArrivalSpec, TraceError> {
-        fn field<T: std::str::FromStr>(
-            fields: &mut std::str::SplitWhitespace<'_>,
-            line: usize,
-            what: &str,
-        ) -> Result<T, TraceError> {
-            let raw = fields.next().ok_or_else(|| TraceError {
-                line,
-                reason: format!("missing {what}"),
-            })?;
-            raw.parse().map_err(|_| TraceError {
-                line,
-                reason: format!("bad {what}: {raw:?}"),
-            })
-        }
-        let mut spec = ArrivalSpec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
-            let body = raw.split('#').next().unwrap_or("");
-            let mut fields = body.split_whitespace();
-            let Some(kind) = fields.next() else { continue };
-            spec = match kind {
-                "job" => {
-                    let tenant = field(&mut fields, line, "tenant")?;
-                    let job_kind = field(&mut fields, line, "kind")?;
-                    let at = SimTime(field(&mut fields, line, "time")?);
-                    spec.job(tenant, job_kind, at)
-                }
-                other => {
-                    return Err(TraceError {
-                        line,
-                        reason: format!("unknown event kind {other:?}"),
-                    })
-                }
-            };
-            if let Some(extra) = fields.next() {
-                return Err(TraceError {
-                    line,
-                    reason: format!("trailing field {extra:?}"),
-                });
-            }
-        }
-        Ok(spec)
-    }
-
-    /// Render the schedule in [`from_trace`](ArrivalSpec::from_trace)
-    /// format (insertion order; round-trips exactly).
+    /// Render the schedule as text, one `job <tenant> <kind> <at_ns>`
+    /// line per submission in insertion order.
     pub fn to_trace(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
@@ -233,27 +181,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_round_trips() {
+    fn trace_renders_insertion_order() {
         let spec = ArrivalSpec::new()
             .job(0, 1, SimTime(500))
             .job(2, 0, SimTime(100));
-        let parsed = ArrivalSpec::from_trace(&spec.to_trace()).expect("parses");
-        assert_eq!(parsed, spec);
-        // Sorted order interleaves by time, ties keep insertion order.
+        assert_eq!(spec.to_trace(), "job 0 1 500\njob 2 0 100\n");
+        // Sorted order interleaves by time.
         let sorted = spec.sorted_events();
         assert_eq!(sorted[0].at, SimTime(100));
         assert_eq!(sorted[1].tenant, 0);
-    }
-
-    #[test]
-    fn trace_errors_are_located() {
-        let err = ArrivalSpec::from_trace("job 0 0 10\nboom 1 2 3\n").unwrap_err();
-        assert_eq!(err.line, 2);
-        let err = ArrivalSpec::from_trace("job 0 zero 10\n").unwrap_err();
-        assert_eq!(err.line, 1);
-        assert!(err.reason.contains("kind"));
-        let err = ArrivalSpec::from_trace("job 0 0 10 11\n").unwrap_err();
-        assert!(err.reason.contains("trailing"));
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //! keys are minted from partition-local counters instead of the global
 //! sequence number ([`crate::event::EventKey`]), which reproduces the
 //! sequential dispatch order exactly, so virtual time is byte-identical to
-//! a single-threaded run. `request_stop` is not available in this mode (the
-//! conservative window protocol cannot halt remote progress); it panics.
+//! a single-threaded run.
 
 use crate::event::{EventKey, EventQueue};
 use crate::rng::DetRng;
@@ -165,7 +164,6 @@ pub struct Ctx<'a, M> {
     me: ActorId,
     cal: &'a mut Calendar<M>,
     rng: &'a mut DetRng,
-    stop: &'a mut bool,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -206,16 +204,6 @@ impl<'a, M> Ctx<'a, M> {
         self.rng
     }
 
-    /// Ask the engine to stop after this dispatch completes; pending
-    /// events stay in the calendar.
-    pub fn request_stop(&mut self) {
-        assert!(
-            self.cal.remote.is_none(),
-            "request_stop is unsupported in partitioned mode"
-        );
-        *self.stop = true;
-    }
-
     /// In partitioned mode, the composite ordering key `(sched, packed)` of
     /// the event being dispatched; `None` sequentially. Higher layers tag
     /// order-sensitive side effects (trace lines, gauge journal entries)
@@ -231,8 +219,6 @@ impl<'a, M> Ctx<'a, M> {
 pub enum RunOutcome {
     /// The calendar drained: no live events remain.
     Drained,
-    /// An actor called [`Ctx::request_stop`].
-    Stopped,
     /// The time horizon passed before the calendar drained.
     HorizonReached,
 }
@@ -349,14 +335,13 @@ impl<M> Simulation<M> {
     }
 
     /// Dispatch every event arriving at or before `horizon` (inclusive),
-    /// in key order, until none is left or an actor requests a stop;
-    /// returns whether one did. The one dispatch loop of both modes.
+    /// in key order, until none is left. The one dispatch loop of both
+    /// modes.
     ///
     /// It allocates nothing per dispatch: envelopes are recycled through
     /// the calendar's slot free list, and the horizon check is folded into
     /// the pop ([`EventQueue::pop_not_after`]) instead of a separate peek.
-    fn dispatch_through(&mut self, horizon: SimTime) -> bool {
-        let mut stop = false;
+    fn dispatch_through(&mut self, horizon: SimTime) {
         while let Some((key, env)) = self.cal.queue.pop_not_after(horizon) {
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
@@ -371,35 +356,29 @@ impl<M> Simulation<M> {
                     me: env.to,
                     cal: &mut self.cal,
                     rng: &mut self.rng,
-                    stop: &mut stop,
                 };
                 actor.on_message(&mut ctx, env.msg);
             }
             self.actors[env.to.0] = Some(actor);
-            if stop {
-                return true;
-            }
         }
-        false
     }
 
-    /// Run until the calendar drains, an actor requests a stop, or virtual
-    /// time would exceed `horizon`.
+    /// Run until the calendar drains or virtual time would exceed
+    /// `horizon`.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         assert!(
             self.cal.remote.is_none(),
             "run_until is sequential-only; partitions advance via the coordinator"
         );
-        if self.dispatch_through(horizon) {
-            RunOutcome::Stopped
-        } else if self.cal.queue.is_empty() {
+        self.dispatch_through(horizon);
+        if self.cal.queue.is_empty() {
             RunOutcome::Drained
         } else {
             RunOutcome::HorizonReached
         }
     }
 
-    /// Run until the calendar drains or an actor requests a stop.
+    /// Run until the calendar drains.
     pub fn run(&mut self) -> RunOutcome {
         // NEVER-1 keeps the horizon comparison strict but unreachable.
         self.run_until(SimTime(u64::MAX - 1))
@@ -513,25 +492,6 @@ mod tests {
         // The late event is still pending; a later run picks it up.
         assert_eq!(sim.run(), RunOutcome::Drained);
         assert_eq!(*fired.borrow(), 2);
-    }
-
-    #[test]
-    fn request_stop_halts_immediately() {
-        let mut sim: Simulation<u32> = Simulation::new(0);
-        let count: Rc<RefCell<u32>> = Rc::default();
-        let c = count.clone();
-        let a = sim.add_actor(Box::new(move |ctx: &mut Ctx<'_, u32>, n: u32| {
-            *c.borrow_mut() += 1;
-            if n == 2 {
-                ctx.request_stop();
-            }
-        }));
-        for i in 1..=5 {
-            sim.seed_message(a, SimTime(i), i as u32);
-        }
-        assert_eq!(sim.run(), RunOutcome::Stopped);
-        assert_eq!(*count.borrow(), 2);
-        assert_eq!(sim.now(), SimTime(2));
     }
 
     #[test]

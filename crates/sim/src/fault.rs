@@ -212,146 +212,7 @@ impl FaultPlan {
         }
         plan
     }
-
-    /// Parse a fault plan from a trace file: one event per line,
-    /// whitespace-separated, `#`-comments and blank lines ignored.
-    ///
-    /// ```text
-    /// crash    <node> <at_ns>
-    /// recover  <node> <at_ns>
-    /// degrade  <node> <at_ns> <cpu_factor> <disk_factor>
-    /// linkloss <from> <to> <at_ns> <drop_prob>
-    /// ```
-    pub fn from_trace(text: &str) -> Result<FaultPlan, TraceError> {
-        fn field<'a, T: std::str::FromStr>(
-            fields: &mut std::str::SplitWhitespace<'a>,
-            line: usize,
-            what: &str,
-        ) -> Result<T, TraceError> {
-            let raw = fields.next().ok_or_else(|| TraceError {
-                line,
-                reason: format!("missing {what}"),
-            })?;
-            raw.parse().map_err(|_| TraceError {
-                line,
-                reason: format!("bad {what}: {raw:?}"),
-            })
-        }
-        let mut plan = FaultPlan::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
-            let body = raw.split('#').next().unwrap_or("");
-            let mut fields = body.split_whitespace();
-            let Some(kind) = fields.next() else { continue };
-            plan = match kind {
-                "crash" => {
-                    let node = field(&mut fields, line, "node")?;
-                    let at = SimTime(field(&mut fields, line, "time")?);
-                    plan.crash(node, at)
-                }
-                "recover" => {
-                    let node = field(&mut fields, line, "node")?;
-                    let at = SimTime(field(&mut fields, line, "time")?);
-                    plan.recover(node, at)
-                }
-                "degrade" => {
-                    let node = field(&mut fields, line, "node")?;
-                    let at = SimTime(field(&mut fields, line, "time")?);
-                    let cpu: f64 = field(&mut fields, line, "cpu_factor")?;
-                    let disk: f64 = field(&mut fields, line, "disk_factor")?;
-                    if !(cpu > 0.0 && cpu <= 1.0 && disk > 0.0 && disk <= 1.0) {
-                        return Err(TraceError {
-                            line,
-                            reason: format!("degrade factors out of (0, 1]: {cpu} {disk}"),
-                        });
-                    }
-                    plan.degrade(node, at, cpu, disk)
-                }
-                "linkloss" => {
-                    let from = field(&mut fields, line, "from")?;
-                    let to = field(&mut fields, line, "to")?;
-                    let at = SimTime(field(&mut fields, line, "time")?);
-                    let p: f64 = field(&mut fields, line, "drop_prob")?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(TraceError {
-                            line,
-                            reason: format!("drop_prob out of [0, 1]: {p}"),
-                        });
-                    }
-                    plan.link_loss(from, to, at, p)
-                }
-                other => {
-                    return Err(TraceError {
-                        line,
-                        reason: format!("unknown event kind {other:?}"),
-                    })
-                }
-            };
-            if fields.next().is_some() {
-                return Err(TraceError {
-                    line,
-                    reason: "trailing fields".into(),
-                });
-            }
-        }
-        Ok(plan)
-    }
-
-    /// Render this plan in the [`FaultPlan::from_trace`] format
-    /// (insertion order; round-trips exactly).
-    pub fn to_trace(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for ev in &self.events {
-            match *ev {
-                FaultEvent::Crash { node, at } => {
-                    let _ = writeln!(out, "crash {node} {}", at.as_nanos());
-                }
-                FaultEvent::Recover { node, at } => {
-                    let _ = writeln!(out, "recover {node} {}", at.as_nanos());
-                }
-                FaultEvent::Degrade {
-                    node,
-                    at,
-                    cpu_factor,
-                    disk_factor,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "degrade {node} {} {cpu_factor} {disk_factor}",
-                        at.as_nanos()
-                    );
-                }
-                FaultEvent::LinkLoss {
-                    from,
-                    to,
-                    at,
-                    drop_prob,
-                } => {
-                    let _ = writeln!(out, "linkloss {from} {to} {} {drop_prob}", at.as_nanos());
-                }
-            }
-        }
-        out
-    }
 }
-
-/// A malformed line in a fault-plan trace file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// What was wrong with it.
-    pub reason: String,
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "fault trace line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 /// Bounded exponential backoff with deterministic jitter.
 ///
@@ -543,34 +404,6 @@ mod tests {
                 other => panic!("poisson emitted {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn trace_round_trips_and_rejects_garbage() {
-        let plan = FaultPlan::new()
-            .crash(3, SimTime(1_000))
-            .recover(3, SimTime(2_000))
-            .degrade(1, SimTime(1_500), 0.5, 0.25)
-            .link_loss(0, 2, SimTime(500), 0.1);
-        let text = plan.to_trace();
-        let back = FaultPlan::from_trace(&text).expect("round trip parses");
-        assert_eq!(plan, back);
-
-        let commented = "# header\n\n  crash 1 10 # inline\nrecover 1 20\n";
-        let p = FaultPlan::from_trace(commented).expect("comments ignored");
-        assert_eq!(p.len(), 2);
-
-        let bad_kind = FaultPlan::from_trace("explode 1 10\n").unwrap_err();
-        assert_eq!(bad_kind.line, 1);
-        assert!(bad_kind.reason.contains("explode"), "{bad_kind}");
-        let missing = FaultPlan::from_trace("crash 1\n").unwrap_err();
-        assert!(missing.reason.contains("missing time"), "{missing}");
-        let bad_prob = FaultPlan::from_trace("linkloss 0 1 10 1.5\n").unwrap_err();
-        assert!(bad_prob.reason.contains("drop_prob"), "{bad_prob}");
-        let trailing = FaultPlan::from_trace("crash 1 10 extra\n").unwrap_err();
-        assert!(trailing.reason.contains("trailing"), "{trailing}");
-        let bad_factor = FaultPlan::from_trace("degrade 1 10 0.0 0.5\n").unwrap_err();
-        assert!(bad_factor.reason.contains("factors"), "{bad_factor}");
     }
 
     #[test]

@@ -37,14 +37,19 @@ const SHARD_COUNT: usize = 16;
 static SHARDS: LazyLock<Vec<Mutex<HashSet<Arc<str>>>>> =
     LazyLock::new(|| (0..SHARD_COUNT).map(|_| Mutex::new(HashSet::new())).collect());
 
-/// FNV-1a shard selector: equal text → equal shard, on every thread.
+/// 64-bit FNV-1a over a byte stream: stable across runs, platforms and
+/// releases, so digests of it can be pinned in goldens. The multiplier
+/// is `0x1000_0000_01b3`, not the published FNV-64 prime
+/// `0x100_0000_01b3`; the pinned digests were recorded with it.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// Shard selector: equal text → equal shard, on every thread.
 fn shard_of(s: &str) -> usize {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    (h as usize) & (SHARD_COUNT - 1)
+    (fnv1a(s.bytes()) as usize) & (SHARD_COUNT - 1)
 }
 
 /// Intern `s`, returning a shared handle. Repeated calls with equal text

@@ -12,7 +12,8 @@
 //!   backoff ([`BackoffPolicy`]);
 //! - [`resource`]: FCFS servers with utilization accounting — the CPUs,
 //!   disks and links of an emulated cluster;
-//! - [`intern`]: interned resource/metric names (allocation-free stamping);
+//! - [`intern`]: interned resource/metric names (allocation-free stamping)
+//!   and the [`fnv1a`] digest the goldens pin;
 //! - [`par`]: a conservative partitioned parallel coordinator — the same
 //!   virtual time, byte for byte, across worker threads;
 //! - [`rng`]: seed-derived deterministic random streams;
@@ -59,8 +60,8 @@ pub mod trace;
 pub use arrival::{ArrivalEvent, ArrivalSpec};
 pub use engine::{Actor, ActorId, Ctx, RunOutcome, Simulation};
 pub use event::{EventKey, EventQueue};
-pub use fault::{BackoffPolicy, FaultEvent, FaultPlan, TraceError};
-pub use intern::{intern, Name};
+pub use fault::{BackoffPolicy, FaultEvent, FaultPlan};
+pub use intern::{fnv1a, intern, Name};
 pub use par::{run_partitioned, LogHist, ParOps, ParOutcome, PartitionWorker};
 pub use resource::{Grant, Resource};
 pub use rng::DetRng;

@@ -33,29 +33,6 @@ use lmas_sim::SimDuration;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// The planner's wiring contract was violated when compiling a pass
-/// graph: a placement decision requires data the caller did not supply.
-/// Typed (rather than a panic) so orchestration layers can report which
-/// wire broke.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanWireError {
-    /// An explicit block-sort layout was selected but no sorter nodes
-    /// were provided.
-    MissingSorterNodes,
-}
-
-impl fmt::Display for PlanWireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanWireError::MissingSorterNodes => {
-                write!(f, "explicit sorter layout selected but no sorter nodes supplied")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlanWireError {}
-
 /// DSM-Sort failure.
 #[derive(Debug)]
 pub enum DsmError {
@@ -67,8 +44,6 @@ pub enum DsmError {
     InputShape(String),
     /// The planner could not place a pass (`LoadMode::Auto`).
     Plan(lmas_plan::PlanError),
-    /// The planner's wiring was internally inconsistent.
-    Wire(PlanWireError),
     /// Fault recovery found a record in the surviving runs more than
     /// once (a retry delivered after its original was processed).
     DuplicateSurvivor {
@@ -94,7 +69,6 @@ impl fmt::Display for DsmError {
             DsmError::Job(e) => write!(f, "job: {e}"),
             DsmError::InputShape(s) => write!(f, "input: {s}"),
             DsmError::Plan(e) => write!(f, "planner: {e}"),
-            DsmError::Wire(e) => write!(f, "plan wiring: {e}"),
             DsmError::DuplicateSurvivor { tag, asus } => write!(
                 f,
                 "recovery: record with tag {tag} survived pass 1 more than once (runs on ASUs {asus:?})"
@@ -118,12 +92,6 @@ impl From<DsmConfigError> for DsmError {
 impl From<JobError> for DsmError {
     fn from(e: JobError) -> Self {
         DsmError::Job(e)
-    }
-}
-
-impl From<PlanWireError> for DsmError {
-    fn from(e: PlanWireError) -> Self {
-        DsmError::Wire(e)
     }
 }
 
@@ -255,13 +223,6 @@ pub fn run_pass1_placed<R: Record>(
     dsm: &DsmConfig,
     sorter_nodes: &[NodeId],
 ) -> Result<Pass1Result<R>, DsmError> {
-    if sorter_nodes.len() != dsm.alpha {
-        return Err(DsmError::InputShape(format!(
-            "{} sorter nodes for α = {} subsets",
-            sorter_nodes.len(),
-            dsm.alpha
-        )));
-    }
     run_pass1_inner(
         cluster,
         &FaultSpec::none(),
@@ -315,13 +276,6 @@ pub fn build_pass1_job_placed<R: Record>(
     dsm: &DsmConfig,
     sorter_nodes: &[NodeId],
 ) -> Result<Pass1Job<R>, DsmError> {
-    if sorter_nodes.len() != dsm.alpha {
-        return Err(DsmError::InputShape(format!(
-            "{} sorter nodes for α = {} subsets",
-            sorter_nodes.len(),
-            dsm.alpha
-        )));
-    }
     build_pass1_inner(
         cluster,
         data_per_asu,
@@ -383,6 +337,13 @@ fn build_pass1_inner<R: Record>(
         return Err(DsmError::InputShape(format!(
             "{} splitters do not make α = {} subsets",
             splitters.len(),
+            dsm.alpha
+        )));
+    }
+    if let Some(nodes) = sorter_nodes.filter(|n| n.len() != dsm.alpha) {
+        return Err(DsmError::InputShape(format!(
+            "{} sorter nodes for α = {} subsets",
+            nodes.len(),
             dsm.alpha
         )));
     }
@@ -448,25 +409,25 @@ fn build_pass1_inner<R: Record>(
 
     let mut placement = Placement::new();
     placement.spread_over_asus(distribute, d, d);
-    match (mode, &auto_plan) {
-        _ if sorter_nodes.is_some() => {
-            for (i, &node) in explicit_sorters(sorter_nodes)?.iter().enumerate() {
+    match (sorter_nodes, mode, &auto_plan) {
+        (Some(nodes), _, _) => {
+            for (i, &node) in nodes.iter().enumerate() {
                 placement.assign(block_sort, i, node);
             }
         }
-        (LoadMode::Static, _) => {
+        (None, LoadMode::Static, _) => {
             for i in 0..alpha {
                 placement.assign(block_sort, i, NodeId::Host(static_host_of(i, alpha, h)));
             }
         }
-        (LoadMode::Managed(_), _) => {
+        (None, LoadMode::Managed(_), _) => {
             // Instance b·H + j runs on host j: every subset has one
             // sorter per host.
             for i in 0..sort_repl {
                 placement.assign(block_sort, i, NodeId::Host(i % h));
             }
         }
-        (LoadMode::Auto, Some((_, _, out))) => {
+        (None, LoadMode::Auto, Some((_, _, out))) => {
             // The spec listed stages as [distribute, block-sort,
             // collect]; the block-sort assignment carries over verbatim
             // (instance b·k + j is sorter j of subset b).
@@ -474,7 +435,7 @@ fn build_pass1_inner<R: Record>(
                 placement.assign(block_sort, i, node);
             }
         }
-        (LoadMode::Auto, None) => unreachable!("Auto always plans"),
+        (None, LoadMode::Auto, None) => unreachable!("Auto always plans"),
     }
     placement.spread_over_asus(collect, d, d);
 
@@ -493,13 +454,6 @@ fn build_pass1_inner<R: Record>(
         plan: auto_plan.map(|(_, _, out)| out),
         cluster,
     })
-}
-
-/// Resolve an explicit sorter layout, or fail with the typed wire
-/// error (instead of the panic this used to be) when the caller
-/// selected an explicit layout without supplying the nodes.
-fn explicit_sorters(sorter_nodes: Option<&[NodeId]>) -> Result<&[NodeId], PlanWireError> {
-    sorter_nodes.ok_or(PlanWireError::MissingSorterNodes)
 }
 
 /// Run pass 2 (γ₁-way subset merges on ASUs → γ₂-way final merge per
@@ -885,13 +839,22 @@ mod tests {
 
     #[test]
     fn missing_sorter_layout_is_a_typed_error() {
-        assert_eq!(
-            explicit_sorters(None),
-            Err(PlanWireError::MissingSorterNodes)
-        );
-        let nodes = [NodeId::Host(0), NodeId::Host(1)];
-        assert_eq!(explicit_sorters(Some(&nodes)).unwrap(), &nodes);
-        let err = DsmError::from(PlanWireError::MissingSorterNodes);
-        assert!(err.to_string().contains("sorter"));
+        let cluster = ClusterConfig::era_2002(2, 2, 8.0);
+        let dsm = DsmConfig::new(2, 64, 4, 4);
+        let data = lmas_core::generate_rec8(200, lmas_core::KeyDist::Uniform, 1);
+        let splitters = choose_splitters(&data, dsm.alpha);
+        let per_asu = split_across_asus(&data, cluster.asus);
+        let one = [NodeId::Host(0)];
+        let want = "1 sorter nodes for α = 2 subsets";
+        match run_pass1_placed(&cluster, per_asu.clone(), splitters.clone(), &dsm, &one) {
+            Err(DsmError::InputShape(s)) => assert_eq!(s, want),
+            Err(e) => panic!("run_pass1_placed: {e}"),
+            Ok(_) => panic!("run_pass1_placed accepted one sorter for α = 2"),
+        }
+        match build_pass1_job_placed(&cluster, per_asu, splitters, &dsm, &one) {
+            Err(DsmError::InputShape(s)) => assert_eq!(s, want),
+            Err(e) => panic!("build_pass1_job_placed: {e}"),
+            Ok(_) => panic!("build_pass1_job_placed accepted one sorter for α = 2"),
+        }
     }
 }

@@ -8,18 +8,9 @@
 
 use lmas_core::{generate_rec128, KeyDist, Record};
 use lmas_emulator::ClusterConfig;
+use lmas_sim::fnv1a;
 use lmas_sort::{canonical_equal, run_dsm_sort, DsmConfig, LoadMode};
 use proptest::prelude::*;
-
-/// FNV-1a over a byte stream; stable and dependency-free.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 /// α = 8 so every r ∈ {1, 2, 4} divides the subset count.
 fn dsm(r: usize) -> DsmConfig {

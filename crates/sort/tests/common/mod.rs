@@ -26,18 +26,9 @@
 
 use lmas_core::Record;
 use lmas_emulator::EmulationReport;
+use lmas_sim::fnv1a;
 use lmas_sort::{DsmOutcome, FaultyDsmOutcome};
 use std::fmt::Write as _;
-
-/// FNV-1a over a byte stream; stable and dependency-free.
-pub fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 /// Every *state* observable of a report — everything except `par` (the
 /// one field the parallel kernel is allowed to differ on) and the trace

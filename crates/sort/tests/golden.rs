@@ -13,17 +13,8 @@
 
 use lmas_core::{generate_rec128, KeyDist, Record};
 use lmas_emulator::{ClusterConfig, EmulationReport};
+use lmas_sim::fnv1a;
 use lmas_sort::{run_dsm_sort, DsmConfig, LoadMode};
-
-/// FNV-1a over a byte stream; stable and dependency-free.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 fn cpu_series_fnv<R: Record>(report: &EmulationReport<R>) -> u64 {
     fnv1a(

@@ -25,12 +25,11 @@
 mod common;
 
 use common::{
-    assert_identical_faulty_sort, assert_same_faulty_sort, assert_same_sort, fnv1a, keys_fnv,
-    TraceEq,
+    assert_identical_faulty_sort, assert_same_faulty_sort, assert_same_sort, keys_fnv, TraceEq,
 };
 use lmas_core::{generate_rec128, KeyDist, Record, RoutingPolicy};
 use lmas_emulator::{asu_index, BalanceSpec, ClusterConfig, FaultSpec};
-use lmas_sim::{FaultPlan, SimDuration, SimTime};
+use lmas_sim::{fnv1a, FaultPlan, SimDuration, SimTime};
 use lmas_sort::{run_dsm_sort, run_dsm_sort_faulty, DsmConfig, DsmOutcome, LoadMode};
 
 #[test]

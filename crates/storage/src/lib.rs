@@ -43,8 +43,6 @@ pub struct StorageSpec {
     /// Buffer-pool frames per node; 0 disables the pool (and with it the
     /// staged read-ahead pipeline).
     pub pool_frames: usize,
-    /// Buffer-pool shards.
-    pub pool_shards: usize,
     /// Source read-ahead depth in packets: how many packets beyond the
     /// one being processed may be staged in pool frames. 0 = demand
     /// paging (only meaningful when the pool is on).
@@ -62,7 +60,6 @@ impl Default for StorageSpec {
             blocks_per_stripe: 16,
             block_bytes: 64 << 10,
             pool_frames: 0,
-            pool_shards: 4,
             read_ahead: 0,
             auto_read_ahead: false,
             sched_window: 1,
