@@ -10,7 +10,9 @@
 
 use lmas_bench::timing::BenchReport;
 use lmas_bench::write_results;
-use lmas_core::kernels::{block_sort, bucket_of, merge_runs, radix_sort_u32, select_splitters};
+use lmas_core::kernels::{
+    block_sort, bucket_of, merge_packets, merge_runs, radix_sort_u32, select_splitters,
+};
 use lmas_core::{generate_rec128, generate_rec8, KeyDist, Packet, Rec128, Rec8, Record};
 use lmas_emulator::ClusterConfig;
 use lmas_plan::ResidualCapacity;
@@ -53,6 +55,28 @@ fn main() {
         }
         report.bench(&format!("merge_runs/k={k}"), n as u64, || {
             merge_runs(runs.clone())
+        });
+    }
+
+    // The sort's own merges on the paper's record, reading buffered run
+    // packets in place: `sort_bulk`'s ASU merge (γ₁ = 8 runs of β = 4096
+    // into one run) and host merge (γ₂ = 64 runs into 1024-record
+    // stripes), 32 768 records each.
+    let n = 1usize << 15;
+    let data = generate_rec128(n as u64, KeyDist::Uniform, 2);
+    for (k, chunk) in [(8usize, n), (64, 1024)] {
+        let runs: Vec<Packet<Rec128>> = data
+            .chunks(n / k)
+            .map(|c| {
+                let mut run = c.to_vec();
+                run.sort_by_key(Record::key);
+                Packet::new(run)
+            })
+            .collect();
+        report.bench(&format!("merge_packets_rec128/k={k},chunk={chunk}"), n as u64, || {
+            let mut out = 0usize;
+            merge_packets(&runs, chunk, |p| out += p.len());
+            out
         });
     }
 

@@ -13,7 +13,7 @@
 use crate::container::Packet;
 use crate::cost::{log2_ceil, Work};
 use crate::functor::{Emit, Functor, FunctorKind};
-use crate::kernels::{block_sort, bucket_of, merge_runs};
+use crate::kernels::{block_sort, bucket_of, merge_packets};
 use crate::record::Record;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -243,9 +243,21 @@ impl<R: Record> Functor<R> for DistributeFunctor<R> {
         }
     }
     fn process(&mut self, input: Packet<R>, out: &mut Emit<R>) {
-        let mut buckets: Vec<Vec<R>> = (0..self.alpha()).map(|_| Vec::new()).collect();
-        for r in input.into_records() {
-            buckets[bucket_of(r.key(), &self.splitters)].push(r);
+        // A count pass sizes every bucket exactly, so each record is
+        // copied once, straight into its bucket.
+        let records = input.records();
+        let mut counts = vec![0usize; self.alpha()];
+        let of: Vec<u32> = records
+            .iter()
+            .map(|r| {
+                let b = bucket_of(r.key(), &self.splitters);
+                counts[b] += 1;
+                b as u32
+            })
+            .collect();
+        let mut buckets: Vec<Vec<R>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (r, &b) in records.iter().zip(&of) {
+            buckets[b as usize].push(r.clone());
         }
         for (port, b) in buckets.into_iter().enumerate() {
             out.push(port, Packet::new(b));
@@ -264,6 +276,26 @@ impl<R: Record> Functor<R> for DistributeFunctor<R> {
         // couple of staged packets keep the media ahead of the processor.
         2
     }
+}
+
+/// The block hand-off of the block-forming functors: copy records from
+/// the front of `input` into `block` until it holds `beta`, and return
+/// the records not taken together with the block if it is now full. A
+/// full block is moved out whole, leaving `block` empty; an empty block
+/// reserves exactly β before its first record, so filling never
+/// reallocates.
+pub fn fill_block<'a, R: Clone>(
+    block: &mut Vec<R>,
+    beta: usize,
+    input: &'a [R],
+) -> (&'a [R], Option<Vec<R>>) {
+    if block.is_empty() {
+        block.reserve_exact(beta);
+    }
+    let take = (beta - block.len()).min(input.len());
+    block.extend_from_slice(&input[..take]);
+    let full = (block.len() == beta).then(|| std::mem::take(block));
+    (&input[take..], full)
 }
 
 /// Buffers records to blocks of β, sorts each block, emits sorted-run
@@ -291,12 +323,9 @@ impl<R: Record> BlockSortFunctor<R> {
         self.compares_done
     }
 
-    fn emit_full_blocks(&mut self, out: &mut Emit<R>) {
-        while self.buffer.len() >= self.beta {
-            let mut block: Vec<R> = self.buffer.drain(..self.beta).collect();
-            self.compares_done += block_sort(&mut block);
-            out.push0(Packet::new(block));
-        }
+    fn emit_block(&mut self, mut block: Vec<R>, out: &mut Emit<R>) {
+        self.compares_done += block_sort(&mut block);
+        out.push0(Packet::new(block));
     }
 }
 
@@ -310,15 +339,19 @@ impl<R: Record> Functor<R> for BlockSortFunctor<R> {
         }
     }
     fn process(&mut self, input: Packet<R>, out: &mut Emit<R>) {
-        self.buffer.extend(input.into_records());
-        self.emit_full_blocks(out);
+        let mut rest = input.records();
+        while !rest.is_empty() {
+            let (left, full) = fill_block(&mut self.buffer, self.beta, rest);
+            rest = left;
+            if let Some(block) = full {
+                self.emit_block(block, out);
+            }
+        }
     }
     fn flush(&mut self, out: &mut Emit<R>) {
-        self.emit_full_blocks(out);
         if !self.buffer.is_empty() {
-            let mut tail = std::mem::take(&mut self.buffer);
-            self.compares_done += block_sort(&mut tail);
-            out.push0(Packet::new(tail));
+            let tail = std::mem::take(&mut self.buffer);
+            self.emit_block(tail, out);
         }
     }
     fn cost(&self, input: &Packet<R>) -> Work {
@@ -341,12 +374,12 @@ impl<R: Record> Functor<R> for BlockSortFunctor<R> {
 }
 
 /// γ-way merge kernel: buffers sorted-run packets; when γ runs are
-/// buffered, merges and emits one combined run; `flush` merges the rest.
-/// State is bounded by γ runs (enforced by the ASU buffer limit on γ,
-/// Section 4.3).
+/// buffered, merges them in place and emits one combined run; `flush`
+/// merges the rest. State is bounded by γ runs (enforced by the ASU
+/// buffer limit on γ, Section 4.3).
 pub struct MergeFunctor<R> {
     gamma: usize,
-    runs: Vec<Vec<R>>,
+    runs: Vec<Packet<R>>,
     buffered_records: usize,
     compares_done: u64,
 }
@@ -370,10 +403,8 @@ impl<R: Record> MergeFunctor<R> {
 
     fn merge_buffered(&mut self, out: &mut Emit<R>) {
         let runs = std::mem::take(&mut self.runs);
-        self.buffered_records = 0;
-        let (merged, compares) = merge_runs(runs);
-        self.compares_done += compares;
-        out.push0(Packet::new(merged));
+        let m = std::mem::take(&mut self.buffered_records);
+        self.compares_done += merge_packets(&runs, m.max(1), |p| out.push0(p));
     }
 }
 
@@ -391,7 +422,7 @@ impl<R: Record> Functor<R> for MergeFunctor<R> {
     fn process(&mut self, input: Packet<R>, out: &mut Emit<R>) {
         debug_assert!(input.is_sorted(), "merge input must be a sorted run");
         self.buffered_records += input.len();
-        self.runs.push(input.into_records());
+        self.runs.push(input);
         if self.runs.len() == self.gamma {
             self.merge_buffered(out);
         }
@@ -513,6 +544,47 @@ mod tests {
         assert!(got[1].1.is_sorted());
         assert!(b.compares_done() > 0);
         assert_eq!(b.state_bytes(), 0, "flushed");
+    }
+
+    /// The blocks the drain-based block sort emitted: append each packet
+    /// to one buffer, cut β-record blocks off its front, sort each, and
+    /// sort the tail at flush.
+    fn blocks_by_drain(packets: &[Vec<Rec8>], beta: usize) -> (Vec<Vec<Rec8>>, u64) {
+        let (mut buffer, mut blocks, mut compares) = (Vec::new(), Vec::new(), 0);
+        for p in packets {
+            buffer.extend_from_slice(p);
+            while buffer.len() >= beta {
+                let mut block: Vec<Rec8> = buffer.drain(..beta).collect();
+                compares += block_sort(&mut block);
+                blocks.push(block);
+            }
+        }
+        if !buffer.is_empty() {
+            compares += block_sort(&mut buffer);
+            blocks.push(buffer);
+        }
+        (blocks, compares)
+    }
+
+    #[test]
+    fn block_sort_blocks_match_the_drain_reference() {
+        // Duplicate keys (mod 50) make any reordering of a block visible
+        // through the tags.
+        let data: Vec<Rec8> = generate_rec8(3_000, KeyDist::Uniform, 12)
+            .into_iter()
+            .map(|r| Rec8 { key: r.key % 50, tag: r.tag })
+            .collect();
+        for beta in [1usize, 7, 64, 100] {
+            for packet in [1, beta.saturating_sub(1).max(1), beta, beta + 1, 2 * beta + 3, 1_000] {
+                let packets: Vec<Vec<Rec8>> = data.chunks(packet).map(<[Rec8]>::to_vec).collect();
+                let (want, want_compares) = blocks_by_drain(&packets, beta);
+                let mut f = BlockSortFunctor::new(beta);
+                let got = run(&mut f, packets.into_iter().map(Packet::new).collect());
+                let got: Vec<Vec<Rec8>> = got.iter().map(|(_, p)| p.records().to_vec()).collect();
+                assert_eq!(got, want, "β={beta} packet={packet}");
+                assert_eq!(f.compares_done(), want_compares, "β={beta} packet={packet}");
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use lmas_emulator::{
 use lmas_plan::{Estimate, ResidualCapacity};
 use lmas_sim::{ArrivalSpec, SimDuration, SimTime};
 use lmas_sort::{
-    build_pass1_job, build_pass1_job_placed, choose_splitters, split_across_asus, DsmConfig,
+    build_pass1_job, build_pass1_job_placed, choose_splitters, split_into_packets, DsmConfig,
     DsmError, LoadMode, Pass1Planner,
 };
 
@@ -378,6 +378,8 @@ pub fn run_scheduled(
             ..SchedOutcome::default()
         });
     }
+    // Checked before any input is cut into packets at the configured size.
+    dsm.validate_for(1).map_err(DsmError::from)?;
     let tenants = events.iter().map(|e| e.tenant).max().unwrap_or(0) + 1;
     let nodes = cluster.hosts + cluster.asus;
 
@@ -410,7 +412,7 @@ pub fn run_scheduled(
         let data_seed = spec.seed ^ ((j as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let data = generate_rec8(n, KeyDist::Uniform, data_seed);
         let splitters = choose_splitters(&data, dsm.alpha);
-        let per_asu = split_across_asus(&data, cluster.asus);
+        let per_asu = split_into_packets(&data, cluster.asus, dsm.input_packet_records);
 
         let (assignment, built) = if spec.aware {
             // Plan against the capacity left by jobs predicted to still

@@ -99,6 +99,37 @@ impl From<JobError> for DsmError {
 /// packets in storage order.
 pub type RunsPerAsu<R> = Vec<Vec<Packet<R>>>;
 
+/// One ASU's initially resident pass-1 input, in either form the pass-1
+/// builders take: records still to be cut into input packets
+/// (`Vec<R>`, cut by [`packetize`]), or packets already cut at the input
+/// packet size (`Vec<Packet<R>>`, e.g. from [`split_into_packets`]),
+/// which are used as they are.
+pub trait AsuInput<R: Record> {
+    /// Records held.
+    fn record_count(&self) -> u64;
+    /// The source's input packets of at most `packet_records` records.
+    fn into_packets(self, packet_records: usize) -> Vec<Packet<R>>;
+}
+
+impl<R: Record> AsuInput<R> for Vec<R> {
+    fn record_count(&self) -> u64 {
+        self.len() as u64
+    }
+    fn into_packets(self, packet_records: usize) -> Vec<Packet<R>> {
+        packetize(self, packet_records)
+    }
+}
+
+impl<R: Record> AsuInput<R> for Vec<Packet<R>> {
+    fn record_count(&self) -> u64 {
+        self.iter().map(|p| p.len() as u64).sum()
+    }
+    fn into_packets(self, packet_records: usize) -> Vec<Packet<R>> {
+        debug_assert!(self.iter().all(|p| p.len() <= packet_records));
+        self
+    }
+}
+
 /// Result of pass 1: the emulation report and the sorted runs now stored
 /// on each ASU.
 pub struct Pass1Result<R: Record> {
@@ -185,10 +216,11 @@ fn tuned_cluster(cluster: &ClusterConfig, hint: usize) -> ClusterConfig {
 }
 
 /// Run pass 1 (distribute on ASUs → block-sort on hosts → runs back to
-/// ASUs). `data_per_asu[d]` is ASU `d`'s initially resident input.
+/// ASUs). `data_per_asu[d]` is ASU `d`'s initially resident input, as
+/// records or as input packets ([`AsuInput`]).
 pub fn run_pass1<R: Record>(
     cluster: &ClusterConfig,
-    data_per_asu: Vec<Vec<R>>,
+    data_per_asu: Vec<impl AsuInput<R>>,
     splitters: Vec<R::Key>,
     dsm: &DsmConfig,
     mode: LoadMode,
@@ -204,7 +236,7 @@ pub fn run_pass1<R: Record>(
 pub fn run_pass1_with<R: Record>(
     cluster: &ClusterConfig,
     spec: &FaultSpec,
-    data_per_asu: Vec<Vec<R>>,
+    data_per_asu: Vec<impl AsuInput<R>>,
     splitters: Vec<R::Key>,
     dsm: &DsmConfig,
     mode: LoadMode,
@@ -218,7 +250,7 @@ pub fn run_pass1_with<R: Record>(
 /// planner (e.g. all sorters on hosts, or all on ASUs).
 pub fn run_pass1_placed<R: Record>(
     cluster: &ClusterConfig,
-    data_per_asu: Vec<Vec<R>>,
+    data_per_asu: Vec<impl AsuInput<R>>,
     splitters: Vec<R::Key>,
     dsm: &DsmConfig,
     sorter_nodes: &[NodeId],
@@ -258,7 +290,7 @@ pub struct Pass1Job<R: Record> {
 /// validation and graph construction to [`run_pass1`].
 pub fn build_pass1_job<R: Record>(
     cluster: &ClusterConfig,
-    data_per_asu: Vec<Vec<R>>,
+    data_per_asu: Vec<impl AsuInput<R>>,
     splitters: Vec<R::Key>,
     dsm: &DsmConfig,
     mode: LoadMode,
@@ -271,7 +303,7 @@ pub fn build_pass1_job<R: Record>(
 /// [`run_pass1_placed`]).
 pub fn build_pass1_job_placed<R: Record>(
     cluster: &ClusterConfig,
-    data_per_asu: Vec<Vec<R>>,
+    data_per_asu: Vec<impl AsuInput<R>>,
     splitters: Vec<R::Key>,
     dsm: &DsmConfig,
     sorter_nodes: &[NodeId],
@@ -289,7 +321,7 @@ pub fn build_pass1_job_placed<R: Record>(
 fn run_pass1_inner<R: Record>(
     cluster: &ClusterConfig,
     spec: &FaultSpec,
-    data_per_asu: Vec<Vec<R>>,
+    data_per_asu: Vec<impl AsuInput<R>>,
     splitters: Vec<R::Key>,
     dsm: &DsmConfig,
     mode: LoadMode,
@@ -317,7 +349,7 @@ fn run_pass1_inner<R: Record>(
 
 fn build_pass1_inner<R: Record>(
     cluster: &ClusterConfig,
-    data_per_asu: Vec<Vec<R>>,
+    data_per_asu: Vec<impl AsuInput<R>>,
     splitters: Vec<R::Key>,
     dsm: &DsmConfig,
     mode: LoadMode,
@@ -362,7 +394,7 @@ fn build_pass1_inner<R: Record>(
     // Auto mode asks the planner first: it sweeps replication degrees
     // and host/ASU assignments over the declared costs, and the rest of
     // this function builds the graph the winning candidate describes.
-    let n: u64 = data_per_asu.iter().map(|v| v.len() as u64).sum();
+    let n: u64 = data_per_asu.iter().map(AsuInput::record_count).sum();
     let auto_plan = match mode {
         LoadMode::Auto => Some(plan_pass1::<R>(&cluster, dsm, n)?),
         _ => None,
@@ -443,7 +475,7 @@ fn build_pass1_inner<R: Record>(
     for (asu, data) in data_per_asu.into_iter().enumerate() {
         inputs.insert(
             (distribute.0, asu),
-            packetize(data, dsm.input_packet_records),
+            data.into_packets(dsm.input_packet_records),
         );
     }
 
@@ -464,18 +496,7 @@ pub fn run_pass2<R: Record>(
     splitters: Vec<R::Key>,
     dsm: &DsmConfig,
 ) -> Result<Pass2Result<R>, DsmError> {
-    run_pass2_with(cluster, &FaultSpec::none(), runs_per_asu, splitters, dsm)
-}
-
-/// [`run_pass2`] under a fault plan (inactive spec ⇒ identical runs).
-pub fn run_pass2_with<R: Record>(
-    cluster: &ClusterConfig,
-    spec: &FaultSpec,
-    runs_per_asu: Vec<Vec<Packet<R>>>,
-    splitters: Vec<R::Key>,
-    dsm: &DsmConfig,
-) -> Result<Pass2Result<R>, DsmError> {
-    run_pass2_inner(cluster, spec, runs_per_asu, splitters, dsm, None)
+    run_pass2_inner(cluster, runs_per_asu, splitters, dsm, None)
 }
 
 /// [`run_pass2`] with the host-merge placement chosen by the planner
@@ -493,14 +514,7 @@ pub fn run_pass2_auto<R: Record>(
         .sum();
     let outcome = plan_pass2::<R>(cluster, dsm, n)?;
     let hosts = outcome.assignment[1].clone();
-    let mut res = run_pass2_inner(
-        cluster,
-        &FaultSpec::none(),
-        runs_per_asu,
-        splitters,
-        dsm,
-        Some(&hosts),
-    )?;
+    let mut res = run_pass2_inner(cluster, runs_per_asu, splitters, dsm, Some(&hosts))?;
     res.plan = Some(outcome);
     Ok(res)
 }
@@ -523,7 +537,6 @@ pub(crate) fn run_pass2_in_mode<R: Record>(
 
 fn run_pass2_inner<R: Record>(
     cluster: &ClusterConfig,
-    spec: &FaultSpec,
     runs_per_asu: Vec<Vec<Packet<R>>>,
     splitters: Vec<R::Key>,
     dsm: &DsmConfig,
@@ -589,7 +602,7 @@ fn run_pass2_inner<R: Record>(
         inputs.insert((asu_merge.0, asu), runs);
     }
 
-    let report = run_job_with_faults(&cluster, spec, Job { graph: g, placement, inputs })?;
+    let report = run_job(&cluster, Job { graph: g, placement, inputs })?;
     let output = report
         .sink_outputs
         .values()
@@ -704,7 +717,7 @@ pub fn run_dsm_sort_multipass<R: Record>(
         ));
     }
     let splitters = choose_splitters(&data, dsm.alpha);
-    let per_asu = split_across_asus(&data, cluster.asus);
+    let per_asu = split_into_packets(&data, cluster.asus, dsm.input_packet_records);
     drop(data);
     let p1 = run_pass1(cluster, per_asu, splitters.clone(), dsm, mode)?;
     let mut total = p1.report.makespan;
@@ -742,16 +755,36 @@ pub fn choose_splitters<R: Record>(data: &[R], alpha: usize) -> Vec<R::Key> {
     splitters_of_keys(sample, alpha)
 }
 
+/// ASU `i`'s share of an `n`-record input split `d` ways: a near-equal
+/// contiguous chunk.
+fn asu_share(i: usize, n: usize, d: usize) -> std::ops::Range<usize> {
+    i * n / d..(i + 1) * n / d
+}
+
 /// Split `data` into `d` near-equal contiguous chunks (the "input data
 /// initially distributed across the ASUs" layout).
 pub fn split_across_asus<R: Clone>(data: &[R], d: usize) -> Vec<Vec<R>> {
     assert!(d > 0, "need at least one ASU");
-    let n = data.len();
+    (0..d).map(|i| data[asu_share(i, data.len(), d)].to_vec()).collect()
+}
+
+/// [`split_across_asus`] then [`packetize`] each chunk at
+/// `packet_records`, in one copy: every record goes from `data` straight
+/// into its ASU's input packet. Packet for packet the same as the
+/// two-step form.
+pub fn split_into_packets<R: Record>(
+    data: &[R],
+    d: usize,
+    packet_records: usize,
+) -> Vec<Vec<Packet<R>>> {
+    assert!(d > 0, "need at least one ASU");
+    assert!(packet_records > 0, "packet size must be positive");
     (0..d)
         .map(|i| {
-            let lo = i * n / d;
-            let hi = (i + 1) * n / d;
-            data[lo..hi].to_vec()
+            data[asu_share(i, data.len(), d)]
+                .chunks(packet_records)
+                .map(|c| Packet::new(c.to_vec()))
+                .collect()
         })
         .collect()
 }
@@ -766,7 +799,7 @@ pub fn run_dsm_sort<R: Record>(
 ) -> Result<DsmOutcome<R>, DsmError> {
     dsm.validate_for(data.len() as u64)?;
     let splitters = choose_splitters(&data, dsm.alpha);
-    let per_asu = split_across_asus(&data, cluster.asus);
+    let per_asu = split_into_packets(&data, cluster.asus, dsm.input_packet_records);
     drop(data);
     let p1 = run_pass1(cluster, per_asu, splitters.clone(), dsm, mode)?;
     let p2 = run_pass2_in_mode(cluster, p1.runs_per_asu, splitters.clone(), dsm, mode)?;
@@ -827,6 +860,30 @@ mod tests {
         let flat: Vec<u32> = chunks.concat();
         assert_eq!(flat, data);
         assert!(chunks.iter().all(|c| !c.is_empty()));
+    }
+
+    #[test]
+    fn one_copy_split_equals_split_then_packetize() {
+        let data = lmas_core::generate_rec8(1_000, lmas_core::KeyDist::Uniform, 3);
+        // n = 0, n < d, packet size 1, packet size > n, and the ordinary
+        // cases in between.
+        for (n, d, packet) in [
+            (0, 3, 4),
+            (2, 5, 1),
+            (3, 7, 64),
+            (10, 3, 1),
+            (10, 3, 11),
+            (1_000, 4, 64),
+            (1_000, 7, 1_024),
+            (997, 16, 5),
+        ] {
+            let data = &data[..n];
+            let want: Vec<Vec<Packet<lmas_core::Rec8>>> = split_across_asus(data, d)
+                .into_iter()
+                .map(|chunk| packetize(chunk, packet))
+                .collect();
+            assert_eq!(split_into_packets(data, d, packet), want, "n={n} d={d} packet={packet}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use crate::config::{DsmConfig, LoadMode};
 use crate::dsm::{
-    choose_splitters, run_pass1_with, run_pass2_in_mode, split_across_asus, DsmError, Pass1Result,
+    choose_splitters, run_pass1_with, run_pass2_in_mode, split_into_packets, DsmError, Pass1Result,
 };
 use lmas_core::{NodeId, Packet, Record};
 use lmas_emulator::{ClusterConfig, EmulationReport, FaultSpec};
@@ -187,7 +187,7 @@ pub fn run_dsm_sort_faulty<R: Record>(
     } else {
         None
     };
-    let per_asu = split_across_asus(&data, cluster.asus);
+    let per_asu = split_into_packets(&data, cluster.asus, dsm.input_packet_records);
     let replica = index.map(|index| (index, data));
 
     let Pass1Result {
@@ -236,7 +236,7 @@ pub fn run_dsm_sort_faulty<R: Record>(
         let mut repair_cluster = *cluster;
         repair_cluster.hosts = live_hosts;
         repair_cluster.asus = live_asus.len();
-        let lost_per_asu = split_across_asus(&lost, live_asus.len());
+        let lost_per_asu = split_into_packets(&lost, live_asus.len(), dsm.input_packet_records);
         let rp = run_pass1_with(
             &repair_cluster,
             &FaultSpec::none(),

@@ -10,14 +10,19 @@
 //! carries subset `b` to host-merge instance `b`.
 //!
 //! [`FullMergeFunctor`] is the host side: it buffers every run of its
-//! subset and performs one k-way merge at end of stream, emitting the
-//! sorted subset in stripe-sized packets. `k` must respect the declared
-//! γ₂ bound; the functor records the actual fan-in so configuration
-//! errors are observable rather than silent.
+//! subset and performs one k-way merge at end of stream, writing the
+//! sorted subset straight into stripe-sized packets. `k` must respect the
+//! declared γ₂ bound; the functor records the actual fan-in so
+//! configuration errors are observable rather than silent.
+//!
+//! Both merges buffer the run packets as they arrive and read them in
+//! place ([`merge_packets`]), so each record is written once per merge.
 
+use lmas_core::functor::lib::fill_block;
 use lmas_core::functor::{Emit, Functor, FunctorKind};
-use lmas_core::kernels::{bucket_of, merge_runs};
+use lmas_core::kernels::{bucket_of, merge_packets};
 use lmas_core::{log2_ceil, Packet, Record, Work};
+use std::slice;
 
 /// Fused distribute+sort for the conventional-host baseline.
 ///
@@ -65,10 +70,8 @@ impl<R: Record> DistributeSortFunctor<R> {
         self.compares_done
     }
 
-    fn emit_run(&mut self, b: usize, out: &mut Emit<R>) {
-        let take = self.beta.min(self.buffers[b].len());
-        let mut run: Vec<R> = self.buffers[b].drain(..take).collect();
-        self.buffered -= take;
+    fn emit_run(&mut self, b: usize, mut run: Vec<R>, out: &mut Emit<R>) {
+        self.buffered -= run.len();
         self.compares_done += lmas_core::kernels::block_sort(&mut run);
         out.push(b, Packet::new(run));
     }
@@ -86,19 +89,20 @@ impl<R: Record> Functor<R> for DistributeSortFunctor<R> {
         FunctorKind::HostOnly
     }
     fn process(&mut self, input: Packet<R>, out: &mut Emit<R>) {
-        for r in input.into_records() {
+        for r in input.records() {
             let b = bucket_of(r.key(), &self.splitters);
-            self.buffers[b].push(r);
             self.buffered += 1;
-            if self.buffers[b].len() >= self.beta {
-                self.emit_run(b, out);
+            let (_, full) = fill_block(&mut self.buffers[b], self.beta, slice::from_ref(r));
+            if let Some(run) = full {
+                self.emit_run(b, run, out);
             }
         }
     }
     fn flush(&mut self, out: &mut Emit<R>) {
         for b in 0..self.buffers.len() {
-            while !self.buffers[b].is_empty() {
-                self.emit_run(b, out);
+            if !self.buffers[b].is_empty() {
+                let tail = std::mem::take(&mut self.buffers[b]);
+                self.emit_run(b, tail, out);
             }
         }
     }
@@ -121,8 +125,8 @@ impl<R: Record> Functor<R> for DistributeSortFunctor<R> {
 pub struct SubsetMergeFunctor<R: Record> {
     splitters: Vec<R::Key>,
     gamma1: usize,
-    /// Per-subset buffered runs.
-    buffers: Vec<Vec<Vec<R>>>,
+    /// Per-subset buffered run packets (merged in place).
+    buffers: Vec<Vec<Packet<R>>>,
     buffered_records: usize,
     compares_done: u64,
 }
@@ -163,11 +167,9 @@ impl<R: Record> SubsetMergeFunctor<R> {
 
     fn merge_subset(&mut self, b: usize, out: &mut Emit<R>) {
         let runs = std::mem::take(&mut self.buffers[b]);
-        let m: usize = runs.iter().map(|r| r.len()).sum();
+        let m: usize = runs.iter().map(Packet::len).sum();
         self.buffered_records -= m;
-        let (merged, compares) = merge_runs(runs);
-        self.compares_done += compares;
-        out.push(b, Packet::new(merged));
+        self.compares_done += merge_packets(&runs, m, |p| out.push(b, p));
     }
 }
 
@@ -192,7 +194,7 @@ impl<R: Record> Functor<R> for SubsetMergeFunctor<R> {
         debug_assert!(input.is_sorted(), "merge input must be a sorted run");
         let b = self.subset_of(&input);
         self.buffered_records += input.len();
-        self.buffers[b].push(input.into_records());
+        self.buffers[b].push(input);
         if self.buffers[b].len() == self.gamma1 {
             self.merge_subset(b, out);
         }
@@ -210,7 +212,7 @@ impl<R: Record> Functor<R> for SubsetMergeFunctor<R> {
         }
         let b = bucket_of(input.records()[0].key(), &self.splitters);
         if self.buffers[b].len() + 1 == self.gamma1 {
-            let m: usize = self.buffers[b].iter().map(|r| r.len()).sum::<usize>() + input.len();
+            let m: usize = self.buffers[b].iter().map(Packet::len).sum::<usize>() + input.len();
             Work::compares(m as u64 * log2_ceil(self.gamma1 as u64))
                 + Work::moves(m as u64)
         } else {
@@ -220,7 +222,7 @@ impl<R: Record> Functor<R> for SubsetMergeFunctor<R> {
     fn flush_cost(&self) -> Work {
         let mut w = Work::ZERO;
         for runs in &self.buffers {
-            let m: usize = runs.iter().map(|r| r.len()).sum();
+            let m: usize = runs.iter().map(Packet::len).sum();
             w += Work::compares(m as u64 * log2_ceil(runs.len() as u64))
                 + Work::moves(m as u64);
         }
@@ -242,7 +244,7 @@ impl<R: Record> Functor<R> for SubsetMergeFunctor<R> {
 pub struct FullMergeFunctor<R: Record> {
     declared_gamma2: usize,
     stripe_records: usize,
-    runs: Vec<Vec<R>>,
+    runs: Vec<Packet<R>>,
     buffered_records: usize,
     compares_done: u64,
     max_fanin: usize,
@@ -288,7 +290,7 @@ impl<R: Record> Functor<R> for FullMergeFunctor<R> {
         }
         debug_assert!(input.is_sorted(), "merge input must be a sorted run");
         self.buffered_records += input.len();
-        self.runs.push(input.into_records());
+        self.runs.push(input);
     }
     fn flush(&mut self, out: &mut Emit<R>) {
         if self.runs.is_empty() {
@@ -303,16 +305,7 @@ impl<R: Record> Functor<R> for FullMergeFunctor<R> {
         );
         let runs = std::mem::take(&mut self.runs);
         self.buffered_records = 0;
-        let (merged, compares) = merge_runs(runs);
-        self.compares_done += compares;
-        let mut it = merged.into_iter();
-        loop {
-            let chunk: Vec<R> = it.by_ref().take(self.stripe_records).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            out.push0(Packet::new(chunk));
-        }
+        self.compares_done += merge_packets(&runs, self.stripe_records, |p| out.push0(p));
     }
     fn cost(&self, input: &Packet<R>) -> Work {
         Work::moves(input.len() as u64)

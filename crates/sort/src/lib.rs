@@ -39,8 +39,8 @@ pub use config::{DsmConfig, DsmConfigError, LoadMode};
 pub use dsm::{
     build_pass1_job, build_pass1_job_placed, choose_splitters, run_dsm_sort,
     run_dsm_sort_multipass, run_intermediate_merge, run_pass1, run_pass1_placed, run_pass1_with,
-    run_pass2, run_pass2_auto, run_pass2_with, split_across_asus, DsmError, DsmMultiOutcome,
-    DsmOutcome, DsmPlanInfo, Pass1Job, Pass1Result, Pass2Result,
+    run_pass2, run_pass2_auto, split_across_asus, split_into_packets, AsuInput, DsmError,
+    DsmMultiOutcome, DsmOutcome, DsmPlanInfo, Pass1Job, Pass1Result, Pass2Result,
 };
 pub use fault::{lost_records, run_dsm_sort_faulty, FaultyDsmOutcome};
 pub use planner::{
