@@ -3,12 +3,11 @@
 //! labeling. Runs as a plain main under `cargo bench --bench gis_micro`
 //! and writes `results/BENCH_gis.json`.
 
-use lmas_bench::timing::BenchReport;
-use lmas_bench::write_results;
+use lmas_bench::{GateFailure, Report};
 use lmas_gis::{fractal_terrain, random_points, ExternalPq, RTree, Rect, WatershedLabeler};
 
-fn main() {
-    let mut report = BenchReport::new();
+fn main() -> Result<(), GateFailure> {
+    let mut report = Report::new("BENCH_gis.json");
 
     let points = random_points(50_000, 1);
     report.bench("rtree/bulk_load_50k", 50_000, || {
@@ -67,5 +66,6 @@ fn main() {
         });
     }
 
-    write_results("BENCH_gis.json", &report.to_json());
+    report.headline(&["watershed/label_193x193"]);
+    report.write()
 }

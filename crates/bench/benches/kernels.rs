@@ -8,8 +8,7 @@
 //! virtual-time results are unchanged by construction, so wall clock is
 //! the whole story.
 
-use lmas_bench::timing::BenchReport;
-use lmas_bench::write_results;
+use lmas_bench::{GateFailure, Report};
 use lmas_core::kernels::{
     block_sort, bucket_of, merge_packets, merge_runs, radix_sort_u32, select_splitters,
 };
@@ -19,8 +18,8 @@ use lmas_plan::ResidualCapacity;
 use lmas_sim::DetRng;
 use lmas_sort::{choose_splitters, lost_records, DsmConfig, Pass1Planner};
 
-fn main() {
-    let mut report = BenchReport::new();
+fn main() -> Result<(), GateFailure> {
+    let mut report = Report::new("BENCH_kernels.json");
 
     // Block sort (dispatches to radix for these records) vs the raw
     // kernels, on the 8-byte test record and the paper's 128-byte record.
@@ -73,11 +72,15 @@ fn main() {
                 Packet::new(run)
             })
             .collect();
-        report.bench(&format!("merge_packets_rec128/k={k},chunk={chunk}"), n as u64, || {
-            let mut out = 0usize;
-            merge_packets(&runs, chunk, |p| out += p.len());
-            out
-        });
+        report.bench(
+            &format!("merge_packets_rec128/k={k},chunk={chunk}"),
+            n as u64,
+            || {
+                let mut out = 0usize;
+                merge_packets(&runs, chunk, |p| out += p.len());
+                out
+            },
+        );
     }
 
     // Packet fan-out: cloning a packet to many destinations is a
@@ -153,17 +156,24 @@ fn main() {
         res.occupy(u, share, share / 2.0, share / 4.0);
     }
     report.bench("plan/residual_4h4a", 1, || {
-        planner.plan_residual(&res).expect("plans").estimate.makespan_ns
+        planner
+            .plan_residual(&res)
+            .expect("plans")
+            .estimate
+            .makespan_ns
     });
     let layout = planner.plan_residual(&res).expect("plans").assignment;
     report.bench("plan/estimate_4h4a", 1, || {
         planner.estimate_solo(&layout).makespan_ns
     });
     let small = generate_rec8(10_000, KeyDist::Uniform, 6);
-    report.bench("splitters/n=10000,k=2", 10_000, || choose_splitters(&small, 2));
+    report.bench("splitters/n=10000,k=2", 10_000, || {
+        choose_splitters(&small, 2)
+    });
     report.bench("splitters/n=524288,k=16", 1 << 19, || {
         choose_splitters(&dense, 16)
     });
 
-    write_results("BENCH_kernels.json", &report.to_json());
+    report.headline(&["radix_sort_rec128/n=65536"]);
+    report.write()
 }

@@ -12,8 +12,7 @@
 //! engine and a one-partition parallel run, FCFS grants, and an
 //! end-to-end DSM-Sort emulation on the default config.
 
-use lmas_bench::timing::BenchReport;
-use lmas_bench::write_results;
+use lmas_bench::{GateFailure, Report};
 use lmas_core::{generate_rec128, KeyDist};
 use lmas_emulator::ClusterConfig;
 use lmas_sim::{
@@ -35,8 +34,8 @@ fn install_cascade(sim: &mut Simulation<u64>, n: u64) {
     sim.seed_message(a, SimTime::ZERO, n - 1);
 }
 
-fn main() {
-    let mut report = BenchReport::new();
+fn main() -> Result<(), GateFailure> {
+    let mut report = Report::new("BENCH_sim.json");
     let n = 1 << 16;
 
     report.bench("calendar/schedule_pop_random_64k", n, || {
@@ -59,7 +58,14 @@ fn main() {
         let mut q = EventQueue::new();
         for i in 0..n {
             let at = SimTime(rng.gen_range(1_000_000));
-            q.push(EventKey { at, sched: i / 16, packed: (1 << 63) | (i << 15) }, i);
+            q.push(
+                EventKey {
+                    at,
+                    sched: i / 16,
+                    packed: (1 << 63) | (i << 15),
+                },
+                i,
+            );
         }
         let mut acc = 0u64;
         while let Some((_, v)) = q.pop() {
@@ -145,5 +151,6 @@ fn main() {
         run_dsm_sort(&cluster, data.clone(), &dsm, LoadMode::Static).expect("sort runs")
     });
 
-    write_results("BENCH_sim.json", &report.to_json());
+    report.headline(&["emulation/dsm_sort_default_per_event"]);
+    report.write()
 }

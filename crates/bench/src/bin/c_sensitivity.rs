@@ -5,7 +5,7 @@
 //! α: faster ASUs (c = 4) shift every crossover left and raise speedups
 //! wherever the ASUs were the bottleneck.
 
-use lmas_bench::{row, scaled_n, write_results};
+use lmas_bench::{scaled_n, write_csv, Json, Table};
 use lmas_core::{generate_rec128, KeyDist};
 use lmas_emulator::ClusterConfig;
 use lmas_sort::{choose_splitters, pass1_speedup, split_across_asus, DsmConfig, LoadMode};
@@ -22,17 +22,10 @@ fn main() {
     let dsm = DsmConfig::new(alpha, beta, 8, 4096);
 
     println!("T2: pass-1 speedup at c = 4 vs c = 8 (α={alpha}, β={beta}, n={n}, H=1)");
-    let widths = [6usize, 7, 7, 7, 7, 7, 7];
-    let mut header = vec!["c".to_string()];
-    header.extend(ASU_COUNTS.iter().map(|d| format!("D={d}")));
-    println!("{}", row(&header, &widths));
-
-    let mut csv = String::from("c");
-    for d in ASU_COUNTS {
-        csv.push_str(&format!(",D{d}"));
-    }
-    csv.push('\n');
-
+    let mut table = Table::new(&format!(
+        "c{}",
+        ASU_COUNTS.map(|d| format!(" D{d}")).concat()
+    ));
     let mut by_c = Vec::new();
     for c in [4.0f64, 8.0] {
         // Independent emulations: sweep in parallel on the bench host.
@@ -47,17 +40,11 @@ fn main() {
                 s
             })
             .collect();
-        let mut cells = vec![format!("{c}")];
-        cells.extend(series.iter().map(|s| format!("{s:.3}")));
-        println!("{}", row(&cells, &widths));
-        csv.push_str(&format!(
-            "{c},{}\n",
-            series.iter().map(|s| format!("{s:.4}")).collect::<Vec<_>>().join(",")
-        ));
+        table.series(Json::Num(c.to_string()), &series, 4);
         by_c.push(series);
     }
+    write_csv("c_sensitivity.csv", &table);
     // Sanity: c=4 dominates c=8 wherever the ASUs bind (small D).
     let gain = by_c[0][0] / by_c[1][0];
     println!("c=4 over c=8 at D=2: {gain:.2}× (ASU-bound region)");
-    write_results("c_sensitivity.csv", &csv);
 }

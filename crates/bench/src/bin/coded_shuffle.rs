@@ -6,7 +6,7 @@
 //! broadcast-group sizes r ∈ {1, 2, 4} and records the measured ASU
 //! shuffle bytes (`nic_bytes_tx`) and makespan, then asks the planner
 //! (`plan_pass1_coded`, scored on the same static layout) which r it
-//! would pick. Gates, frozen as `verified_*` booleans in the artifact:
+//! would pick. Gates, declared booleans of the artifact:
 //!
 //! 1. **1/r tracking** — measured shuffle bytes at every r stay within
 //!    10% of `tx(1)/r` (the coded frame is the max of its r member
@@ -25,12 +25,14 @@
 //! overhead from splitter sampling skew, which would otherwise bias
 //! every frame toward its group's largest bucket.
 
-use lmas_bench::{row, scale, scaled_n, write_results};
+use lmas_bench::{fx, obj, scaled_n, GateFailure, Json, Report, Table};
 use lmas_core::kernels::select_splitters;
 use lmas_core::{generate_rec128, KeyDist, NodeId, Rec128, Record};
 use lmas_emulator::{ClusterConfig, StorageSpec};
 use lmas_sim::fnv1a;
-use lmas_sort::{plan_pass1_coded, run_dsm_sort, run_pass1, split_across_asus, DsmConfig, LoadMode};
+use lmas_sort::{
+    plan_pass1_coded, run_dsm_sort, run_pass1, split_across_asus, DsmConfig, LoadMode,
+};
 
 const R_SWEEP: [usize; 3] = [1, 2, 4];
 const SEED: u64 = 3;
@@ -73,39 +75,53 @@ fn cells() -> Vec<Cell> {
         c
     };
     vec![
-        Cell { name: "disk_2x4", cluster: ClusterConfig::era_2002(2, 4, 8.0) },
-        Cell { name: "disk_4x2", cluster: ClusterConfig::era_2002(4, 2, 8.0) },
-        Cell { name: "nic_mild_8x2", cluster: nic(None) },
-        Cell { name: "nic_strong_8x2", cluster: nic(Some(fine_striped(4))) },
+        Cell {
+            name: "disk_2x4",
+            cluster: ClusterConfig::era_2002(2, 4, 8.0),
+        },
+        Cell {
+            name: "disk_4x2",
+            cluster: ClusterConfig::era_2002(4, 2, 8.0),
+        },
+        Cell {
+            name: "nic_mild_8x2",
+            cluster: nic(None),
+        },
+        Cell {
+            name: "nic_strong_8x2",
+            cluster: nic(Some(fine_striped(4))),
+        },
     ]
 }
 
-struct RPoint {
-    r: usize,
-    makespan_ns: u64,
-    asu_tx: u64,
-    dev_pct: f64,
-}
-
-fn main() {
+fn main() -> Result<(), GateFailure> {
     let n = scaled_n(80_000, 20_000);
-    let strict = scale() >= 1.0;
     println!("BENCH-coded: coded-shuffle distribute (n={n}, α=8, r ∈ {R_SWEEP:?})");
 
-    let mut json = String::from("{\n  \"cells\": [\n");
+    let mut report = Report::new("BENCH_coded.json");
+    let mut cell_objs = Vec::new();
     let mut all_tracking = true;
     let mut all_planner = true;
-    let ncells = cells().len();
-    for (ci, cell) in cells().into_iter().enumerate() {
+    for cell in cells() {
         let data = generate_rec128(n, KeyDist::Uniform, SEED);
         let splitters = select_splitters(data.clone(), 8);
-        let mut points: Vec<RPoint> = Vec::new();
+        let mut sweep = Table::new("r makespan_ns asu_nic_bytes_tx dev_from_inverse_r_pct");
+        let mut tracking = true;
+        // Measured-best r: argmin makespan, ascending, strict < (a tie
+        // keeps the smaller r, mirroring the planner's tie-break).
+        let mut best = (0usize, u64::MAX);
         let mut tx1 = 0u64;
         for r in R_SWEEP {
             let dsm = bench_dsm(r);
             let per_asu = split_across_asus(&data, cell.cluster.asus);
-            let p1 = run_pass1(&cell.cluster, per_asu, splitters.clone(), &dsm, LoadMode::Static)
-                .expect("coded pass 1 runs");
+            let p1 = run_pass1(
+                &cell.cluster,
+                per_asu,
+                splitters.clone(),
+                &dsm,
+                LoadMode::Static,
+            )
+            .expect("coded pass 1 runs");
             let tx: u64 = p1
                 .report
                 .nodes
@@ -117,80 +133,58 @@ fn main() {
                 tx1 = tx;
             }
             let pred = tx1 as f64 / r as f64;
-            points.push(RPoint {
-                r,
-                makespan_ns: p1.report.makespan.as_nanos(),
-                asu_tx: tx,
-                dev_pct: (tx as f64 - pred) / pred * 100.0,
-            });
+            let dev_pct = (tx as f64 - pred) / pred * 100.0;
+            tracking &= dev_pct.abs() <= 10.0;
+            let makespan_ns = p1.report.makespan.as_nanos();
+            if makespan_ns < best.1 {
+                best = (r, makespan_ns);
+            }
+            sweep.row(vec![
+                r.into(),
+                makespan_ns.into(),
+                tx.into(),
+                fx(dev_pct, 2),
+            ]);
         }
-        // Measured-best r: argmin makespan, ascending, strict < (a tie
-        // keeps the smaller r, mirroring the planner's tie-break).
-        let measured_best = points
-            .iter()
-            .fold((0usize, u64::MAX), |best, p| {
-                if p.makespan_ns < best.1 { (p.r, p.makespan_ns) } else { best }
-            })
-            .0;
+        let measured_best = best.0;
         let (planner_r, outcome) =
             plan_pass1_coded::<Rec128>(&cell.cluster, &bench_dsm(1), n, &R_SWEEP)
                 .expect("coded plan sweep runs");
-        let tracking = points.iter().all(|p| p.dev_pct.abs() <= 10.0);
         let agree = planner_r == measured_best;
         all_tracking &= tracking;
         all_planner &= agree;
 
-        println!("-- {} (H={}, D={}) --", cell.name, cell.cluster.hosts, cell.cluster.asus);
-        let widths = [3usize, 14, 12, 8];
         println!(
-            "{}",
-            row(&["r".into(), "makespan_ns".into(), "asu_tx".into(), "dev".into()], &widths)
+            "-- {} (H={}, D={}) --",
+            cell.name, cell.cluster.hosts, cell.cluster.asus
         );
-        for p in &points {
-            println!(
-                "{}",
-                row(
-                    &[
-                        format!("{}", p.r),
-                        format!("{}", p.makespan_ns),
-                        format!("{}", p.asu_tx),
-                        format!("{:+.1}%", p.dev_pct),
-                    ],
-                    &widths
-                )
-            );
+        sweep.print();
+        let mut curve = Table::new("r predicted_makespan_ns predicted_nic_bytes extra_disk_bytes");
+        for c in &outcome.report.coded_curve {
+            curve.row(vec![
+                c.r.into(),
+                c.predicted_makespan_ns.into(),
+                c.predicted_nic_bytes.into(),
+                c.extra_disk_bytes.into(),
+            ]);
         }
+        curve.print();
         println!(
             "  measured-best r={measured_best} planner r={planner_r} tracking={tracking} agree={agree}"
         );
-
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"hosts\": {}, \"asus\": {}, \"sweep\": [\n",
-            cell.name, cell.cluster.hosts, cell.cluster.asus
-        ));
-        for (i, p) in points.iter().enumerate() {
-            let comma = if i + 1 == points.len() { "" } else { "," };
-            json.push_str(&format!(
-                "      {{\"r\": {}, \"makespan_ns\": {}, \"asu_nic_bytes_tx\": {}, \"dev_from_inverse_r_pct\": {:.2}}}{comma}\n",
-                p.r, p.makespan_ns, p.asu_tx, p.dev_pct
-            ));
-        }
-        json.push_str("    ],\n    \"predicted_curve\": [\n");
-        let curve = &outcome.report.coded_curve;
-        for (i, c) in curve.iter().enumerate() {
-            let comma = if i + 1 == curve.len() { "" } else { "," };
-            json.push_str(&format!(
-                "      {{\"r\": {}, \"predicted_makespan_ns\": {}, \"predicted_nic_bytes\": {}, \"extra_disk_bytes\": {}}}{comma}\n",
-                c.r, c.predicted_makespan_ns, c.predicted_nic_bytes, c.extra_disk_bytes
-            ));
-        }
-        let comma = if ci + 1 == ncells { "" } else { "," };
-        json.push_str(&format!(
-            "    ],\n    \"measured_best_r\": {measured_best}, \"planner_r\": {planner_r}, \
-             \"cell_inverse_r_tracking_ok\": {tracking}, \"cell_planner_agreement_ok\": {agree}}}{comma}\n"
-        ));
+        cell_objs.push(obj([
+            ("name", cell.name.into()),
+            ("hosts", cell.cluster.hosts.into()),
+            ("asus", cell.cluster.asus.into()),
+            ("sweep", sweep.list()),
+            ("predicted_curve", curve.list()),
+            ("measured_best_r", measured_best.into()),
+            ("planner_r", planner_r.into()),
+            ("cell_inverse_r_tracking_ok", tracking.into()),
+            ("cell_planner_agreement_ok", agree.into()),
+        ]));
     }
-    json.push_str("  ],\n");
+    report.put("cells", Json::Arr(cell_objs));
 
     // Gate 3: a coded sort is byte-identical across thread counts under
     // the partitioned kernel, with no fallback.
@@ -199,32 +193,35 @@ fn main() {
         let data = generate_rec128(n, KeyDist::Uniform, SEED);
         let out = run_dsm_sort(&cluster, data, &bench_dsm(2), LoadMode::Static)
             .expect("coded threaded sort runs");
-        if threads > 1 {
-            assert!(out.pass1.par.is_some(), "threaded coded run parallelizes");
-            assert!(
-                out.pass1.par_fallback.is_none(),
-                "no fallback reason on a coded run: {:?}",
-                out.pass1.par_fallback
-            );
-        }
+        let parallel =
+            threads == 1 || (out.pass1.par.is_some() && out.pass1.par_fallback.is_none());
         let key_fnv = fnv1a(
             out.output
                 .iter()
                 .flat_map(|p| p.records())
                 .flat_map(|r| r.key().to_le_bytes()),
         );
-        (out.pass1.makespan.as_nanos(), out.total.as_nanos(), key_fnv)
+        (
+            out.pass1.makespan.as_nanos(),
+            out.total.as_nanos(),
+            key_fnv,
+            parallel,
+        )
     };
     let t1 = coded_threads(1);
     let t2 = coded_threads(2);
     let t4 = coded_threads(4);
+    // `parallel` is in the tuple and true at one thread, so equality also
+    // holds the threaded runs to the partitioned kernel.
     let threads_ok = t1 == t2 && t2 == t4;
-    println!("-- coded r=2 across threads --");
-    println!("  t1={t1:?} t2={t2:?} t4={t4:?} identical={threads_ok}");
-    json.push_str(&format!(
-        "  \"coded_threads\": {{\"pass1_makespan_ns\": {}, \"total_ns\": {}, \"output_key_fnv\": \"{:016x}\", \"verified_threads_identical\": {threads_ok}}},\n",
-        t1.0, t1.1, t1.2
-    ));
+    report.put(
+        "coded_threads",
+        obj([
+            ("pass1_makespan_ns", t1.0.into()),
+            ("total_ns", t1.1.into()),
+            ("output_key_fnv", format!("{:016x}", t1.2).into()),
+        ]),
+    );
 
     // Gate 4: r = 1 reproduces the default (uncoded-config) engine
     // bit for bit.
@@ -251,23 +248,19 @@ fn main() {
         d.input_packet_records = 4096;
         d
     });
-    let r1_ok = coded1 == plain;
-    println!("-- r=1 vs uncoded engine --");
-    println!("  coded1={coded1:?} plain={plain:?} identical={r1_ok}");
-    json.push_str(&format!(
-        "  \"r1_vs_uncoded\": {{\"pass1_makespan_ns\": {}, \"pass2_makespan_ns\": {}, \"total_ns\": {}, \"output_key_fnv\": \"{:016x}\", \"verified_r1_matches_uncoded\": {r1_ok}}},\n",
-        coded1.0, coded1.1, coded1.2, coded1.3
-    ));
+    report.put(
+        "r1_vs_uncoded",
+        obj([
+            ("pass1_makespan_ns", coded1.0.into()),
+            ("pass2_makespan_ns", coded1.1.into()),
+            ("total_ns", coded1.2.into()),
+            ("output_key_fnv", format!("{:016x}", coded1.3).into()),
+        ]),
+    );
 
-    json.push_str(&format!(
-        "  \"verified_inverse_r_tracking\": {all_tracking},\n  \"verified_planner_agreement\": {all_planner},\n  \"verified_threads_identical\": {threads_ok},\n  \"verified_r1_matches_uncoded\": {r1_ok}\n}}\n"
-    ));
-    write_results("BENCH_coded.json", &json);
-
-    if strict {
-        assert!(all_tracking, "measured shuffle bytes drifted beyond 10% of 1/r");
-        assert!(all_planner, "planner-chosen r disagrees with measured-best r");
-    }
-    assert!(threads_ok, "coded sort not byte-identical across threads");
-    assert!(r1_ok, "r=1 diverged from the uncoded engine");
+    report.gate("verified_inverse_r_tracking", all_tracking);
+    report.gate("verified_planner_agreement", all_planner);
+    report.gate("verified_threads_identical", threads_ok);
+    report.gate("verified_r1_matches_uncoded", coded1 == plain);
+    report.write()
 }

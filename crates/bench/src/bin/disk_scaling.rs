@@ -13,16 +13,14 @@
 //!    streaming sort the pool is a staging area, not a reuse cache, so
 //!    frames bound write-behind coalescing rather than hit rate.
 //!
-//! All printed figures are virtual-time quantities: two runs at the same
-//! `LMAS_SCALE` are byte-identical (the determinism gate in `check.sh`
-//! diffs exactly that).
+//! All figures are virtual-time quantities: two runs at the same
+//! `LMAS_SCALE` are byte-identical, and `check.sh` diffs a full-scale run
+//! against the checked-in `results/BENCH_storage.json`.
 
-use lmas_bench::{row, scaled_n, write_results};
+use lmas_bench::{fx, obj, scaled_n, GateFailure, Report, Table};
 use lmas_core::{generate_rec128, KeyDist, NodeId, Rec128};
 use lmas_emulator::{ClusterConfig, EmulationReport, StorageSpec};
-use lmas_sort::{
-    choose_splitters, run_pass1, run_pass2, split_across_asus, DsmConfig, LoadMode,
-};
+use lmas_sort::{choose_splitters, run_pass1, run_pass2, split_across_asus, DsmConfig, LoadMode};
 use rayon::prelude::*;
 
 const D_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -40,7 +38,9 @@ fn cluster(spec: StorageSpec) -> ClusterConfig {
 /// The bench's storage substrate: one-block stripe units so every
 /// 512 KiB packet (8 × 64 KiB blocks) spans the whole stripe set.
 fn spec(d: usize) -> StorageSpec {
-    let mut s = StorageSpec::striped(d).with_pool(POOL_FRAMES).with_sched_window(8);
+    let mut s = StorageSpec::striped(d)
+        .with_pool(POOL_FRAMES)
+        .with_sched_window(8);
     s.blocks_per_stripe = 1;
     s
 }
@@ -56,7 +56,7 @@ fn per_asu_mb_s(r: &EmulationReport<Rec128>) -> f64 {
     bytes as f64 / r.makespan.as_secs_f64() / asus as f64 / 1.0e6
 }
 
-fn main() {
+fn main() -> Result<(), GateFailure> {
     let n = scaled_n(1 << 17, 1 << 12);
     let mut dsm = DsmConfig::new(4, 4096, 4, 4);
     dsm.input_packet_records = 4096;
@@ -67,16 +67,10 @@ fn main() {
         dsm.alpha, dsm.beta
     );
 
+    let mut report = Report::new("BENCH_storage.json");
+
     // Cell 1: distribute-phase scaling over spindle count.
     println!("-- pass 1 (distribute) vs spindles per ASU --");
-    let widths = [4usize, 12, 16, 14];
-    println!(
-        "{}",
-        row(
-            &["d".into(), "makespan".into(), "per-ASU MB/s".into(), "pool hit %".into()],
-            &widths
-        )
-    );
     let runs: Vec<(usize, f64, f64, f64)> = D_SWEEP
         .par_iter()
         .map(|&d| {
@@ -99,24 +93,16 @@ fn main() {
             )
         })
         .collect();
+    let mut table = Table::new("disks makespan_s per_asu_mb_s pool_hit_pct");
     for &(d, mk, tp, hit) in &runs {
-        println!(
-            "{}",
-            row(
-                &[
-                    format!("{d}"),
-                    format!("{mk:.4}s"),
-                    format!("{tp:.2}"),
-                    format!("{hit:.1}"),
-                ],
-                &widths
-            )
-        );
+        table.row(vec![d.into(), fx(mk, 6), fx(tp, 3), fx(hit, 2)]);
     }
+    report.list("distribute_scaling", &table);
     let tp_of = |d: usize| runs.iter().find(|r| r.0 == d).expect("swept").2;
     let ratio_d4 = tp_of(4) / tp_of(1);
     let ratio_d8 = tp_of(8) / tp_of(1);
-    println!("  per-ASU I/O throughput scaling: d=4/d=1 = {ratio_d4:.2}x, d=8/d=1 = {ratio_d8:.2}x");
+    report.put("throughput_ratio_d4_over_d1", fx(ratio_d4, 3));
+    report.put("throughput_ratio_d8_over_d1", fx(ratio_d8, 3));
 
     // Cell 2: read-ahead ablation on the merge phase (fixed d = 2,
     // equal pool size). Pass-1 runs are produced once and merged twice.
@@ -145,8 +131,14 @@ fn main() {
     let ra0 = merge_makespan(0);
     let ra4 = merge_makespan(4);
     let reduction_pct = (1.0 - ra4 / ra0) * 100.0;
-    println!("  RA=0 (demand paging): {ra0:.4}s");
-    println!("  RA=4 (pipelined):     {ra4:.4}s  ({reduction_pct:.1}% shorter)");
+    report.put(
+        "merge_read_ahead",
+        obj([
+            ("ra0_makespan_s", fx(ra0, 6)),
+            ("ra4_makespan_s", fx(ra4, 6)),
+            ("reduction_pct", fx(reduction_pct, 2)),
+        ]),
+    );
 
     // Cell 3: pool-size sweep on pass 1 at d = 2.
     println!("-- pass 1 pool-size sweep at d=2 --");
@@ -174,46 +166,10 @@ fn main() {
             (frames, p.report.makespan.as_secs_f64(), wb, wb_blocks)
         })
         .collect();
-    let pw = [8usize, 12, 12, 14];
-    println!(
-        "{}",
-        row(
-            &["pool".into(), "makespan".into(), "writebacks".into(), "wb blocks".into()],
-            &pw
-        )
-    );
+    let mut table = Table::new("frames makespan_s writebacks writeback_blocks");
     for &(frames, mk, wb, wbb) in &pool_runs {
-        println!(
-            "{}",
-            row(
-                &[format!("{frames}"), format!("{mk:.4}s"), format!("{wb}"), format!("{wbb}")],
-                &pw
-            )
-        );
+        table.row(vec![frames.into(), fx(mk, 6), wb.into(), wbb.into()]);
     }
-
-    // Machine-readable artifact.
-    let mut json = String::from("{\n  \"distribute_scaling\": [\n");
-    for (i, &(d, mk, tp, hit)) in runs.iter().enumerate() {
-        let comma = if i + 1 == runs.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"disks\": {d}, \"makespan_s\": {mk:.6}, \"per_asu_mb_s\": {tp:.3}, \"pool_hit_pct\": {hit:.2}}}{comma}\n"
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"throughput_ratio_d4_over_d1\": {ratio_d4:.3},\n  \"throughput_ratio_d8_over_d1\": {ratio_d8:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"merge_read_ahead\": {{\"ra0_makespan_s\": {ra0:.6}, \"ra4_makespan_s\": {ra4:.6}, \"reduction_pct\": {reduction_pct:.2}}},\n"
-    ));
-    json.push_str("  \"pool_sweep\": [\n");
-    for (i, &(frames, mk, wb, wbb)) in pool_runs.iter().enumerate() {
-        let comma = if i + 1 == pool_runs.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"frames\": {frames}, \"makespan_s\": {mk:.6}, \"writebacks\": {wb}, \"writeback_blocks\": {wbb}}}{comma}\n"
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    write_results("BENCH_storage.json", &json);
+    report.list("pool_sweep", &table);
+    report.write()
 }

@@ -4,20 +4,19 @@
 //! Crashes the last ASU at a sweep of points through pass 1 of DSM-Sort
 //! and lets the fault layer mask it: deliveries bounce, the heartbeat
 //! detector fences the dead node, routing fails over to survivors, and
-//! a repair pass re-dispatches whatever died with the node. Every cell
-//! verifies its final output byte-identical to the fault-free golden run
-//! before reporting — a number only counts if recovery was *exact*.
+//! a repair pass re-dispatches whatever died with the node. The gate
+//! `verified_byte_identical` holds when every cell's final output is
+//! byte-identical to the fault-free golden run — a number only counts if
+//! recovery was *exact*.
 //!
 //! Output: `results/BENCH_faults.json` with per-(policy, crash-fraction)
 //! total-makespan inflation ratios and fault-layer counters.
 
-use lmas_bench::{row, scaled_n, write_results};
+use lmas_bench::{fx, scaled_n, GateFailure, Json, Report, Table};
 use lmas_core::{generate_rec128, KeyDist, RoutingPolicy};
 use lmas_emulator::{asu_index, ClusterConfig, FaultSpec};
-use lmas_sort::{
-    canonical_equal, run_dsm_sort, run_dsm_sort_faulty, DsmConfig, LoadMode,
-};
 use lmas_sim::{FaultPlan, SimTime};
+use lmas_sort::{canonical_equal, run_dsm_sort, run_dsm_sort_faulty, DsmConfig, LoadMode};
 use rayon::prelude::*;
 
 const HOSTS: usize = 2;
@@ -33,17 +32,7 @@ fn policies() -> [(&'static str, LoadMode); 4] {
     ]
 }
 
-struct Cell {
-    policy: &'static str,
-    frac: f64,
-    inflation: f64,
-    recovered: u64,
-    retries: u64,
-    nacks: u64,
-    fenced: u64,
-}
-
-fn main() {
+fn main() -> Result<(), GateFailure> {
     let n = scaled_n(20_000, 4_000);
     let cluster = ClusterConfig::era_2002(HOSTS, ASUS, 8.0);
     let dsm = DsmConfig::new(8, 512, 8, 4096);
@@ -54,11 +43,6 @@ fn main() {
         "F-FT: makespan inflation masking a crash of ASU {} (n={n}, H={HOSTS}, D={ASUS})",
         ASUS - 1
     );
-    let widths = [8usize, 9, 9, 9, 9];
-    let mut header = vec!["policy".to_string()];
-    header.extend(CRASH_FRACS.iter().map(|f| format!("t={f:.1}")));
-    println!("{}", row(&header, &widths));
-
     // Fault-free goldens, one per policy (in parallel), then the full
     // policy × crash-time grid of masked runs.
     let goldens: Vec<_> = policies()
@@ -70,7 +54,8 @@ fn main() {
     let jobs: Vec<(usize, f64)> = (0..policies().len())
         .flat_map(|p| CRASH_FRACS.iter().map(move |&f| (p, f)))
         .collect();
-    let cells: Vec<Cell> = jobs
+    // Each cell: its table row, and whether recovery was exact.
+    let cells: Vec<(Vec<Json>, bool)> = jobs
         .par_iter()
         .map(|&(p, frac)| {
             let (name, mode) = policies()[p];
@@ -79,42 +64,35 @@ fn main() {
             let spec = FaultSpec::with_plan(FaultPlan::new().crash(victim, t));
             let faulted = run_dsm_sort_faulty(&cluster, &spec, data.clone(), &dsm, mode)
                 .expect("masked run completes");
-            canonical_equal(&golden.output, &faulted.output)
-                .expect("recovered output must be byte-identical");
+            let inflation = faulted.total.as_secs_f64() / golden.total.as_secs_f64();
+            assert!(
+                inflation >= 1.0,
+                "a masked crash cannot beat the fault-free run"
+            );
             let s = faulted.pass1.fault;
-            Cell {
-                policy: name,
-                frac,
-                inflation: faulted.total.as_secs_f64() / golden.total.as_secs_f64(),
-                recovered: faulted.recovered_records,
-                retries: s.retries,
-                nacks: s.nacks,
-                fenced: s.fenced_instances,
-            }
+            let row = vec![
+                format!("{name}/t{frac:.1}").into(),
+                fx(inflation, 4),
+                faulted.recovered_records.into(),
+                s.retries.into(),
+                s.nacks.into(),
+                s.fenced_instances.into(),
+            ];
+            (
+                row,
+                canonical_equal(&golden.output, &faulted.output).is_ok(),
+            )
         })
         .collect();
 
-    let mut json = String::from("{\n");
-    for (name, _) in policies() {
-        let series: Vec<&Cell> = cells.iter().filter(|c| c.policy == name).collect();
-        let mut out = vec![name.to_string()];
-        out.extend(series.iter().map(|c| format!("{:.3}", c.inflation)));
-        println!("{}", row(&out, &widths));
-        for c in &series {
-            json.push_str(&format!(
-                "  \"{}/t{:.1}\": {{\"inflation\": {:.4}, \"recovered_records\": {}, \
-                 \"retries\": {}, \"nacks\": {}, \"fenced\": {}}},\n",
-                c.policy, c.frac, c.inflation, c.recovered, c.retries, c.nacks, c.fenced
-            ));
-        }
+    let mut table = Table::new("cell inflation recovered_records retries nacks fenced");
+    let mut identical = true;
+    for (row, exact) in cells {
+        table.row(row);
+        identical &= exact;
     }
-    // All cells verified byte-identical; note it in the artifact.
-    json.push_str("  \"verified_byte_identical\": true\n}\n");
-    write_results("BENCH_faults.json", &json);
-
-    // Sanity: masking a crash is never free.
-    assert!(
-        cells.iter().all(|c| c.inflation >= 1.0),
-        "a masked crash cannot beat the fault-free run"
-    );
+    let mut report = Report::new("BENCH_faults.json");
+    report.keyed(&table);
+    report.gate("verified_byte_identical", identical);
+    report.write()
 }

@@ -10,7 +10,7 @@
 //! later; the SR run keeps both hosts nearly identical and terminates
 //! earlier.
 
-use lmas_bench::{scaled_n, write_results};
+use lmas_bench::{fx, scaled_n, write_csv, Table};
 use lmas_emulator::ClusterConfig;
 use lmas_sort::skew::{fig10_data_per_asu, uniform_assuming_splitters};
 use lmas_sort::{run_pass1, DsmConfig, LoadMode};
@@ -28,11 +28,8 @@ fn main() {
     let splitters = uniform_assuming_splitters(alpha);
     let bin_s = cluster.util_bin.as_secs_f64();
 
-    println!(
-        "Figure 10: host CPU utilization under skew (n={n}, H={h}, D={d}, α={alpha}, c=8)"
-    );
+    println!("Figure 10: host CPU utilization under skew (n={n}, H={h}, D={d}, α={alpha}, c=8)");
 
-    let mut csv = String::from("t,static_h0,static_h1,managed_h0,managed_h1\n");
     let mut series: Vec<Vec<f64>> = Vec::new();
     for (label, mode) in [
         ("no load control", LoadMode::Static),
@@ -54,27 +51,14 @@ fn main() {
         series.push(h1);
     }
 
+    let mut table = Table::new("t static_h0 static_h1 managed_h0 managed_h1");
     let bins = series.iter().map(|s| s.len()).max().unwrap_or(0);
     for b in 0..bins {
-        let cells: Vec<String> = series
+        let utils: Vec<f64> = series
             .iter()
-            .map(|s| format!("{:.4}", s.get(b).copied().unwrap_or(0.0)))
+            .map(|s| s.get(b).copied().unwrap_or(0.0))
             .collect();
-        csv.push_str(&format!("{:.3},{}\n", b as f64 * bin_s, cells.join(",")));
+        table.series(fx(b as f64 * bin_s, 3), &utils, 4);
     }
-    write_results("fig10_utilization.csv", &csv);
-
-    // ASCII rendering of the four series.
-    println!("\nutilization traces (one char per {bin_s:.1}s bin, 0-9 = 0-100%):");
-    let names = ["static h0 ", "static h1 ", "managed h0", "managed h1"];
-    for (name, s) in names.iter().zip(&series) {
-        let line: String = s
-            .iter()
-            .map(|v| {
-                let level = (v * 9.0).round().clamp(0.0, 9.0) as u32;
-                char::from_digit(level, 10).expect("digit")
-            })
-            .collect();
-        println!("  {name} |{line}|");
-    }
+    write_csv("fig10_utilization.csv", &table);
 }

@@ -10,7 +10,7 @@
 //! with D and saturates once the host is the bottleneck; at large D,
 //! larger α wins; `adaptive` tracks the upper envelope.
 
-use lmas_bench::{row, scaled_n, write_results};
+use lmas_bench::{scaled_n, write_csv, Table};
 use lmas_core::{generate_rec128, KeyDist, Rec128};
 use lmas_emulator::ClusterConfig;
 use lmas_sort::{
@@ -28,17 +28,10 @@ fn main() {
     let data = generate_rec128(n, KeyDist::Uniform, 1);
     println!("Figure 9: DSM-Sort pass-1 speedup vs #ASUs (n={n}, β={beta}, c={c}, H=1)");
 
-    let mut csv = String::from("alpha");
-    for d in ASU_COUNTS {
-        csv.push_str(&format!(",D{d}"));
-    }
-    csv.push('\n');
-
-    let widths = [8usize, 7, 7, 7, 7, 7, 7];
-    let mut header = vec!["alpha".to_string()];
-    header.extend(ASU_COUNTS.iter().map(|d| format!("D={d}")));
-    println!("{}", row(&header, &widths));
-
+    let mut table = Table::new(&format!(
+        "alpha{}",
+        ASU_COUNTS.map(|d| format!(" D{d}")).concat()
+    ));
     let mut speedups: Vec<(u64, Vec<f64>)> = Vec::new();
     for &alpha in &ALPHA_CANDIDATES {
         let splitters = choose_splitters(&data, alpha as usize);
@@ -56,13 +49,7 @@ fn main() {
                 s
             })
             .collect();
-        let mut cells = vec![format!("{alpha}")];
-        cells.extend(series.iter().map(|s| format!("{s:.3}")));
-        println!("{}", row(&cells, &widths));
-        csv.push_str(&format!(
-            "{alpha},{}\n",
-            series.iter().map(|s| format!("{s:.4}")).collect::<Vec<_>>().join(",")
-        ));
+        table.series(alpha, &series, 4);
         speedups.push((alpha, series));
     }
 
@@ -80,17 +67,7 @@ fn main() {
             .expect("pick among candidates");
         adaptive.push(s);
     }
-    let mut cells = vec!["adaptive".to_string()];
-    cells.extend(adaptive.iter().map(|s| format!("{s:.3}")));
-    println!("{}", row(&cells, &widths));
-    println!(
-        "  (adaptive α picks per D: {})",
-        picks.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(", ")
-    );
-    csv.push_str(&format!(
-        "adaptive,{}\n",
-        adaptive.iter().map(|s| format!("{s:.4}")).collect::<Vec<_>>().join(",")
-    ));
-
-    write_results("fig9_speedup.csv", &csv);
+    table.series("adaptive", &adaptive, 4);
+    write_csv("fig9_speedup.csv", &table);
+    println!("  (adaptive α picks per D: {picks:?})");
 }

@@ -9,7 +9,7 @@
 //! (at 1/c speed) saturate; the model-picked split sits near the
 //! minimum.
 
-use lmas_bench::{row, scaled_n, write_results};
+use lmas_bench::{fx, scaled_n, write_csv, Table};
 use lmas_core::{generate_rec128, KeyDist, Rec128};
 use lmas_emulator::ClusterConfig;
 use lmas_sort::{choose_splitters, run_pass1, run_pass2, split_across_asus, DsmConfig, LoadMode};
@@ -33,15 +33,19 @@ fn main() {
     // Form runs once with a generous pass-1 config.
     let p1cfg = DsmConfig::new(alpha, beta, gamma_total, 4096);
     let per_asu = split_across_asus(&data, d);
-    let p1 = run_pass1(&cluster, per_asu, splitters.clone(), &p1cfg, LoadMode::Static)
-        .expect("run formation");
+    let p1 = run_pass1(
+        &cluster,
+        per_asu,
+        splitters.clone(),
+        &p1cfg,
+        LoadMode::Static,
+    )
+    .expect("run formation");
 
     println!(
         "T3: merge-pass makespan vs (γ1, γ2) split (n={n}, D={d}, α={alpha}, β={beta}, γ={gamma_total})"
     );
-    let widths = [5usize, 6, 12];
-    println!("{}", row(&["γ1", "γ2", "merge time"].map(String::from), &widths));
-    let mut csv = String::from("gamma1,gamma2,merge_seconds\n");
+    let mut table = Table::new("gamma1 gamma2 merge_seconds");
 
     // Every (γ1, γ2) split replays pass 2 independently over the same
     // frozen pass-1 runs, so the whole sweep fans out across threads;
@@ -63,24 +67,17 @@ fn main() {
 
     let mut best = (0usize, 0usize, f64::INFINITY);
     for (&g1, &t) in g1s.iter().zip(&times) {
-        println!(
-            "{}",
-            row(
-                &[g1.to_string(), gamma_total.div_ceil(g1).to_string(), format!("{t:.4}s")],
-                &widths
-            )
-        );
-        csv.push_str(&format!("{g1},{},{t:.6}\n", gamma_total.div_ceil(g1)));
+        table.row(vec![g1.into(), gamma_total.div_ceil(g1).into(), fx(t, 6)]);
         if t < best.2 {
             best = (g1, gamma_total.div_ceil(g1), t);
         }
     }
+    write_csv("gamma_split.csv", &table);
     println!("best split: γ1={} γ2={} ({:.4}s)", best.0, best.1, best.2);
 
     let model = cluster.pipeline_model(Rec128::SIZE);
     let (mg1, mg2) = model.pick_gamma_split_bounded(gamma_total as u64, gamma_total as u64);
     println!("model pick:  γ1={mg1} γ2={mg2}");
-    write_results("gamma_split.csv", &csv);
 }
 
 use lmas_core::Record;

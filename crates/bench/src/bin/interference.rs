@@ -14,7 +14,7 @@
 //! degrades gracefully toward the passive baseline (speedup → 1) and
 //! never falls far below it.
 
-use lmas_bench::{row, scaled_n, write_results};
+use lmas_bench::{scaled_n, write_csv, Table};
 use lmas_core::{generate_rec128, generate_rec8, KeyDist, Rec128, Rec8};
 use lmas_emulator::ClusterConfig;
 use lmas_sched::{run_scheduled, ArrivalSpec, SchedSpec};
@@ -33,15 +33,10 @@ fn main() {
     let backgrounds = [0.0f64, 0.25, 0.5, 0.75, 0.9];
 
     println!("T5: DSM-Sort pass-1 speedup vs background ASU load (n={n}, H=1, D={d}, c=8)");
-    let widths = [10usize, 8, 8, 8, 8, 8];
-    let mut header = vec!["series".to_string()];
-    header.extend(backgrounds.iter().map(|b| format!("bg={b}")));
-    println!("{}", row(&header, &widths));
-    let mut csv = String::from("series");
-    for b in backgrounds {
-        csv.push_str(&format!(",bg{b}"));
-    }
-    csv.push('\n');
+    let mut table = Table::new(&format!(
+        "series{}",
+        backgrounds.map(|b| format!(" bg{b}")).concat()
+    ));
 
     let measure = |alpha: usize, bg: f64| -> f64 {
         let cluster = ClusterConfig::era_2002(1, d, 8.0).with_background(bg, 0.0);
@@ -75,28 +70,9 @@ fn main() {
 
     let nb = backgrounds.len();
     for (i, alpha) in [16usize, 256].into_iter().enumerate() {
-        let series = &grid[i * nb..(i + 1) * nb];
-        let mut cells = vec![format!("α={alpha}")];
-        cells.extend(series.iter().map(|s| format!("{s:.3}")));
-        println!("{}", row(&cells, &widths));
-        csv.push_str(&format!(
-            "alpha{alpha},{}\n",
-            series.iter().map(|s| format!("{s:.4}")).collect::<Vec<_>>().join(",")
-        ));
+        table.series(format!("alpha{alpha}"), &grid[i * nb..(i + 1) * nb], 4);
     }
-
-    let adaptive = &grid[2 * nb..];
-    let mut cells = vec!["adaptive".to_string()];
-    cells.extend(adaptive.iter().map(|s| format!("{s:.3}")));
-    println!("{}", row(&cells, &widths));
-    println!(
-        "  (adaptive α picks per load: {})",
-        picks.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(", ")
-    );
-    csv.push_str(&format!(
-        "adaptive,{}\n",
-        adaptive.iter().map(|s| format!("{s:.4}")).collect::<Vec<_>>().join(",")
-    ));
+    table.series("adaptive", &grid[2 * nb..], 4);
 
     // Scheduler-routed series: the adaptive α pick per load, but the
     // job enters through the multi-tenant scheduler (arrival →
@@ -126,12 +102,7 @@ fn main() {
             base.report.makespan.as_nanos() as f64 / out.makespan.as_nanos() as f64
         })
         .collect();
-    let mut cells = vec!["sched".to_string()];
-    cells.extend(sched.iter().map(|s| format!("{s:.3}")));
-    println!("{}", row(&cells, &widths));
-    csv.push_str(&format!(
-        "sched,{}\n",
-        sched.iter().map(|s| format!("{s:.4}")).collect::<Vec<_>>().join(",")
-    ));
-    write_results("interference.csv", &csv);
+    table.series("sched", &sched, 4);
+    write_csv("interference.csv", &table);
+    println!("  (adaptive α picks per load: {picks:?})");
 }

@@ -17,16 +17,18 @@
 //! jobs past a queued batch (better p50, worse p99 than FCFS), and
 //! weighted-fair sits between them.
 //!
-//! Checks baked into the artifact:
-//! - at every swept cell at ≥ 70% offered utilization, aware beats
-//!   naive on **both** p50 and p99 latency;
-//! - deep queues admit everything (no rejections cloud percentiles)
-//!   and every admitted job completes;
-//! - the hottest cell is run twice and must be byte-identical.
+//! Gates of the artifact:
+//! - `verified_aware_beats_naive_p{50,99}_at_70pct`: at every swept cell
+//!   at ≥ 70% offered utilization, aware beats naive on **both** p50 and
+//!   p99 latency;
+//! - `verified_all_admitted_complete`: deep queues admit everything (no
+//!   rejections cloud percentiles) and every admitted job completes;
+//! - `verified_deterministic`: the hottest cell, run twice, is
+//!   byte-identical.
 //!
 //! Output: `results/BENCH_sched.json`.
 
-use lmas_bench::{row, scaled_n, write_results};
+use lmas_bench::{fx, scaled_n, GateFailure, Json, Report, Table};
 use lmas_core::Rec8;
 use lmas_emulator::ClusterConfig;
 use lmas_sched::{run_scheduled, ArrivalSpec, Policy, SchedSpec};
@@ -41,18 +43,7 @@ const POLICIES: [Policy; 3] = [Policy::Fcfs, Policy::Spjf, Policy::WeightedFair]
 const TARGET_JOBS: f64 = 12.0;
 const SEED: u64 = 0xF17_2026;
 
-struct Cell {
-    util: f64,
-    tenants: usize,
-    policy: &'static str,
-    jobs: usize,
-    naive_p50: u64,
-    naive_p99: u64,
-    aware_p50: u64,
-    aware_p99: u64,
-}
-
-fn main() {
+fn main() -> Result<(), GateFailure> {
     // Geometry matters: α = 2 on four hosts means the static layout
     // pins every job's sorters onto hosts 0 and 2, leaving 1 and 3
     // permanently idle — exactly the headroom residual planning can
@@ -75,8 +66,7 @@ fn main() {
     // offered utilization ρ with T tenants of mean inter-arrival M is
     // E[C]·T/M.
     let cost = |records: u64| {
-        let (_, solo) =
-            plan_pass1_coded::<Rec8>(&cluster, &dsm, records, &[1]).expect("solo plan");
+        let (_, solo) = plan_pass1_coded::<Rec8>(&cluster, &dsm, records, &[1]).expect("solo plan");
         solo.estimate.makespan_ns
     };
     let cost_ns = (3.0 * cost(n) + cost(4 * n)) / 4.0;
@@ -101,19 +91,9 @@ fn main() {
     };
 
     println!(
-        "F-MT: job latency (ms) by offered utilization, naive stack vs aware placement \
+        "F-MT: job latency (ns) by offered utilization, naive stack vs aware placement \
          (n={n}/job, H=4, D=4, c=2, α=2)"
     );
-    let widths = [6usize, 4, 6, 5, 10, 10, 10, 10];
-    println!(
-        "{}",
-        row(
-            &["util", "T", "policy", "jobs", "nv_p50", "nv_p99", "aw_p50", "aw_p99"]
-                .map(String::from),
-            &widths
-        )
-    );
-
     let grid: Vec<(f64, usize, Policy)> = UTILS
         .iter()
         .flat_map(|&u| {
@@ -123,38 +103,52 @@ fn main() {
         })
         .collect();
 
-    let cells: Vec<Cell> = grid
+    // Each cell: its table row, then its share of the first three gates.
+    let cells: Vec<(Vec<Json>, [bool; 3])> = grid
         .par_iter()
         .map(|&(util, tenants, policy)| {
-            let naive = run_scheduled(&cluster, &dsm, &spec_for(util, tenants, Policy::Fcfs, false))
-                .expect("naive run");
+            let naive = run_scheduled(
+                &cluster,
+                &dsm,
+                &spec_for(util, tenants, Policy::Fcfs, false),
+            )
+            .expect("naive run");
             let aware = run_scheduled(&cluster, &dsm, &spec_for(util, tenants, policy, true))
                 .expect("aware run");
-            for (name, out) in [("naive", &naive), ("aware", &aware)] {
-                assert!(
-                    out.rejections.is_empty(),
-                    "{name} ρ={util} T={tenants}: deep queues must admit everything"
-                );
-                assert_eq!(
-                    out.completed(),
-                    out.jobs.len(),
-                    "{name} ρ={util} T={tenants}: every admitted job completes"
-                );
+            for out in [&naive, &aware] {
                 assert!(out.jobs.len() >= 4, "cell too sparse to rank latencies");
             }
-            let p = |o: &lmas_sched::SchedOutcome, q: f64| {
-                o.latency_percentile(q).expect("completed jobs").as_nanos()
-            };
-            Cell {
-                util,
-                tenants,
-                policy: policy.name(),
-                jobs: naive.jobs.len(),
-                naive_p50: p(&naive, 0.50),
-                naive_p99: p(&naive, 0.99),
-                aware_p50: p(&aware, 0.50),
-                aware_p99: p(&aware, 0.99),
-            }
+            let all_complete = [&naive, &aware]
+                .iter()
+                .all(|o| o.rejections.is_empty() && o.completed() == o.jobs.len());
+            let [naive_p50, naive_p99, aware_p50, aware_p99] = [
+                (&naive, 0.50),
+                (&naive, 0.99),
+                (&aware, 0.50),
+                (&aware, 0.99),
+            ]
+            .map(|(o, q)| o.latency_percentile(q).expect("completed jobs").as_nanos());
+            let row = vec![
+                format!("u{util:.2}_t{tenants}_{}", policy.name()).into(),
+                fx(util, 2),
+                tenants.into(),
+                policy.name().into(),
+                naive.jobs.len().into(),
+                naive_p50.into(),
+                naive_p99.into(),
+                aware_p50.into(),
+                aware_p99.into(),
+            ];
+            // The tentpole gate: at ≥ 70% offered utilization, interference-
+            // aware placement beats the naive stack on both percentiles, in
+            // every swept cell.
+            let hot = util >= 0.7;
+            let gates = [
+                !hot || aware_p50 < naive_p50,
+                !hot || aware_p99 < naive_p99,
+                all_complete,
+            ];
+            (row, gates)
         })
         .collect();
 
@@ -165,72 +159,23 @@ fn main() {
             .expect("rerun")
             .to_json()
     };
-    assert_eq!(rerun(true), rerun(true), "aware cell replays byte-identically");
-    assert_eq!(rerun(false), rerun(false), "naive cell replays byte-identically");
+    let deterministic = rerun(true) == rerun(true) && rerun(false) == rerun(false);
 
-    let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-    let mut json = String::from("{\n");
-    for c in &cells {
-        println!(
-            "{}",
-            row(
-                &[
-                    format!("{:.2}", c.util),
-                    c.tenants.to_string(),
-                    c.policy.to_string(),
-                    c.jobs.to_string(),
-                    ms(c.naive_p50),
-                    ms(c.naive_p99),
-                    ms(c.aware_p50),
-                    ms(c.aware_p99),
-                ],
-                &widths
-            )
-        );
-        json.push_str(&format!(
-            "  \"u{:.2}_t{}_{}\": {{\"util\": {:.2}, \"tenants\": {}, \"policy\": \"{}\", \
-             \"jobs\": {}, \"naive_p50_ns\": {}, \"naive_p99_ns\": {}, \
-             \"aware_p50_ns\": {}, \"aware_p99_ns\": {}}},\n",
-            c.util,
-            c.tenants,
-            c.policy,
-            c.util,
-            c.tenants,
-            c.policy,
-            c.jobs,
-            c.naive_p50,
-            c.naive_p99,
-            c.aware_p50,
-            c.aware_p99
-        ));
+    let mut table = Table::new(
+        "cell util tenants policy jobs naive_p50_ns naive_p99_ns aware_p50_ns aware_p99_ns",
+    );
+    let mut ok = [true; 3];
+    for (row, cell_ok) in cells {
+        table.row(row);
+        for (o, c) in ok.iter_mut().zip(cell_ok) {
+            *o &= c;
+        }
     }
-
-    // The tentpole gate: at ≥ 70% offered utilization, interference-
-    // aware placement beats the naive stack on both percentiles, in
-    // every swept cell.
-    for c in cells.iter().filter(|c| c.util >= 0.7) {
-        assert!(
-            c.aware_p50 < c.naive_p50,
-            "ρ={} T={} {}: aware p50 {} not better than naive {}",
-            c.util,
-            c.tenants,
-            c.policy,
-            c.aware_p50,
-            c.naive_p50
-        );
-        assert!(
-            c.aware_p99 < c.naive_p99,
-            "ρ={} T={} {}: aware p99 {} not better than naive {}",
-            c.util,
-            c.tenants,
-            c.policy,
-            c.aware_p99,
-            c.naive_p99
-        );
-    }
-    json.push_str("  \"verified_aware_beats_naive_p50_at_70pct\": true,\n");
-    json.push_str("  \"verified_aware_beats_naive_p99_at_70pct\": true,\n");
-    json.push_str("  \"verified_all_admitted_complete\": true,\n");
-    json.push_str("  \"verified_deterministic\": true\n}\n");
-    write_results("BENCH_sched.json", &json);
+    let mut report = Report::new("BENCH_sched.json");
+    report.keyed(&table);
+    report.gate("verified_aware_beats_naive_p50_at_70pct", ok[0]);
+    report.gate("verified_aware_beats_naive_p99_at_70pct", ok[1]);
+    report.gate("verified_all_admitted_complete", ok[2]);
+    report.gate("verified_deterministic", deterministic);
+    report.write()
 }

@@ -16,55 +16,25 @@
 //! and the **critical path** (the busiest partition's dispatch count):
 //! `dispatch_speedup = dispatched / critical_dispatched` is the
 //! kernel's virtual parallelism — the end-to-end speedup an ideal
-//! one-core-per-partition machine gets. Acceptance gates (asserted at
-//! full scale): ≥4.5× fault-free at 8 threads and ≥2× on the
-//! faulted+balanced run at 4 threads, both on the 256-node cell. The
-//! JSON artifact also carries each parallel cell's window-width
-//! histogram (virtual ns, deterministic) and barrier-wait histogram
-//! (wall-clock — **not** deterministic; `check.sh` strips it before
-//! diffing).
-//!
-//! All other JSON figures are virtual-time quantities and
-//! byte-deterministic; wall-clock timings go to stdout only.
-//! `LMAS_SCALE` shrinks the record counts (gates are skipped below full
-//! scale), `LMAS_RESULTS_DIR` redirects the artifact.
+//! one-core-per-partition machine gets. Gates: ≥4.5× fault-free at 8
+//! threads and ≥2× on the faulted+balanced run at 4 threads, both on the
+//! 256-node cell; the first is the headline. The JSON artifact also
+//! carries each parallel cell's window-width histogram (virtual ns,
+//! deterministic) and barrier-wait histogram (wall-clock — **not**
+//! deterministic; `check.sh` strips it, and `host_cores`, before
+//! diffing). All other figures are virtual-time quantities and
+//! byte-deterministic.
 
-use lmas_bench::{row, scaled_n, write_results};
+use lmas_bench::{fx, scaled_n, GateFailure, Json, Report, Table};
 use lmas_core::{generate_rec128, KeyDist, RoutingPolicy};
 use lmas_emulator::{asu_index, BalanceSpec, ClusterConfig, FaultSpec};
 use lmas_sim::{FaultPlan, LogHist, SimDuration, SimTime};
 use lmas_sort::{run_dsm_sort, run_dsm_sort_faulty, DsmConfig, DsmOutcome, LoadMode};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// (hosts, asus) cells: 20, 64, and 256 emulated nodes.
 const GRID: [(usize, usize); 3] = [(4, 16), (16, 48), (64, 192)];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const VARIANTS: [&str; 3] = ["plain", "f", "fb"];
-
-struct Cell {
-    label: String,
-    nodes: usize,
-    threads: usize,
-    variant: &'static str,
-    makespan_ns: u64,
-    dispatched: u64,
-    critical: u64,
-    partitions: u64,
-    windows: u64,
-    remote: u64,
-    window_width_hist: LogHist,
-    barrier_wait_hist: LogHist,
-}
-
-impl Cell {
-    fn speedup(&self) -> f64 {
-        self.dispatched as f64 / self.critical.max(1) as f64
-    }
-    fn remote_rate(&self) -> f64 {
-        self.remote as f64 / self.dispatched.max(1) as f64
-    }
-}
 
 /// Sum a per-pass figure over both passes of the sort.
 fn per_pass<R: lmas_core::Record>(
@@ -74,50 +44,26 @@ fn per_pass<R: lmas_core::Record>(
     reports.iter().map(|r| f(r)).sum()
 }
 
-/// Sparse JSON rendering of a log2 histogram: `{"<bucket>": count}` for
-/// the non-empty buckets, bucket = floor(log2(value)).
-fn hist_json(h: &LogHist) -> String {
-    let pairs: Vec<String> = h
-        .buckets
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .map(|(i, &c)| format!("\"{i}\": {c}"))
-        .collect();
-    format!("{{{}}}", pairs.join(", "))
+/// A log2 histogram as `{"<bucket>": count}` over its non-empty
+/// buckets, bucket = floor(log2(value)).
+fn hist(h: &LogHist) -> Json {
+    let buckets = h.buckets.iter().enumerate().filter(|(_, &c)| c > 0);
+    Json::Obj(buckets.map(|(i, &c)| (i.to_string(), c.into())).collect())
 }
 
-fn main() {
+fn main() -> Result<(), GateFailure> {
     let dsm = DsmConfig::new(4, 256, 8, 64);
-    let full_scale = std::env::var("LMAS_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .is_none_or(|s| s >= 1.0);
     println!(
         "BENCH-par-sim: partitioned kernel scaling (H×D grid × threads × variants, two-pass DSM-Sort)"
     );
-    let widths = [10usize, 7, 8, 8, 13, 11, 10, 9, 8, 9, 11];
-    println!(
-        "{}",
-        row(
-            &[
-                "cell".into(),
-                "nodes".into(),
-                "variant".into(),
-                "threads".into(),
-                "makespan_ns".into(),
-                "dispatched".into(),
-                "critical".into(),
-                "speedup".into(),
-                "windows".into(),
-                "remote".into(),
-                "wall_ms".into(),
-            ],
-            &widths
-        )
+    let mut table = Table::new(
+        "cell nodes variant threads partitions makespan_ns dispatched critical_dispatched \
+         dispatch_speedup windows remote_messages remote_msg_rate \
+         window_width_hist barrier_wait_hist",
     );
-
-    let mut cells: Vec<Cell> = Vec::new();
+    // The gates, on the 256-node cell: ≥4.5× fault-free at 8 threads and
+    // ≥2× faulted+balanced at 4 threads.
+    let (mut plain8_ok, mut fb4_ok) = (None, None);
     for &(hosts, asus) in &GRID {
         // Work scales with the host count so every shape keeps each
         // node meaningfully busy.
@@ -140,9 +86,9 @@ fn main() {
             for &threads in &THREADS {
                 let mut cluster = base.with_threads(threads);
                 if variant == "fb" {
-                    cluster = cluster.with_balancer(BalanceSpec::every(SimDuration::from_micros(500)));
+                    cluster =
+                        cluster.with_balancer(BalanceSpec::every(SimDuration::from_micros(500)));
                 }
-                let wall = Instant::now();
                 let out: DsmOutcome<_>;
                 let reports: Vec<&lmas_emulator::EmulationReport<_>>;
                 let faulty;
@@ -153,23 +99,28 @@ fn main() {
                 } else {
                     faulty = run_dsm_sort_faulty(&cluster, &spec, data.clone(), &dsm, mode)
                         .expect("par_scaling faulted sort runs");
-                    reports = [Some(&faulty.pass1), faulty.repair.as_ref(), Some(&faulty.pass2)]
-                        .into_iter()
-                        .flatten()
-                        .collect();
+                    reports = [
+                        Some(&faulty.pass1),
+                        faulty.repair.as_ref(),
+                        Some(&faulty.pass2),
+                    ]
+                    .into_iter()
+                    .flatten()
+                    .collect();
                 }
-                let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-
                 let dispatched = per_pass(&reports, |r| r.dispatched);
                 // Sequential runs ARE their own critical path; parallel
                 // runs report the busiest partition per pass.
                 let critical = per_pass(&reports, |r| {
-                    r.par.as_ref().map_or(r.dispatched, |s| s.critical_dispatched)
+                    r.par
+                        .as_ref()
+                        .map_or(r.dispatched, |s| s.critical_dispatched)
                 });
                 let partitions = reports[0].par.as_ref().map_or(1, |s| s.partitions as u64);
                 let windows = per_pass(&reports, |r| r.par.as_ref().map_or(0, |s| s.windows));
-                let remote =
-                    per_pass(&reports, |r| r.par.as_ref().map_or(0, |s| s.remote_messages));
+                let remote = per_pass(&reports, |r| {
+                    r.par.as_ref().map_or(0, |s| s.remote_messages)
+                });
                 let mut window_width_hist = LogHist::new();
                 let mut barrier_wait_hist = LogHist::new();
                 for r in &reports {
@@ -179,114 +130,44 @@ fn main() {
                     }
                 }
                 let makespan_ns: u64 = reports.iter().map(|r| r.makespan.as_nanos()).sum();
-                let cell = Cell {
-                    label: format!("H{hosts}D{asus}_{variant}_t{threads}"),
-                    nodes: hosts + asus,
-                    threads,
-                    variant,
-                    makespan_ns,
-                    dispatched,
-                    critical,
-                    partitions,
-                    windows,
-                    remote,
-                    window_width_hist,
-                    barrier_wait_hist,
-                };
-                println!(
-                    "{}",
-                    row(
-                        &[
-                            format!("H{hosts}D{asus}"),
-                            cell.nodes.to_string(),
-                            variant.into(),
-                            threads.to_string(),
-                            cell.makespan_ns.to_string(),
-                            dispatched.to_string(),
-                            critical.to_string(),
-                            format!("{:.2}", cell.speedup()),
-                            windows.to_string(),
-                            remote.to_string(),
-                            format!("{wall_ms:.1}"),
-                        ],
-                        &widths
-                    )
-                );
-                cells.push(cell);
+                let speedup = dispatched as f64 / critical.max(1) as f64;
+                if hosts + asus >= 256 && threads == 8 && variant == "plain" {
+                    plain8_ok = Some(speedup >= 4.5);
+                }
+                if hosts + asus >= 256 && threads == 4 && variant == "fb" {
+                    fb4_ok = Some(speedup >= 2.0);
+                }
+                table.row(vec![
+                    format!("H{hosts}D{asus}_{variant}_t{threads}").into(),
+                    (hosts + asus).into(),
+                    variant.into(),
+                    threads.into(),
+                    partitions.into(),
+                    makespan_ns.into(),
+                    dispatched.into(),
+                    critical.into(),
+                    fx(speedup, 4),
+                    windows.into(),
+                    remote.into(),
+                    fx(remote as f64 / dispatched.max(1) as f64, 4),
+                    hist(&window_width_hist),
+                    hist(&barrier_wait_hist),
+                ]);
             }
         }
     }
 
-    // Acceptance gates (full scale only — shrunken runs carry too few
-    // events for the ratios to be meaningful): ≥4.5× fault-free at 8
-    // threads and ≥2× faulted+balanced at 4 threads, on the ≥256-node
-    // cell.
-    let pick = |variant: &str, threads: usize| {
-        cells
-            .iter()
-            .find(|c| c.nodes >= 256 && c.variant == variant && c.threads == threads)
-            .expect("grid carries a 256-node cell")
-    };
-    let plain8 = pick("plain", 8);
-    let fb4 = pick("fb", 4);
-    if full_scale {
-        assert!(
-            plain8.speedup() >= 4.5,
-            "dispatch speedup {:.2} < 4.5 fault-free at 8 threads on the {}-node cell",
-            plain8.speedup(),
-            plain8.nodes
-        );
-        assert!(
-            fb4.speedup() >= 2.0,
-            "dispatch speedup {:.2} < 2.0 faulted+balanced at 4 threads on the {}-node cell",
-            fb4.speedup(),
-            fb4.nodes
-        );
-    }
-    println!(
-        "acceptance: {} speedup {:.2} (>= 4.5), {} speedup {:.2} (>= 2.0){}",
-        plain8.label,
-        plain8.speedup(),
-        fb4.label,
-        fb4.speedup(),
-        if full_scale { "" } else { " [reduced scale: gates not asserted]" }
+    let mut report = Report::new("BENCH_par_sim.json");
+    report.keyed(&table);
+    report.headline(&["H64D192_plain_t8", "dispatch_speedup"]);
+    let on_grid = "the grid carries a 256-node cell";
+    report.gate(
+        "verified_speedup_ge_4_5_at_8_threads_256_nodes",
+        plain8_ok.expect(on_grid),
     );
-
-    // JSON artifact: virtual-time figures plus the (wall-clock,
-    // nondeterministic) barrier-wait histogram — strip `barrier_wait`
-    // lines before byte-diffing two runs.
-    let mut json = String::from("{\n");
-    // Every cell row ends with a comma: the acceptance keys below close
-    // the object, keeping the artifact valid JSON.
-    for c in cells.iter() {
-        let _ = writeln!(
-            json,
-            "  \"{}\": {{\"nodes\": {}, \"variant\": \"{}\", \"threads\": {}, \"partitions\": {}, \"makespan_ns\": {}, \"dispatched\": {}, \"critical_dispatched\": {}, \"dispatch_speedup\": {:.4}, \"windows\": {}, \"remote_messages\": {}, \"remote_msg_rate\": {:.4},",
-            c.label,
-            c.nodes,
-            c.variant,
-            c.threads,
-            c.partitions,
-            c.makespan_ns,
-            c.dispatched,
-            c.critical,
-            c.speedup(),
-            c.windows,
-            c.remote,
-            c.remote_rate(),
-        );
-        let _ = writeln!(json, "    \"window_width_hist\": {},", hist_json(&c.window_width_hist));
-        let _ = writeln!(json, "    \"barrier_wait_hist\": {}}},", hist_json(&c.barrier_wait_hist));
-    }
-    let _ = writeln!(
-        json,
-        "  \"verified_speedup_ge_4_5_at_8_threads_256_nodes\": {},",
-        full_scale && plain8.speedup() >= 4.5
+    report.gate(
+        "verified_faulted_balanced_speedup_ge_2_at_4_threads_256_nodes",
+        fb4_ok.expect(on_grid),
     );
-    let _ = writeln!(
-        json,
-        "  \"verified_faulted_balanced_speedup_ge_2_at_4_threads_256_nodes\": {}\n}}",
-        full_scale && fb4.speedup() >= 2.0
-    );
-    write_results("BENCH_par_sim.json", &json);
+    report.write()
 }

@@ -3,17 +3,20 @@
 //! (`LoadMode::Auto`) layout, and the planned layout with the runtime
 //! balancer armed, across a small (H, D, c) cluster grid.
 //!
-//! Checks baked into every cell:
-//! - the planned layout is never slower than either naive layout;
-//! - the planner's analytic prediction is recorded next to the
-//!   measured makespan (accuracy is asserted in the sort test suite);
-//! - a balancer whose deadbands are too wide to ever fire leaves the
-//!   planned run *byte-identical* (same makespan, zero reweights) —
-//!   the weight channel is genuinely dormant until used.
+//! Gates, each over every cell:
+//! - `verified_planned_not_worse`: the planned layout is never slower
+//!   than either naive layout;
+//! - `verified_idle_balancer_identical`: a balancer whose deadbands are
+//!   too wide to ever fire leaves the planned run *byte-identical* (same
+//!   makespan, zero reweights) — the weight channel is genuinely dormant
+//!   until used.
+//!
+//! The planner's analytic prediction is recorded next to the measured
+//! makespan (accuracy is asserted in the sort test suite).
 //!
 //! Output: `results/BENCH_placement.json`.
 
-use lmas_bench::{row, scaled_n, write_results};
+use lmas_bench::{scaled_n, GateFailure, Json, Report, Table};
 use lmas_core::{generate_rec128, KeyDist, NodeId, Rec128};
 use lmas_emulator::{BalanceSpec, ClusterConfig};
 use lmas_sim::SimDuration;
@@ -27,34 +30,14 @@ use rayon::prelude::*;
 /// a disk-heavy shape, and a host-heavy shape with slower ASUs.
 const GRID: [(usize, usize, f64); 4] = [(1, 2, 8.0), (2, 4, 8.0), (2, 8, 8.0), (4, 8, 4.0)];
 
-struct Cell {
-    label: String,
-    hosts_ns: u64,
-    asus_ns: u64,
-    planned_ns: u64,
-    predicted_ns: u64,
-    balanced_ns: u64,
-    reweights: u64,
-    sorters_per_subset: usize,
-    idle_identical: bool,
-}
-
-fn main() {
+fn main() -> Result<(), GateFailure> {
     let n = scaled_n(20_000, 4_000);
     let dsm = DsmConfig::new(8, 256, 4, 64);
 
-    println!("F-PLACE: pass-1 makespan (ms) by placement strategy (n={n}, α=8, β=256)");
-    let widths = [10usize, 10, 10, 10, 10, 10, 4];
-    println!(
-        "{}",
-        row(
-            &["cluster", "hosts", "asus", "planned", "predicted", "balanced", "k"]
-                .map(String::from),
-            &widths
-        )
-    );
+    println!("F-PLACE: pass-1 makespan (ns) by placement strategy (n={n}, α=8, β=256)");
 
-    let cells: Vec<Cell> = GRID
+    // Each cell: its table row, then its two gate conditions.
+    let cells: Vec<(Vec<Json>, bool, bool)> = GRID
         .par_iter()
         .map(|&(h, d, c)| {
             let cluster = ClusterConfig::era_2002(h, d, c);
@@ -123,79 +106,38 @@ fn main() {
             );
             let idle = run_pass1(&idle_cluster, per_asu, splitters, &dsm, LoadMode::Auto)
                 .expect("idle-balancer run");
-            let idle_identical = idle.report.reweights == 0
-                && idle.report.makespan == planned.report.makespan;
+            let idle_identical =
+                idle.report.reweights == 0 && idle.report.makespan == planned.report.makespan;
 
-            Cell {
-                label: format!("H{h}D{d}c{c:.0}"),
-                hosts_ns: hosts_run.report.makespan.as_nanos(),
-                asus_ns: asus_run.report.makespan.as_nanos(),
-                planned_ns: planned.report.makespan.as_nanos(),
-                predicted_ns: plan.estimate.makespan_ns as u64,
-                balanced_ns: balanced.report.makespan.as_nanos(),
-                reweights: balanced.report.reweights,
-                sorters_per_subset: plan.assignment[1].len() / dsm.alpha,
-                idle_identical,
-            }
+            let [hosts_ns, asus_ns, planned_ns] =
+                [&hosts_run, &asus_run, &planned].map(|r| r.report.makespan.as_nanos());
+            let row = vec![
+                format!("H{h}D{d}c{c:.0}").into(),
+                hosts_ns.into(),
+                asus_ns.into(),
+                planned_ns.into(),
+                (plan.estimate.makespan_ns as u64).into(),
+                balanced.report.makespan.as_nanos().into(),
+                balanced.report.reweights.into(),
+                (plan.assignment[1].len() / dsm.alpha).into(),
+            ];
+            let not_worse = planned_ns <= hosts_ns && planned_ns <= asus_ns;
+            (row, not_worse, idle_identical)
         })
         .collect();
 
-    let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-    let mut json = String::from("{\n");
-    for c in &cells {
-        println!(
-            "{}",
-            row(
-                &[
-                    c.label.clone(),
-                    ms(c.hosts_ns),
-                    ms(c.asus_ns),
-                    ms(c.planned_ns),
-                    ms(c.predicted_ns),
-                    ms(c.balanced_ns),
-                    c.sorters_per_subset.to_string(),
-                ],
-                &widths
-            )
-        );
-        json.push_str(&format!(
-            "  \"{}\": {{\"hosts_ns\": {}, \"asus_ns\": {}, \"planned_ns\": {}, \
-             \"predicted_ns\": {}, \"balanced_ns\": {}, \"reweights\": {}, \
-             \"sorters_per_subset\": {}}},\n",
-            c.label,
-            c.hosts_ns,
-            c.asus_ns,
-            c.planned_ns,
-            c.predicted_ns,
-            c.balanced_ns,
-            c.reweights,
-            c.sorters_per_subset
-        ));
+    let mut table = Table::new(
+        "cluster hosts_ns asus_ns planned_ns predicted_ns balanced_ns reweights sorters_per_subset",
+    );
+    let (mut not_worse, mut idle_identical) = (true, true);
+    for (row, nw, idle) in cells {
+        table.row(row);
+        not_worse &= nw;
+        idle_identical &= idle;
     }
-
-    // Hard checks before the artifact is worth writing.
-    for c in &cells {
-        assert!(
-            c.planned_ns <= c.hosts_ns,
-            "{}: planned ({}) slower than all-hosts ({})",
-            c.label,
-            c.planned_ns,
-            c.hosts_ns
-        );
-        assert!(
-            c.planned_ns <= c.asus_ns,
-            "{}: planned ({}) slower than all-ASUs ({})",
-            c.label,
-            c.planned_ns,
-            c.asus_ns
-        );
-        assert!(
-            c.idle_identical,
-            "{}: balancer inside its deadband must not perturb the run",
-            c.label
-        );
-    }
-    json.push_str("  \"verified_planned_not_worse\": true,\n");
-    json.push_str("  \"verified_idle_balancer_identical\": true\n}\n");
-    write_results("BENCH_placement.json", &json);
+    let mut report = Report::new("BENCH_placement.json");
+    report.keyed(&table);
+    report.gate("verified_planned_not_worse", not_worse);
+    report.gate("verified_idle_balancer_identical", idle_identical);
+    report.write()
 }

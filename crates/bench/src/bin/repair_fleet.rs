@@ -10,13 +10,13 @@
 //! the fleet cannot keep up and blocks drain to zero copies — through a
 //! comfortable one where the distribution hugs the replication target.
 //!
-//! Every cell asserts the model error bounds before the artifact is
-//! written: the bench is a *validation gate*, not just a figure.
+//! The gate `verified_mean_field` holds when every cell meets the model
+//! error bounds: the bench is a *validation gate*, not just a figure.
 //!
 //! Output: `results/BENCH_repair.json` with per-(fleet, bandwidth)
 //! trajectory errors, loss fractions, and repair counters.
 
-use lmas_bench::{row, scaled_n, write_results};
+use lmas_bench::{fx, obj, scaled_n, GateFailure, Json, Report, Table};
 use lmas_core::functor::lib::MapFunctor;
 use lmas_core::{
     packetize, EdgeKind, FlowGraph, Functor, NodeId, Placement, Rec8, RoutingPolicy, Work,
@@ -67,23 +67,6 @@ const SLACK_ABOVE: f64 = 0.15;
 const TIGHT_TOL: f64 = 0.35;
 const SAT_TOL: f64 = 1.6;
 const LOSS_TOL: f64 = 0.12;
-
-struct Cell {
-    fleet: usize,
-    bw_mib: u64,
-    /// Repair utilization: copy-destruction demand over fluid capacity.
-    rho: f64,
-    /// max_t |measured mean copies − ODE mean copies| (seed-averaged).
-    max_err: f64,
-    /// max_t (measured − ODE): how far the fleet ever beats the bound.
-    max_above: f64,
-    loss_measured: f64,
-    loss_ode: f64,
-    enqueued: u64,
-    completed: u64,
-    reassigned: u64,
-    bytes_repaired: u64,
-}
 
 /// One seeded fleet run: a tiny foreground relay job (repair dominates
 /// the calendar) on a 1-host × `fleet`-ASU cluster, the Poisson fault
@@ -152,8 +135,8 @@ fn hist_at(report: &EmulationReport<Rec8>, t: SimTime, blocks: u64) -> Vec<f64> 
     }
 }
 
-fn main() {
-    // `LMAS_SCALE` shrinks the horizon for smoke runs (check.sh).
+fn main() -> Result<(), GateFailure> {
+    // `LMAS_SCALE` shrinks the horizon for quick runs.
     let horizon_secs = scaled_n(6 * 3600, 1_200);
     let horizon = SimDuration::from_secs(horizon_secs);
     let grid: Vec<SimTime> = (0..=horizon_secs / SAMPLE_SECS)
@@ -172,7 +155,8 @@ fn main() {
         .iter()
         .flat_map(|&fleet| BW_MIB.iter().map(move |&bw_mib| (fleet, bw_mib)))
         .collect();
-    let cells: Vec<Cell> = jobs
+    // Each cell: its table row, and whether it meets the ODE's bounds.
+    let cells: Vec<(Vec<Json>, bool)> = jobs
         .par_iter()
         .map(|&(fleet, bw_mib)| {
             let bw = bw_mib as f64 * MIB as f64;
@@ -194,6 +178,9 @@ fn main() {
                 &grid,
             );
 
+            // max_t |measured − ODE| and max_t (measured − ODE) of the
+            // seed-averaged mean copies: how far the fleet strays from,
+            // and ever beats, the fluid bound.
             let mut max_err = 0.0f64;
             let mut max_above = f64::MIN;
             for (i, &t) in grid.iter().enumerate() {
@@ -224,121 +211,55 @@ fn main() {
             let block_repair = BLOCK_BYTES as f64 / bw;
             let rho = BLOCKS_PER_NODE as f64 * TARGET as f64 * block_repair
                 / (MTTF_SECS as f64 * up_frac);
-            Cell {
-                fleet,
-                bw_mib,
-                rho,
-                max_err,
-                max_above,
-                loss_measured,
-                loss_ode,
-                enqueued: sum(|r| r.repair.enqueued),
-                completed: sum(|r| r.repair.completed),
-                reassigned: sum(|r| r.repair.reassigned),
-                bytes_repaired: sum(|r| r.repair.bytes_repaired),
-            }
+            // The validation gate. Everywhere: the fleet never beats the
+            // fluid bound by more than fluctuation slack. Unsaturated
+            // (ρ < 0.8): trajectory and terminal loss track the ODE
+            // tightly. Saturated: the known capacity gap compounds, so
+            // only the loose cap applies — but loss must be at least the
+            // ODE's (repair cannot do better than the fluid limit says).
+            let ok = max_above <= SLACK_ABOVE
+                && if rho < 0.8 {
+                    max_err <= TIGHT_TOL && (loss_measured - loss_ode).abs() <= LOSS_TOL
+                } else {
+                    max_err <= SAT_TOL && loss_measured >= loss_ode - LOSS_TOL
+                };
+            let row = vec![
+                format!("d{fleet}/bw{bw_mib}").into(),
+                fx(rho, 4),
+                fx(max_err, 4),
+                fx(max_above, 4),
+                fx(loss_measured, 4),
+                fx(loss_ode, 4),
+                sum(|r| r.repair.enqueued).into(),
+                sum(|r| r.repair.completed).into(),
+                sum(|r| r.repair.reassigned).into(),
+                sum(|r| r.repair.bytes_repaired).into(),
+            ];
+            (row, ok)
         })
         .collect();
 
-    let widths = [6usize, 8, 6, 10, 10, 10, 10, 10, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "fleet",
-                "bw",
-                "rho",
-                "max_err",
-                "max_abv",
-                "loss_sim",
-                "loss_ode",
-                "enq/seed",
-                "comp/seed"
-            ]
-            .map(String::from),
-            &widths
-        )
+    let mut table = Table::new(
+        "cell rho max_mean_copy_err max_above_ode loss_measured loss_ode \
+         enqueued completed reassigned bytes_repaired",
     );
-    let mut json = String::from("{\n");
-    for c in &cells {
-        println!(
-            "{}",
-            row(
-                &[
-                    c.fleet.to_string(),
-                    format!("{}MiB", c.bw_mib),
-                    format!("{:.2}", c.rho),
-                    format!("{:.3}", c.max_err),
-                    format!("{:.3}", c.max_above),
-                    format!("{:.3}", c.loss_measured),
-                    format!("{:.3}", c.loss_ode),
-                    c.enqueued.to_string(),
-                    c.completed.to_string(),
-                ],
-                &widths
-            )
-        );
-        json.push_str(&format!(
-            "  \"d{}/bw{}\": {{\"rho\": {:.4}, \"max_mean_copy_err\": {:.4}, \
-             \"max_above_ode\": {:.4}, \"loss_measured\": {:.4}, \"loss_ode\": {:.4}, \
-             \"enqueued\": {}, \"completed\": {}, \"reassigned\": {}, \"bytes_repaired\": {}}},\n",
-            c.fleet,
-            c.bw_mib,
-            c.rho,
-            c.max_err,
-            c.max_above,
-            c.loss_measured,
-            c.loss_ode,
-            c.enqueued,
-            c.completed,
-            c.reassigned,
-            c.bytes_repaired
-        ));
+    let mut within_bounds = true;
+    for (row, ok) in cells {
+        table.row(row);
+        within_bounds &= ok;
     }
-
-    // The validation gate. Everywhere: the fleet never beats the fluid
-    // bound by more than fluctuation slack. Unsaturated (ρ < 0.8):
-    // trajectory and terminal loss track the ODE tightly. Saturated:
-    // the known capacity gap compounds, so only the loose cap applies —
-    // but loss must be at least the ODE's (repair cannot do better than
-    // the fluid limit says).
-    for c in &cells {
-        let id = format!("d{}/bw{}", c.fleet, c.bw_mib);
-        assert!(
-            c.max_above <= SLACK_ABOVE,
-            "{id}: measured beats the fluid bound by {:.3} (> {SLACK_ABOVE})",
-            c.max_above
-        );
-        if c.rho < 0.8 {
-            assert!(
-                c.max_err <= TIGHT_TOL,
-                "{id}: mean-copies error {:.3} exceeds {TIGHT_TOL} at rho {:.2}",
-                c.max_err,
-                c.rho
-            );
-            assert!(
-                (c.loss_measured - c.loss_ode).abs() <= LOSS_TOL,
-                "{id}: loss fraction {:.3} vs ODE {:.3} exceeds {LOSS_TOL}",
-                c.loss_measured,
-                c.loss_ode
-            );
-        } else {
-            assert!(
-                c.max_err <= SAT_TOL,
-                "{id}: saturated-tier error {:.3} exceeds {SAT_TOL}",
-                c.max_err
-            );
-            assert!(
-                c.loss_measured >= c.loss_ode - LOSS_TOL,
-                "{id}: measured loss {:.3} implausibly below ODE {:.3}",
-                c.loss_measured,
-                c.loss_ode
-            );
-        }
-    }
-    json.push_str(&format!(
-        "  \"verified_mean_field\": {{\"slack_above\": {SLACK_ABOVE}, \"tight_tol\": {TIGHT_TOL}, \
-         \"sat_tol\": {SAT_TOL}, \"loss_tol\": {LOSS_TOL}}}\n}}\n"
-    ));
-    write_results("BENCH_repair.json", &json);
+    let mut report = Report::new("BENCH_repair.json");
+    report.keyed(&table);
+    let tol = |x: f64| Json::Num(x.to_string());
+    report.put(
+        "tolerances",
+        obj([
+            ("slack_above", tol(SLACK_ABOVE)),
+            ("tight_tol", tol(TIGHT_TOL)),
+            ("sat_tol", tol(SAT_TOL)),
+            ("loss_tol", tol(LOSS_TOL)),
+        ]),
+    );
+    report.gate("verified_mean_field", within_bounds);
+    report.write()
 }

@@ -7,7 +7,7 @@
 //! under every load-managed routing policy plus the static baseline and
 //! reports makespan and the host-utilization gap.
 
-use lmas_bench::{row, scaled_n, write_results};
+use lmas_bench::{fx, scaled_n, write_csv, Table};
 use lmas_core::RoutingPolicy;
 use lmas_emulator::ClusterConfig;
 use lmas_sort::skew::{fig10_data_per_asu, uniform_assuming_splitters};
@@ -24,20 +24,15 @@ fn main() {
     let splitters = uniform_assuming_splitters(alpha);
 
     println!("T4: routing policies on the skewed Figure-10 workload (n={n}, H={h}, D={d})");
-    let widths = [22usize, 12, 10, 10, 9];
-    println!(
-        "{}",
-        row(
-            &["policy", "makespan", "host0", "host1", "gap"].map(String::from),
-            &widths
-        )
-    );
-    let mut csv = String::from("policy,makespan_s,host0_util,host1_util,gap\n");
+    let mut table = Table::new("policy makespan_s host0_util host1_util gap");
 
     let modes: [(&str, LoadMode); 4] = [
         ("static (no control)", LoadMode::Static),
         ("round-robin", LoadMode::Managed(RoutingPolicy::RoundRobin)),
-        ("simple randomization", LoadMode::Managed(RoutingPolicy::SimpleRandomization)),
+        (
+            "simple randomization",
+            LoadMode::Managed(RoutingPolicy::SimpleRandomization),
+        ),
         ("load-aware", LoadMode::Managed(RoutingPolicy::LoadAware)),
     ];
     // Each policy runs the same fixed-seed workload in its own emulation;
@@ -56,22 +51,13 @@ fn main() {
 
     for ((name, _), (t, m0, m1)) in modes.iter().zip(results) {
         let gap = (m0 - m1).abs();
-        println!(
-            "{}",
-            row(
-                &[
-                    name.to_string(),
-                    format!("{t:.4}s"),
-                    format!("{:.1}%", m0 * 100.0),
-                    format!("{:.1}%", m1 * 100.0),
-                    format!("{:.3}", gap),
-                ],
-                &widths
-            )
-        );
-        csv.push_str(&format!(
-            "{name},{t:.6},{m0:.4},{m1:.4},{gap:.4}\n"
-        ));
+        table.row(vec![
+            (*name).into(),
+            fx(t, 6),
+            fx(m0, 4),
+            fx(m1, 4),
+            fx(gap, 4),
+        ]);
     }
-    write_results("routing_ablation.csv", &csv);
+    write_csv("routing_ablation.csv", &table);
 }

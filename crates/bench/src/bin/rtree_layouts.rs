@@ -10,7 +10,7 @@
 //! run alone) and aggregate throughput under a concurrent query flood.
 //! Expected: stripe wins latency; partition wins throughput.
 
-use lmas_bench::{row, scaled_n, write_results};
+use lmas_bench::{fx, scaled_n, write_csv, Table};
 use lmas_emulator::ClusterConfig;
 use lmas_gis::{random_points, DistRTree, Layout, Rect};
 use lmas_sim::DetRng;
@@ -34,15 +34,7 @@ fn main() {
     let side = 0.08f32;
 
     println!("F5: partition vs stripe distributed R-trees ({npoints} points, {side}-side queries)");
-    let widths = [5usize, 11, 14, 16];
-    println!(
-        "{}",
-        row(
-            &["D", "layout", "latency (1q)", "throughput (q/s)"].map(String::from),
-            &widths
-        )
-    );
-    let mut csv = String::from("d,layout,latency_s,throughput_qps\n");
+    let mut table = Table::new("d layout latency_s throughput_qps");
 
     // Each (D, layout) cell builds its own index from the same seeded
     // point set and runs its probe/flood emulations independently, so
@@ -74,21 +66,14 @@ fn main() {
         })
         .collect();
     for (&(d, layout), &(lat, thr)) in cells.iter().zip(&measured) {
-        let name = format!("{layout:?}").to_lowercase();
-        println!(
-            "{}",
-            row(
-                &[
-                    d.to_string(),
-                    name.clone(),
-                    format!("{:.3}ms", lat * 1e3),
-                    format!("{thr:.0}"),
-                ],
-                &widths
-            )
-        );
-        csv.push_str(&format!("{d},{name},{lat:.6},{thr:.2}\n"));
+        table.row(vec![
+            d.into(),
+            format!("{layout:?}").to_lowercase().into(),
+            fx(lat, 6),
+            fx(thr, 2),
+        ]);
     }
+    write_csv("rtree_layouts.csv", &table);
     // Hot-region extension: every query hammers the same spatial slab.
     // Partition serializes on one ASU; the paper's hybrid (replicated
     // subtrees) load-balances replicas; stripe parallelizes by design.
@@ -102,7 +87,6 @@ fn main() {
             Rect::new(0.05 + off, 0.1, 0.05 + off + side, 0.1 + side * 4.0)
         })
         .collect();
-    let mut hot_csv = String::from("layout,throughput_qps\n");
     let hot_layouts = [
         Layout::Partition,
         Layout::Replicated { copies: 4 },
@@ -116,11 +100,12 @@ fn main() {
             flood as f64 / run.report.makespan.as_secs_f64()
         })
         .collect();
+    let mut hot_table = Table::new("layout throughput_qps");
     for (&layout, &thr) in hot_layouts.iter().zip(&hot_thr) {
-        let name = format!("{layout:?}").to_lowercase();
-        println!("  {name:<28} {thr:>8.0} q/s");
-        hot_csv.push_str(&format!("{name},{thr:.2}\n"));
+        hot_table.row(vec![
+            format!("{layout:?}").to_lowercase().into(),
+            fx(thr, 2),
+        ]);
     }
-    write_results("rtree_layouts.csv", &csv);
-    write_results("rtree_hot_region.csv", &hot_csv);
+    write_csv("rtree_hot_region.csv", &hot_table);
 }

@@ -7,7 +7,7 @@
 //! the time-forward color propagation (step 3) stays flat — Amdahl's law
 //! in a terrain pipeline.
 
-use lmas_bench::{row, write_results};
+use lmas_bench::{fx, write_csv, Table};
 use lmas_emulator::ClusterConfig;
 use lmas_gis::{fractal_terrain, matches_oracle, run_terraflow};
 use lmas_sort::{DsmConfig, LoadMode};
@@ -20,15 +20,7 @@ fn main() {
         "F-TF: TerraFlow per-step times vs #ASUs ({side}×{side} grid, {} cells, H=1, c=8)",
         side * side
     );
-    let widths = [4usize, 12, 12, 12, 12, 11];
-    println!(
-        "{}",
-        row(
-            &["D", "step1", "step2(sort)", "step3", "total", "watersheds"].map(String::from),
-            &widths
-        )
-    );
-    let mut csv = String::from("d,step1_s,step2_s,step3_s,total_s,watersheds\n");
+    let mut table = Table::new("d step1_s step2_s step3_s total_s watersheds");
 
     let mut dsm = DsmConfig::new(8, 1024, 8, 4096);
     dsm.input_packet_records = 512;
@@ -52,28 +44,8 @@ fn main() {
     );
     for (&d, out) in ds.iter().zip(&outcomes) {
         let (t1, t2, t3) = out.times;
-        println!(
-            "{}",
-            row(
-                &[
-                    d.to_string(),
-                    t1.to_string(),
-                    t2.to_string(),
-                    t3.to_string(),
-                    out.total().to_string(),
-                    out.watersheds.to_string(),
-                ],
-                &widths
-            )
-        );
-        csv.push_str(&format!(
-            "{d},{:.6},{:.6},{:.6},{:.6},{}\n",
-            t1.as_secs_f64(),
-            t2.as_secs_f64(),
-            t3.as_secs_f64(),
-            out.total().as_secs_f64(),
-            out.watersheds
-        ));
+        let [t1, t2, t3, total] = [t1, t2, t3, out.total()].map(|t| fx(t.as_secs_f64(), 6));
+        table.row(vec![d.into(), t1, t2, t3, total, out.watersheds.into()]);
     }
-    write_results("terraflow_steps.csv", &csv);
+    write_csv("terraflow_steps.csv", &table);
 }

@@ -7,7 +7,7 @@
 //! power-of-two ceilings at run boundaries, so measured work sits at or
 //! slightly under the bound; it must never exceed it.
 
-use lmas_bench::{row, write_results};
+use lmas_bench::{fx, write_csv, Table};
 use lmas_core::{generate_rec128, KeyDist};
 use lmas_emulator::ClusterConfig;
 use lmas_sort::{run_dsm_sort, DsmConfig, LoadMode};
@@ -28,20 +28,11 @@ fn main() {
     ];
 
     println!("T1: measured compares vs n·log2(αβγ)  (n = {n} = 2^16)");
-    let widths = [6usize, 6, 4, 4, 14, 14, 9];
-    println!(
-        "{}",
-        row(
-            &["α", "β", "γ1", "γ2", "measured cmp", "bound n·logN", "ratio"]
-                .map(String::from),
-            &widths
-        )
-    );
-    let mut csv = String::from("alpha,beta,gamma1,gamma2,measured,bound,ratio\n");
+    let mut table = Table::new("alpha beta gamma1 gamma2 measured bound ratio");
     for (alpha, beta, g1, g2) in configs {
         let dsm = DsmConfig::new(alpha, beta, g1, g2);
-        let out = run_dsm_sort(&cluster, data.clone(), &dsm, LoadMode::Static)
-            .expect("work table run");
+        let out =
+            run_dsm_sort(&cluster, data.clone(), &dsm, LoadMode::Static).expect("work table run");
         lmas_sort::verify_rec128_output(&out.output, n).expect("sorted");
         let measured: u64 = out
             .pass1
@@ -64,24 +55,15 @@ fn main() {
             ratio >= 0.6,
             "measured compares ({measured}) far below n·log(αβγ) ({bound})"
         );
-        println!(
-            "{}",
-            row(
-                &[
-                    alpha.to_string(),
-                    beta.to_string(),
-                    g1.to_string(),
-                    g2.to_string(),
-                    measured.to_string(),
-                    bound.to_string(),
-                    format!("{ratio:.3}"),
-                ],
-                &widths
-            )
-        );
-        csv.push_str(&format!(
-            "{alpha},{beta},{g1},{g2},{measured},{bound},{ratio:.4}\n"
-        ));
+        table.row(vec![
+            alpha.into(),
+            beta.into(),
+            g1.into(),
+            g2.into(),
+            measured.into(),
+            bound.into(),
+            fx(ratio, 4),
+        ]);
     }
-    write_results("work_table.csv", &csv);
+    write_csv("work_table.csv", &table);
 }

@@ -104,7 +104,6 @@ pub struct EventQueue<M> {
     /// Time of the most recently popped event — "the current instant".
     front_time: SimTime,
     next_seq: u64,
-    fired: u64,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -123,7 +122,6 @@ impl<M> EventQueue<M> {
             lane: VecDeque::new(),
             front_time: SimTime::ZERO,
             next_seq: 0,
-            fired: 0,
         }
     }
 
@@ -207,7 +205,6 @@ impl<M> EventQueue<M> {
             .take()
             .expect("pending event has a payload");
         self.free.push(entry.slot);
-        self.fired += 1;
         self.front_time = entry.key.at;
         Some((entry.key, payload))
     }
@@ -230,11 +227,6 @@ impl<M> EventQueue<M> {
     /// Number of pending (inserted, not yet fired) events. O(1).
     pub fn live_len(&self) -> usize {
         self.lane.len() + self.heap.len()
-    }
-
-    /// Lifetime counters: (scheduled, fired).
-    pub fn counters(&self) -> (u64, u64) {
-        (self.fired + self.live_len() as u64, self.fired)
     }
 
     // ---- 4-ary heap primitives (children of i: 4i+1 ..= 4i+4) ----
@@ -306,15 +298,6 @@ mod tests {
     fn scheduling_at_never_panics() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::NEVER, ());
-    }
-
-    #[test]
-    fn counters_track_lifecycle() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(1), ());
-        q.schedule(SimTime(2), ());
-        q.pop();
-        assert_eq!(q.counters(), (2, 1));
     }
 
     #[test]
