@@ -29,14 +29,14 @@ use lmas_bench::{fx, scaled_n, GateFailure, Json, Report, Table};
 use lmas_core::{generate_rec128, KeyDist, RoutingPolicy};
 use lmas_emulator::{asu_index, BalanceSpec, ClusterConfig, FaultSpec};
 use lmas_sim::{FaultPlan, LogHist, SimDuration, SimTime};
-use lmas_sort::{run_dsm_sort, run_dsm_sort_faulty, DsmConfig, DsmOutcome, LoadMode};
+use lmas_sort::{run_dsm_sort, run_dsm_sort_faulty, DsmConfig, LoadMode};
 
 /// (hosts, asus) cells: 20, 64, and 256 emulated nodes.
 const GRID: [(usize, usize); 3] = [(4, 16), (16, 48), (64, 192)];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const VARIANTS: [&str; 3] = ["plain", "f", "fb"];
 
-/// Sum a per-pass figure over both passes of the sort.
+/// Sum a per-pass figure over every pass of the sort.
 fn per_pass<R: lmas_core::Record>(
     reports: &[&lmas_emulator::EmulationReport<R>],
     f: impl Fn(&lmas_emulator::EmulationReport<R>) -> u64,
@@ -89,25 +89,13 @@ fn main() -> Result<(), GateFailure> {
                     cluster =
                         cluster.with_balancer(BalanceSpec::every(SimDuration::from_micros(500)));
                 }
-                let out: DsmOutcome<_>;
-                let reports: Vec<&lmas_emulator::EmulationReport<_>>;
-                let faulty;
-                if variant == "plain" {
-                    out = run_dsm_sort(&cluster, data.clone(), &dsm, mode)
-                        .expect("par_scaling sort runs");
-                    reports = vec![&out.pass1, &out.pass2];
+                let out = if variant == "plain" {
+                    run_dsm_sort(&cluster, data.clone(), &dsm, mode)
                 } else {
-                    faulty = run_dsm_sort_faulty(&cluster, &spec, data.clone(), &dsm, mode)
-                        .expect("par_scaling faulted sort runs");
-                    reports = [
-                        Some(&faulty.pass1),
-                        faulty.repair.as_ref(),
-                        Some(&faulty.pass2),
-                    ]
-                    .into_iter()
-                    .flatten()
-                    .collect();
+                    run_dsm_sort_faulty(&cluster, &spec, data.clone(), &dsm, mode)
                 }
+                .expect("par_scaling sort runs");
+                let reports: Vec<_> = out.passes().collect();
                 let dispatched = per_pass(&reports, |r| r.dispatched);
                 // Sequential runs ARE their own critical path; parallel
                 // runs report the busiest partition per pass.

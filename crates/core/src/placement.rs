@@ -3,7 +3,7 @@
 //! The mapping of functors to hosts and ASUs is "configurable and
 //! potentially dynamic" (Section 8); a [`Placement`] is one concrete
 //! assignment, validated against node memory limits and each functor's
-//! [`FunctorKind`](crate::functor::FunctorKind) contract.
+//! [`FunctorKind`] contract.
 
 use crate::functor::FunctorKind;
 use std::collections::HashMap;

@@ -81,11 +81,6 @@ impl Rec128 {
     pub fn tag(&self) -> u64 {
         u64::from_le_bytes(self.payload[..8].try_into().expect("8 bytes"))
     }
-
-    /// Overwrite the key (used by tests and generators).
-    pub fn set_key(&mut self, key: u32) {
-        self.key = key;
-    }
 }
 
 impl Record for Rec128 {

@@ -51,7 +51,7 @@ pub use repair::{
 // Storage counter types re-exported from their single source of truth in
 // `lmas-storage` (node reports embed them).
 pub use lmas_storage::{BteStats, PoolStats, StorageSpec};
-pub use report::{render_summary, render_utilization_csv};
+pub use report::render_summary;
 pub use runtime::{
     run_job, run_job_with_faults, EmulationReport, Job, JobError, NodeReport, ParRunStats,
 };

@@ -447,42 +447,12 @@ impl<R: Record> Metrics<R> {
     pub fn violations_total(&self) -> u64 {
         self.violations_total
     }
-
-    /// Total declared work across stages.
-    pub fn total_work(&self) -> Work {
-        self.stage_work.iter().fold(Work::ZERO, |acc, &w| acc + w)
-    }
-
-    /// The captured sink packets in `(stage, instance)` then emission
-    /// order, borrowed — no records are copied.
-    pub fn sink_packets(&self) -> impl Iterator<Item = &Packet<R>> {
-        self.sink_outputs.values().flatten().map(|(_, p)| p)
-    }
-
-    /// All records captured at sinks, flattened in `(stage, instance)`
-    /// then emission order. Copies every record; prefer
-    /// [`sink_packets`](Metrics::sink_packets) for read-only access.
-    pub fn sink_records(&self) -> Vec<R> {
-        self.sink_packets()
-            .flat_map(|p| p.records().iter().cloned())
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lmas_core::Rec8;
-
-    #[test]
-    fn work_accumulates_per_stage() {
-        let mut m: Metrics<Rec8> = Metrics::new(2);
-        m.stage_work[0] += Work::compares(5);
-        m.stage_work[1] += Work::moves(3);
-        let t = m.total_work();
-        assert_eq!(t.compares, 5);
-        assert_eq!(t.record_moves, 3);
-    }
 
     #[test]
     fn violation_list_is_bounded() {
@@ -533,16 +503,5 @@ mod tests {
         assert_eq!(s[0].final_depth, 0);
         assert_eq!(s[0].peak_depth, 100);
         assert!((s[0].mean_depth - 100.0 * 10.0 / 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sink_records_flatten_in_order() {
-        let mut m: Metrics<Rec8> = Metrics::new(1);
-        let p1 = Packet::new(vec![Rec8 { key: 1, tag: 0 }]);
-        let p2 = Packet::new(vec![Rec8 { key: 2, tag: 1 }, Rec8 { key: 3, tag: 2 }]);
-        m.sink_outputs.insert((0, 0), vec![(0, p1)]);
-        m.sink_outputs.insert((0, 1), vec![(0, p2)]);
-        let recs = m.sink_records();
-        assert_eq!(recs.iter().map(|r| r.key).collect::<Vec<_>>(), [1, 2, 3]);
     }
 }

@@ -147,7 +147,7 @@ pub struct MultiJobReport<R: Record> {
 /// Run several jobs concurrently on one emulated cluster under a
 /// scheduler gate.
 ///
-/// The jobs' graphs are merged into a single [`FlowGraph`] (stage
+/// The jobs' graphs are merged into a single [`FlowGraph`](lmas_core::FlowGraph) (stage
 /// indices offset per job, so each job's range is contiguous) and run
 /// fault-free on the sequential engine. Job `j` of the gate/report is
 /// `jobs[j]`. See the module docs for the scheduling semantics.

@@ -7,7 +7,7 @@
 //! node emerges from the resource queues rather than from bespoke logic.
 //!
 //! Storage is a [`StripedDisk`] (one spindle by default; `d` per ASU
-//! when the [`StorageSpec`] stripes) optionally fronted by a
+//! when the [`StorageSpec`](lmas_storage::StorageSpec) stripes) optionally fronted by a
 //! [`BufferPool`] and a [`DiskScheduler`]. With the plain default spec
 //! every call delegates straight to the single underlying disk timeline,
 //! byte-identical to the pre-substrate node. With the pool enabled,
@@ -366,11 +366,6 @@ impl NodeRes {
         self.store.striped.counters()
     }
 
-    /// Aggregate transfer counters across spindles.
-    pub fn disk_stats(&self) -> BteStats {
-        self.store.striped.stats()
-    }
-
     /// Per-spindle transfer counters, in disk order.
     pub fn per_disk_stats(&self) -> Vec<BteStats> {
         self.store.striped.per_disk_stats()
@@ -379,11 +374,6 @@ impl NodeRes {
     /// Per-spindle media busy time, in disk order.
     pub fn per_disk_busy(&self) -> Vec<SimDuration> {
         self.store.striped.per_disk_busy()
-    }
-
-    /// Number of spindles in this node's array.
-    pub fn disk_count(&self) -> usize {
-        self.store.striped.disk_count()
     }
 
     /// Buffer-pool counters (all zero when the pool is disabled).

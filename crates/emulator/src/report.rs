@@ -86,23 +86,3 @@ pub fn render_summary<R: Record>(r: &EmulationReport<R>) -> String {
     }
     out
 }
-
-/// Render utilization series as CSV: `t_seconds,node0,node1,...`.
-pub fn render_utilization_csv<R: Record>(r: &EmulationReport<R>, bin_secs: f64) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "t");
-    for n in &r.nodes {
-        let _ = write!(out, ",{}", n.id);
-    }
-    let _ = writeln!(out);
-    let len = r.nodes.iter().map(|n| n.cpu_series.len()).max().unwrap_or(0);
-    for bin in 0..len {
-        let _ = write!(out, "{:.3}", bin as f64 * bin_secs);
-        for n in &r.nodes {
-            let v = n.cpu_series.get(bin).copied().unwrap_or(0.0);
-            let _ = write!(out, ",{v:.4}");
-        }
-        let _ = writeln!(out);
-    }
-    out
-}

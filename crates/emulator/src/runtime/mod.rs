@@ -320,29 +320,11 @@ impl<R: Record> EmulationReport<R> {
     /// All records captured at sinks, in `(stage, instance)` then
     /// emission order. Copies every record; prefer
     /// [`sink_packets`](EmulationReport::sink_packets) for read-only
-    /// access or [`into_sink_records`](EmulationReport::into_sink_records)
-    /// when the report is no longer needed.
+    /// access.
     pub fn sink_records(&self) -> Vec<R> {
         self.sink_packets()
             .flat_map(|p| p.records().iter().cloned())
             .collect()
-    }
-
-    /// Consume the report into the flattened sink records. Packets whose
-    /// buffers are uniquely owned (the usual case — sinks receive them by
-    /// move) give up their records without copying.
-    pub fn into_sink_records(self) -> Vec<R> {
-        let total: usize = self
-            .sink_outputs
-            .values()
-            .flatten()
-            .map(|(_, p)| p.len())
-            .sum();
-        let mut out = Vec::with_capacity(total);
-        for (_, p) in self.sink_outputs.into_values().flatten() {
-            out.append(&mut p.into_records());
-        }
-        out
     }
 
     /// CPU utilization series of host `i`, or `None` when no such host

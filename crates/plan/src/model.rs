@@ -8,7 +8,6 @@
 //! behavior; [`ClusterShape`] is the machine model (H hosts, D ASUs,
 //! CPU ratio c, disk/link rates) the estimator prices it against.
 
-use lmas_core::adapt::PipelineModel;
 use lmas_core::cost::{CostModel, Work};
 use lmas_core::functor::FunctorKind;
 use lmas_core::placement::{NodeId, PlacementError, StageId};
@@ -89,20 +88,6 @@ impl ClusterShape {
         match node {
             NodeId::Host(_) => self.host_disk_rate,
             NodeId::Asu(_) => self.asu_disk_rate,
-        }
-    }
-
-    /// Bridge to the phase-rate model of `lmas-core::adapt` for knob
-    /// picking (α, γ-split) at a given record size.
-    pub fn pipeline_model(&self, record_size: usize) -> PipelineModel {
-        PipelineModel {
-            cost: self.cost,
-            hosts: self.hosts,
-            asus: self.asus,
-            cpu_ratio_c: self.cpu_ratio_c,
-            disk_rate: self.asu_disk_rate,
-            link_rate: self.link_rate,
-            record_size,
         }
     }
 }
@@ -469,8 +454,5 @@ mod tests {
         assert_eq!(shape.node_speed(NodeId::Asu(1)), 0.125);
         assert_eq!(shape.nodes()[0], NodeId::Host(0));
         assert_eq!(shape.nodes()[2], NodeId::Asu(0));
-        let m = shape.pipeline_model(128);
-        assert_eq!(m.hosts, 2);
-        assert_eq!(m.asus, 4);
     }
 }

@@ -12,7 +12,7 @@
 //!   backoff ([`BackoffPolicy`]);
 //! - [`resource`]: FCFS servers with utilization accounting — the CPUs,
 //!   disks and links of an emulated cluster;
-//! - [`intern`]: interned resource/metric names (allocation-free stamping)
+//! - [`intern`](mod@intern): interned resource/metric names (allocation-free stamping)
 //!   and the [`fnv1a`] digest the goldens pin;
 //! - [`par`]: a conservative partitioned parallel coordinator — the same
 //!   virtual time, byte for byte, across worker threads;

@@ -5,7 +5,7 @@
 //! optional: production runs construct a disabled trace and pay only a
 //! branch per record — [`Trace::record_with`] takes a closure, so a
 //! disabled trace never materialises the subject or detail strings at
-//! all. Subjects are interned ([`crate::intern`]): the hot path stamps a
+//! all. Subjects are interned ([`crate::intern`](mod@crate::intern)): the hot path stamps a
 //! shared pointer rather than allocating a fresh `String` per entry.
 
 use crate::intern::{intern, Name};
@@ -28,14 +28,6 @@ pub struct TraceEntry {
     /// traces back into the exact sequential order. Bookkeeping only —
     /// excluded from equality and rendering.
     key: (u64, u64),
-}
-
-impl TraceEntry {
-    /// The entry's dispatch ordering key (see the field doc). Exposed
-    /// for diagnostics; not part of the entry's identity.
-    pub fn order_key(&self) -> (u64, u64) {
-        self.key
-    }
 }
 
 impl PartialEq for TraceEntry {

@@ -13,10 +13,15 @@
 //!
 //! The first pass is what Figure 9 times ("We report timings from the
 //! first pass of sorting (run formation), omitting the final merge
-//! phases"); [`run_dsm_sort`] runs both and verifies the output. What
-//! the planner is told about the passes lives in [`crate::planner`].
+//! phases"). [`run_dsm_sort`], [`run_dsm_sort_multipass`] and
+//! [`run_dsm_sort_faulty`](crate::fault::run_dsm_sort_faulty) are one
+//! driver: pass 1, the repair of whatever a fault plan lost, the
+//! ASU-local intermediate merges the multi-pass entry allows, then
+//! pass 2, all reported in one [`DsmOutcome`]. What the planner is told
+//! about the passes lives in [`crate::planner`].
 
 use crate::config::{DsmConfig, DsmConfigError, LoadMode};
+use crate::fault::{repair_lost, TagIndex};
 use crate::functors::{FullMergeFunctor, SubsetMergeFunctor};
 use crate::planner::{plan_pass1, plan_pass2};
 use lmas_core::functor::lib::{BlockSortFunctor, DistributeFunctor, RelayFunctor};
@@ -152,17 +157,23 @@ pub struct Pass2Result<R: Record> {
     /// Sorted output stripes as stored across the ASUs.
     pub output: Vec<Packet<R>>,
     /// The planner's account when the pass ran under
-    /// [`run_pass2_auto`]; `None` for the static layout.
+    /// [`LoadMode::Auto`]; `None` for the static layout.
     pub plan: Option<PlanOutcome>,
 }
 
-/// Outcome of a full two-pass DSM-Sort.
+/// Outcome of a full DSM-Sort, whichever entry ran it: the plain
+/// two-pass sort, the faulted sort with its repair pass, or the
+/// multi-pass sort with its intermediate merges.
 pub struct DsmOutcome<R: Record> {
     /// Pass-1 report (the quantity Figure 9 measures).
     pub pass1: EmulationReport<R>,
-    /// Pass-2 report.
+    /// The repair pass, when a fault plan lost records.
+    pub repair: Option<EmulationReport<R>>,
+    /// One report per intermediate ASU-local merge pass.
+    pub intermediate: Vec<EmulationReport<R>>,
+    /// Pass-2 (final merge) report.
     pub pass2: EmulationReport<R>,
-    /// Total emulated time (pass 1 + pass 2).
+    /// Total emulated time across every pass.
     pub total: SimDuration,
     /// Final sorted stripes.
     pub output: Vec<Packet<R>>,
@@ -171,6 +182,22 @@ pub struct DsmOutcome<R: Record> {
     /// Planner decisions and analytic predictions when run under
     /// [`LoadMode::Auto`]; `None` otherwise.
     pub plan: Option<DsmPlanInfo>,
+    /// Records the tag diff found missing and re-dispatched.
+    pub recovered_records: u64,
+    /// ASUs still down at the end of pass 1 (their stored runs were
+    /// unreachable and their records went through repair).
+    pub lost_asus: Vec<usize>,
+}
+
+impl<R: Record> DsmOutcome<R> {
+    /// Every pass's report in pass order: pass 1, the repair pass, the
+    /// intermediate merges, pass 2.
+    pub fn passes(&self) -> impl Iterator<Item = &EmulationReport<R>> {
+        std::iter::once(&self.pass1)
+            .chain(&self.repair)
+            .chain(&self.intermediate)
+            .chain(std::iter::once(&self.pass2))
+    }
 }
 
 /// What the planner decided (and predicted) for an Auto-mode sort.
@@ -241,7 +268,7 @@ pub fn run_pass1_with<R: Record>(
     dsm: &DsmConfig,
     mode: LoadMode,
 ) -> Result<Pass1Result<R>, DsmError> {
-    run_pass1_inner(cluster, spec, data_per_asu, splitters, dsm, mode, None)
+    run_pass1_job(spec, build_pass1_job(cluster, data_per_asu, splitters, dsm, mode)?)
 }
 
 /// Run pass 1 with an explicit block-sort placement: `sorter_nodes[b]`
@@ -255,15 +282,8 @@ pub fn run_pass1_placed<R: Record>(
     dsm: &DsmConfig,
     sorter_nodes: &[NodeId],
 ) -> Result<Pass1Result<R>, DsmError> {
-    run_pass1_inner(
-        cluster,
-        &FaultSpec::none(),
-        data_per_asu,
-        splitters,
-        dsm,
-        LoadMode::Static,
-        Some(sorter_nodes),
-    )
+    let built = build_pass1_job_placed(cluster, data_per_asu, splitters, dsm, sorter_nodes)?;
+    run_pass1_job(&FaultSpec::none(), built)
 }
 
 /// A pass-1 job built but not run — the job-factory hook for the
@@ -318,27 +338,13 @@ pub fn build_pass1_job_placed<R: Record>(
     )
 }
 
-fn run_pass1_inner<R: Record>(
-    cluster: &ClusterConfig,
+/// Run a built pass-1 job under `spec` and collect the runs it stored.
+fn run_pass1_job<R: Record>(
     spec: &FaultSpec,
-    data_per_asu: Vec<impl AsuInput<R>>,
-    splitters: Vec<R::Key>,
-    dsm: &DsmConfig,
-    mode: LoadMode,
-    sorter_nodes: Option<&[NodeId]>,
+    built: Pass1Job<R>,
 ) -> Result<Pass1Result<R>, DsmError> {
-    let d = cluster.asus;
-    let built = build_pass1_inner(cluster, data_per_asu, splitters, dsm, mode, sorter_nodes)?;
     let report = run_job_with_faults(&built.cluster, spec, built.job)?;
-    let runs_per_asu = (0..d)
-        .map(|asu| {
-            report
-                .sink_outputs
-                .get(&(built.collect.0, asu))
-                .map(|v| v.iter().map(|(_, p)| p.clone()).collect())
-                .unwrap_or_default()
-        })
-        .collect();
+    let runs_per_asu = runs_at(&report, built.collect, built.cluster.asus);
     Ok(Pass1Result {
         report,
         runs_per_asu,
@@ -496,51 +502,18 @@ pub fn run_pass2<R: Record>(
     splitters: Vec<R::Key>,
     dsm: &DsmConfig,
 ) -> Result<Pass2Result<R>, DsmError> {
-    run_pass2_inner(cluster, runs_per_asu, splitters, dsm, None)
+    run_pass2_in_mode(cluster, runs_per_asu, splitters, dsm, LoadMode::Static)
 }
 
-/// [`run_pass2`] with the host-merge placement chosen by the planner
-/// from the declared merge costs — the `LoadMode::Auto` merge phase.
-pub fn run_pass2_auto<R: Record>(
-    cluster: &ClusterConfig,
-    runs_per_asu: Vec<Vec<Packet<R>>>,
-    splitters: Vec<R::Key>,
-    dsm: &DsmConfig,
-) -> Result<Pass2Result<R>, DsmError> {
-    let n: u64 = runs_per_asu
-        .iter()
-        .flatten()
-        .map(|p| p.len() as u64)
-        .sum();
-    let outcome = plan_pass2::<R>(cluster, dsm, n)?;
-    let hosts = outcome.assignment[1].clone();
-    let mut res = run_pass2_inner(cluster, runs_per_asu, splitters, dsm, Some(&hosts))?;
-    res.plan = Some(outcome);
-    Ok(res)
-}
-
-/// Pass 2 as `mode` runs it: the planner's host-merge placement under
-/// [`LoadMode::Auto`], the static layout otherwise. Every driver (plain,
-/// multi-pass, faulted) makes that choice here.
-pub(crate) fn run_pass2_in_mode<R: Record>(
+/// Pass 2 as `mode` runs it: under [`LoadMode::Auto`] the planner places
+/// the host merges from the declared merge costs; every other mode uses
+/// the static layout.
+fn run_pass2_in_mode<R: Record>(
     cluster: &ClusterConfig,
     runs_per_asu: Vec<Vec<Packet<R>>>,
     splitters: Vec<R::Key>,
     dsm: &DsmConfig,
     mode: LoadMode,
-) -> Result<Pass2Result<R>, DsmError> {
-    match mode {
-        LoadMode::Auto => run_pass2_auto(cluster, runs_per_asu, splitters, dsm),
-        _ => run_pass2(cluster, runs_per_asu, splitters, dsm),
-    }
-}
-
-fn run_pass2_inner<R: Record>(
-    cluster: &ClusterConfig,
-    runs_per_asu: Vec<Vec<Packet<R>>>,
-    splitters: Vec<R::Key>,
-    dsm: &DsmConfig,
-    host_merge_nodes: Option<&[NodeId]>,
 ) -> Result<Pass2Result<R>, DsmError> {
     if runs_per_asu.len() != cluster.asus {
         return Err(DsmError::InputShape(format!(
@@ -549,6 +522,13 @@ fn run_pass2_inner<R: Record>(
             cluster.asus
         )));
     }
+    let plan = match mode {
+        LoadMode::Auto => {
+            let n = runs_per_asu.iter().flatten().map(|p| p.len() as u64).sum();
+            Some(plan_pass2::<R>(cluster, dsm, n)?)
+        }
+        _ => None,
+    };
     let d = cluster.asus;
     let h = cluster.hosts;
     let alpha = dsm.alpha;
@@ -585,9 +565,10 @@ fn run_pass2_inner<R: Record>(
 
     let mut placement = Placement::new();
     placement.spread_over_asus(asu_merge, d, d);
-    match host_merge_nodes {
-        Some(nodes) => {
-            for (i, &node) in nodes.iter().enumerate() {
+    match &plan {
+        // The spec listed stages as [ASU merge, host merge, collect].
+        Some(out) => {
+            for (i, &node) in out.assignment[1].iter().enumerate() {
                 placement.assign(host_merge, i, node);
             }
         }
@@ -603,54 +584,26 @@ fn run_pass2_inner<R: Record>(
     }
 
     let report = run_job(&cluster, Job { graph: g, placement, inputs })?;
-    let output = report
-        .sink_outputs
-        .values()
-        .flatten()
-        .map(|(_, p)| p.clone())
-        .collect();
-    Ok(Pass2Result { report, output, plan: None })
-}
-
-/// Outcome of a multi-pass DSM-Sort (γ too small for two passes).
-pub struct DsmMultiOutcome<R: Record> {
-    /// Pass-1 (run formation) report.
-    pub pass1: EmulationReport<R>,
-    /// One report per intermediate ASU-local merge pass.
-    pub intermediate: Vec<EmulationReport<R>>,
-    /// The final (host-involving) merge pass report.
-    pub final_merge: EmulationReport<R>,
-    /// Total emulated time across all passes.
-    pub total: SimDuration,
-    /// Final sorted stripes.
-    pub output: Vec<Packet<R>>,
-    /// The splitters used.
-    pub splitters: Vec<<R as Record>::Key>,
+    let output = report.sink_packets().cloned().collect();
+    Ok(Pass2Result { report, output, plan })
 }
 
 /// One intermediate merge pass: every ASU merges its *local* runs γ₁ at
 /// a time, per subset, writing the longer runs back locally — no network
 /// traffic, matching the paper's host↔ASU-only communication model.
-pub fn run_intermediate_merge<R: Record>(
+fn run_intermediate_merge<R: Record>(
     cluster: &ClusterConfig,
-    runs_per_asu: Vec<Vec<Packet<R>>>,
-    splitters: Vec<R::Key>,
+    runs_per_asu: RunsPerAsu<R>,
+    splitters: &[R::Key],
     gamma1: usize,
 ) -> Result<(EmulationReport<R>, RunsPerAsu<R>), DsmError> {
     let d = cluster.asus;
-    if runs_per_asu.len() != d {
-        return Err(DsmError::InputShape(format!(
-            "runs_per_asu has {} entries for {} ASUs",
-            runs_per_asu.len(),
-            d
-        )));
-    }
     let cluster = tuned_cluster(
         cluster,
-        SubsetMergeFunctor::<R>::new(splitters.clone(), gamma1).read_ahead_hint(),
+        SubsetMergeFunctor::<R>::new(splitters.to_vec(), gamma1).read_ahead_hint(),
     );
     let mut g: FlowGraph<R> = FlowGraph::new();
-    let sp = splitters.clone();
+    let sp = splitters.to_vec();
     // Source == sink: merged runs stay on their ASU.
     let merge = g.add_source_stage(d, move |_| {
         Box::new(SubsetMergeFunctor::<R>::new(sp.clone(), gamma1)) as Box<dyn Functor<R>>
@@ -662,16 +615,22 @@ pub fn run_intermediate_merge<R: Record>(
         inputs.insert((merge.0, asu), runs);
     }
     let report = run_job(&cluster, Job { graph: g, placement, inputs })?;
-    let merged = (0..d)
+    let merged = runs_at(&report, merge, d);
+    Ok((report, merged))
+}
+
+/// The packets `report` captured at instances `0..d` of sink `stage`:
+/// the runs now stored on each ASU.
+fn runs_at<R: Record>(report: &EmulationReport<R>, stage: StageId, d: usize) -> RunsPerAsu<R> {
+    (0..d)
         .map(|asu| {
             report
                 .sink_outputs
-                .get(&(merge.0, asu))
+                .get(&(stage.0, asu))
                 .map(|v| v.iter().map(|(_, p)| p.clone()).collect())
                 .unwrap_or_default()
         })
-        .collect();
-    Ok((report, merged))
+        .collect()
 }
 
 /// Largest number of runs any single subset contributes to the final
@@ -695,56 +654,6 @@ fn max_host_fanin<R: Record>(
         }
     }
     per_subset.into_iter().max().unwrap_or(0)
-}
-
-/// Full DSM-Sort that inserts intermediate ASU-local merge passes while
-/// the final host fan-in would exceed γ₂ — "more passes may
-/// theoretically be required if γ is small, but two passes are
-/// sufficient in practice" (Section 4.3). A safety valve errors out
-/// rather than looping if γ₁ = 1 can make no progress.
-pub fn run_dsm_sort_multipass<R: Record>(
-    cluster: &ClusterConfig,
-    data: Vec<R>,
-    dsm: &DsmConfig,
-    mode: LoadMode,
-) -> Result<DsmMultiOutcome<R>, DsmError> {
-    // Multi-pass relaxes the two-pass capacity rule: validate parameter
-    // shape only (nonzero knobs), not α·β·γ ≥ n.
-    dsm.validate_for(1)?;
-    if dsm.gamma1 < 2 {
-        return Err(DsmError::InputShape(
-            "multi-pass merging needs γ₁ ≥ 2 to make progress".into(),
-        ));
-    }
-    let splitters = choose_splitters(&data, dsm.alpha);
-    let per_asu = split_into_packets(&data, cluster.asus, dsm.input_packet_records);
-    drop(data);
-    let p1 = run_pass1(cluster, per_asu, splitters.clone(), dsm, mode)?;
-    let mut total = p1.report.makespan;
-    let mut runs = p1.runs_per_asu;
-    let mut intermediate = Vec::new();
-    while max_host_fanin(&runs, &splitters, dsm.gamma1) > dsm.gamma2 {
-        let (report, merged) =
-            run_intermediate_merge(cluster, runs, splitters.clone(), dsm.gamma1)?;
-        total += report.makespan;
-        intermediate.push(report);
-        runs = merged;
-        if intermediate.len() > 64 {
-            return Err(DsmError::InputShape(
-                "merge did not converge in 64 passes".into(),
-            ));
-        }
-    }
-    let p2 = run_pass2_in_mode(cluster, runs, splitters.clone(), dsm, mode)?;
-    total += p2.report.makespan;
-    Ok(DsmMultiOutcome {
-        pass1: p1.report,
-        intermediate,
-        final_merge: p2.report,
-        total,
-        output: p2.output,
-        splitters,
-    })
 }
 
 /// Sample-based splitter selection for an α-way distribute over `data`.
@@ -797,22 +706,103 @@ pub fn run_dsm_sort<R: Record>(
     dsm: &DsmConfig,
     mode: LoadMode,
 ) -> Result<DsmOutcome<R>, DsmError> {
-    dsm.validate_for(data.len() as u64)?;
+    dsm_sort(cluster, &FaultSpec::none(), data, dsm, mode, MergePasses::Two)
+}
+
+/// Full DSM-Sort that inserts intermediate ASU-local merge passes while
+/// the final host fan-in would exceed γ₂ — "more passes may
+/// theoretically be required if γ is small, but two passes are
+/// sufficient in practice" (Section 4.3). A safety valve errors out
+/// rather than looping if γ₁ = 1 can make no progress.
+pub fn run_dsm_sort_multipass<R: Record>(
+    cluster: &ClusterConfig,
+    data: Vec<R>,
+    dsm: &DsmConfig,
+    mode: LoadMode,
+) -> Result<DsmOutcome<R>, DsmError> {
+    dsm_sort(cluster, &FaultSpec::none(), data, dsm, mode, MergePasses::AsNeeded)
+}
+
+/// Which merge passes follow pass 1; fixed by the entry point.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum MergePasses {
+    /// The final merge only; the configuration must satisfy α·β·γ ≥ n.
+    Two,
+    /// Intermediate ASU-local merges while the final host fan-in would
+    /// exceed γ₂, then the final merge.
+    AsNeeded,
+}
+
+/// The one DSM-Sort driver behind every entry point: pass 1 under
+/// `spec`, the repair of whatever the plan lost (`fault::repair_lost`),
+/// the intermediate merges `passes` allows, then pass 2.
+pub(crate) fn dsm_sort<R: Record>(
+    cluster: &ClusterConfig,
+    spec: &FaultSpec,
+    data: Vec<R>,
+    dsm: &DsmConfig,
+    mode: LoadMode,
+    passes: MergePasses,
+) -> Result<DsmOutcome<R>, DsmError> {
+    match passes {
+        MergePasses::Two => dsm.validate_for(data.len() as u64)?,
+        // Intermediate merges relax the two-pass capacity rule: validate
+        // parameter shape only (nonzero knobs), not α·β·γ ≥ n.
+        MergePasses::AsNeeded => {
+            dsm.validate_for(1)?;
+            if dsm.gamma1 < 2 {
+                return Err(DsmError::InputShape(
+                    "multi-pass merging needs γ₁ ≥ 2 to make progress".into(),
+                ));
+            }
+        }
+    }
     let splitters = choose_splitters(&data, dsm.alpha);
+
+    // Built (and the tags checked) before pass 1 runs. Under an active
+    // plan the input stays alive as the "replica" lost records are
+    // re-read from; without one nothing can be lost and it is freed
+    // once split.
+    let index = spec.is_active().then(|| TagIndex::build(&data)).transpose()?;
     let per_asu = split_into_packets(&data, cluster.asus, dsm.input_packet_records);
-    drop(data);
-    let p1 = run_pass1(cluster, per_asu, splitters.clone(), dsm, mode)?;
-    let p2 = run_pass2_in_mode(cluster, p1.runs_per_asu, splitters.clone(), dsm, mode)?;
-    let total = p1.report.makespan + p2.report.makespan;
-    let plan = plan_info(dsm, p1.coded_r, p1.plan.as_ref(), p2.plan.as_ref());
-    Ok(DsmOutcome {
+    let replica = index.map(|index| (index, data));
+
+    let p1 = run_pass1_with(cluster, spec, per_asu, splitters.clone(), dsm, mode)?;
+    let mut runs = p1.runs_per_asu;
+    let (repair, recovered_records, lost_asus) = match replica {
+        Some(rep) => repair_lost(cluster, rep, &p1.report, &mut runs, &splitters, dsm, mode)?,
+        None => (None, 0, Vec::new()),
+    };
+    let mut intermediate = Vec::new();
+    while passes == MergePasses::AsNeeded
+        && max_host_fanin(&runs, &splitters, dsm.gamma1) > dsm.gamma2
+    {
+        let (report, merged) = run_intermediate_merge(cluster, runs, &splitters, dsm.gamma1)?;
+        intermediate.push(report);
+        runs = merged;
+        if intermediate.len() > 64 {
+            return Err(DsmError::InputShape(
+                "merge did not converge in 64 passes".into(),
+            ));
+        }
+    }
+    // Pass 2 runs fault-free on the original cluster: the plan's events
+    // already fired, and offline ASUs simply hold no runs to merge.
+    let p2 = run_pass2_in_mode(cluster, runs, splitters.clone(), dsm, mode)?;
+    let mut out = DsmOutcome {
         pass1: p1.report,
+        repair,
+        intermediate,
         pass2: p2.report,
-        total,
+        total: SimDuration::ZERO,
         output: p2.output,
         splitters,
-        plan,
-    })
+        plan: plan_info(dsm, p1.coded_r, p1.plan.as_ref(), p2.plan.as_ref()),
+        recovered_records,
+        lost_asus,
+    };
+    out.total = out.passes().fold(SimDuration::ZERO, |t, r| t + r.makespan);
+    Ok(out)
 }
 
 /// Fold the two pass plans into a [`DsmPlanInfo`] (both present only in

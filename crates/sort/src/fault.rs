@@ -5,7 +5,9 @@
 //! surviving replicas. What it cannot recover by itself are records that
 //! were lost **with** a node — queued packets, in-flight work, and runs
 //! already stored on an ASU that is still offline when the pass ends.
-//! This module closes that gap at the orchestration level:
+//! [`run_dsm_sort_faulty`] closes that gap at the orchestration level,
+//! in the one sort driver ([`crate::dsm`]) with this module's repair
+//! step between the passes:
 //!
 //! 1. run pass 1 under the plan (non-fatal mode: undeliverable records
 //!    are dropped and counted, the pass drains);
@@ -26,43 +28,21 @@
 
 use crate::config::{DsmConfig, LoadMode};
 use crate::dsm::{
-    choose_splitters, run_pass1_with, run_pass2_in_mode, split_into_packets, DsmError, Pass1Result,
+    dsm_sort, run_pass1, split_into_packets, DsmError, DsmOutcome, MergePasses, RunsPerAsu,
 };
 use lmas_core::{NodeId, Packet, Record};
 use lmas_emulator::{ClusterConfig, EmulationReport, FaultSpec};
-use lmas_sim::SimDuration;
-
-/// Outcome of a fault-injected DSM-Sort with repair.
-pub struct FaultyDsmOutcome<R: Record> {
-    /// Pass-1 report (ran under the fault plan).
-    pub pass1: EmulationReport<R>,
-    /// The repair pass, when one was needed.
-    pub repair: Option<EmulationReport<R>>,
-    /// Pass-2 report.
-    pub pass2: EmulationReport<R>,
-    /// Total emulated time including repair.
-    pub total: SimDuration,
-    /// Final sorted stripes.
-    pub output: Vec<Packet<R>>,
-    /// The splitters used.
-    pub splitters: Vec<<R as Record>::Key>,
-    /// Records the tag diff found missing and re-dispatched.
-    pub recovered_records: u64,
-    /// ASUs still down at the end of pass 1 (their stored runs were
-    /// unreachable and their records went through repair).
-    pub lost_asus: Vec<usize>,
-}
 
 /// The input's identity tags, sorted, each with the position of its
 /// record in the input: 12 B of payload (16 B with padding) per record,
 /// where the records themselves stay in the caller's `data`.
-struct TagIndex(Vec<(u64, u32)>);
+pub(crate) struct TagIndex(Vec<(u64, u32)>);
 
 impl TagIndex {
     /// Index `data` by [`Record::tag64`]. Repair can only name a lost
     /// record by its tag, so a record without one (`u64::MAX`) or a tag
     /// carried twice is an input error.
-    fn build<R: Record>(data: &[R]) -> Result<TagIndex, DsmError> {
+    pub(crate) fn build<R: Record>(data: &[R]) -> Result<TagIndex, DsmError> {
         if u32::try_from(data.len()).is_err() {
             return Err(DsmError::InputShape(format!(
                 "fault repair indexes at most 2^32 - 1 records ({} given)",
@@ -174,101 +154,71 @@ pub fn run_dsm_sort_faulty<R: Record>(
     data: Vec<R>,
     dsm: &DsmConfig,
     mode: LoadMode,
-) -> Result<FaultyDsmOutcome<R>, DsmError> {
-    dsm.validate_for(data.len() as u64)?;
-    let splitters = choose_splitters(&data, dsm.alpha);
+) -> Result<DsmOutcome<R>, DsmError> {
+    dsm_sort(cluster, spec, data, dsm, mode, MergePasses::Two)
+}
 
-    // Built (and the tags checked) before pass 1 runs. Under an active
-    // plan the input stays alive as the "replica" lost records are
-    // re-read from; without one nothing can be lost and it is freed
-    // once split.
-    let index = if spec.is_active() {
-        Some(TagIndex::build(&data)?)
-    } else {
-        None
-    };
-    let per_asu = split_into_packets(&data, cluster.asus, dsm.input_packet_records);
-    let replica = index.map(|index| (index, data));
+/// What [`repair_lost`] did: the repair pass's report (`None` when
+/// nothing was lost), the recovered-record count and the lost ASUs.
+pub(crate) type Repaired<R> = (Option<EmulationReport<R>>, u64, Vec<usize>);
 
-    let Pass1Result {
-        report: pass1,
-        runs_per_asu: mut runs,
-        ..
-    } = run_pass1_with(cluster, spec, per_asu, splitters.clone(), dsm, mode)?;
-
+/// The repair step between pass 1 and the merges, under an active plan:
+/// drop the runs of ASUs still down after `pass1`, diff the reachable
+/// runs' tags against the input `replica` (indexed by tag), and
+/// re-dispatch the lost records through a repair pass whose new runs
+/// join `runs`.
+pub(crate) fn repair_lost<R: Record>(
+    cluster: &ClusterConfig,
+    (index, data): (TagIndex, Vec<R>),
+    pass1: &EmulationReport<R>,
+    runs: &mut RunsPerAsu<R>,
+    splitters: &[R::Key],
+    dsm: &DsmConfig,
+    mode: LoadMode,
+) -> Result<Repaired<R>, DsmError> {
     // Runs stored on an ASU that is still offline are unreachable.
     let mut lost_asus = Vec::new();
     let mut hosts_down = 0;
     for id in &pass1.down_nodes {
         match *id {
-            NodeId::Asu(d) => lost_asus.push(d),
+            NodeId::Asu(d) => {
+                lost_asus.push(d);
+                runs[d].clear();
+            }
             NodeId::Host(_) => hosts_down += 1,
         }
-    }
-    let mut asu_down = vec![false; cluster.asus];
-    for &d in &lost_asus {
-        asu_down[d] = true;
-        runs[d].clear();
     }
 
     // Tag diff: whatever the reachable runs don't cover was lost —
     // dropped in flight, discarded with a crashed instance, or stored on
-    // an ASU that is still offline.
-    let lost = match replica {
-        Some((index, data)) => index.lost(&data, &runs)?,
-        None => Vec::new(),
-    };
-    let recovered_records = lost.len() as u64;
+    // an ASU that is still offline. The input is freed once diffed.
+    let lost = index.lost(&data, runs)?;
+    drop(data);
+    if lost.is_empty() {
+        return Ok((None, 0, lost_asus));
+    }
 
-    let repair = if lost.is_empty() {
-        None
-    } else {
-        // Re-dispatch the lost records through a pass-1-shaped job on
-        // the surviving nodes only (modeled as a cluster of just the
-        // live hosts and ASUs).
-        let live_asus: Vec<usize> = (0..cluster.asus).filter(|&d| !asu_down[d]).collect();
-        let live_hosts = cluster.hosts - hosts_down;
-        if live_asus.is_empty() || live_hosts == 0 {
-            return Err(DsmError::InputShape(
-                "no surviving nodes to repair on".into(),
-            ));
-        }
-        let mut repair_cluster = *cluster;
-        repair_cluster.hosts = live_hosts;
-        repair_cluster.asus = live_asus.len();
-        let lost_per_asu = split_into_packets(&lost, live_asus.len(), dsm.input_packet_records);
-        let rp = run_pass1_with(
-            &repair_cluster,
-            &FaultSpec::none(),
-            lost_per_asu,
-            splitters.clone(),
-            dsm,
-            mode,
-        )?;
-        // Repair ASU i stands in for the i-th surviving original ASU;
-        // its new runs land alongside that ASU's surviving runs.
-        for (i, extra) in rp.runs_per_asu.into_iter().enumerate() {
-            runs[live_asus[i]].extend(extra);
-        }
-        Some(rp.report)
-    };
-
-    // Pass 2 runs fault-free on the original cluster: the plan's events
-    // already fired, and offline ASUs simply hold no runs to merge.
-    let p2 = run_pass2_in_mode(cluster, runs, splitters.clone(), dsm, mode)?;
-    let total = pass1.makespan
-        + repair.as_ref().map_or(SimDuration::ZERO, |r| r.makespan)
-        + p2.report.makespan;
-    Ok(FaultyDsmOutcome {
-        pass1,
-        repair,
-        pass2: p2.report,
-        total,
-        output: p2.output,
-        splitters,
-        recovered_records,
-        lost_asus,
-    })
+    // Re-dispatch the lost records through a pass-1-shaped job on the
+    // surviving nodes only (modeled as a cluster of just the live hosts
+    // and ASUs).
+    let live_asus: Vec<usize> = (0..cluster.asus).filter(|d| !lost_asus.contains(d)).collect();
+    let live_hosts = cluster.hosts - hosts_down;
+    if live_asus.is_empty() || live_hosts == 0 {
+        return Err(DsmError::InputShape(
+            "no surviving nodes to repair on".into(),
+        ));
+    }
+    let mut repair_cluster = *cluster;
+    repair_cluster.hosts = live_hosts;
+    repair_cluster.asus = live_asus.len();
+    let lost_per_asu = split_into_packets(&lost, live_asus.len(), dsm.input_packet_records);
+    let rp = run_pass1(&repair_cluster, lost_per_asu, splitters.to_vec(), dsm, mode)?;
+    // Repair ASU i stands in for the i-th surviving original ASU; its
+    // new runs land alongside that ASU's surviving runs.
+    for (i, extra) in rp.runs_per_asu.into_iter().enumerate() {
+        runs[live_asus[i]].extend(extra);
+    }
+    Ok((Some(rp.report), lost.len() as u64, lost_asus))
 }
 
 #[cfg(test)]

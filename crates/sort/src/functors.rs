@@ -39,7 +39,6 @@ pub struct DistributeSortFunctor<R: Record> {
     beta: usize,
     buffers: Vec<Vec<R>>,
     buffered: usize,
-    compares_done: u64,
 }
 
 impl<R: Record> DistributeSortFunctor<R> {
@@ -56,7 +55,6 @@ impl<R: Record> DistributeSortFunctor<R> {
             beta,
             buffers: (0..alpha).map(|_| Vec::new()).collect(),
             buffered: 0,
-            compares_done: 0,
         }
     }
 
@@ -65,14 +63,9 @@ impl<R: Record> DistributeSortFunctor<R> {
         self.buffers.len()
     }
 
-    /// Comparisons actually performed by the sort kernel.
-    pub fn compares_done(&self) -> u64 {
-        self.compares_done
-    }
-
     fn emit_run(&mut self, b: usize, mut run: Vec<R>, out: &mut Emit<R>) {
         self.buffered -= run.len();
-        self.compares_done += lmas_core::kernels::block_sort(&mut run);
+        lmas_core::kernels::block_sort(&mut run);
         out.push(b, Packet::new(run));
     }
 }
@@ -128,7 +121,6 @@ pub struct SubsetMergeFunctor<R: Record> {
     /// Per-subset buffered run packets (merged in place).
     buffers: Vec<Vec<Packet<R>>>,
     buffered_records: usize,
-    compares_done: u64,
 }
 
 impl<R: Record> SubsetMergeFunctor<R> {
@@ -141,18 +133,12 @@ impl<R: Record> SubsetMergeFunctor<R> {
             gamma1,
             buffers: (0..alpha).map(|_| Vec::new()).collect(),
             buffered_records: 0,
-            compares_done: 0,
         }
     }
 
     /// Number of subsets α.
     pub fn alpha(&self) -> usize {
         self.buffers.len()
-    }
-
-    /// Comparisons actually performed.
-    pub fn compares_done(&self) -> u64 {
-        self.compares_done
     }
 
     fn subset_of(&self, p: &Packet<R>) -> usize {
@@ -169,7 +155,7 @@ impl<R: Record> SubsetMergeFunctor<R> {
         let runs = std::mem::take(&mut self.buffers[b]);
         let m: usize = runs.iter().map(Packet::len).sum();
         self.buffered_records -= m;
-        self.compares_done += merge_packets(&runs, m, |p| out.push(b, p));
+        merge_packets(&runs, m, |p| out.push(b, p));
     }
 }
 
@@ -246,8 +232,6 @@ pub struct FullMergeFunctor<R: Record> {
     stripe_records: usize,
     runs: Vec<Packet<R>>,
     buffered_records: usize,
-    compares_done: u64,
-    max_fanin: usize,
 }
 
 impl<R: Record> FullMergeFunctor<R> {
@@ -261,19 +245,7 @@ impl<R: Record> FullMergeFunctor<R> {
             stripe_records,
             runs: Vec::new(),
             buffered_records: 0,
-            compares_done: 0,
-            max_fanin: 0,
         }
-    }
-
-    /// Largest fan-in actually merged (≤ γ₂ on a valid configuration).
-    pub fn max_fanin(&self) -> usize {
-        self.max_fanin
-    }
-
-    /// Comparisons actually performed.
-    pub fn compares_done(&self) -> u64 {
-        self.compares_done
     }
 }
 
@@ -297,7 +269,6 @@ impl<R: Record> Functor<R> for FullMergeFunctor<R> {
             return;
         }
         let k = self.runs.len();
-        self.max_fanin = self.max_fanin.max(k);
         debug_assert!(
             k <= self.declared_gamma2,
             "fan-in {k} exceeds declared γ₂ = {}: configuration under-provisioned",
@@ -305,7 +276,7 @@ impl<R: Record> Functor<R> for FullMergeFunctor<R> {
         );
         let runs = std::mem::take(&mut self.runs);
         self.buffered_records = 0;
-        self.compares_done += merge_packets(&runs, self.stripe_records, |p| out.push0(p));
+        merge_packets(&runs, self.stripe_records, |p| out.push0(p));
     }
     fn cost(&self, input: &Packet<R>) -> Work {
         Work::moves(input.len() as u64)
@@ -384,8 +355,6 @@ mod tests {
             .flat_map(|(_, p)| p.records().iter().map(|r| r.key))
             .collect();
         assert_eq!(all, (0..9).collect::<Vec<u32>>());
-        assert_eq!(f.max_fanin(), 3);
-        assert!(f.compares_done() > 0);
     }
 
     #[test]
@@ -394,7 +363,6 @@ mod tests {
         let mut e = Emit::new(1);
         f.flush(&mut e);
         assert!(e.is_empty());
-        assert_eq!(f.max_fanin(), 0);
     }
 
     #[test]

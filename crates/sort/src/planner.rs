@@ -165,7 +165,7 @@ const BLOCK_SORT: usize = 1;
 /// planner's buffers — built once, so that planning one more arrival of
 /// the kind costs the search's arithmetic and nothing else. Results
 /// never depend on earlier calls; the one-shot [`plan_pass1_residual`]
-/// and [`estimate_pass1_solo`] are this, built and dropped per call.
+/// is this, built and dropped per call.
 pub struct Pass1Planner {
     spec: PlanSpec,
     shape: ClusterShape,
@@ -272,16 +272,6 @@ pub fn plan_pass1_residual<R: Record>(
     res: &ResidualCapacity,
 ) -> Result<PlanOutcome, DsmError> {
     Pass1Planner::new::<R>(cluster, dsm, n).plan_residual(res)
-}
-
-/// One-shot [`Pass1Planner::estimate_solo`].
-pub fn estimate_pass1_solo<R: Record>(
-    cluster: &ClusterConfig,
-    dsm: &DsmConfig,
-    n: u64,
-    assignment: &[Vec<NodeId>],
-) -> Estimate {
-    Pass1Planner::new::<R>(cluster, dsm, n).estimate_solo(assignment)
 }
 
 /// Uncoded remote payload bytes of the planned pass-1 distribute edge

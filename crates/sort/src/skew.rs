@@ -13,16 +13,6 @@ use lmas_core::{generate_rec128, KeyDist, Rec128, Record};
 /// eighth of the key space.
 pub const FIG10_EXP_RATE: f64 = 8.0;
 
-/// Uniform records, tagged 0..n.
-pub fn uniform_records(n: u64, seed: u64) -> Vec<Rec128> {
-    generate_rec128(n, KeyDist::Uniform, seed)
-}
-
-/// Exponentially skewed records, tagged 0..n.
-pub fn exponential_records(n: u64, seed: u64) -> Vec<Rec128> {
-    generate_rec128(n, KeyDist::Exponential { rate: FIG10_EXP_RATE }, seed)
-}
-
 /// Figure 10's workload laid out per ASU: each ASU holds `n / d` records
 /// whose first half is uniform and second half exponential, so the skew
 /// hits all ASUs simultaneously midway through the run. Tags remain a
@@ -95,7 +85,7 @@ mod tests {
     fn uniform_splitters_balance_uniform_data() {
         let sp = uniform_assuming_splitters(4);
         assert_eq!(sp.len(), 3);
-        let data = uniform_records(8_000, 5);
+        let data = generate_rec128(8_000, KeyDist::Uniform, 5);
         let mut counts = [0usize; 4];
         for r in &data {
             counts[bucket_of(r.key(), &sp)] += 1;
@@ -108,7 +98,7 @@ mod tests {
     #[test]
     fn uniform_splitters_unbalance_exponential_data() {
         let sp = uniform_assuming_splitters(4);
-        let data = exponential_records(8_000, 5);
+        let data = generate_rec128(8_000, KeyDist::Exponential { rate: FIG10_EXP_RATE }, 5);
         let mut counts = [0usize; 4];
         for r in &data {
             counts[bucket_of(r.key(), &sp)] += 1;

@@ -112,9 +112,9 @@ fn pinned_crash_mid_distribute_recovers_exactly() {
     );
 }
 
-/// With nothing to inject, the faulted driver is the plain driver: same
+/// With nothing to inject, the faulted entry is the plain entry: same
 /// virtual times and byte-identical output in every load mode — Auto's
-/// planned pass 2 included.
+/// planned pass 2 and its plan account included.
 #[test]
 fn inactive_spec_matches_the_plain_driver_in_every_mode() {
     let cluster = ClusterConfig::era_2002(HOSTS, ASUS, 8.0);
@@ -133,5 +133,31 @@ fn inactive_spec_matches_the_plain_driver_in_every_mode() {
         assert_eq!(faulted.pass2.makespan, plain.pass2.makespan, "{mode:?}");
         assert_eq!(faulted.output, plain.output, "{mode:?}");
         assert!(faulted.repair.is_none() && faulted.recovered_records == 0);
+        assert_eq!(faulted.plan.is_some(), mode == LoadMode::Auto, "{mode:?}");
+        if let (Some(f), Some(p)) = (&faulted.plan, &plain.plan) {
+            assert_eq!(f.sorters_per_subset, p.sorters_per_subset);
+            assert_eq!(f.coded_r, p.coded_r);
+            assert_eq!(f.pass1_predicted, p.pass1_predicted);
+            assert_eq!(f.pass2_predicted, p.pass2_predicted);
+            assert_eq!(f.pass1_report_json, p.pass1_report_json);
+            assert_eq!(f.pass2_report_json, p.pass2_report_json);
+        }
     }
+}
+
+/// An Auto-mode sort under an active crash plan keeps its plan account
+/// and repairs to the fault-free output.
+#[test]
+fn auto_mode_crash_keeps_its_plan_and_repairs() {
+    let cluster = ClusterConfig::era_2002(HOSTS, ASUS, 8.0);
+    let dsm = dsm();
+    let data = generate_rec128(N, KeyDist::Uniform, 7);
+    let golden = run_dsm_sort(&cluster, data.clone(), &dsm, LoadMode::Auto).unwrap();
+    let spec = FaultSpec::with_plan(FaultPlan::new().crash(
+        asu_index(&cluster, ASUS - 1),
+        SimTime(golden.pass1.makespan.0 / 3),
+    ));
+    let faulted = run_dsm_sort_faulty(&cluster, &spec, data, &dsm, LoadMode::Auto).unwrap();
+    assert!(faulted.plan.is_some(), "a faulted Auto run reports its plan");
+    canonical_equal(&golden.output, &faulted.output).unwrap();
 }

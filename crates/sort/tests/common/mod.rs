@@ -1,6 +1,6 @@
-//! Shared helpers for the parallel-kernel differential tests
-//! (`par_golden.rs`, `par_diff.rs`): deterministic report fingerprints
-//! and the two-tier trace-equality contract.
+//! Shared helpers for the sort tests (`par_golden.rs`, `par_diff.rs`,
+//! `dsm_end_to_end.rs`): deterministic report fingerprints, key-stream
+//! hashes and the two-tier trace-equality contract.
 //!
 //! The contract (see DESIGN.md "Parallel kernel"):
 //!
@@ -27,7 +27,7 @@
 use lmas_core::Record;
 use lmas_emulator::EmulationReport;
 use lmas_sim::fnv1a;
-use lmas_sort::{DsmOutcome, FaultyDsmOutcome};
+use lmas_sort::DsmOutcome;
 use std::fmt::Write as _;
 
 /// Every *state* observable of a report — everything except `par` (the
@@ -104,25 +104,33 @@ pub fn keys_fnv<R: Record>(packets: &[lmas_core::Packet<R>]) -> u64 {
     )
 }
 
-/// How strictly two runs' traces must match; state must always be
-/// byte-identical.
+/// How strictly two runs must match.
 #[derive(Clone, Copy, PartialEq)]
 pub enum TraceEq {
-    /// Render byte-for-byte equal (sequential vs. one partition, or two
-    /// runs of the same configuration).
+    /// State and trace render byte-for-byte equal (sequential vs. one
+    /// partition, or two runs of the same partitioning).
     Exact,
-    /// Equal under canonical within-instant ordering (sequential vs.
-    /// two or more partitions).
+    /// State byte-identical, traces equal under canonical within-instant
+    /// ordering (sequential vs. two or more partitions).
     Canonical,
+    /// Whatever the two runs' partitioning admits: only the
+    /// [`conserved_fingerprint`] when either side ran on two or more
+    /// partitions, [`TraceEq::Exact`] otherwise.
+    Conserved,
 }
 
-/// Assert two finished sorts are equivalent: state byte-identical,
-/// traces equal at the given strictness.
+/// Assert two finished sorts are equivalent: the same passes, each
+/// compared at strictness `eq`, and the same emitted key stream and
+/// recovery accounting.
 pub fn assert_same_sort<R: Record>(a: &DsmOutcome<R>, b: &DsmOutcome<R>, eq: TraceEq) {
-    assert_eq!(a.total, b.total);
     assert_eq!(output_keys_fnv(a), output_keys_fnv(b), "emitted key streams diverge");
-    assert_same_report(&a.pass1, &b.pass1, eq, "pass1");
-    assert_same_report(&a.pass2, &b.pass2, eq, "pass2");
+    assert_eq!(a.recovered_records, b.recovered_records);
+    assert_eq!(a.lost_asus, b.lost_asus);
+    assert_eq!(a.repair.is_some(), b.repair.is_some(), "repair presence diverges");
+    assert_eq!(a.intermediate.len(), b.intermediate.len(), "pass counts diverge");
+    for (i, (ra, rb)) in a.passes().zip(b.passes()).enumerate() {
+        assert_same_report(ra, rb, eq, &format!("pass {i}"));
+    }
 }
 
 /// Observables conserved at ANY partition count: dispatch and record
@@ -143,74 +151,29 @@ pub fn conserved_fingerprint<R: Record>(r: &EmulationReport<R>) -> String {
     s
 }
 
-/// Compare two reports of the same workload at whatever strictness
-/// their partitioning admits: byte-exact (state + trace render) unless
-/// either side ran with two or more partitions, in which case the
-/// conserved aggregates must match.
-pub fn assert_equiv_report<R: Record>(a: &EmulationReport<R>, b: &EmulationReport<R>, label: &str) {
-    let multi = |r: &EmulationReport<R>| r.par.as_ref().is_some_and(|s| s.partitions > 1);
-    if multi(a) || multi(b) {
-        assert_eq!(
-            conserved_fingerprint(a),
-            conserved_fingerprint(b),
-            "{label}: conserved observables diverge"
-        );
-    } else {
-        assert_same_report(a, b, TraceEq::Exact, label);
-    }
-}
-
-/// [`assert_same_sort`] for fault-plan runs (which also carry a repair
-/// pass and recovery accounting). Every pass — the faulted first pass
-/// included, now that fault plans run as static timelines in both
-/// engines — is compared at the strictness its partitioning admits;
-/// recovery accounting and the final output must match exactly
-/// regardless.
-pub fn assert_same_faulty_sort<R: Record>(a: &FaultyDsmOutcome<R>, b: &FaultyDsmOutcome<R>) {
-    assert_eq!(keys_fnv(&a.output), keys_fnv(&b.output), "emitted key streams diverge");
-    assert_eq!(a.recovered_records, b.recovered_records);
-    assert_eq!(a.lost_asus, b.lost_asus);
-    assert_equiv_report(&a.pass1, &b.pass1, "pass1");
-    assert_equiv_report(&a.pass2, &b.pass2, "pass2");
-    assert_eq!(a.repair.is_some(), b.repair.is_some(), "repair presence diverges");
-    if let (Some(ra), Some(rb)) = (&a.repair, &b.repair) {
-        assert_equiv_report(ra, rb, "repair");
-    }
-}
-
-/// Byte-identity between two fault-plan runs that resolved to the same
-/// partitioning (two thread counts bounded by the same host count, or
-/// one configuration run twice): every pass's state *and* trace render
-/// must be byte-for-byte equal.
-pub fn assert_identical_faulty_sort<R: Record>(a: &FaultyDsmOutcome<R>, b: &FaultyDsmOutcome<R>) {
-    assert_eq!(keys_fnv(&a.output), keys_fnv(&b.output), "emitted key streams diverge");
-    assert_eq!(a.recovered_records, b.recovered_records);
-    assert_eq!(a.lost_asus, b.lost_asus);
-    assert_same_report(&a.pass1, &b.pass1, TraceEq::Exact, "pass1");
-    assert_same_report(&a.pass2, &b.pass2, TraceEq::Exact, "pass2");
-    assert_eq!(a.repair.is_some(), b.repair.is_some(), "repair presence diverges");
-    if let (Some(ra), Some(rb)) = (&a.repair, &b.repair) {
-        assert_same_report(ra, rb, TraceEq::Exact, "repair");
-    }
-}
-
 fn assert_same_report<R: Record>(
     a: &EmulationReport<R>,
     b: &EmulationReport<R>,
     eq: TraceEq,
     pass: &str,
 ) {
+    let multi = |r: &EmulationReport<R>| r.par.as_ref().is_some_and(|s| s.partitions > 1);
+    if eq == TraceEq::Conserved && (multi(a) || multi(b)) {
+        assert_eq!(
+            conserved_fingerprint(a),
+            conserved_fingerprint(b),
+            "{pass}: conserved observables diverge"
+        );
+        return;
+    }
     assert_eq!(fingerprint(a), fingerprint(b), "{pass} reports diverge");
-    match eq {
-        TraceEq::Exact => assert_eq!(
-            a.trace.render(),
-            b.trace.render(),
-            "{pass} trace renders diverge"
-        ),
-        TraceEq::Canonical => assert_eq!(
+    if eq == TraceEq::Canonical {
+        assert_eq!(
             canonical_trace(a),
             canonical_trace(b),
             "{pass} traces diverge beyond same-instant order"
-        ),
+        );
+    } else {
+        assert_eq!(a.trace.render(), b.trace.render(), "{pass} trace renders diverge");
     }
 }

@@ -1,5 +1,8 @@
 //! End-to-end DSM-Sort tests on the emulated cluster.
 
+mod common;
+
+use common::keys_fnv;
 use lmas_core::{generate_rec128, KeyDist, NodeId, Rec128, Record};
 use lmas_emulator::ClusterConfig;
 use lmas_sort::{
@@ -214,6 +217,34 @@ fn multipass_merge_sorts_when_gamma_is_tiny() {
     );
     verify_rec128_output(&out.output, n).expect("sorted permutation");
     assert!(out.total >= out.pass1.makespan);
+}
+
+/// The γ-starved case of [`multipass_merge_sorts_when_gamma_is_tiny`]
+/// frozen as exact constants: total, every pass's makespan in pass
+/// order, the intermediate-pass count and the emitted key stream.
+#[test]
+fn pinned_multipass_golden() {
+    use lmas_sort::run_dsm_sort_multipass;
+    let cluster = ClusterConfig::era_2002(1, 2, 8.0);
+    let dsm = DsmConfig::new(2, 64, 2, 4);
+    let data = generate_rec128(8_000, KeyDist::Uniform, 31);
+    let out = run_dsm_sort_multipass(&cluster, data, &dsm, LoadMode::Static).expect("sort");
+    let intermediate: Vec<u64> = out.intermediate.iter().map(|r| r.makespan.as_nanos()).collect();
+    let pinned = format!(
+        "total_ns={} pass1_ns={} intermediate={} {:?} final_ns={} out_fnv={:#018x}",
+        out.total.as_nanos(),
+        out.pass1.makespan.as_nanos(),
+        out.intermediate.len(),
+        intermediate,
+        out.pass2.makespan.as_nanos(),
+        keys_fnv(&out.output),
+    );
+    assert_eq!(
+        pinned,
+        "total_ns=130995384 pass1_ns=20678400 intermediate=4 \
+         [19377600, 19639920, 20170080, 21114480] final_ns=30014904 out_fnv=0xbdc59da1a94d44a4",
+        "multi-pass golden drifted"
+    );
 }
 
 #[test]

@@ -30,6 +30,10 @@ cargo test -q --workspace
 echo "== cargo clippy -D warnings (workspace, all targets) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings (workspace, no deps) =="
+# A deleted or renamed item must not leave a dangling intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 cargo build -q --release -p lmas-bench --bins
 
 echo "== determinism gate (seeded emulation + chaos + planned + parallel runs, twice, diff) =="
