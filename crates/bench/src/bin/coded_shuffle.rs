@@ -160,7 +160,7 @@ fn main() -> Result<(), GateFailure> {
         );
         sweep.print();
         let mut curve = Table::new("r predicted_makespan_ns predicted_nic_bytes extra_disk_bytes");
-        for c in &outcome.report.coded_curve {
+        for c in &outcome.coded_curve {
             curve.row(vec![
                 c.r.into(),
                 c.predicted_makespan_ns.into(),

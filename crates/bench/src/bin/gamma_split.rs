@@ -10,9 +10,11 @@
 //! minimum.
 
 use lmas_bench::{fx, scaled_n, write_csv, Table};
-use lmas_core::{generate_rec128, KeyDist, Rec128};
+use lmas_core::{generate_rec128, KeyDist, Rec128, Record};
 use lmas_emulator::ClusterConfig;
-use lmas_sort::{choose_splitters, run_pass1, run_pass2, split_across_asus, DsmConfig, LoadMode};
+use lmas_sort::{
+    choose_splitters, planner_shape, run_pass1, run_pass2, split_across_asus, DsmConfig, LoadMode,
+};
 use rayon::prelude::*;
 
 fn main() {
@@ -75,9 +77,10 @@ fn main() {
     write_csv("gamma_split.csv", &table);
     println!("best split: γ1={} γ2={} ({:.4}s)", best.0, best.1, best.2);
 
-    let model = cluster.pipeline_model(Rec128::SIZE);
-    let (mg1, mg2) = model.pick_gamma_split_bounded(gamma_total as u64, gamma_total as u64);
+    let (mg1, mg2) = planner_shape(&cluster).pick_gamma_split_bounded(
+        gamma_total as u64,
+        gamma_total as u64,
+        Rec128::SIZE,
+    );
     println!("model pick:  γ1={mg1} γ2={mg2}");
 }
-
-use lmas_core::Record;

@@ -44,11 +44,6 @@ impl<R: Record> Packet<R> {
         }
     }
 
-    /// A packet holding one record.
-    pub fn singleton(record: R) -> Packet<R> {
-        Packet::new(vec![record])
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -157,7 +152,7 @@ mod tests {
 
     #[test]
     fn singleton_and_empty() {
-        let s = Packet::singleton(r(5));
+        let s = Packet::new(vec![r(5)]);
         assert_eq!(s.len(), 1);
         let e = Packet::<Rec8>::new(vec![]);
         assert!(e.is_empty());

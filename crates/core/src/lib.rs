@@ -19,16 +19,17 @@
 //!   load-aware routing across replicated instances;
 //! - [`placement`]: the functor-instance → node assignment, validated
 //!   against ASU memory bounds and functor eligibility;
-//! - [`cost`]: work vectors and the calibrated cost model;
-//! - [`adapt`]: the analytic pipeline model that picks α and the γ split
-//!   to balance phases (the "adaptive" series of Figure 9).
+//! - [`cost`]: work vectors and the calibrated cost model.
 //!
 //! Execution lives in `lmas-emulator`, which compiles a
-//! ([`FlowGraph`], [`Placement`]) pair onto an emulated cluster.
+//! ([`FlowGraph`], [`Placement`]) pair onto an emulated cluster. The
+//! cluster model that prices declared work — the analytic pipeline
+//! rates that pick α and the γ split (the "adaptive" series of
+//! Figure 9) and the placement planner — is `lmas-plan`'s
+//! `ClusterShape`.
 
 #![warn(missing_docs)]
 
-pub mod adapt;
 pub mod container;
 pub mod cost;
 pub mod functor;
@@ -38,7 +39,6 @@ pub mod placement;
 pub mod record;
 pub mod routing;
 
-pub use adapt::PipelineModel;
 pub use container::{packetize, Packet};
 pub use cost::{log2_ceil, CostModel, Work};
 pub use functor::{Emit, Functor, FunctorKind};

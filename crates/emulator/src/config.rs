@@ -168,24 +168,6 @@ impl ClusterConfig {
     pub fn total_nodes(&self) -> usize {
         self.hosts + self.asus
     }
-
-    /// The analytic pipeline model for this cluster (drives adaptation).
-    /// Background interference is folded into the effective CPU ratio and
-    /// disk rate, so the configurator adapts to shared-ASU conditions.
-    pub fn pipeline_model(&self, record_size: usize) -> lmas_core::PipelineModel {
-        lmas_core::PipelineModel {
-            cost: self.cost,
-            hosts: self.hosts,
-            asus: self.asus,
-            cpu_ratio_c: self.effective_cpu_ratio(),
-            // Aggregate ASU bandwidth: per-spindle rate × spindles.
-            disk_rate: self.disk.rate_bytes_per_sec
-                * (1.0 - self.background_asu_disk)
-                * self.storage.disks as f64,
-            link_rate: self.link_bytes_per_sec,
-            record_size,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -202,22 +184,9 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_model_mirrors_config() {
-        let c = ClusterConfig::era_2002(1, 4, 4.0);
-        let m = c.pipeline_model(128);
-        assert_eq!(m.hosts, 1);
-        assert_eq!(m.asus, 4);
-        assert_eq!(m.record_size, 128);
-        assert!((m.cpu_ratio_c - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn background_interference_derates_asus_only() {
         let c = ClusterConfig::era_2002(1, 4, 8.0).with_background(0.5, 0.25);
         assert!((c.effective_cpu_ratio() - 16.0).abs() < 1e-12);
-        let m = c.pipeline_model(128);
-        assert!((m.cpu_ratio_c - 16.0).abs() < 1e-12);
-        assert!((m.disk_rate - 75.0e6).abs() < 1.0);
         // Hosts unaffected.
         assert_eq!(c.host_speed(), 1.0);
     }

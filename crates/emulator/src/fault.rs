@@ -261,14 +261,12 @@ pub struct LossTimeline {
     /// `at_ns <= t`. Same-instant duplicates keep plan insertion order,
     /// so the later entry wins — matching live replay.
     steps: Vec<Vec<(u64, f64)>>,
-    lossless: bool,
 }
 
 impl LossTimeline {
     /// Build the timeline for `total_nodes` nodes.
     pub fn build(plan: &FaultPlan, total_nodes: usize) -> LossTimeline {
         let mut steps: Vec<Vec<(u64, f64)>> = vec![Vec::new(); total_nodes * total_nodes];
-        let mut lossless = true;
         for ev in plan.sorted_events() {
             if let FaultEvent::LinkLoss {
                 from,
@@ -281,16 +279,9 @@ impl LossTimeline {
                     continue;
                 }
                 steps[from * total_nodes + to].push((at.0, drop_prob));
-                if drop_prob > 0.0 {
-                    lossless = false;
-                }
             }
         }
-        LossTimeline {
-            total_nodes,
-            steps,
-            lossless,
-        }
+        LossTimeline { total_nodes, steps }
     }
 
     /// The drop probability in force on `from → to` at `t`.
@@ -302,12 +293,6 @@ impl LossTimeline {
         } else {
             steps[i - 1].1
         }
-    }
-
-    /// True when no link ever drops (senders can skip the loss draw
-    /// entirely — byte-identical to a plan with no `LinkLoss` events).
-    pub fn is_lossless(&self) -> bool {
-        self.lossless
     }
 }
 
@@ -407,12 +392,10 @@ mod tests {
             .link_loss(0, 1, SimTime(100), 0.5)
             .link_loss(0, 1, SimTime(200), 0.0);
         let t = LossTimeline::build(&plan, 2);
-        assert!(!t.is_lossless());
         assert_eq!(t.prob(0, 1, SimTime(99)), 0.0);
         assert_eq!(t.prob(0, 1, SimTime(100)), 0.5);
         assert_eq!(t.prob(0, 1, SimTime(250)), 0.0, "zero restores the link");
         assert_eq!(t.prob(1, 0, SimTime(150)), 0.0, "links are directed");
-        assert!(LossTimeline::build(&FaultPlan::new(), 2).is_lossless());
     }
 
     #[test]

@@ -354,12 +354,7 @@ impl<R: Record> Metrics<R> {
         self.last_activity = self.last_activity.max(now);
     }
 
-    /// Note a memory violation (bounded retention).
-    pub fn note_violation(&mut self, msg: String) {
-        self.note_violation_keyed(SimTime::ZERO, (0, 0), msg);
-    }
-
-    /// [`note_violation`](Metrics::note_violation), stamped with the
+    /// Note a memory violation (bounded retention), stamped with the
     /// dispatch instant and ordering key so partitioned runs can merge
     /// notes back into sequential order.
     pub fn note_violation_keyed(&mut self, at: SimTime, key: (u64, u64), msg: String) {
@@ -458,7 +453,7 @@ mod tests {
     fn violation_list_is_bounded() {
         let mut m: Metrics<Rec8> = Metrics::new(1);
         for i in 0..100 {
-            m.note_violation(format!("v{i}"));
+            m.note_violation_keyed(SimTime::ZERO, (0, 0), format!("v{i}"));
         }
         assert_eq!(m.mem_violations.len(), MAX_VIOLATION_NOTES);
         assert_eq!(m.violations_total(), 100);

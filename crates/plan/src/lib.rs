@@ -14,8 +14,15 @@
 //!    critical path, tightened by per-node CPU/disk/link bounds),
 //! 3. refines greedily with deterministic local search (migrate and
 //!    swap moves, first improvement, no RNG), and
-//! 4. emits a validated [`Placement`](lmas_core::Placement) plus a
-//!    machine-readable [`PlanReport`].
+//! 4. emits a validated [`Placement`](lmas_core::Placement) in a
+//!    [`PlanOutcome`] — the assignment, its [`Estimate`], and the
+//!    search's counters — whose
+//!    [`render_json`](PlanOutcome::render_json) writes the
+//!    machine-readable account on demand.
+//!
+//! The same [`ClusterShape`] carries the closed-form pipeline rates that
+//! pick DSM-Sort's distribute order α and merge split γ₁·γ₂ (Section
+//! 4.3): [`ClusterShape::pick_alpha`], [`ClusterShape::pick_gamma_split_bounded`].
 //!
 //! The *runtime* half — the feedback balancer that re-weights replica
 //! routing from observed queue depths — lives in the emulator
@@ -28,6 +35,7 @@
 
 #![warn(missing_docs)]
 
+mod adapt;
 pub mod estimate;
 pub mod model;
 #[cfg(test)]
@@ -38,6 +46,6 @@ pub mod search;
 
 pub use estimate::{estimate, estimate_residual, Bottleneck, Estimate, StageResource};
 pub use model::{ClusterShape, PlanEdge, PlanError, PlanSpec, StageSpec};
-pub use report::{CodedPoint, PlanReport, StageBinding, StageRate};
+pub use report::CodedPoint;
 pub use residual::ResidualCapacity;
 pub use search::{plan, plan_residual, PlanOutcome, Planner};

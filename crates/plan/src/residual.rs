@@ -93,13 +93,6 @@ impl ResidualCapacity {
         take(&mut self.disk[ui], disk);
         take(&mut self.nic[ui], nic);
     }
-
-    /// Largest occupied CPU fraction across nodes (0.0 on an empty
-    /// cluster): the load signal admission gates compare against their
-    /// saturation threshold.
-    pub fn peak_cpu_load(&self) -> f64 {
-        self.cpu.iter().map(|&f| 1.0 - f).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +104,6 @@ mod tests {
         let r = ResidualCapacity::full(5);
         assert_eq!(r.len(), 5);
         assert!(r.is_full());
-        assert_eq!(r.peak_cpu_load(), 0.0);
     }
 
     #[test]
@@ -123,7 +115,6 @@ mod tests {
         assert_eq!(r.nic[0], 1.0);
         r.occupy(0, 0.9, 0.0, 0.0);
         assert_eq!(r.cpu[0], ResidualCapacity::FLOOR);
-        assert!((r.peak_cpu_load() - (1.0 - ResidualCapacity::FLOOR)).abs() < 1e-12);
         assert!(!r.is_full());
         r.reset();
         assert_eq!(r, ResidualCapacity::full(2));

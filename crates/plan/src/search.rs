@@ -9,7 +9,7 @@
 //! (`lmas_sort::planner::sweep_pass1`), which plans one candidate per
 //! replication degree on a shared [`Planner`] and keeps the best. The
 //! search has no RNG: same spec + shape → byte-identical placement and
-//! report.
+//! estimate.
 //!
 //! A plan costs what its arithmetic costs: [`Planner`] loads the
 //! assignment-independent rates once per plan, scores every probe out
@@ -18,21 +18,32 @@
 
 use crate::estimate::{score, Estimate, Rates, Scratch};
 use crate::model::{ClusterShape, PlanError, PlanSpec};
-use crate::report::PlanReport;
+use crate::report::CodedPoint;
 use crate::residual::ResidualCapacity;
 use lmas_core::placement::{NodeId, Placement, StageId};
 
-/// A finished plan: the validated placement plus its report.
+/// A finished plan, the one record of the decision: the validated
+/// placement, its estimate, and the search's counters
+/// ([`render_json`](PlanOutcome::render_json) writes them out).
 #[derive(Debug, Clone)]
 pub struct PlanOutcome {
     /// The assignment, ready for the emulator.
     pub placement: Placement,
-    /// Machine-readable account of the decision.
-    pub report: PlanReport,
     /// Raw per-stage, per-instance node assignment.
     pub assignment: Vec<Vec<NodeId>>,
     /// The estimator's verdict on the final assignment.
     pub estimate: Estimate,
+    /// Local-search moves (migrate, swap, rehome) the refiner applied.
+    pub moves_applied: usize,
+    /// Candidate specs weighed (1 for a single plan; a caller that
+    /// enumerates replication or coding sets its sweep's count).
+    pub candidates_considered: usize,
+    /// Candidates discarded for a worse predicted makespan (or a
+    /// planning error).
+    pub candidates_rejected: usize,
+    /// Predicted coded-shuffle tradeoff curve (empty when no r-sweep
+    /// ran); the winning `r` is the curve's minimum makespan.
+    pub coded_curve: Vec<CodedPoint>,
 }
 
 /// Search knobs (fixed defaults keep runs identical across sessions).
@@ -287,7 +298,7 @@ impl Planner {
         // ascending) so tied layouts always materialize the same way —
         // e.g. k = 1 all-on-hosts becomes the paper's contiguous static
         // assignment instead of an artifact of move order. Re-score so the
-        // report describes exactly the assignment handed out.
+        // estimate describes exactly the assignment handed out.
         for (s, stage_nodes) in asg.iter_mut().enumerate() {
             let unpinned = |i: &usize| !pinned(s, *i);
             saved.clear();
@@ -312,12 +323,14 @@ impl Planner {
             .validate(&spec.placement_rows(), shape.asu_mem)
             .map_err(PlanError::Invalid)?;
 
-        let report = PlanReport::from_plan(spec, shape, &asg, &estimate, moves_applied);
         Ok(PlanOutcome {
             placement,
-            report,
             assignment: asg,
             estimate,
+            moves_applied,
+            candidates_considered: 1,
+            candidates_rejected: 0,
+            coded_curve: Vec::new(),
         })
     }
 }
@@ -492,7 +505,7 @@ mod tests {
             a.estimate.makespan_ns.to_bits(),
             b.estimate.makespan_ns.to_bits()
         );
-        assert_eq!(a.report.render_json(), b.report.render_json());
+        assert_eq!(a.render_json(&spec), b.render_json(&spec));
     }
 
     #[test]

@@ -120,7 +120,7 @@ proptest! {
                         }
                     }
                 }
-                prop_assert!(out.report.predicted_makespan_ns > 0);
+                prop_assert!(out.estimate.makespan_ns >= 1.0);
             }
             // Typed failure is acceptable (e.g. a host-only stage pinned
             // into an impossible corner); an invalid artifact is not.
@@ -162,7 +162,7 @@ proptest! {
                     a.estimate.makespan_ns.to_bits(),
                     b.estimate.makespan_ns.to_bits()
                 );
-                prop_assert_eq!(a.report.render_json(), b.report.render_json());
+                prop_assert_eq!(a.render_json(&spec), b.render_json(&spec));
             }
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (a, b) => prop_assert!(false, "diverged: {:?} vs {:?}", a.is_ok(), b.is_ok()),

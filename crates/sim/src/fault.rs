@@ -272,22 +272,6 @@ impl BackoffPolicy {
         let jitter = rng.gen_range(target - half + 1);
         Some(SimDuration::from_nanos(half + jitter))
     }
-
-    /// Worst-case total delay across every retry (no jitter shortfall):
-    /// an upper bound on how long a sender can keep a packet alive.
-    pub fn max_total_delay(&self) -> SimDuration {
-        let mut total = 0u64;
-        for attempt in 1..=self.max_attempts {
-            let shift = (attempt - 1).min(32);
-            total = total.saturating_add(
-                self.base
-                    .as_nanos()
-                    .saturating_mul(1u64 << shift)
-                    .min(self.cap.as_nanos()),
-            );
-        }
-        SimDuration::from_nanos(total)
-    }
 }
 
 #[cfg(test)]
@@ -350,8 +334,6 @@ mod tests {
         // Budget exhausted.
         assert_eq!(d1[5], None);
         assert_eq!(p.delay(0, &mut r1), None, "attempt numbering is 1-based");
-        // Worst-case sum: 1 + 2 + 4 + 8 + 8 (capped) = 23µs-in-ns.
-        assert_eq!(p.max_total_delay().as_nanos(), 23_000);
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl Trace {
         }
     }
 
-    /// Whether entries are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record an entry (no-op when disabled). Oldest entries are evicted
     /// once capacity is reached. Prefer [`Trace::record_with`] on hot
     /// paths: this eager variant builds its arguments even when the
@@ -213,7 +208,6 @@ mod tests {
         let mut t = Trace::disabled();
         t.record(SimTime(1), "a", "");
         assert!(t.is_empty());
-        assert!(!t.is_enabled());
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Adaptive configuration: "DSM-Sort can adaptively reconfigure to match
 //! varying parameters of the active storage systems" (Section 4.3).
 //!
-//! The adaptive series of Figure 9 is produced by letting the analytic
-//! pipeline model pick α at each cluster size; the merge split (γ₁, γ₂)
-//! follows from the ASU buffer bound.
+//! The adaptive series of Figure 9 is produced by letting the planner's
+//! cluster model ([`planner_shape`]) pick α at each cluster size with
+//! its closed-form pipeline rates
+//! ([`ClusterShape::pick_alpha`](lmas_plan::ClusterShape::pick_alpha));
+//! the merge split (γ₁, γ₂) follows from the ASU buffer bound
+//! ([`ClusterShape::pick_gamma_split_bounded`](lmas_plan::ClusterShape::pick_gamma_split_bounded)).
 
 use crate::config::DsmConfig;
+use crate::planner::planner_shape;
 use lmas_core::Record;
 use lmas_emulator::ClusterConfig;
 
@@ -21,10 +25,10 @@ pub fn adaptive_config<R: Record>(
     beta: usize,
     max_gamma1: u64,
 ) -> DsmConfig {
-    let model = cluster.pipeline_model(R::SIZE);
-    let alpha = model.pick_alpha(&ALPHA_CANDIDATES, beta as u64) as usize;
+    let shape = planner_shape(cluster);
+    let alpha = shape.pick_alpha(&ALPHA_CANDIDATES, beta as u64, R::SIZE) as usize;
     let gamma = n.div_ceil(alpha as u64 * beta as u64).max(1);
-    let (g1, g2) = model.pick_gamma_split_bounded(gamma, max_gamma1);
+    let (g1, g2) = shape.pick_gamma_split_bounded(gamma, max_gamma1, R::SIZE);
     // The host merge sees at most ceil(runs_b / γ₁) runs per subset, but
     // striping across D ASUs adds per-ASU ceiling slack; pad γ₂ by D.
     let g2 = g2 + cluster.asus as u64;
@@ -34,9 +38,7 @@ pub fn adaptive_config<R: Record>(
 /// The α the adaptive series picks at each cluster size (for Figure 9's
 /// "adaptive" line).
 pub fn adaptive_alpha<R: Record>(cluster: &ClusterConfig, beta: usize) -> u64 {
-    cluster
-        .pipeline_model(R::SIZE)
-        .pick_alpha(&ALPHA_CANDIDATES, beta as u64)
+    planner_shape(cluster).pick_alpha(&ALPHA_CANDIDATES, beta as u64, R::SIZE)
 }
 
 #[cfg(test)]

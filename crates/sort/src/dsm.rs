@@ -23,7 +23,7 @@
 use crate::config::{DsmConfig, DsmConfigError, LoadMode};
 use crate::fault::{repair_lost, TagIndex};
 use crate::functors::{FullMergeFunctor, SubsetMergeFunctor};
-use crate::planner::{plan_pass1, plan_pass2};
+use crate::planner::{pass1_spec, pass2_spec, plan_pass1, plan_pass2};
 use lmas_core::functor::lib::{BlockSortFunctor, DistributeFunctor, RelayFunctor};
 use lmas_core::kernels::splitters_of_keys;
 use lmas_core::{
@@ -523,10 +523,7 @@ fn run_pass2_in_mode<R: Record>(
         )));
     }
     let plan = match mode {
-        LoadMode::Auto => {
-            let n = runs_per_asu.iter().flatten().map(|p| p.len() as u64).sum();
-            Some(plan_pass2::<R>(cluster, dsm, n)?)
-        }
+        LoadMode::Auto => Some(plan_pass2::<R>(cluster, dsm, records_in(&runs_per_asu))?),
         _ => None,
     };
     let d = cluster.asus;
@@ -758,6 +755,7 @@ pub(crate) fn dsm_sort<R: Record>(
         }
     }
     let splitters = choose_splitters(&data, dsm.alpha);
+    let n = data.len() as u64;
 
     // Built (and the tags checked) before pass 1 runs. Under an active
     // plan the input stays alive as the "replica" lost records are
@@ -788,6 +786,7 @@ pub(crate) fn dsm_sort<R: Record>(
     }
     // Pass 2 runs fault-free on the original cluster: the plan's events
     // already fired, and offline ASUs simply hold no runs to merge.
+    let merged = records_in(&runs);
     let p2 = run_pass2_in_mode(cluster, runs, splitters.clone(), dsm, mode)?;
     let mut out = DsmOutcome {
         pass1: p1.report,
@@ -797,7 +796,12 @@ pub(crate) fn dsm_sort<R: Record>(
         total: SimDuration::ZERO,
         output: p2.output,
         splitters,
-        plan: plan_info(dsm, p1.coded_r, p1.plan.as_ref(), p2.plan.as_ref()),
+        plan: plan_info::<R>(
+            cluster.asus,
+            dsm,
+            (n, p1.coded_r, p1.plan.as_ref()),
+            (merged, p2.plan.as_ref()),
+        ),
         recovered_records,
         lost_asus,
     };
@@ -805,22 +809,31 @@ pub(crate) fn dsm_sort<R: Record>(
     Ok(out)
 }
 
+/// Records held by `runs`: what pass 2 merges (and plans for).
+fn records_in<R: Record>(runs: &[Vec<Packet<R>>]) -> u64 {
+    runs.iter().flatten().map(|p| p.len() as u64).sum()
+}
+
 /// Fold the two pass plans into a [`DsmPlanInfo`] (both present only in
-/// Auto mode).
-fn plan_info(
+/// Auto mode) on `d` ASUs: pass 1 planned `n1` records and chose
+/// broadcast group `r`, pass 2 planned `n2`. Each JSON account is
+/// rendered against the spec its plan was made from — for pass 1 the
+/// winning `(k, r)` cell of the sweep.
+fn plan_info<R: Record>(
+    d: usize,
     dsm: &DsmConfig,
-    coded_r: usize,
-    p1: Option<&PlanOutcome>,
-    p2: Option<&PlanOutcome>,
+    (n1, r, p1): (u64, usize, Option<&PlanOutcome>),
+    (n2, p2): (u64, Option<&PlanOutcome>),
 ) -> Option<DsmPlanInfo> {
     let (p1, p2) = (p1?, p2?);
+    let k = p1.assignment[1].len() / dsm.alpha.max(1);
     Some(DsmPlanInfo {
-        sorters_per_subset: p1.assignment[1].len() / dsm.alpha.max(1),
-        coded_r,
+        sorters_per_subset: k,
+        coded_r: r,
         pass1_predicted: SimDuration::from_nanos(p1.estimate.makespan_ns as u64),
         pass2_predicted: SimDuration::from_nanos(p2.estimate.makespan_ns as u64),
-        pass1_report_json: p1.report.render_json(),
-        pass2_report_json: p2.report.render_json(),
+        pass1_report_json: p1.render_json(&pass1_spec::<R>(dsm, d, n1, k, r)),
+        pass2_report_json: p2.render_json(&pass2_spec::<R>(dsm, d, n2)),
     })
 }
 

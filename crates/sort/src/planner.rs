@@ -40,7 +40,13 @@ pub fn planner_shape(cluster: &ClusterConfig) -> ClusterShape {
 /// (distribute: `log α` compares plus 1 move; block sort: `log β`
 /// compares plus 1 move), distribute and collect are pinned to the
 /// data's ASUs, and the block-sort stage is free for the planner to place.
-fn pass1_spec<R: Record>(dsm: &DsmConfig, d: usize, n: u64, k: usize, r: usize) -> PlanSpec {
+pub(crate) fn pass1_spec<R: Record>(
+    dsm: &DsmConfig,
+    d: usize,
+    n: u64,
+    k: usize,
+    r: usize,
+) -> PlanSpec {
     let bytes = n * R::SIZE as u64;
     let splitter_bytes = (dsm.alpha - 1) * std::mem::size_of::<R::Key>() + 64;
     PlanSpec {
@@ -90,7 +96,7 @@ fn pass1_spec<R: Record>(dsm: &DsmConfig, d: usize, n: u64, k: usize, r: usize) 
 /// Pass-2 planner spec: γ₁-way ASU merges (source, pinned), the
 /// host-only final merge (a flush-time barrier, free to place), and the
 /// striped collector (sink, pinned).
-fn pass2_spec<R: Record>(dsm: &DsmConfig, d: usize, n: u64) -> PlanSpec {
+pub(crate) fn pass2_spec<R: Record>(dsm: &DsmConfig, d: usize, n: u64) -> PlanSpec {
     let bytes = n * R::SIZE as u64;
     let per_subset = n / dsm.alpha.max(1) as u64;
     let merged_run = (dsm.beta * dsm.gamma1) as u64;
@@ -296,7 +302,7 @@ fn pass1_uncoded_shuffle_bytes<R: Record>(n: u64, out: &PlanOutcome) -> f64 {
 /// (both enumerated ascending, r-major with `r = 1` first, so an
 /// all-tie sweep resolves exactly as the historical k-only sweep did).
 /// Lowest predicted makespan wins, ties go to the earliest candidate
-/// (1 ns epsilon). The winner's report carries the candidate counters
+/// (1 ns epsilon). The winning outcome carries the candidate counters
 /// and the predicted per-r tradeoff curve.
 fn sweep_pass1<R: Record>(
     cluster: &ClusterConfig,
@@ -361,9 +367,9 @@ fn sweep_pass1<R: Record>(
     }
     match winner {
         Some((k, r, mut outcome)) => {
-            outcome.report.candidates_considered = considered;
-            outcome.report.candidates_rejected = rejected;
-            outcome.report.coded_curve = curve;
+            outcome.candidates_considered = considered;
+            outcome.candidates_rejected = rejected;
+            outcome.coded_curve = curve;
             Ok((k, r, outcome))
         }
         None => Err(last_err.unwrap_or(DsmError::Plan(PlanError::EmptySpec))),
@@ -440,13 +446,26 @@ mod tests {
         let dsm = DsmConfig::new(8, 64, 2, 4);
         let cells = cluster.hosts * coded_r_candidates(&dsm).len();
         let (_, _, out) = plan_pass1::<Rec128>(&cluster, &dsm, 400_000).expect("plans");
-        assert_eq!(out.report.candidates_considered, cells);
-        assert!(out.report.candidates_rejected >= 1);
+        assert_eq!(out.candidates_considered, cells);
+        assert!(out.candidates_rejected >= 1);
         // Nothing to sort: every cell predicts the same makespan, so the
         // first one enumerated (k = 1, r = 1) must stand.
         let (k, r, out) = plan_pass1::<Rec128>(&cluster, &dsm, 0).expect("plans");
         assert_eq!((k, r), (1, 1));
-        assert_eq!(out.report.candidates_considered, cells);
-        assert_eq!(out.report.candidates_rejected, cells - 1);
+        assert_eq!(out.candidates_considered, cells);
+        assert_eq!(out.candidates_rejected, cells - 1);
+    }
+
+    #[test]
+    fn planner_shape_mirrors_config() {
+        let c = ClusterConfig::era_2002(1, 4, 4.0)
+            .with_storage(lmas_emulator::StorageSpec::striped(2))
+            .with_background(0.5, 0.25);
+        let shape = planner_shape(&c);
+        assert_eq!((shape.hosts, shape.asus), (1, 4));
+        // Background load derates the ASUs' CPU and striped disks only.
+        assert!((shape.cpu_ratio_c - 8.0).abs() < 1e-12);
+        assert!((shape.asu_disk_rate - 2.0 * 75.0e6).abs() < 1.0);
+        assert_eq!(shape.host_disk_rate, c.disk.rate_bytes_per_sec);
     }
 }

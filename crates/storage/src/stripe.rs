@@ -51,11 +51,6 @@ impl StripedDisk {
         }
     }
 
-    /// Number of spindles.
-    pub fn disk_count(&self) -> usize {
-        self.disks.len()
-    }
-
     /// Deterministic block→disk placement: round-robin over stripe units.
     pub fn disk_of(&self, block: u64) -> usize {
         ((block / self.blocks_per_stripe) % self.disks.len() as u64) as usize

@@ -36,6 +36,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 cargo build -q --release -p lmas-bench --bins
 
+echo "== examples (each built in release and run once) =="
+# cargo test compiles the examples but never runs them; each must exit 0.
+cargo build -q --release --examples
+for ex in examples/*.rs; do
+    name="$(basename "$ex" .rs)"
+    "./target/release/examples/$name" > /dev/null || {
+        echo "examples FAILED: $name exited non-zero" >&2
+        exit 1
+    }
+done
+echo "examples verified (every example ran to completion)"
+
 echo "== determinism gate (seeded emulation + chaos + planned + parallel runs, twice, diff) =="
 # The determinism binary covers the fault-free pinned sort, a pinned
 # chaos run (ASU crash + lossy link), a planner-placed run with the

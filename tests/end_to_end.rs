@@ -5,15 +5,14 @@ use lmas::core::{generate_rec128, generate_rec8, KeyDist, Rec128, Record};
 use lmas::emulator::ClusterConfig;
 use lmas::gis::{fractal_terrain, matches_oracle, run_terraflow};
 use lmas::sort::{
-    adaptive_config, run_dsm_sort, verify_rec128_output, DsmConfig, LoadMode,
+    adaptive_config, planner_shape, run_dsm_sort, verify_rec128_output, DsmConfig, LoadMode,
 };
 
 #[test]
 fn facade_reexports_compose() {
     // Types from different crates interoperate through the facade.
     let cluster = ClusterConfig::era_2002(1, 2, 8.0);
-    let model = cluster.pipeline_model(Rec128::SIZE);
-    let alpha = model.pick_alpha(&[1, 4, 16], 1 << 12);
+    let alpha = planner_shape(&cluster).pick_alpha(&[1, 4, 16], 1 << 12, Rec128::SIZE);
     assert!([1u64, 4, 16].contains(&alpha));
     let _ = generate_rec8(10, KeyDist::Uniform, 1);
 }
