@@ -19,7 +19,7 @@ use lmas_emulator::{
     RepairSpec,
 };
 use lmas_sim::{fnv1a, FaultPlan, SimDuration, SimTime};
-use lmas_sort::{run_dsm_sort, run_dsm_sort_faulty, DsmConfig, LoadMode};
+use lmas_sort::{run_dsm_sort, run_dsm_sort_faulty, DsmConfig, DsmOutcome, LoadMode};
 use std::collections::BTreeMap;
 
 fn main() {
@@ -62,6 +62,7 @@ fn main() {
             fnv1a(render.bytes())
         );
     }
+    print_queues("sort", &out);
 
     // Chaos section: the same sort under a pinned fault plan (crash one
     // ASU mid-pass-1 plus a lossy host→ASU link). Everything the fault
@@ -108,6 +109,7 @@ fn main() {
     );
     let chaos_records: usize = chaos.output.iter().map(|p| p.len()).sum();
     println!("chaos.output.records {chaos_records} chaos.output.key_fnv {chaos_hash:016x}");
+    print_queues("chaos", &chaos);
 
     // Planner section: the same sort with planner-chosen placement and
     // the runtime balancer armed. The plan search is RNG-free and the
@@ -183,6 +185,7 @@ fn main() {
             fnv1a(report.trace.render().bytes())
         );
     }
+    print_queues("par", &par);
 
     // Faulted-parallel section: a pinned chaos plan (ASU crash +
     // recovery + lossy link) through the partitioned engine. Fault
@@ -272,6 +275,7 @@ fn main() {
             fnv1a(report.trace.render().bytes())
         );
     }
+    print_queues("parfault", &pf);
 
     // Balanced-parallel section: the snapshot balancer through the
     // partitioned engine. Instances self-report backlog on the sampling
@@ -324,6 +328,7 @@ fn main() {
             fnv1a(report.trace.render().bytes())
         );
     }
+    print_queues("parbal", &pb);
 
     // Coded section: the pinned sort with a coded distribute edge
     // (r = 2), sequentially and through the partitioned kernel. Coded
@@ -509,4 +514,16 @@ fn repair_run(threads: usize) -> EmulationReport<Rec8> {
         },
     )
     .expect("pinned repair run succeeds")
+}
+
+/// One `{tag}.queues_fnv` line: the FNV-1a of each pass's rendered
+/// queue statistics, so the run-twice diff also covers the backlog
+/// gauges (merged across partitions on a threaded run).
+fn print_queues<R: Record>(tag: &str, out: &DsmOutcome<R>) {
+    let fnv = |r: &EmulationReport<R>| fnv1a(format!("{:?}", r.queue_stats).bytes());
+    println!(
+        "{tag}.queues_fnv {:016x} {:016x}",
+        fnv(&out.pass1),
+        fnv(&out.pass2)
+    );
 }
