@@ -57,7 +57,7 @@ pub struct ClusterConfig {
     pub background_asu_disk: f64,
     /// Ring-buffer capacity of the run's event trace; 0 disables tracing
     /// entirely (the dispatch loop then allocates no trace strings —
-    /// see [`lmas_sim::Trace::record_with`]).
+    /// see [`lmas_sim::Trace::record_with_key`]).
     pub trace_capacity: usize,
     /// Runtime load balancer: periodic queue-depth sampling that
     /// re-weights replica routing. Disabled by default (zero period),

@@ -39,7 +39,7 @@ pub mod runtime;
 pub use balance::BalanceSpec;
 pub use config::ClusterConfig;
 pub use fault::{asu_index, node_index, FaultSpec, FaultStats, NodeHealth};
-pub use metrics::{QueueStat, StageGauge, StageQueueStats, StageUsage};
+pub use metrics::{QueueStat, StageQueueStats, StageUsage};
 pub use multi::{
     run_jobs, GateDecision, JobStats, MultiJobReport, SchedEvent, SchedEventKind, SchedGate,
     TenantJob,

@@ -10,30 +10,54 @@
 use crate::fault::FaultStats;
 use crate::repair::{RepairSample, RepairStats};
 use lmas_core::{Packet, Record, Work};
-use lmas_sim::{SimTime, Trace};
+use lmas_sim::{merge_keyed, Keyed, SimTime, Trace};
 use std::collections::BTreeMap;
 
-/// Per-stage backlog gauge with time-weighted statistics.
-///
-/// The routers read the instantaneous per-instance depths to make
-/// load-aware picks; every mutation is stamped with the virtual instant
-/// it happens at, so the gauge also integrates depth over time. That
-/// yields the *time-weighted mean* queue depth — the signal the runtime
-/// balancer samples and the run report surfaces next to utilization —
-/// using pure integer arithmetic (a `u128` record·nanosecond integral)
-/// so reports are bit-reproducible.
-#[derive(Debug, Clone)]
-pub struct StageGauge {
+/// How one backlog mutation changes an instance's queued records.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Backlog {
+    /// Records were routed to the instance.
+    Add(u64),
+    /// The instance started records, or a bounce took them back.
+    Sub(u64),
+    /// The instance's queue vanished (node crash).
+    Clear,
+}
+
+impl Backlog {
+    /// Apply the change to a depth.
+    fn apply(self, depth: &mut u64) {
+        *depth = match self {
+            Backlog::Add(r) => *depth + r,
+            Backlog::Sub(r) => depth.saturating_sub(r),
+            Backlog::Clear => 0,
+        };
+    }
+}
+
+/// One logged backlog mutation.
+#[derive(Debug, Clone, Copy)]
+struct BacklogOp {
+    stage: usize,
+    instance: usize,
+    change: Backlog,
+}
+
+/// One stage's backlog replayed from the log: per instance, the depth,
+/// its peak, and depth integrated over time as a `u128`
+/// record·nanosecond integral — pure integer arithmetic, so the mean
+/// depth is bit-reproducible.
+struct Replay {
     depth: Vec<u64>,
     last: Vec<SimTime>,
     integral: Vec<u128>,
     peak: Vec<u64>,
 }
 
-impl StageGauge {
-    /// A gauge over `n` instances, all empty at time zero.
-    pub fn new(n: usize) -> StageGauge {
-        StageGauge {
+impl Replay {
+    /// `n` instances, all empty at time zero.
+    fn new(n: usize) -> Replay {
+        Replay {
             depth: vec![0; n],
             last: vec![SimTime::ZERO; n],
             integral: vec![0; n],
@@ -41,39 +65,18 @@ impl StageGauge {
         }
     }
 
-    /// Accumulate depth·time up to `now` for instance `i`.
-    fn advance(&mut self, i: usize, now: SimTime) {
+    /// Accumulate depth·time up to `now` for instance `i`, then apply
+    /// `change`.
+    fn step(&mut self, i: usize, change: Backlog, now: SimTime) {
         let dt = now.saturating_since(self.last[i]).as_nanos();
         self.integral[i] += self.depth[i] as u128 * dt as u128;
         self.last[i] = self.last[i].max(now);
-    }
-
-    /// Records were routed to instance `i` at `now`.
-    pub fn add(&mut self, i: usize, records: u64, now: SimTime) {
-        self.advance(i, now);
-        self.depth[i] += records;
+        change.apply(&mut self.depth[i]);
         self.peak[i] = self.peak[i].max(self.depth[i]);
     }
 
-    /// Instance `i` started (or lost) records at `now`.
-    pub fn sub(&mut self, i: usize, records: u64, now: SimTime) {
-        self.advance(i, now);
-        self.depth[i] = self.depth[i].saturating_sub(records);
-    }
-
-    /// Instance `i`'s queue vanished at `now` (node crash).
-    pub fn clear(&mut self, i: usize, now: SimTime) {
-        self.advance(i, now);
-        self.depth[i] = 0;
-    }
-
-    /// Instantaneous per-instance depths (what the routers consult).
-    pub fn depths(&self) -> &[u64] {
-        &self.depth
-    }
-
     /// Per-instance statistics over the horizon `[0, end]`.
-    pub fn stats(&self, end: SimTime) -> Vec<QueueStat> {
+    fn stats(&self, end: SimTime) -> Vec<QueueStat> {
         let horizon = end.as_nanos();
         (0..self.depth.len())
             .map(|i| {
@@ -93,105 +96,10 @@ impl StageGauge {
     }
 }
 
-/// What a recorded gauge mutation does on replay.
-#[derive(Debug, Clone, Copy)]
-enum GaugeOpKind {
-    /// Add `records` to the instance's depth.
-    Add,
-    /// Subtract `records` from the instance's depth.
-    Sub,
-    /// Zero the instance's depth (node crash dropping its queue).
-    Clear,
-}
-
-/// One recorded gauge mutation (see [`GaugeJournal`]).
-#[derive(Debug, Clone, Copy)]
-struct GaugeOp {
-    at: SimTime,
-    /// Dispatch ordering key `(sched, packed)` of the event that caused
-    /// the mutation ([`lmas_sim::Ctx::par_key`]).
-    key: (u64, u64),
-    inst: usize,
-    kind: GaugeOpKind,
-    records: u64,
-}
-
-/// Deferred [`StageGauge`]: partitioned runs record gauge mutations with
-/// their dispatch keys instead of mutating a shared gauge, then
-/// [`GaugeJournal::replay`] merges the per-partition journals in exact
-/// sequential dispatch order. `depths()` returns all-zero backlogs — the
-/// partitioned runtime only engages for routing policies that never read
-/// the backlog, so the zeros are placeholders for slice arithmetic, not
-/// a signal.
-#[derive(Debug, Clone)]
-pub struct GaugeJournal {
-    zeros: Vec<u64>,
-    ops: Vec<GaugeOp>,
-}
-
-impl GaugeJournal {
-    /// A journal for a stage of `n` instances.
-    pub fn new(n: usize) -> GaugeJournal {
-        GaugeJournal {
-            zeros: vec![0; n],
-            ops: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, kind: GaugeOpKind, inst: usize, records: u64, at: SimTime, key: (u64, u64)) {
-        self.ops.push(GaugeOp {
-            at,
-            key,
-            inst,
-            kind,
-            records,
-        });
-    }
-
-    /// Records were routed to instance `i` at `now`.
-    pub fn add(&mut self, i: usize, records: u64, now: SimTime, key: (u64, u64)) {
-        self.push(GaugeOpKind::Add, i, records, now, key);
-    }
-
-    /// Instance `i` started records at `now`.
-    pub fn sub(&mut self, i: usize, records: u64, now: SimTime, key: (u64, u64)) {
-        self.push(GaugeOpKind::Sub, i, records, now, key);
-    }
-
-    /// Instance `i`'s queue vanished at `now` (node crash).
-    pub fn clear(&mut self, i: usize, now: SimTime, key: (u64, u64)) {
-        self.push(GaugeOpKind::Clear, i, 0, now, key);
-    }
-
-    /// Placeholder depths (all zero; see the type docs).
-    pub fn depths(&self) -> &[u64] {
-        &self.zeros
-    }
-
-    /// Merge per-partition journals into the [`StageGauge`] an equivalent
-    /// sequential run would have produced: all mutations are replayed in
-    /// `(time, dispatch key)` order — the partitioned engine's total
-    /// dispatch order — with a stable sort, so mutations within one
-    /// dispatch keep their program order and the time-weighted integral,
-    /// peak, and final depths come out bit-identical.
-    pub fn replay(parts: Vec<GaugeJournal>) -> StageGauge {
-        let n = parts.first().map_or(0, |j| j.zeros.len());
-        debug_assert!(parts.iter().all(|j| j.zeros.len() == n));
-        let mut ops: Vec<GaugeOp> = parts.into_iter().flat_map(|j| j.ops).collect();
-        ops.sort_by_key(|o| (o.at, o.key));
-        let mut g = StageGauge::new(n);
-        for o in ops {
-            match o.kind {
-                GaugeOpKind::Add => g.add(o.inst, o.records, o.at),
-                GaugeOpKind::Sub => g.sub(o.inst, o.records, o.at),
-                GaugeOpKind::Clear => g.clear(o.inst, o.at),
-            }
-        }
-        g
-    }
-}
-
-/// Time-weighted queue statistics for one stage instance.
+/// Time-weighted backlog statistics for one stage instance. The backlog
+/// counts the records routed to the instance that it has not started
+/// yet, including those still on the wire; a bounce takes its records
+/// back and a crash empties it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueStat {
     /// Mean queued records over the run (depth·time / makespan).
@@ -291,11 +199,12 @@ pub struct Metrics<R: Record> {
     pub sink_outputs: SinkOutputs<R>,
     /// Total records processed across all stages (progress).
     pub records_processed: u64,
-    /// Functor-state memory contract violations observed (bounded list).
-    pub mem_violations: Vec<String>,
+    /// Functor-state memory contract violations observed (bounded
+    /// list), each stamped with the dispatch that noted it.
+    pub mem_violations: Vec<Keyed<String>>,
     /// Event trace of the run (disabled unless the cluster config asks
-    /// for one; recording through [`Trace::record_with`] is free when
-    /// disabled).
+    /// for one; recording through [`Trace::record_with_key`] is free
+    /// when disabled).
     pub trace: Trace,
     /// Fault-layer activity counters (all zero on a fault-free run).
     pub fault: FaultStats,
@@ -321,14 +230,19 @@ pub struct Metrics<R: Record> {
     /// cap audit; summed across partitions).
     pub repair_src_bytes: Vec<u64>,
     violations_total: u64,
-    /// Dispatch ordering key per retained violation note (parallel runs
-    /// only; `merge` uses it to keep notes in sequential order).
-    viol_keys: Vec<(SimTime, (u64, u64))>,
+    /// Per stage, the per-instance backlog depths the routers read. A
+    /// partition of a parallel run sees only its own mutations, so its
+    /// depths are not the global ones; such runs never route by backlog.
+    depths: Vec<Vec<u64>>,
+    /// Every backlog mutation in dispatch order, replayed by
+    /// [`Metrics::queue_stats`].
+    backlog_log: Vec<Keyed<BacklogOp>>,
 }
 
 impl<R: Record> Metrics<R> {
-    /// Metrics for a job of `stages` stages.
-    pub fn new(stages: usize) -> Metrics<R> {
+    /// Metrics for a job whose stage `s` has `replication[s]` instances.
+    pub fn new(replication: &[usize]) -> Metrics<R> {
+        let stages = replication.len();
         Metrics {
             stage_work: vec![Work::ZERO; stages],
             stage_records_in: vec![0; stages],
@@ -345,7 +259,8 @@ impl<R: Record> Metrics<R> {
             replica_hist: Vec::new(),
             repair_src_bytes: Vec::new(),
             violations_total: 0,
-            viol_keys: Vec::new(),
+            depths: replication.iter().map(|&n| vec![0; n]).collect(),
+            backlog_log: Vec::new(),
         }
     }
 
@@ -357,31 +272,62 @@ impl<R: Record> Metrics<R> {
     /// Note a memory violation (bounded retention), stamped with the
     /// dispatch instant and ordering key so partitioned runs can merge
     /// notes back into sequential order.
-    pub fn note_violation_keyed(&mut self, at: SimTime, key: (u64, u64), msg: String) {
+    pub fn note_violation(&mut self, at: SimTime, key: (u64, u64), msg: String) {
         self.violations_total += 1;
         if self.mem_violations.len() < MAX_VIOLATION_NOTES {
-            self.mem_violations.push(msg);
-            self.viol_keys.push((at, key));
+            self.mem_violations.push((at, key, msg));
         }
+    }
+
+    /// Change instance `instance` of `stage`'s backlog at `at`, in the
+    /// dispatch with key `key`.
+    pub(crate) fn note_backlog(
+        &mut self,
+        at: SimTime,
+        key: (u64, u64),
+        stage: usize,
+        instance: usize,
+        change: Backlog,
+    ) {
+        change.apply(&mut self.depths[stage][instance]);
+        let op = BacklogOp {
+            stage,
+            instance,
+            change,
+        };
+        self.backlog_log.push((at, key, op));
+    }
+
+    /// Instantaneous per-instance backlog depths of `stage`.
+    pub(crate) fn depths(&self, stage: usize) -> &[u64] {
+        &self.depths[stage]
+    }
+
+    /// Per-stage, per-instance backlog statistics over `[0, end]`,
+    /// replayed from the backlog log.
+    pub(crate) fn queue_stats(&self, end: SimTime) -> Vec<Vec<QueueStat>> {
+        let mut stages: Vec<Replay> = self.depths.iter().map(|d| Replay::new(d.len())).collect();
+        for &(at, _, op) in &self.backlog_log {
+            stages[op.stage].step(op.instance, op.change, at);
+        }
+        stages.iter().map(|r| r.stats(end)).collect()
     }
 
     /// Merge per-partition metrics into what an equivalent sequential run
     /// would have recorded. Counters sum; sink captures (keyed by
     /// `(stage, instance)`, each owned by exactly one partition) union;
-    /// traces interleave by dispatch key ([`Trace::merge`]); violation
-    /// notes re-sort by dispatch key and re-truncate, which is exact
-    /// because the globally-first `MAX_VIOLATION_NOTES` notes are
-    /// contained in the union of the per-partition prefixes.
+    /// the backlog logs, violation notes and traces interleave by
+    /// dispatch key ([`merge_keyed`]). Violation notes re-truncate, which
+    /// is exact because the globally-first `MAX_VIOLATION_NOTES` notes
+    /// are contained in the union of the per-partition prefixes; the
+    /// trace keeps its tail ([`Trace::merge`]). The depths stay the
+    /// first partition's: only a one-partition run reads them.
     pub fn merge(parts: Vec<Metrics<R>>) -> Metrics<R> {
         let mut it = parts.into_iter();
         let mut m = it.next().expect("merge needs at least one partition");
         let mut traces = vec![std::mem::replace(&mut m.trace, Trace::disabled())];
-        let mut viols: Vec<(SimTime, (u64, u64), String)> = m
-            .viol_keys
-            .drain(..)
-            .zip(m.mem_violations.drain(..))
-            .map(|((at, key), msg)| (at, key, msg))
-            .collect();
+        let mut viols = vec![std::mem::take(&mut m.mem_violations)];
+        let mut logs = vec![std::mem::take(&mut m.backlog_log)];
         for mut p in it {
             assert_eq!(
                 p.stage_work.len(),
@@ -420,20 +366,13 @@ impl<R: Record> Metrics<R> {
             }
             m.violations_total += p.violations_total;
             m.last_activity = m.last_activity.max(p.last_activity);
-            viols.extend(
-                p.viol_keys
-                    .drain(..)
-                    .zip(p.mem_violations.drain(..))
-                    .map(|((at, key), msg)| (at, key, msg)),
-            );
+            viols.push(p.mem_violations);
+            logs.push(p.backlog_log);
             traces.push(p.trace);
         }
-        viols.sort_by_key(|v| (v.0, v.1));
-        viols.truncate(MAX_VIOLATION_NOTES);
-        for (at, key, msg) in viols {
-            m.viol_keys.push((at, key));
-            m.mem_violations.push(msg);
-        }
+        m.mem_violations = merge_keyed(viols);
+        m.mem_violations.truncate(MAX_VIOLATION_NOTES);
+        m.backlog_log = merge_keyed(logs);
         m.trace = Trace::merge(traces);
         m
     }
@@ -451,21 +390,29 @@ mod tests {
 
     #[test]
     fn violation_list_is_bounded() {
-        let mut m: Metrics<Rec8> = Metrics::new(1);
+        let mut m: Metrics<Rec8> = Metrics::new(&[1]);
         for i in 0..100 {
-            m.note_violation_keyed(SimTime::ZERO, (0, 0), format!("v{i}"));
+            m.note_violation(SimTime::ZERO, (0, 0), format!("v{i}"));
         }
         assert_eq!(m.mem_violations.len(), MAX_VIOLATION_NOTES);
         assert_eq!(m.violations_total(), 100);
     }
 
+    /// Log `(instance, change, at)` mutations of stage 0 of a metrics
+    /// with `n` instances there, all at dispatch key `(0, 0)`.
+    fn logged(n: usize, ops: &[(usize, Backlog, u64)]) -> Metrics<Rec8> {
+        let mut m = Metrics::new(&[n]);
+        for &(i, change, at) in ops {
+            m.note_backlog(SimTime(at), (0, 0), 0, i, change);
+        }
+        m
+    }
+
     #[test]
     fn gauge_integrates_depth_over_time() {
-        let mut g = StageGauge::new(2);
         // Instance 0: 10 records queued over [100, 300) of a 400ns run.
-        g.add(0, 10, SimTime(100));
-        g.sub(0, 10, SimTime(300));
-        let s = g.stats(SimTime(400));
+        let m = logged(2, &[(0, Backlog::Add(10), 100), (0, Backlog::Sub(10), 300)]);
+        let s = &m.queue_stats(SimTime(400))[0];
         assert!((s[0].mean_depth - 10.0 * 200.0 / 400.0).abs() < 1e-9);
         assert_eq!(s[0].peak_depth, 10);
         assert_eq!(s[0].final_depth, 0);
@@ -476,25 +423,43 @@ mod tests {
 
     #[test]
     fn gauge_counts_unconsumed_tail_and_peak() {
-        let mut g = StageGauge::new(1);
-        g.add(0, 4, SimTime(0));
-        g.add(0, 4, SimTime(50));
-        g.sub(0, 6, SimTime(100));
-        let s = g.stats(SimTime(200));
+        let m = logged(
+            1,
+            &[
+                (0, Backlog::Add(4), 0),
+                (0, Backlog::Add(4), 50),
+                (0, Backlog::Sub(6), 100),
+            ],
+        );
+        let s = &m.queue_stats(SimTime(200))[0];
         // 4 over [0,50), 8 over [50,100), 2 over [100,200].
         let area = 4.0 * 50.0 + 8.0 * 50.0 + 2.0 * 100.0;
         assert!((s[0].mean_depth - area / 200.0).abs() < 1e-9);
         assert_eq!(s[0].peak_depth, 8);
         assert_eq!(s[0].final_depth, 2);
-        assert_eq!(g.depths(), &[2]);
+        assert_eq!(m.depths(0), &[2]);
+    }
+
+    #[test]
+    fn merged_backlog_replays_in_dispatch_order() {
+        // A sender on one partition charges the instance, its owner on
+        // another starts the records, and the sender charges it again:
+        // replayed in (instant, key) order the peak is 10, not 15.
+        let mut a: Metrics<Rec8> = Metrics::new(&[1]);
+        let mut b: Metrics<Rec8> = Metrics::new(&[1]);
+        a.note_backlog(SimTime(0), (0, 1), 0, 0, Backlog::Add(10));
+        a.note_backlog(SimTime(300), (1, 1), 0, 0, Backlog::Add(5));
+        b.note_backlog(SimTime(100), (0, 2), 0, 0, Backlog::Sub(10));
+        let s = &Metrics::merge(vec![a, b]).queue_stats(SimTime(400))[0];
+        assert_eq!(s[0].peak_depth, 10);
+        assert_eq!(s[0].final_depth, 5);
+        assert!((s[0].mean_depth - (10.0 * 100.0 + 5.0 * 100.0) / 400.0).abs() < 1e-9);
     }
 
     #[test]
     fn gauge_clear_drops_depth_but_keeps_history() {
-        let mut g = StageGauge::new(1);
-        g.add(0, 100, SimTime(0));
-        g.clear(0, SimTime(10));
-        let s = g.stats(SimTime(100));
+        let m = logged(1, &[(0, Backlog::Add(100), 0), (0, Backlog::Clear, 10)]);
+        let s = &m.queue_stats(SimTime(100))[0];
         assert_eq!(s[0].final_depth, 0);
         assert_eq!(s[0].peak_depth, 100);
         assert!((s[0].mean_depth - 100.0 * 10.0 / 100.0).abs() < 1e-9);

@@ -2,7 +2,7 @@
 //! balancer that turns the instances' depth reports into routing
 //! weights (the weight function itself lives in [`crate::balance`]).
 
-use super::msg::{par_key, Msg};
+use super::msg::Msg;
 use crate::balance;
 use crate::metrics::Metrics;
 use lmas_core::{FlowGraph, Record};
@@ -66,7 +66,7 @@ impl<R: Record> SnapshotBalancer<R> {
             if let Some(w) = new {
                 if self.cur.get(&t.stage) != Some(&w) {
                     let stage = t.stage;
-                    let key = par_key(ctx);
+                    let key = ctx.dispatch_key();
                     let mut m = self.metrics.borrow_mut();
                     m.reweights += 1;
                     m.trace.record_with_key(now, key, || {

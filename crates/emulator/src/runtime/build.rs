@@ -7,9 +7,8 @@
 //! [`assemble`] merges the harvests into the report. The two drivers in
 //! [`run_job_inner`](super) differ only in what they run the builder
 //! on: the sequential engine is partition 0 of 1 on the plain calendar
-//! (no thread, identity max-reduction, live gauges); the partitioned
-//! engine is `P` workers under [`lmas_sim::run_partitioned`] (keyed
-//! calendars, gauge journals).
+//! (no thread, identity max-reduction); the partitioned engine is `P`
+//! workers under [`lmas_sim::run_partitioned`] (keyed calendars).
 //!
 //! The contract that makes the two agree, stated once:
 //!
@@ -30,8 +29,7 @@
 use super::balancer::{watched_stages, SnapTarget, SnapshotBalancer};
 use super::fault_ctl::{FaultController, FenceTargets};
 use super::instance::{
-    node_speed, Downstream, GaugeHandle, GaugePart, InstFlags, InstanceActor, InstanceFault,
-    RaState, SampleState,
+    node_speed, Downstream, InstFlags, InstanceActor, InstanceFault, RaState, SampleState,
 };
 use super::msg::Msg;
 use super::repair_actors::{RepairAgent, RepairCoordinator};
@@ -42,10 +40,12 @@ use crate::fault::{
     node_index, DetectedTimeline, FaultSpec, LossTimeline, NodeHealth, HEARTBEAT_PERIOD,
     HEARTBEAT_TIMEOUT,
 };
-use crate::metrics::{GaugeJournal, Metrics, StageGauge, StageQueueStats};
+use crate::metrics::{Metrics, StageQueueStats};
 use crate::node::NodeRes;
 use crate::repair::{repair_timeline, RepairEngine, RepairEv, RepairSpec};
-use lmas_core::{FlowGraph, NodeId, Packet, Placement, Record, RouteScope, Router, StageId};
+use lmas_core::{
+    FlowGraph, NodeId, Packet, Placement, Record, RouteScope, Router, RoutingPolicy, StageId,
+};
 use lmas_sim::{
     ActorId, BackoffPolicy, DetRng, FaultEvent, ParOps, PartitionWorker, SimTime, Simulation, Trace,
 };
@@ -54,20 +54,25 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
+/// Whether `policy` picks without reading the backlog.
+pub(super) fn backlog_blind(policy: RoutingPolicy) -> bool {
+    use RoutingPolicy::{RoundRobin, SimpleRandomization, Static};
+    matches!(policy, Static | RoundRobin | SimpleRandomization)
+}
+
 /// Whether the partitioned engine can reproduce this graph's routing
 /// draws bit-for-bit. Backlog-sensitive policies (LoadAware, power of
 /// two choices) read the live cross-partition queue depths at pick time,
-/// which a deferred gauge journal cannot provide; they stay sequential.
-/// Single-instance groups never exercise a choice, so any policy is fine
-/// there.
+/// which a partition, seeing only its own backlog mutations, cannot
+/// provide; they stay sequential. Single-instance groups never exercise
+/// a choice, so any policy is fine there.
 pub(super) fn parallel_eligible<R: Record>(graph: &FlowGraph<R>) -> bool {
-    use lmas_core::RoutingPolicy::{RoundRobin, SimpleRandomization, Static};
     graph.edges().iter().all(|e| {
         let group_size = match e.scope {
             RouteScope::Global => graph.stages()[e.to.0].replication,
             RouteScope::PortGroups { group_size } => group_size,
         };
-        group_size <= 1 || matches!(e.routing, Static | RoundRobin | SimpleRandomization)
+        group_size <= 1 || backlog_blind(e.routing)
     })
 }
 
@@ -113,9 +118,6 @@ pub(super) struct Shared<R: Record> {
     /// Background re-replication is on (implies `active`).
     repair: Option<RepairSpec>,
     nparts: usize,
-    /// The run is under `run_partitioned`: calendars are keyed, so
-    /// gauge mutations are journaled instead of applied live.
-    keyed: bool,
     graph: FlowGraph<R>,
     specs: Vec<InstSpec>,
     /// First global instance index of each stage.
@@ -227,7 +229,6 @@ impl<R: Record> Shared<R> {
             active,
             repair,
             nparts,
-            keyed: partitions.is_some(),
             graph,
             specs,
             stage_base,
@@ -305,9 +306,6 @@ pub(super) struct EmPartOut<R: Record> {
     /// index for the final hosts-then-ASUs ordering.
     nodes: Vec<(usize, NodeReport)>,
     metrics: Metrics<R>,
-    /// Per-stage gauges: the live gauge itself, or this partition's
-    /// share of the gauge mutations.
-    gauges: Vec<GaugePart>,
 }
 
 /// Thread-local state carried from build to finish (`Rc` handles shared
@@ -316,7 +314,6 @@ pub(super) struct EmBuilt<R: Record> {
     /// Owned nodes, indexed by dense node index (`None` = another
     /// partition's node).
     nodes: Vec<Option<Rc<RefCell<NodeRes>>>>,
-    gauges: Vec<GaugeHandle>,
     pub(super) metrics: Rc<RefCell<Metrics<R>>>,
     /// A scheduler gates the run's sources.
     gated: bool,
@@ -361,12 +358,8 @@ impl<R: Record> EmWorker<R> {
                     .then(|| Rc::new(RefCell::new(NodeRes::new(id, cfg))))
             })
             .collect();
-        let gauges: Vec<GaugeHandle> = graph
-            .stages()
-            .iter()
-            .map(|s| GaugeHandle::new(s.replication, sh.keyed))
-            .collect();
-        let metrics = Rc::new(RefCell::new(Metrics::<R>::new(graph.stages().len())));
+        let replication: Vec<usize> = graph.stages().iter().map(|s| s.replication).collect();
+        let metrics = Rc::new(RefCell::new(Metrics::<R>::new(&replication)));
         if cfg.trace_capacity > 0 {
             // Full capacity per partition: each ring then retains a
             // suffix of its own pushes that is guaranteed to cover its
@@ -412,7 +405,6 @@ impl<R: Record> EmWorker<R> {
                     // One stream per sender, indexed by global instance
                     // order, so SR draws align however the run is split.
                     router: Router::new(e.routing, cfg.seed, idx as u64),
-                    gauge: gauges[to].clone(),
                     weights: Vec::new(),
                     group_size,
                     dest_stage: to,
@@ -451,7 +443,6 @@ impl<R: Record> EmWorker<R> {
                 }),
                 global_tag: idx as u64,
                 epoch: 0,
-                my_gauge: (!stage.is_source).then(|| (gauges[sp.stage].clone(), sp.instance)),
                 metrics: metrics.clone(),
                 link_rate: cfg.link_bytes_per_sec,
                 link_latency: cfg.link_latency,
@@ -671,7 +662,6 @@ impl<R: Record> EmWorker<R> {
         }
         EmBuilt {
             nodes,
-            gauges,
             metrics,
             gated,
         }
@@ -719,7 +709,7 @@ impl<R: Record> EmWorker<R> {
             }
             end = SimTime(reduce_max(local.as_nanos()));
         }
-        // Release the actors (and their Rc clones of metrics/gauges).
+        // Release the actors (and their Rc clones of the metrics).
         drop(sim);
 
         let nodes = built
@@ -763,11 +753,6 @@ impl<R: Record> EmWorker<R> {
             end,
             nodes,
             metrics,
-            gauges: built
-                .gauges
-                .into_iter()
-                .map(GaugeHandle::into_part)
-                .collect(),
         }
     }
 }
@@ -782,19 +767,6 @@ impl<R: Record> PartitionWorker<Msg<R>, EmPartOut<R>> for EmWorker<R> {
     fn finish(self, built: EmBuilt<R>, sim: Simulation<Msg<R>>, ops: &ParOps<'_>) -> EmPartOut<R> {
         self.finish_part(built, sim, &|v| ops.allreduce_max(v))
     }
-}
-
-/// One stage's gauge as a sequential run leaves it: the live gauge
-/// itself, or the partitions' journals replayed in dispatch order.
-fn settle(parts: Vec<GaugePart>) -> StageGauge {
-    let mut journals = Vec::with_capacity(parts.len());
-    for p in parts {
-        match p {
-            GaugePart::Live(g) => return g,
-            GaugePart::Journal(j) => journals.push(j),
-        }
-    }
-    GaugeJournal::replay(journals)
 }
 
 /// Merge the partitions' harvests into the report. With one partition
@@ -813,13 +785,9 @@ pub(super) fn assemble<R: Record>(
     debug_assert!(parts.iter().all(|r| r.end == end));
     let mut node_reports: Vec<(usize, NodeReport)> = Vec::with_capacity(sh.cfg.total_nodes());
     let mut metrics_parts: Vec<Metrics<R>> = Vec::with_capacity(parts.len());
-    let mut gauge_parts: Vec<Vec<GaugePart>> = stages.iter().map(|_| Vec::new()).collect();
     for part in parts {
         node_reports.extend(part.nodes);
         metrics_parts.push(part.metrics);
-        for (s, g) in part.gauges.into_iter().enumerate() {
-            gauge_parts[s].push(g);
-        }
     }
     node_reports.sort_by_key(|&(ni, _)| ni);
     debug_assert_eq!(
@@ -841,10 +809,10 @@ pub(super) fn assemble<R: Record>(
         .collect();
     let queue_stats = stages
         .iter()
-        .zip(gauge_parts)
-        .map(|(st, parts)| StageQueueStats {
+        .zip(m.queue_stats(end))
+        .map(|(st, instances)| StageQueueStats {
             stage: st.name.clone(),
-            instances: settle(parts).stats(end),
+            instances,
         })
         .collect();
 
@@ -856,7 +824,11 @@ pub(super) fn assemble<R: Record>(
         stage_usage: m.stage_usage,
         sink_outputs: m.sink_outputs,
         records_processed: m.records_processed,
-        mem_violations: m.mem_violations,
+        mem_violations: m
+            .mem_violations
+            .into_iter()
+            .map(|(_, _, msg)| msg)
+            .collect(),
         dispatched,
         trace: m.trace,
         down_nodes,

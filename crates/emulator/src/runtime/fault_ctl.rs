@@ -2,7 +2,7 @@
 //! health steps and detector verdicts, and fences the dead.
 
 use super::instance::InstFlags;
-use super::msg::{par_key, Msg};
+use super::msg::Msg;
 use crate::fault::NodeHealth;
 use crate::metrics::Metrics;
 use crate::node::NodeRes;
@@ -84,7 +84,7 @@ impl<R: Record> FaultController<R> {
 
     fn apply(&mut self, ctx: &mut Ctx<'_, Msg<R>>, i: usize) {
         let now = ctx.now();
-        let key = par_key(ctx);
+        let key = ctx.dispatch_key();
         match self.events[i] {
             FaultEvent::Crash { node, .. } => {
                 let Some(nd) = self.node(node) else { return };
@@ -138,7 +138,7 @@ impl<R: Record> FaultController<R> {
     /// routing masks flip on their own (instances sample the timeline).
     fn detect(&mut self, ctx: &mut Ctx<'_, Msg<R>>, node: usize) {
         let now = ctx.now();
-        let key = par_key(ctx);
+        let key = ctx.dispatch_key();
         {
             let mut m = self.metrics.borrow_mut();
             m.fault.detections += 1;

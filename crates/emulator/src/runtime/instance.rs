@@ -3,14 +3,15 @@
 //! (plain, coded, fault-masked), end-of-stream, source streaming and
 //! the self-sampling half of the snapshot balancer.
 
-use super::msg::{par_key, DeliveryMeta, Msg};
+use super::build::backlog_blind;
+use super::msg::{DeliveryMeta, Msg};
 use crate::config::ClusterConfig;
 use crate::fault::{DetectedTimeline, LossTimeline};
-use crate::metrics::{GaugeJournal, Metrics, StageGauge};
+use crate::metrics::{Backlog, Metrics};
 use crate::node::NodeRes;
 use lmas_core::{Emit, Functor, NodeId, Packet, Record, Router, StageFactory, UpMask, Work};
 use lmas_sim::{ActorId, BackoffPolicy, Ctx, DetRng, SimDuration, SimTime};
-use std::cell::{Ref, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -52,80 +53,6 @@ pub(super) struct InstFlags {
     pub(super) fenced: bool,
 }
 
-/// The backlog gauge a sender/receiver mutates: a shared live gauge on
-/// the plain calendar, or this partition's deferred journal under
-/// `run_partitioned` (merged into the exact sequential gauge after the
-/// run — see [`GaugeJournal::replay`]).
-#[derive(Clone)]
-pub(super) enum GaugeHandle {
-    Live(Rc<RefCell<StageGauge>>),
-    Journal(Rc<RefCell<GaugeJournal>>),
-}
-
-/// What a [`GaugeHandle`] leaves behind once the actors are gone: the
-/// gauge itself, or one partition's share of its mutations.
-pub(super) enum GaugePart {
-    Live(StageGauge),
-    Journal(GaugeJournal),
-}
-
-impl GaugeHandle {
-    /// A gauge over `n` instances: journaled when the run is `keyed`
-    /// (dispatch keys exist to order the replay), live otherwise.
-    pub(super) fn new(n: usize, keyed: bool) -> GaugeHandle {
-        if keyed {
-            GaugeHandle::Journal(Rc::new(RefCell::new(GaugeJournal::new(n))))
-        } else {
-            GaugeHandle::Live(Rc::new(RefCell::new(StageGauge::new(n))))
-        }
-    }
-
-    /// Take the contents out (the actors, and with them every other
-    /// clone of the handle, have been dropped; a surviving clone
-    /// degrades to a copy).
-    pub(super) fn into_part(self) -> GaugePart {
-        match self {
-            GaugeHandle::Live(g) => GaugePart::Live(
-                Rc::try_unwrap(g).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner),
-            ),
-            GaugeHandle::Journal(j) => GaugePart::Journal(
-                Rc::try_unwrap(j).map_or_else(|rc| rc.borrow().clone(), RefCell::into_inner),
-            ),
-        }
-    }
-
-    fn add(&self, i: usize, records: u64, now: SimTime, key: (u64, u64)) {
-        match self {
-            GaugeHandle::Live(g) => g.borrow_mut().add(i, records, now),
-            GaugeHandle::Journal(j) => j.borrow_mut().add(i, records, now, key),
-        }
-    }
-
-    fn sub(&self, i: usize, records: u64, now: SimTime, key: (u64, u64)) {
-        match self {
-            GaugeHandle::Live(g) => g.borrow_mut().sub(i, records, now),
-            GaugeHandle::Journal(j) => j.borrow_mut().sub(i, records, now, key),
-        }
-    }
-
-    fn clear(&self, i: usize, now: SimTime, key: (u64, u64)) {
-        match self {
-            GaugeHandle::Live(g) => g.borrow_mut().clear(i, now),
-            GaugeHandle::Journal(j) => j.borrow_mut().clear(i, now, key),
-        }
-    }
-
-    /// Instantaneous per-instance depths. Journals return zeros: the
-    /// partitioned runtime only engages for backlog-insensitive routing,
-    /// so the values feed slice arithmetic, never a pick.
-    fn depths(&self) -> Ref<'_, [u64]> {
-        match self {
-            GaugeHandle::Live(g) => Ref::map(g.borrow(), |g| g.depths()),
-            GaugeHandle::Journal(j) => Ref::map(j.borrow(), |j| j.depths()),
-        }
-    }
-}
-
 pub(super) struct Downstream<R: Record> {
     pub(super) actors: Vec<ActorId>,
     /// Node of each destination instance. Identity only — the remote
@@ -136,7 +63,6 @@ pub(super) struct Downstream<R: Record> {
     pub(super) node_idx: Vec<usize>,
     pub(super) capacities: Vec<f64>,
     pub(super) router: Router,
-    pub(super) gauge: GaugeHandle,
     /// Balancer-set routing weights for the destination stage, owned
     /// per sender and replaced by [`Msg::WeightUpdate`]s; empty until
     /// (unless) the balancer's first reweight, so an untouched run
@@ -215,7 +141,6 @@ pub(super) struct InstanceActor<R: Record> {
     /// Incremented on crash; stale `Work` from a previous life is
     /// discarded by the stamp.
     pub(super) epoch: u64,
-    pub(super) my_gauge: Option<(GaugeHandle, usize)>,
     pub(super) metrics: Rc<RefCell<Metrics<R>>>,
     pub(super) link_rate: f64,
     /// One-way link latency, the minimum cross-node delay: data and
@@ -248,12 +173,13 @@ impl<R: Record> InstanceActor<R> {
             return;
         }
         if let Some(p) = self.queue.pop_front() {
-            if let Some((gauge, idx)) = &self.my_gauge {
-                gauge.sub(*idx, p.len() as u64, ctx.now(), par_key(ctx));
-            }
             let cost = self.functor.cost(&p);
             {
                 let mut m = self.metrics.borrow_mut();
+                if !self.is_source {
+                    let (at, key, n) = (ctx.now(), ctx.dispatch_key(), p.len() as u64);
+                    m.note_backlog(at, key, self.stage, self.instance, Backlog::Sub(n));
+                }
                 m.stage_work[self.stage] += cost;
                 m.stage_records_in[self.stage] += p.len() as u64;
             }
@@ -298,7 +224,7 @@ impl<R: Record> InstanceActor<R> {
                 let n = p.len() as u64;
                 self.node.borrow_mut().note_records(n);
                 let (stage, instance) = (self.stage, self.instance);
-                let key = par_key(ctx);
+                let key = ctx.dispatch_key();
                 let mut m = self.metrics.borrow_mut();
                 m.records_processed += n;
                 m.note_activity(ctx.now());
@@ -313,7 +239,7 @@ impl<R: Record> InstanceActor<R> {
                 self.flushed = true;
                 just_flushed = true;
                 let (stage, instance) = (self.stage, self.instance);
-                let key = par_key(ctx);
+                let key = ctx.dispatch_key();
                 let mut m = self.metrics.borrow_mut();
                 m.note_activity(ctx.now());
                 m.trace.record_with_key(ctx.now(), key, || {
@@ -332,9 +258,9 @@ impl<R: Record> InstanceActor<R> {
             if state > node.mem_bytes {
                 let id = node.id;
                 drop(node);
-                self.metrics.borrow_mut().note_violation_keyed(
+                self.metrics.borrow_mut().note_violation(
                     ctx.now(),
-                    par_key(ctx),
+                    ctx.dispatch_key(),
                     format!(
                         "stage {} instance {} exceeds {} memory: {} bytes of functor state",
                         self.stage, self.instance, id, state
@@ -408,7 +334,16 @@ impl<R: Record> InstanceActor<R> {
                 }),
                 None => UpMask::All,
             };
-            let backlog = d.gauge.depths();
+            // Only the plain calendar routes by backlog: a partition
+            // sees just its own share of the depths.
+            debug_assert!(
+                d.group_size <= 1
+                    || backlog_blind(d.router.policy())
+                    || ctx.dispatch_key() == (0, 0),
+                "backlog-routed pick on a partition of a parallel run"
+            );
+            let m = self.metrics.borrow();
+            let backlog = m.depths(d.dest_stage);
             // Empty until the balancer's first reweight: `pick_routed`
             // then makes the unweighted draws.
             let wslice: &[f64] = if d.weights.is_empty() {
@@ -439,7 +374,10 @@ impl<R: Record> InstanceActor<R> {
         };
         let dest = base + rel;
         // Optimistic backlog charge; a NACK rolls it back.
-        d.gauge.add(dest, p.len() as u64, ctx.now(), par_key(ctx));
+        let (at, key, change) = (ctx.now(), ctx.dispatch_key(), Backlog::Add(p.len() as u64));
+        self.metrics
+            .borrow_mut()
+            .note_backlog(at, key, d.dest_stage, dest, change);
         // Coded delivery (fault-free runs only: coded frames have no
         // per-packet NACK identity). Same-node packets are free as in
         // the plain path; remote packets pay the (r-1)-way replicated
@@ -616,7 +554,7 @@ impl<R: Record> InstanceActor<R> {
                 now
             };
             let (stage, instance, fanout) = (self.stage, self.instance, d.actors.len());
-            let key = par_key(ctx);
+            let key = ctx.dispatch_key();
             self.metrics
                 .borrow_mut()
                 .trace
@@ -694,9 +632,6 @@ impl<R: Record> InstanceActor<R> {
         for p in self.queue.drain(..) {
             lost += p.len() as u64;
         }
-        if let Some((gauge, idx)) = &self.my_gauge {
-            gauge.clear(*idx, ctx.now(), par_key(ctx));
-        }
         self.source_live = false;
         if let Some(ra) = &mut self.ra {
             // Staged packets died with the node; the read chain is dead
@@ -708,8 +643,11 @@ impl<R: Record> InstanceActor<R> {
             self.functor = (f.factory)(self.instance);
         }
         let (stage, instance) = (self.stage, self.instance);
-        let key = par_key(ctx);
+        let key = ctx.dispatch_key();
         let mut m = self.metrics.borrow_mut();
+        if !self.is_source {
+            m.note_backlog(ctx.now(), key, stage, instance, Backlog::Clear);
+        }
         m.fault.lost_queued_records += lost;
         m.trace.record_with_key(ctx.now(), key, || {
             (
@@ -823,8 +761,9 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
                 // Roll back the optimistic backlog charge, then retry.
                 if meta.dest != usize::MAX {
                     if let Some(d) = &self.down {
-                        d.gauge
-                            .sub(meta.dest, p.len() as u64, ctx.now(), par_key(ctx));
+                        let (at, key, n) = (ctx.now(), ctx.dispatch_key(), p.len() as u64);
+                        let mut m = self.metrics.borrow_mut();
+                        m.note_backlog(at, key, d.dest_stage, meta.dest, Backlog::Sub(n));
                     }
                 }
                 self.redeliver(ctx, p, meta);

@@ -249,9 +249,11 @@ pub struct EmulationReport<R: Record> {
     pub down_nodes: Vec<NodeId>,
     /// Fault-layer activity counters (all zero on a fault-free run).
     pub fault: FaultStats,
-    /// Time-weighted per-instance queue-depth statistics, one entry per
-    /// stage (sources never queue, so theirs stay zero). This is the
-    /// signal the runtime balancer samples.
+    /// Time-weighted per-instance backlog statistics, one entry per
+    /// stage (sources never queue, so theirs stay zero): records routed
+    /// to an instance and not yet started, those on the wire included —
+    /// the depth `LoadAware` and `PowerOfTwoChoices` read, not the
+    /// arrived queue each watched instance reports to the balancer.
     pub queue_stats: Vec<StageQueueStats>,
     /// Times the runtime balancer re-weighted replica routing (zero
     /// when disabled or never outside its deadband — in which case the

@@ -3,7 +3,7 @@
 
 use crate::repair::RepairJob;
 use lmas_core::{Packet, Record};
-use lmas_sim::{ActorId, Ctx};
+use lmas_sim::ActorId;
 
 /// Routing/retry metadata carried with a delivery so a bounced packet
 /// can find its way back to the sender and out again.
@@ -126,10 +126,4 @@ pub(super) enum Msg<R: Record> {
     /// sequence — like [`Msg::RepairFlush`], the sentinel fires after
     /// every other message at the instant in both engines.
     RepairWriteFlush,
-}
-
-/// The dispatch ordering key of the current event — `(0, 0)` in
-/// sequential mode, where side effects are already totally ordered.
-pub(super) fn par_key<M>(ctx: &Ctx<'_, M>) -> (u64, u64) {
-    ctx.par_key().unwrap_or((0, 0))
 }

@@ -63,7 +63,9 @@ impl<R: Record> SchedActor<R> {
         self.metrics
             .borrow_mut()
             .trace
-            .record_with(now, || ("sched", format!("job {job} {kind:?}")));
+            .record_with_key(now, ctx.dispatch_key(), || {
+                ("sched", format!("job {job} {kind:?}"))
+            });
     }
 
     fn dispatch(&mut self, ctx: &mut Ctx<'_, Msg<R>>, job: usize) {

@@ -204,14 +204,39 @@ impl<'a, M> Ctx<'a, M> {
         self.rng
     }
 
-    /// In partitioned mode, the composite ordering key `(sched, packed)` of
-    /// the event being dispatched; `None` sequentially. Higher layers tag
-    /// order-sensitive side effects (trace lines, gauge journal entries)
-    /// with it so per-partition logs merge back into the exact sequential
-    /// order.
-    pub fn par_key(&self) -> Option<(u64, u64)> {
-        self.cal.remote.as_ref().map(|_| self.cal.cur)
+    /// The ordering key `(sched, packed)` of the event being dispatched
+    /// on a partition of a parallel run; `(0, 0)` on the plain calendar,
+    /// where side effects already happen in dispatch order. Higher layers
+    /// stamp order-sensitive side effects (trace lines, backlog
+    /// mutations, violation notes) with it, so per-partition logs merge
+    /// back into the sequential order ([`merge_keyed`]).
+    pub fn dispatch_key(&self) -> (u64, u64) {
+        self.cal.remote.as_ref().map_or((0, 0), |_| self.cal.cur)
     }
+}
+
+/// A side effect stamped with the instant and [`Ctx::dispatch_key`] of
+/// the dispatch that caused it.
+pub type Keyed<T> = (SimTime, (u64, u64), T);
+
+/// Merge per-partition logs, each in its own partition's dispatch order,
+/// into the order a sequential run would have produced them in.
+///
+/// `(instant, dispatch key)` is the partitioned engine's total dispatch
+/// order, and the sort is stable, so entries of one dispatch keep their
+/// program order. A single log of the plain calendar (every key
+/// `(0, 0)`, instants non-decreasing) comes back unchanged.
+pub fn merge_keyed<T, P>(parts: impl IntoIterator<Item = P>) -> Vec<Keyed<T>>
+where
+    P: IntoIterator<Item = Keyed<T>>,
+{
+    let mut parts = parts.into_iter();
+    let mut all: Vec<Keyed<T>> = parts.next().map_or_else(Vec::new, |p| p.into_iter().collect());
+    for p in parts {
+        all.extend(p);
+    }
+    all.sort_by_key(|e| (e.0, e.1));
+    all
 }
 
 /// Outcome of [`Simulation::run`].

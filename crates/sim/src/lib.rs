@@ -58,7 +58,7 @@ pub mod time;
 pub mod trace;
 
 pub use arrival::{ArrivalEvent, ArrivalSpec};
-pub use engine::{Actor, ActorId, Ctx, RunOutcome, Simulation};
+pub use engine::{merge_keyed, Actor, ActorId, Ctx, Keyed, RunOutcome, Simulation};
 pub use event::{EventKey, EventQueue};
 pub use fault::{BackoffPolicy, FaultEvent, FaultPlan};
 pub use intern::{fnv1a, intern, Name};

@@ -3,11 +3,12 @@
 //! A [`Trace`] is a bounded ring buffer of `(time, subject, detail)`
 //! entries. Tracing is cheap enough to leave on in tests but is entirely
 //! optional: production runs construct a disabled trace and pay only a
-//! branch per record — [`Trace::record_with`] takes a closure, so a
+//! branch per record — [`Trace::record_with_key`] takes a closure, so a
 //! disabled trace never materialises the subject or detail strings at
 //! all. Subjects are interned ([`crate::intern`](mod@crate::intern)): the hot path stamps a
 //! shared pointer rather than allocating a fresh `String` per entry.
 
+use crate::engine::merge_keyed;
 use crate::intern::{intern, Name};
 use crate::time::SimTime;
 use std::collections::VecDeque;
@@ -22,9 +23,9 @@ pub struct TraceEntry {
     pub subject: Name,
     /// Free-form description.
     pub detail: String,
-    /// Dispatch ordering key within the instant, `(sched, packed)` from
-    /// the partitioned engine ([`crate::engine::Ctx::par_key`]); `(0, 0)`
-    /// for sequential runs. Lets [`Trace::merge`] interleave per-partition
+    /// Dispatch ordering key within the instant
+    /// ([`crate::engine::Ctx::dispatch_key`]); `(0, 0)` on the plain
+    /// calendar. Lets [`Trace::merge`] interleave per-partition
     /// traces back into the exact sequential order. Bookkeeping only —
     /// excluded from equality and rendering.
     key: (u64, u64),
@@ -58,7 +59,7 @@ impl Trace {
         }
     }
 
-    /// A disabled trace: `record` is a no-op.
+    /// A disabled trace: recording is a no-op.
     pub fn disabled() -> Self {
         Trace {
             entries: VecDeque::new(),
@@ -68,33 +69,11 @@ impl Trace {
         }
     }
 
-    /// Record an entry (no-op when disabled). Oldest entries are evicted
-    /// once capacity is reached. Prefer [`Trace::record_with`] on hot
-    /// paths: this eager variant builds its arguments even when the
-    /// trace is disabled.
-    pub fn record(&mut self, at: SimTime, subject: impl AsRef<str>, detail: impl Into<String>) {
-        if !self.enabled {
-            return;
-        }
-        self.push(at, (0, 0), intern(subject.as_ref()), detail.into());
-    }
-
-    /// Record an entry built lazily: `f` runs — and its strings are
-    /// allocated — only when the trace is enabled. This is the zero-cost
-    /// variant for dispatch loops.
-    pub fn record_with<S, D, F>(&mut self, at: SimTime, f: F)
-    where
-        S: AsRef<str>,
-        D: Into<String>,
-        F: FnOnce() -> (S, D),
-    {
-        self.record_with_key(at, (0, 0), f)
-    }
-
-    /// [`Trace::record_with`], additionally stamping the entry with its
-    /// dispatch ordering key so per-partition traces can be merged in
-    /// exact sequential order. Sequential callers pass `(0, 0)` (or use
-    /// `record_with`).
+    /// Record an entry built lazily, stamped with the dispatch key `key`
+    /// ([`crate::engine::Ctx::dispatch_key`]) so per-partition traces
+    /// merge in sequential order. `f` runs — and its strings are
+    /// allocated — only when the trace is enabled. Oldest entries are
+    /// evicted once capacity is reached.
     pub fn record_with_key<S, D, F>(&mut self, at: SimTime, key: (u64, u64), f: F)
     where
         S: AsRef<str>,
@@ -105,28 +84,27 @@ impl Trace {
             return;
         }
         let (subject, detail) = f();
-        self.push(at, key, intern(subject.as_ref()), detail.into());
-    }
-
-    fn push(&mut self, at: SimTime, key: (u64, u64), subject: Name, detail: String) {
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
             self.dropped += 1;
         }
-        self.entries.push_back(TraceEntry { at, subject, detail, key });
+        self.entries.push_back(TraceEntry {
+            at,
+            subject: intern(subject.as_ref()),
+            detail: detail.into(),
+            key,
+        });
     }
 
     /// Merge per-partition traces into the trace an equivalent sequential
     /// run would have produced.
     ///
-    /// Entries are ordered canonically by `(time, dispatch key)` — the
-    /// partitioned engine's total dispatch order — with a stable sort, so
-    /// entries recorded in one dispatch keep their emission order. Each
-    /// partition's ring buffer retains a *suffix* of its own (ordered)
-    /// pushes, and the global tail window of `capacity` entries is
-    /// contained in the union of those suffixes, so the merged trace is
-    /// byte-identical to the sequential ring buffer, including the
-    /// dropped count.
+    /// Entries are ordered by [`merge_keyed`], so entries recorded in one
+    /// dispatch keep their emission order. Each partition's ring buffer
+    /// retains a *suffix* of its own (ordered) pushes, and the global
+    /// tail window of `capacity` entries is contained in the union of
+    /// those suffixes, so the merged trace is byte-identical to the
+    /// sequential ring buffer, including the dropped count.
     pub fn merge(parts: Vec<Trace>) -> Trace {
         if !parts.iter().any(|t| t.enabled) {
             return Trace::disabled();
@@ -136,13 +114,14 @@ impl Trace {
             .iter()
             .map(|t| t.entries.len() as u64 + t.dropped)
             .sum();
-        let mut all: Vec<TraceEntry> = Vec::new();
-        for t in parts {
-            all.extend(t.entries);
-        }
-        all.sort_by_key(|e| (e.at, e.key));
+        let all = merge_keyed(
+            parts
+                .into_iter()
+                .map(|t| t.entries.into_iter().map(|e| (e.at, e.key, e))),
+        );
         let skip = all.len().saturating_sub(capacity);
-        let entries: VecDeque<TraceEntry> = all.into_iter().skip(skip).collect();
+        let entries: VecDeque<TraceEntry> =
+            all.into_iter().skip(skip).map(|(_, _, e)| e).collect();
         let dropped = pushes - entries.len() as u64;
         Trace { entries, capacity, enabled: true, dropped }
     }
@@ -184,8 +163,8 @@ mod tests {
     #[test]
     fn records_in_order() {
         let mut t = Trace::enabled(8);
-        t.record(SimTime(1), "a", "x");
-        t.record(SimTime(2), "b", "y");
+        t.record_with_key(SimTime(1), (0, 0), || ("a", "x"));
+        t.record_with_key(SimTime(2), (0, 0), || ("b", "y"));
         let subjects: Vec<&str> = t.entries().map(|e| e.subject.as_str()).collect();
         assert_eq!(subjects, ["a", "b"]);
         assert_eq!(t.len(), 2);
@@ -195,9 +174,9 @@ mod tests {
     #[test]
     fn ring_buffer_evicts_oldest() {
         let mut t = Trace::enabled(2);
-        t.record(SimTime(1), "a", "");
-        t.record(SimTime(2), "b", "");
-        t.record(SimTime(3), "c", "");
+        t.record_with_key(SimTime(1), (0, 0), || ("a", ""));
+        t.record_with_key(SimTime(2), (0, 0), || ("b", ""));
+        t.record_with_key(SimTime(3), (0, 0), || ("c", ""));
         let subjects: Vec<&str> = t.entries().map(|e| e.subject.as_str()).collect();
         assert_eq!(subjects, ["b", "c"]);
         assert_eq!(t.dropped(), 1);
@@ -206,7 +185,7 @@ mod tests {
     #[test]
     fn disabled_trace_is_noop() {
         let mut t = Trace::disabled();
-        t.record(SimTime(1), "a", "");
+        t.record_with_key(SimTime(1), (0, 0), || ("a", ""));
         assert!(t.is_empty());
     }
 
@@ -214,7 +193,7 @@ mod tests {
     fn record_with_skips_closure_when_disabled() {
         let mut t = Trace::disabled();
         let mut called = false;
-        t.record_with(SimTime(1), || {
+        t.record_with_key(SimTime(1), (0, 0), || {
             called = true;
             ("a", "x")
         });
@@ -222,7 +201,7 @@ mod tests {
         assert!(t.is_empty());
 
         let mut t = Trace::enabled(4);
-        t.record_with(SimTime(2), || (format!("s{}", 1), format!("n={}", 42)));
+        t.record_with_key(SimTime(2), (0, 0), || (format!("s{}", 1), format!("n={}", 42)));
         assert_eq!(t.len(), 1);
         let e = t.entries().next().unwrap();
         assert_eq!(e.subject, "s1");
@@ -279,8 +258,8 @@ mod tests {
     #[test]
     fn merge_of_single_partition_is_identity() {
         let mut a = Trace::enabled(4);
-        a.record(SimTime(1), "s", "d1");
-        a.record(SimTime(2), "s", "d2");
+        a.record_with_key(SimTime(1), (0, 0), || ("s", "d1"));
+        a.record_with_key(SimTime(2), (0, 0), || ("s", "d2"));
         let before = a.render();
         let merged = Trace::merge(vec![a]);
         assert_eq!(merged.render(), before);
@@ -290,7 +269,7 @@ mod tests {
     #[test]
     fn render_contains_fields() {
         let mut t = Trace::enabled(4);
-        t.record(SimTime(1_000_000_000), "host0.cpu", "segment done");
+        t.record_with_key(SimTime(1_000_000_000), (0, 0), || ("host0.cpu", "segment done"));
         let s = t.render();
         assert!(s.contains("host0.cpu"));
         assert!(s.contains("segment done"));
