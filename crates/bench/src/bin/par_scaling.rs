@@ -2,23 +2,28 @@
 //!
 //! Sweeps an H×D grid of cluster shapes (up to a 256-node emulation)
 //! × worker thread counts {1, 2, 4, 8} × workload variants over the
-//! full two-pass DSM-Sort — load-managed placement (`Managed` +
-//! round-robin routing), so every host carries sorters and the
-//! partitions stay busy. Variants per shape:
+//! full two-pass DSM-Sort — load-managed placement (`Managed`), so
+//! every host carries sorters and the partitions stay busy. Variants
+//! per shape:
 //!
-//! * `plain` — fault-free,
+//! * `plain` — fault-free, round-robin routing,
 //! * `f` — a mid-pass-1 ASU crash (with recovery) plus a lossy
 //!   host→ASU link, exercising the static fault timelines under
-//!   partitions,
-//! * `fb` — the same fault plan with the snapshot balancer armed.
+//!   partitions, round-robin routing,
+//! * `fb` — the same fault plan with the snapshot balancer armed,
+//!   routed SR: round-robin reads a weight only as eligibility, so the
+//!   balancer watches no stage of a round-robin sort and `fb` would
+//!   repeat `f`.
 //!
-//! Per cell the bench reports virtual makespan, total dispatched events
-//! and the **critical path** (the busiest partition's dispatch count):
+//! Per cell the bench reports virtual makespan, total dispatched events,
+//! the balancer's reweights and the **critical path** (the busiest
+//! partition's dispatch count):
 //! `dispatch_speedup = dispatched / critical_dispatched` is the
 //! kernel's virtual parallelism — the end-to-end speedup an ideal
-//! one-core-per-partition machine gets. Gates: ≥4.5× fault-free at 8
-//! threads and ≥2× on the faulted+balanced run at 4 threads, both on the
-//! 256-node cell; the first is the headline. The JSON artifact also
+//! one-core-per-partition machine gets. Gates, all on the 256-node
+//! cell: ≥4.5× fault-free at 8 threads, ≥2× on the faulted+balanced run
+//! at 4 threads, and at least one reweight in every faulted+balanced
+//! run; the first is the headline. The JSON artifact also
 //! carries each parallel cell's window-width histogram (virtual ns,
 //! deterministic) and barrier-wait histogram (wall-clock — **not**
 //! deterministic; `check.sh` strips it, and `host_cores`, before
@@ -58,12 +63,13 @@ fn main() -> Result<(), GateFailure> {
     );
     let mut table = Table::new(
         "cell nodes variant threads partitions makespan_ns dispatched critical_dispatched \
-         dispatch_speedup windows remote_messages remote_msg_rate \
+         dispatch_speedup reweights windows remote_messages remote_msg_rate \
          window_width_hist barrier_wait_hist",
     );
-    // The gates, on the 256-node cell: ≥4.5× fault-free at 8 threads and
-    // ≥2× faulted+balanced at 4 threads.
-    let (mut plain8_ok, mut fb4_ok) = (None, None);
+    // The gates, on the 256-node cell: ≥4.5× fault-free at 8 threads,
+    // ≥2× faulted+balanced at 4 threads, and every faulted+balanced run
+    // reweights.
+    let (mut plain8_ok, mut fb4_ok, mut fb_reweights_ok) = (None, None, None);
     for &(hosts, asus) in &GRID {
         // Work scales with the host count so every shape keeps each
         // node meaningfully busy.
@@ -71,6 +77,7 @@ fn main() -> Result<(), GateFailure> {
         let data = generate_rec128(n, KeyDist::Uniform, 7);
         let base = ClusterConfig::era_2002(hosts, asus, 8.0);
         let mode = LoadMode::Managed(RoutingPolicy::RoundRobin);
+        let fb_mode = LoadMode::Managed(RoutingPolicy::SimpleRandomization);
 
         // The sequential fault-free run fixes the crash instant every
         // faulted variant of this shape reuses, whatever the scale.
@@ -84,19 +91,20 @@ fn main() -> Result<(), GateFailure> {
 
         for &variant in &VARIANTS {
             for &threads in &THREADS {
-                let mut cluster = base.with_threads(threads);
-                if variant == "fb" {
-                    cluster =
-                        cluster.with_balancer(BalanceSpec::every(SimDuration::from_micros(500)));
-                }
-                let out = if variant == "plain" {
-                    run_dsm_sort(&cluster, data.clone(), &dsm, mode)
-                } else {
-                    run_dsm_sort_faulty(&cluster, &spec, data.clone(), &dsm, mode)
+                let cluster = base.with_threads(threads);
+                let out = match variant {
+                    "plain" => run_dsm_sort(&cluster, data.clone(), &dsm, mode),
+                    "f" => run_dsm_sort_faulty(&cluster, &spec, data.clone(), &dsm, mode),
+                    _ => {
+                        let balance = BalanceSpec::every(SimDuration::from_micros(500));
+                        let cluster = cluster.with_balancer(balance);
+                        run_dsm_sort_faulty(&cluster, &spec, data.clone(), &dsm, fb_mode)
+                    }
                 }
                 .expect("par_scaling sort runs");
                 let reports: Vec<_> = out.passes().collect();
                 let dispatched = per_pass(&reports, |r| r.dispatched);
+                let reweights = per_pass(&reports, |r| r.reweights);
                 // Sequential runs ARE their own critical path; parallel
                 // runs report the busiest partition per pass.
                 let critical = per_pass(&reports, |r| {
@@ -122,8 +130,11 @@ fn main() -> Result<(), GateFailure> {
                 if hosts + asus >= 256 && threads == 8 && variant == "plain" {
                     plain8_ok = Some(speedup >= 4.5);
                 }
-                if hosts + asus >= 256 && threads == 4 && variant == "fb" {
-                    fb4_ok = Some(speedup >= 2.0);
+                if hosts + asus >= 256 && variant == "fb" {
+                    if threads == 4 {
+                        fb4_ok = Some(speedup >= 2.0);
+                    }
+                    fb_reweights_ok = Some(fb_reweights_ok.unwrap_or(true) && reweights > 0);
                 }
                 table.row(vec![
                     format!("H{hosts}D{asus}_{variant}_t{threads}").into(),
@@ -135,6 +146,7 @@ fn main() -> Result<(), GateFailure> {
                     dispatched.into(),
                     critical.into(),
                     fx(speedup, 4),
+                    reweights.into(),
                     windows.into(),
                     remote.into(),
                     fx(remote as f64 / dispatched.max(1) as f64, 4),
@@ -156,6 +168,10 @@ fn main() -> Result<(), GateFailure> {
     report.gate(
         "verified_faulted_balanced_speedup_ge_2_at_4_threads_256_nodes",
         fb4_ok.expect(on_grid),
+    );
+    report.gate(
+        "verified_faulted_balanced_reweights_at_256_nodes",
+        fb_reweights_ok.expect(on_grid),
     );
     report.write()
 }

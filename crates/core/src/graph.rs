@@ -343,6 +343,16 @@ impl<R: Record> FlowGraph<R> {
         self.edges.iter().find(|e| e.from == stage)
     }
 
+    /// The number of replicas one pick on `edge` chooses among: the
+    /// destination's replication under [`RouteScope::Global`], the
+    /// group size under [`RouteScope::PortGroups`].
+    pub fn group_size(&self, edge: &Edge) -> usize {
+        match edge.scope {
+            RouteScope::Global => self.stages[edge.to.0].replication,
+            RouteScope::PortGroups { group_size } => group_size,
+        }
+    }
+
     /// Number of incoming edges of `stage`.
     pub fn in_degree(&self, stage: StageId) -> usize {
         self.edges.iter().filter(|e| e.to == stage).count()

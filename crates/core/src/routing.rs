@@ -100,6 +100,23 @@ pub enum RoutingPolicy {
     PowerOfTwoChoices,
 }
 
+impl RoutingPolicy {
+    /// Whether [`Router::pick_routed`] reads `backlog` under this policy:
+    /// when false, every backlog slice yields the picks of `&[]`.
+    pub fn reads_backlog(self) -> bool {
+        use RoutingPolicy::{LoadAware, PowerOfTwoChoices};
+        matches!(self, LoadAware | PowerOfTwoChoices)
+    }
+
+    /// Whether [`Router::pick_routed`] reads a positive weight under this
+    /// policy: when false, weights only gate eligibility (`w > 0`), so
+    /// every all-positive slice yields the picks of `&[]`.
+    pub fn reads_weights(self) -> bool {
+        use RoutingPolicy::{RoundRobin, Static};
+        !matches!(self, Static | RoundRobin)
+    }
+}
+
 /// Stateful router for one edge.
 #[derive(Debug, Clone)]
 pub struct Router {
@@ -133,14 +150,15 @@ impl Router {
     ///
     /// * `port` — the source port the packet left on (static hint);
     /// * `backlog` — per-instance observed load (e.g. queued work in ns);
-    ///   empty when unknown;
+    ///   empty when unknown; read only if [`RoutingPolicy::reads_backlog`];
     /// * `capacity` — per-instance static capacity weights; empty when
     ///   homogeneous;
     /// * `weights` — per-instance routing weights. Instances beyond the
     ///   slice default to `1.0`, so an empty slice means "unweighted" and
     ///   a balancer that never re-weights perturbs nothing. Weight `0.0`
     ///   (or negative) makes an instance ineligible — it is never picked,
-    ///   even when every other replica is masked down.
+    ///   even when every other replica is masked down. A positive weight
+    ///   moves a pick only if [`RoutingPolicy::reads_weights`].
     ///
     /// Semantics per policy:
     ///

@@ -7,8 +7,13 @@
 //! emulated cluster, which — when the previous window's snapshot shows
 //! an imbalance beyond a deadband — re-weights the replica
 //! [`Router`](lmas_core::Router) through its
-//! [`pick_routed`](lmas_core::Router::pick_routed) weight channel:
-//! weights proportional to inverse backlog, floored at [`MIN_WEIGHT`] so
+//! [`pick_routed`](lmas_core::Router::pick_routed) weight channel.
+//! Only a stage with an in-edge a weight can steer is watched: one whose
+//! policy [reads weights](lmas_core::RoutingPolicy::reads_weights) and
+//! whose picks choose among more than one replica
+//! ([`FlowGraph::group_size`](lmas_core::FlowGraph::group_size)); only
+//! the senders on such edges receive weights. The weights are
+//! proportional to inverse backlog, floored at [`MIN_WEIGHT`] so
 //! no live replica is ever starved outright. Down replicas stay the
 //! fault layer's business: weights *compose* with the detected
 //! [`UpMask`](lmas_core::UpMask), they do not replace it.

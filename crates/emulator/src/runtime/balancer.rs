@@ -5,15 +5,16 @@
 use super::msg::Msg;
 use crate::balance;
 use crate::metrics::Metrics;
-use lmas_core::{FlowGraph, Record};
+use lmas_core::{Edge, FlowGraph, Record};
 use lmas_sim::{ActorId, Ctx, SimDuration};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// One stage the snapshot balancer re-weights: its replication (for
-/// zero-filling missing reports) and the upstream sender instances that
-/// receive `WeightUpdate`s.
+/// zero-filling missing reports) and the upstream sender instances on
+/// its [`steerable`] in-edges, the only ones that receive
+/// `WeightUpdate`s.
 pub(super) struct SnapTarget {
     pub(super) stage: usize,
     pub(super) replication: usize,
@@ -118,16 +119,23 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for SnapshotBalancer<R> {
     }
 }
 
-/// The stages the runtime balancer watches: replicated stages fed
-/// through a policy with routing freedom (anything but Static), sorted
-/// and deduped.
+/// Whether a reweight of `e`'s destination stage can move a pick on
+/// `e`: its policy reads weights and each pick chooses among more than
+/// one replica.
+pub(super) fn steerable<R: Record>(graph: &FlowGraph<R>, e: &Edge) -> bool {
+    e.routing.reads_weights() && graph.group_size(e) > 1
+}
+
+/// The stages the runtime balancer watches: those with a
+/// [`steerable`] in-edge, sorted and deduped. A stage fed only through
+/// Static or RoundRobin edges, or only through one-replica groups, is
+/// never sampled: no weight could change where its records go.
 pub(super) fn watched_stages<R: Record>(graph: &FlowGraph<R>) -> Vec<usize> {
     let mut watched: Vec<usize> = graph
         .edges()
         .iter()
-        .filter(|e| e.routing != lmas_core::RoutingPolicy::Static)
+        .filter(|e| steerable(graph, e))
         .map(|e| e.to.0)
-        .filter(|&to| graph.stages()[to].replication > 1)
         .collect();
     watched.sort_unstable();
     watched.dedup();

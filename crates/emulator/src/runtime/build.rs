@@ -26,7 +26,7 @@
 //! tiebreak; on keyed calendars they fix the dispatch keys. Either way
 //! a one-partition build is the sequential build.
 
-use super::balancer::{watched_stages, SnapTarget, SnapshotBalancer};
+use super::balancer::{steerable, watched_stages, SnapTarget, SnapshotBalancer};
 use super::fault_ctl::{FaultController, FenceTargets};
 use super::instance::{
     node_speed, Downstream, InstFlags, InstanceActor, InstanceFault, RaState, SampleState,
@@ -43,9 +43,7 @@ use crate::fault::{
 use crate::metrics::{Metrics, StageQueueStats};
 use crate::node::NodeRes;
 use crate::repair::{repair_timeline, RepairEngine, RepairEv, RepairSpec};
-use lmas_core::{
-    FlowGraph, NodeId, Packet, Placement, Record, RouteScope, Router, RoutingPolicy, StageId,
-};
+use lmas_core::{FlowGraph, NodeId, Packet, Placement, Record, Router, StageId};
 use lmas_sim::{
     ActorId, BackoffPolicy, DetRng, FaultEvent, ParOps, PartitionWorker, SimTime, Simulation, Trace,
 };
@@ -54,26 +52,17 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Whether `policy` picks without reading the backlog.
-pub(super) fn backlog_blind(policy: RoutingPolicy) -> bool {
-    use RoutingPolicy::{RoundRobin, SimpleRandomization, Static};
-    matches!(policy, Static | RoundRobin | SimpleRandomization)
-}
-
 /// Whether the partitioned engine can reproduce this graph's routing
-/// draws bit-for-bit. Backlog-sensitive policies (LoadAware, power of
-/// two choices) read the live cross-partition queue depths at pick time,
+/// draws bit-for-bit. Backlog-reading policies (LoadAware, power of two
+/// choices) read the live cross-partition queue depths at pick time,
 /// which a partition, seeing only its own backlog mutations, cannot
 /// provide; they stay sequential. Single-instance groups never exercise
 /// a choice, so any policy is fine there.
 pub(super) fn parallel_eligible<R: Record>(graph: &FlowGraph<R>) -> bool {
-    graph.edges().iter().all(|e| {
-        let group_size = match e.scope {
-            RouteScope::Global => graph.stages()[e.to.0].replication,
-            RouteScope::PortGroups { group_size } => group_size,
-        };
-        group_size <= 1 || backlog_blind(e.routing)
-    })
+    graph
+        .edges()
+        .iter()
+        .all(|e| graph.group_size(e) <= 1 || !e.routing.reads_backlog())
 }
 
 /// The partition a node belongs to: hosts are split into `P` contiguous
@@ -387,10 +376,6 @@ impl<R: Record> EmWorker<R> {
                     sh.specs[dests.clone()].iter().map(|d| d.node).collect();
                 let node_idx = node_ids.iter().map(|&id| node_index(cfg, id)).collect();
                 let capacities = node_ids.iter().map(|&id| node_speed(cfg, id)).collect();
-                let group_size = match e.scope {
-                    RouteScope::Global => to_stage.replication,
-                    RouteScope::PortGroups { group_size } => group_size,
-                };
                 // Staging buffers exist only on a coded edge.
                 let coded_groups = if e.coded_group > 1 {
                     to_stage.replication.div_ceil(e.coded_group)
@@ -406,7 +391,7 @@ impl<R: Record> EmWorker<R> {
                     // order, so SR draws align however the run is split.
                     router: Router::new(e.routing, cfg.seed, idx as u64),
                     weights: Vec::new(),
-                    group_size,
+                    group_size: graph.group_size(e),
                     dest_stage: to,
                     coded_r: e.coded_group,
                     coded_buf: vec![Vec::new(); coded_groups],
@@ -523,10 +508,9 @@ impl<R: Record> EmWorker<R> {
             );
         }
 
-        // The balancer watches every replicated stage that is fed
-        // through a policy with routing freedom and re-weights its
-        // upstream routers by inverse backlog. Purely reactive: the
-        // watched instances seeded above drive it.
+        // The balancer watches every stage with a steerable in-edge
+        // and re-weights the routers on those edges by inverse backlog.
+        // Purely reactive: the watched instances seeded above drive it.
         if !sh.watched.is_empty() && part == 0 {
             let targets: Vec<SnapTarget> = sh
                 .watched
@@ -537,7 +521,7 @@ impl<R: Record> EmWorker<R> {
                     senders: graph
                         .edges()
                         .iter()
-                        .filter(|e| e.to.0 == s)
+                        .filter(|e| e.to.0 == s && steerable(graph, e))
                         .flat_map(|e| {
                             let base = sh.stage_base[e.from.0];
                             (base..base + graph.stages()[e.from.0].replication).map(ActorId)

@@ -3,7 +3,6 @@
 //! (plain, coded, fault-masked), end-of-stream, source streaming and
 //! the self-sampling half of the snapshot balancer.
 
-use super::build::backlog_blind;
 use super::msg::{DeliveryMeta, Msg};
 use crate::config::ClusterConfig;
 use crate::fault::{DetectedTimeline, LossTimeline};
@@ -338,7 +337,7 @@ impl<R: Record> InstanceActor<R> {
             // sees just its own share of the depths.
             debug_assert!(
                 d.group_size <= 1
-                    || backlog_blind(d.router.policy())
+                    || !d.router.policy().reads_backlog()
                     || ctx.dispatch_key() == (0, 0),
                 "backlog-routed pick on a partition of a parallel run"
             );

@@ -256,8 +256,9 @@ pub struct EmulationReport<R: Record> {
     /// arrived queue each watched instance reports to the balancer.
     pub queue_stats: Vec<StageQueueStats>,
     /// Times the runtime balancer re-weighted replica routing (zero
-    /// when disabled or never outside its deadband — in which case the
-    /// run is byte-identical to a balancer-free one in virtual time).
+    /// when disabled, never outside its deadband, or when no in-edge
+    /// reads weights over more than one replica — in each case the run
+    /// is byte-identical to a balancer-free one in virtual time).
     pub reweights: u64,
     /// Background re-replication counters (quiet unless the fault spec
     /// carried a [`RepairSpec`](crate::repair::RepairSpec)).

@@ -2,12 +2,15 @@
 
 use lmas_core::functor::lib::{BlockSortFunctor, DistributeFunctor, MapFunctor, MergeFunctor};
 use lmas_core::{
-    generate_rec8, packetize, EdgeKind, FlowGraph, Functor, KeyDist, NodeId, Packet, Placement,
+    generate_rec128, generate_rec8, packetize, EdgeKind, FlowGraph, Functor, KeyDist, NodeId, Packet, Placement,
     Rec8, RoutingPolicy, StageId, Work,
 };
-use lmas_emulator::{run_job, BalanceSpec, ClusterConfig, Job, JobError};
+use lmas_emulator::{run_job, BalanceSpec, ClusterConfig, EmulationReport, Job, JobError};
 use lmas_sim::SimDuration;
+use lmas_sort::{run_dsm_sort, DsmConfig, LoadMode};
 use std::collections::BTreeMap;
+
+const SR: RoutingPolicy = RoutingPolicy::SimpleRandomization;
 
 fn identity_factory() -> impl Fn(usize) -> Box<dyn Functor<Rec8>> + Send + 'static {
     |_| Box::new(MapFunctor::new("id", Work::ZERO, |r: Rec8| r))
@@ -492,7 +495,10 @@ fn queue_stats_report_time_weighted_depths() {
     assert!(text.contains("-- queues"), "{text}");
 }
 
-fn skew_job(cfg: &ClusterConfig) -> Result<lmas_emulator::EmulationReport<Rec8>, JobError> {
+fn skew_job(
+    cfg: &ClusterConfig,
+    routing: RoutingPolicy,
+) -> Result<lmas_emulator::EmulationReport<Rec8>, JobError> {
     // Source on ASU 0; two replicas of a hot stage, one on the 8×
     // slower ASU 1 and one on the host. SR routing splits ~50/50, so
     // the ASU replica's queue grows without feedback.
@@ -503,7 +509,7 @@ fn skew_job(cfg: &ClusterConfig) -> Result<lmas_emulator::EmulationReport<Rec8>,
         Box::new(MapFunctor::new("burn", Work::compares(64), |r: Rec8| r))
             as Box<dyn Functor<Rec8>>
     });
-    g.connect(src, work, RoutingPolicy::SimpleRandomization, EdgeKind::Set).unwrap();
+    g.connect(src, work, routing, EdgeKind::Set).unwrap();
     let mut placement = Placement::new();
     placement.assign(src, 0, NodeId::Asu(0));
     placement.assign(work, 0, NodeId::Asu(1));
@@ -522,8 +528,8 @@ fn balancer_shifts_load_and_shortens_makespan() {
     let balanced_cfg = base.with_balancer(
         BalanceSpec::every(SimDuration::from_micros(500)).with_deadband(256),
     );
-    let plain = skew_job(&base).unwrap();
-    let balanced = skew_job(&balanced_cfg).unwrap();
+    let plain = skew_job(&base, SR).unwrap();
+    let balanced = skew_job(&balanced_cfg, SR).unwrap();
 
     assert!(balanced.reweights > 0, "skew must trigger reweighting");
     let count = |r: &lmas_emulator::EmulationReport<Rec8>, i: usize| {
@@ -559,8 +565,8 @@ fn idle_balancer_is_byte_identical() {
             .with_deadband(u64::MAX)
             .with_cpu_deadband(SimDuration(u64::MAX)),
     );
-    let plain = skew_job(&base).unwrap();
-    let watched = skew_job(&idle).unwrap();
+    let plain = skew_job(&base, SR).unwrap();
+    let watched = skew_job(&idle, SR).unwrap();
     assert_eq!(watched.reweights, 0);
     assert_eq!(plain.makespan, watched.makespan);
     let flat = |r: &lmas_emulator::EmulationReport<Rec8>| {
@@ -571,8 +577,55 @@ fn idle_balancer_is_byte_identical() {
     };
     assert_eq!(flat(&plain), flat(&watched), "identical packet routing");
     // Deterministic reruns, balancer on.
-    let again = skew_job(&idle).unwrap();
+    let again = skew_job(&idle, SR).unwrap();
     assert_eq!(again.makespan, watched.makespan);
+}
+
+/// A balancer with nothing to steer is inert: when no in-edge routes
+/// by a policy that reads weights over more than one replica, no stage
+/// is watched, so a balanced run equals the unbalanced one event for
+/// event. Two shapes: the skewed job routed RoundRobin (weights only
+/// gate eligibility), and a one-host managed SR sort (every port group
+/// holds one sorter; the collect edges are RoundRobin).
+#[test]
+fn balancer_with_nothing_to_steer_is_inert() {
+    fn assert_inert<R: lmas_core::Record>(
+        plain: &EmulationReport<R>,
+        balanced: &EmulationReport<R>,
+    ) {
+        let sinks = |r: &EmulationReport<R>| {
+            r.sink_outputs
+                .iter()
+                .map(|(&k, v)| (k, v.iter().map(|(_, p)| p.len()).sum::<usize>()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(balanced.reweights, 0);
+        assert_eq!(plain.dispatched, balanced.dispatched, "no sampling events");
+        assert_eq!(plain.makespan, balanced.makespan);
+        assert_eq!(sinks(plain), sinks(balanced));
+        assert_eq!(
+            format!("{:?}", plain.queue_stats),
+            format!("{:?}", balanced.queue_stats)
+        );
+    }
+    let acting = BalanceSpec::every(SimDuration::from_micros(500)).with_deadband(256);
+
+    let base = ClusterConfig::era_2002(1, 2, 8.0);
+    let rr = RoutingPolicy::RoundRobin;
+    let plain = skew_job(&base, rr).unwrap();
+    assert_inert(&plain, &skew_job(&base.with_balancer(acting), rr).unwrap());
+
+    let base = ClusterConfig::era_2002(1, 4, 8.0);
+    let dsm = DsmConfig::new(4, 256, 4, 64);
+    let data = generate_rec128(4_000, KeyDist::Exponential { rate: 4.0 }, 11);
+    let sort = |cfg: &ClusterConfig| {
+        run_dsm_sort(cfg, data.clone(), &dsm, LoadMode::managed_sr()).unwrap()
+    };
+    let (plain, balanced) = (sort(&base), sort(&base.with_balancer(acting)));
+    assert_eq!(plain.output, balanced.output);
+    for (p, b) in plain.passes().zip(balanced.passes()) {
+        assert_inert(p, b);
+    }
 }
 
 /// The work audit: stage work matches the functor cost declarations.

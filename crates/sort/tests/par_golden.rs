@@ -257,7 +257,7 @@ fn pinned_balanced_multi_host_golden() {
 
     let seq = run_dsm_sort(&base, data.clone(), &dsm, mode).expect("runs");
     assert!(seq.pass1.par.is_none(), "threads=1 stays sequential");
-    let par = run_dsm_sort(&base.with_threads(4), data, &dsm, mode).expect("runs");
+    let par = run_dsm_sort(&base.with_threads(4), data.clone(), &dsm, mode).expect("runs");
     let stats = par
         .pass1
         .par
@@ -286,10 +286,16 @@ fn pinned_balanced_multi_host_golden() {
     );
     assert_eq!(
         pinned,
-        "pass1_ns=10095572 pass2_ns=8869056 total_ns=18964628 dispatched=627 280 \
+        "pass1_ns=10095572 pass2_ns=8869056 total_ns=18964628 dispatched=471 141 \
          reweights=3 0 out_fnv=0x4f6435715012d220",
         "balanced multi-host golden drifted"
     );
+    // Pass 2 routes Static into the host merge and RoundRobin into
+    // collect: no edge reads weights, so the balancer watches nothing
+    // there and the pass dispatches exactly what an unbalanced one does.
+    let unbalanced = ClusterConfig::era_2002(2, 4, 8.0);
+    let plain = run_dsm_sort(&unbalanced, data, &dsm, mode).expect("runs");
+    assert_eq!(par.pass2.dispatched, plain.pass2.dispatched);
 }
 
 #[test]

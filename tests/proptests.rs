@@ -4,6 +4,7 @@ use lmas::core::kernels::{
     bucket_of, is_sorted_by_key, merge_runs, radix_sort_u32, select_splitters,
 };
 use lmas::core::{packetize, Packet, Rec128, Rec8, Record, Router, RoutingPolicy, UpMask};
+use lmas::emulator::balance::MIN_WEIGHT;
 use lmas::emulator::ClusterConfig;
 use lmas::sort::{
     check_tag_permutation, reconstruct_sorted, run_dsm_sort, DsmConfig, LoadMode,
@@ -191,13 +192,7 @@ proptest! {
         };
         let eligible = |i: usize| up.is_up(i) && weights.get(i).is_none_or(|&w| w > 0.0);
         let any_eligible = (0..n).any(eligible);
-        for policy in [
-            RoutingPolicy::Static,
-            RoutingPolicy::RoundRobin,
-            RoutingPolicy::SimpleRandomization,
-            RoutingPolicy::LoadAware,
-            RoutingPolicy::PowerOfTwoChoices,
-        ] {
+        for policy in POLICIES {
             let mut router = Router::new(policy, seed, 3);
             // Several picks: the round-robin cursor and the RNG both move.
             for k in 0..8 {
@@ -206,6 +201,80 @@ proptest! {
                     None => prop_assert!(!any_eligible, "{policy:?} refused with a replica free"),
                 }
             }
+        }
+    }
+
+    /// A signal a policy does not read never moves its pick. A policy
+    /// that does not `reads_weights` makes, under any weights in the
+    /// balancer's range `[MIN_WEIGHT, 1)`, the 8 picks it makes under
+    /// `&[]`; one that does not `reads_backlog` makes, under any
+    /// backlogs, the picks it makes under `&[]`. Same seed, same mask.
+    #[test]
+    fn unread_signals_never_move_a_pick(
+        n in 1usize..9,
+        masked in any::<bool>(),
+        up_bits in prop::collection::vec(any::<bool>(), 8..9),
+        weights in prop::collection::vec(MIN_WEIGHT..1.0, 0..9),
+        backlog in prop::collection::vec(0u64..1000, 0..9),
+        port in any::<usize>(),
+        seed in any::<u64>(),
+    ) {
+        let up = if masked { UpMask::from_fn(n, |i| up_bits[i]) } else { UpMask::all() };
+        for policy in POLICIES {
+            let picks = |backlog: &[u64], weights: &[f64]| {
+                let mut router = Router::new(policy, seed, 3);
+                (0..8)
+                    .map(|k| router.pick_routed(n, port.wrapping_add(k), backlog, &[], weights, &up))
+                    .collect::<Vec<_>>()
+            };
+            if !policy.reads_weights() {
+                prop_assert_eq!(picks(&backlog, &weights), picks(&backlog, &[]), "{:?}", policy);
+            }
+            if !policy.reads_backlog() {
+                prop_assert_eq!(picks(&backlog, &weights), picks(&[], &weights), "{:?}", policy);
+            }
+        }
+    }
+}
+
+/// Every routing policy, in declaration order.
+const POLICIES: [RoutingPolicy; 5] = [
+    RoutingPolicy::Static,
+    RoutingPolicy::RoundRobin,
+    RoutingPolicy::SimpleRandomization,
+    RoutingPolicy::LoadAware,
+    RoutingPolicy::PowerOfTwoChoices,
+];
+
+/// The other half of `unread_signals_never_move_a_pick`: every policy
+/// that claims to read a signal has a fixed case where that signal
+/// moves its picks, so neither predicate can claim a signal it ignores.
+#[test]
+fn read_signals_move_a_pick() {
+    let picks = |policy, backlog: &[u64], weights: &[f64]| {
+        let mut router = Router::new(policy, 7, 3);
+        (0..8)
+            .map(|k| router.pick_routed(3, k, backlog, &[], weights, &UpMask::all()))
+            .collect::<Vec<_>>()
+    };
+    // Equal backlogs; the weights all but exclude instances 0 and 2.
+    let (even, weights) = ([10, 10, 10], [MIN_WEIGHT, 1.0, MIN_WEIGHT]);
+    // Instance 0, the unloaded default winner, carries the most backlog.
+    let skewed = [50, 0, 25];
+    for policy in POLICIES {
+        if policy.reads_weights() {
+            assert_ne!(
+                picks(policy, &even, &weights),
+                picks(policy, &even, &[]),
+                "{policy:?}"
+            );
+        }
+        if policy.reads_backlog() {
+            assert_ne!(
+                picks(policy, &skewed, &[]),
+                picks(policy, &[], &[]),
+                "{policy:?}"
+            );
         }
     }
 }
