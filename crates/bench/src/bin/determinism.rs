@@ -5,6 +5,10 @@
 //! each run against the recorded `results/determinism.txt`, so a change
 //! that moves virtual time at all has to re-record that file on purpose.
 //!
+//! Every pinned run also prints its dispatch census (`{tag}.census`,
+//! one line per pass): events by message kind, so the diff shows which
+//! protocol a change in `dispatched` came from.
+//!
 //! The fault-free figures are also frozen in the sort crate's golden test
 //! (`crates/sort/tests/golden.rs`), which pins them across simulator
 //! rewrites.
@@ -63,6 +67,7 @@ fn main() {
         );
     }
     print_queues("sort", &out);
+    print_census("sort", &out);
 
     // Chaos section: the same sort under a pinned fault plan (crash one
     // ASU mid-pass-1 plus a lossy host→ASU link). Everything the fault
@@ -110,6 +115,7 @@ fn main() {
     let chaos_records: usize = chaos.output.iter().map(|p| p.len()).sum();
     println!("chaos.output.records {chaos_records} chaos.output.key_fnv {chaos_hash:016x}");
     print_queues("chaos", &chaos);
+    print_census("chaos", &chaos);
 
     // Planner section: the same sort with planner-chosen placement and
     // the runtime balancer armed. The plan search is RNG-free and the
@@ -146,6 +152,7 @@ fn main() {
     );
     let auto_records: usize = auto.output.iter().map(|p| p.len()).sum();
     println!("auto.output.records {auto_records} auto.output.key_fnv {auto_hash:016x}");
+    print_census("auto", &auto);
 
     // Parallel section: the pinned multi-host sort pushed through the
     // partitioned engine (threads=4 on two hosts → two partitions, real
@@ -186,6 +193,7 @@ fn main() {
         );
     }
     print_queues("par", &par);
+    print_census("par", &par);
 
     // Faulted-parallel section: a pinned chaos plan (ASU crash +
     // recovery + lossy link) through the partitioned engine. Fault
@@ -276,6 +284,7 @@ fn main() {
         );
     }
     print_queues("parfault", &pf);
+    print_census("parfault", &pf);
 
     // Balanced-parallel section: the snapshot balancer through the
     // partitioned engine. Instances self-report backlog on the sampling
@@ -329,6 +338,7 @@ fn main() {
         );
     }
     print_queues("parbal", &pb);
+    print_census("parbal", &pb);
 
     // Coded section: the pinned sort with a coded distribute edge
     // (r = 2), sequentially and through the partitioned kernel. Coded
@@ -375,6 +385,7 @@ fn main() {
         );
         let c_records: usize = c.output.iter().map(|p| p.len()).sum();
         println!("{tag}.output.records {c_records} {tag}.output.key_fnv {c_hash:016x}");
+        print_census(tag, &c);
     }
 
     // Repair section: a seeded Poisson fault schedule with the
@@ -424,6 +435,7 @@ fn main() {
         );
         println!("{tag}.src_bytes {:?}", r.repair_src_bytes);
         println!("{tag}.detections {}", r.fault.detections);
+        println!("{tag}.census {}", r.census);
     }
 
     // Scheduler section: a pinned multi-tenant run (seeded Poisson
@@ -526,4 +538,16 @@ fn print_queues<R: Record>(tag: &str, out: &DsmOutcome<R>) {
         fnv(&out.pass1),
         fnv(&out.pass2)
     );
+}
+
+/// One `{tag}.{pass}.census` line per pass: the dispatch census, whose
+/// rows sum to the pass's `dispatched`.
+fn print_census<R: Record>(tag: &str, out: &DsmOutcome<R>) {
+    let names = std::iter::once("pass1")
+        .chain(out.repair.as_ref().map(|_| "repair"))
+        .chain(out.intermediate.iter().map(|_| "merge"))
+        .chain(std::iter::once("pass2"));
+    for (pass, r) in names.zip(out.passes()) {
+        println!("{tag}.{pass}.census {}", r.census);
+    }
 }

@@ -23,8 +23,8 @@
 //!   node until the heartbeat timeout expires; every such delivery pays
 //!   a bounce round-trip plus backoff before failing over.
 //! - **Fencing**: once a node is *detected* down, unflushed instances
-//!   on it have EOS broadcast on their behalf so the pipeline drains
-//!   instead of waiting forever.
+//!   on it have end of stream reported on their behalf so the pipeline
+//!   drains instead of waiting forever.
 //! - **Degrade**: the node keeps running with scaled CPU speed and disk
 //!   rate — and is *not* detected as failed (no false positives from
 //!   slowness alone).
@@ -113,8 +113,8 @@ pub struct FaultStats {
     pub lost_queued_records: u64,
     /// Records abandoned after the retry budget was exhausted.
     pub abandoned_records: u64,
-    /// Instances that had EOS sent on their behalf after their node was
-    /// detected down.
+    /// Instances that had end of stream reported on their behalf after
+    /// their node was detected down.
     pub fenced_instances: u64,
     /// Down-node detections by the heartbeat controller.
     pub detections: u64,

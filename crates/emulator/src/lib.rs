@@ -53,5 +53,6 @@ pub use repair::{
 pub use lmas_storage::{BteStats, PoolStats, StorageSpec};
 pub use report::render_summary;
 pub use runtime::{
-    run_job, run_job_with_faults, EmulationReport, Job, JobError, NodeReport, ParRunStats,
+    run_job, run_job_with_faults, DispatchCensus, EmulationReport, Job, JobError, NodeReport,
+    ParRunStats,
 };

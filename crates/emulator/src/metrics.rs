@@ -9,6 +9,7 @@
 
 use crate::fault::FaultStats;
 use crate::repair::{RepairSample, RepairStats};
+use crate::runtime::DispatchCensus;
 use lmas_core::{Packet, Record, Work};
 use lmas_sim::{merge_keyed, Keyed, SimTime, Trace};
 use std::collections::BTreeMap;
@@ -137,8 +138,8 @@ impl StageQueueStats {
 /// busy/wait time from its processing and flush grants, the bytes its
 /// sources pulled off disk (with the read latency they waited), the
 /// bytes its sinks and coded side-information wrote, and the payload
-/// bytes it put on the wire (zero-byte EOS marks excluded). Purely
-/// observational — accumulating it never moves virtual time — and
+/// bytes it put on the wire (zero-byte end-of-stream charges excluded).
+/// Purely observational — accumulating it never moves virtual time — and
 /// additive across partitions, so sequential and partitioned runs
 /// report identical totals. The multi-tenant scheduler rolls these up
 /// per job (stages of a merged graph are contiguous per job).
@@ -216,6 +217,8 @@ pub struct Metrics<R: Record> {
     /// Times the runtime balancer re-weighted a replica router (zero
     /// when the balancer is off or never left its deadband).
     pub reweights: u64,
+    /// Dispatches per message kind (summed across partitions).
+    pub census: DispatchCensus,
     /// Repair-engine activity counters (quiet unless the fault spec
     /// carries a [`RepairSpec`](crate::repair::RepairSpec)). Only the
     /// coordinator's partition writes these; merge absorbs.
@@ -254,6 +257,7 @@ impl<R: Record> Metrics<R> {
             fault: FaultStats::default(),
             last_activity: SimTime::ZERO,
             reweights: 0,
+            census: DispatchCensus::default(),
             repair: RepairStats::default(),
             repair_samples: Vec::new(),
             replica_hist: Vec::new(),
@@ -347,6 +351,7 @@ impl<R: Record> Metrics<R> {
             m.sink_outputs.append(&mut p.sink_outputs);
             debug_assert_eq!(m.sink_outputs.len(), before, "sink instance owned twice");
             m.records_processed += p.records_processed;
+            m.census.absorb(&p.census);
             m.reweights += p.reweights;
             m.fault.absorb(&p.fault);
             m.repair.absorb(&p.repair);

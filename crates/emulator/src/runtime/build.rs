@@ -27,7 +27,8 @@
 //! a one-partition build is the sequential build.
 
 use super::balancer::{steerable, watched_stages, SnapTarget, SnapshotBalancer};
-use super::fault_ctl::{FaultController, FenceTargets};
+use super::eos::{EosCountdown, EosFabric};
+use super::fault_ctl::FaultController;
 use super::instance::{
     node_speed, Downstream, InstFlags, InstanceActor, InstanceFault, RaState, SampleState,
 };
@@ -45,7 +46,8 @@ use crate::node::NodeRes;
 use crate::repair::{repair_timeline, RepairEngine, RepairEv, RepairSpec};
 use lmas_core::{FlowGraph, NodeId, Packet, Placement, Record, Router, StageId};
 use lmas_sim::{
-    ActorId, BackoffPolicy, DetRng, FaultEvent, ParOps, PartitionWorker, SimTime, Simulation, Trace,
+    Actor, ActorId, BackoffPolicy, Ctx, DetRng, FaultEvent, ParOps, PartitionWorker, SimTime,
+    Simulation, Trace,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -63,6 +65,31 @@ pub(super) fn parallel_eligible<R: Record>(graph: &FlowGraph<R>) -> bool {
         .edges()
         .iter()
         .all(|e| graph.group_size(e) <= 1 || !e.routing.reads_backlog())
+}
+
+/// Install `actor` at `id` behind the census: every dispatch is counted
+/// by message kind before the actor sees it.
+fn install<R: Record, A: Actor<Msg<R>> + 'static>(
+    sim: &mut Simulation<Msg<R>>,
+    metrics: &Rc<RefCell<Metrics<R>>>,
+    id: ActorId,
+    actor: A,
+) {
+    let metrics = metrics.clone();
+    sim.install(id, Box::new(Counted { actor, metrics }));
+}
+
+/// An actor behind the census.
+struct Counted<R: Record, A> {
+    actor: A,
+    metrics: Rc<RefCell<Metrics<R>>>,
+}
+
+impl<R: Record, A: Actor<Msg<R>>> Actor<Msg<R>> for Counted<R, A> {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg<R>>, msg: Msg<R>) {
+        self.metrics.borrow_mut().census.note(msg.kind());
+        self.actor.on_message(ctx, msg);
+    }
 }
 
 /// The partition a node belongs to: hosts are split into `P` contiguous
@@ -111,9 +138,16 @@ pub(super) struct Shared<R: Record> {
     specs: Vec<InstSpec>,
     /// First global instance index of each stage.
     stage_base: Vec<usize>,
-    /// EOS marks each instance of a stage waits for: one per upstream
-    /// instance, plus a source's own end-of-input.
-    eos_expected: Vec<usize>,
+    /// Upstream senders of each stage: the count its end-of-stream
+    /// countdowns start at (0 = no countdown).
+    eos_senders: Vec<usize>,
+    /// Per stage, `(partition, anchor receiver)` for every partition
+    /// owning an instance of it: where other partitions' senders send
+    /// their `EosMark`s.
+    eos_anchors: Arc<Vec<BTreeMap<u32, ActorId>>>,
+    /// `EosMark`s a run sends once every sender reached end of stream:
+    /// per sender, the other partitions owning one of its receivers.
+    pub(super) eos_marks: u64,
     /// Precomputed detector verdicts and link-loss schedule.
     detected: Arc<DetectedTimeline>,
     loss: Arc<LossTimeline>,
@@ -123,7 +157,7 @@ pub(super) struct Shared<R: Record> {
     repair_tl: Arc<Vec<(SimTime, RepairEv)>>,
     /// Fault-controller tables (empty when the fault layer is off).
     instances_on: Arc<Vec<Vec<usize>>>,
-    inst_downstream: Arc<FenceTargets>,
+    dest_stage: Arc<Vec<Option<usize>>>,
     /// Slot layout (module docs): the balancer's slot, ASU ordinal 0's
     /// repair agent, and the first slot past every protocol actor — the
     /// scheduler's on a gated run.
@@ -164,11 +198,22 @@ impl<R: Record> Shared<R> {
                 });
             }
         }
-        let mut eos_expected: Vec<usize> =
-            stages.iter().map(|s| usize::from(s.is_source)).collect();
+        let mut eos_senders = vec![0; stages.len()];
         for e in graph.edges() {
-            eos_expected[e.to.0] += stages[e.from.0].replication;
+            eos_senders[e.to.0] += stages[e.from.0].replication;
         }
+        // A stage's anchor on a partition is its first instance there.
+        let mut eos_anchors: Vec<BTreeMap<u32, ActorId>> = vec![BTreeMap::new(); stages.len()];
+        for (gi, sp) in specs.iter().enumerate() {
+            eos_anchors[sp.stage].entry(sp.part).or_insert(ActorId(gi));
+        }
+        let eos_marks = specs
+            .iter()
+            .filter_map(|sp| {
+                let anchors = &eos_anchors[graph.out_edge(StageId(sp.stage))?.to.0];
+                Some((anchors.len() - usize::from(anchors.contains_key(&sp.part))) as u64)
+            })
+            .sum();
 
         let active = spec.is_active();
         let total_nodes = cfg.total_nodes();
@@ -181,18 +226,12 @@ impl<R: Record> Shared<R> {
         ));
         let loss = Arc::new(LossTimeline::build(&spec.plan, total_nodes));
         let mut instances_on: Vec<Vec<usize>> = Vec::new();
-        let mut inst_downstream: FenceTargets = Vec::new();
+        let mut dest_stage: Vec<Option<usize>> = Vec::new();
         if active {
             instances_on.resize(total_nodes, Vec::new());
-            inst_downstream.reserve(specs.len());
             for (gi, sp) in specs.iter().enumerate() {
                 instances_on[node_index(cfg, sp.node)].push(gi);
-                inst_downstream.push(graph.out_edge(StageId(sp.stage)).map(|e| {
-                    let base = stage_base[e.to.0];
-                    (base..base + stages[e.to.0].replication)
-                        .map(|gj| (ActorId(gj), node_index(cfg, specs[gj].node)))
-                        .collect()
-                }));
+                dest_stage.push(graph.out_edge(StageId(sp.stage)).map(|e| e.to.0));
             }
         }
         // Background re-replication engages only with the fault layer
@@ -221,13 +260,15 @@ impl<R: Record> Shared<R> {
             graph,
             specs,
             stage_base,
-            eos_expected,
+            eos_senders,
+            eos_anchors: Arc::new(eos_anchors),
+            eos_marks,
             detected,
             loss,
             watched,
             repair_tl,
             instances_on: Arc::new(instances_on),
-            inst_downstream: Arc::new(inst_downstream),
+            dest_stage: Arc::new(dest_stage),
             bal_slot,
             agents_base,
             sched_slot,
@@ -360,6 +401,28 @@ impl<R: Record> EmWorker<R> {
         // read or write an entry — instance partition == node partition
         // by construction, so every flag access stays partition-local.
         let flags = Rc::new(RefCell::new(vec![InstFlags::default(); n_inst]));
+        // This partition's countdown per stage, over the receivers it owns.
+        let countdowns = (0..graph.stages().len())
+            .map(|s| {
+                let base = sh.stage_base[s];
+                let receivers: Vec<(ActorId, usize)> = (base..base + graph.stages()[s].replication)
+                    .filter(|&gi| sh.specs[gi].part == part)
+                    .map(|gi| (ActorId(gi), node_index(cfg, sh.specs[gi].node)))
+                    .collect();
+                (sh.eos_senders[s] > 0 && !receivers.is_empty()).then(|| {
+                    RefCell::new(EosCountdown::new(
+                        sh.eos_senders[s],
+                        receivers,
+                        cfg.total_nodes(),
+                    ))
+                })
+            })
+            .collect();
+        let eos = Rc::new(EosFabric {
+            part,
+            countdowns,
+            anchors: sh.eos_anchors.clone(),
+        });
 
         for (idx, sp) in sh.specs.iter().enumerate() {
             if sp.part != part {
@@ -411,10 +474,13 @@ impl<R: Record> EmWorker<R> {
                     .as_ref()
                     .expect("instance placed on an owned node")
                     .clone(),
+                node_ix: node_index(cfg, sp.node),
                 queue: VecDeque::new(),
                 pending: None,
-                eos_expected: sh.eos_expected[sp.stage],
+                eos_expected: usize::from(stage.is_source)
+                    + usize::from(sh.eos_senders[sp.stage] > 0),
                 eos_seen: 0,
+                eos: eos.clone(),
                 flushed: false,
                 down,
                 source_data,
@@ -436,7 +502,6 @@ impl<R: Record> EmWorker<R> {
                     loss: sh.loss.clone(),
                     flags: flags.clone(),
                     backoff: BackoffPolicy::default_2002(),
-                    my_node: node_index(cfg, sp.node),
                     my_global: idx,
                     factory: stage.factory_handle(),
                     // Keyed by global instance index: the same stream
@@ -455,7 +520,7 @@ impl<R: Record> EmWorker<R> {
                     .filter(|_| out_edge.is_none())
                     .map(|ss| (sched_actor, ss.stage_job[sp.stage])),
             };
-            sim.install(ActorId(idx), Box::new(actor));
+            install(sim, &metrics, ActorId(idx), actor);
             // Gated runs hold source seeds back: the scheduler sends the
             // first `SourceNext` at each job's dispatch instant.
             if stage.is_source && sched.is_none() {
@@ -494,17 +559,20 @@ impl<R: Record> EmWorker<R> {
                     sim.seed_message(ctrl, at, Msg::Detect(node));
                 }
             }
-            sim.install(
+            install(
+                sim,
+                &metrics,
                 ctrl,
-                Box::new(FaultController {
+                FaultController {
                     events,
                     nodes: nodes.clone(),
                     flags: flags.clone(),
                     instances_on: sh.instances_on.clone(),
-                    inst_downstream: sh.inst_downstream.clone(),
+                    dest_stage: sh.dest_stage.clone(),
+                    eos: eos.clone(),
                     link_latency: cfg.link_latency,
                     metrics: metrics.clone(),
-                }),
+                },
             );
         }
 
@@ -529,9 +597,11 @@ impl<R: Record> EmWorker<R> {
                         .collect(),
                 })
                 .collect();
-            sim.install(
+            install(
+                sim,
+                &metrics,
                 bal_actor,
-                Box::new(SnapshotBalancer {
+                SnapshotBalancer {
                     spec: cfg.balance,
                     targets,
                     snap: BTreeMap::new(),
@@ -539,7 +609,7 @@ impl<R: Record> EmWorker<R> {
                     link_latency: cfg.link_latency,
                     cur: BTreeMap::new(),
                     metrics: metrics.clone(),
-                }),
+                },
             );
         }
 
@@ -553,9 +623,11 @@ impl<R: Record> EmWorker<R> {
                 let Some(node) = &nodes[cfg.hosts + d] else {
                     continue;
                 };
-                sim.install(
+                install(
+                    sim,
+                    &metrics,
                     ActorId(sh.agents_base + d),
-                    Box::new(RepairAgent {
+                    RepairAgent {
                         ordinal: d,
                         node: node.clone(),
                         coord,
@@ -569,7 +641,7 @@ impl<R: Record> EmWorker<R> {
                         link_rate: cfg.link_bytes_per_sec,
                         link_latency: cfg.link_latency,
                         metrics: metrics.clone(),
-                    }),
+                    },
                 );
             }
             if part == 0 {
@@ -594,9 +666,11 @@ impl<R: Record> EmWorker<R> {
                         }
                     }
                 }
-                sim.install(
+                install(
+                    sim,
+                    &metrics,
                     coord,
-                    Box::new(RepairCoordinator {
+                    RepairCoordinator {
                         engine,
                         timeline: sh.repair_tl.clone(),
                         agents: (0..cfg.asus).map(|d| ActorId(sh.agents_base + d)).collect(),
@@ -605,7 +679,7 @@ impl<R: Record> EmWorker<R> {
                         buf: Vec::new(),
                         flush_at: SimTime::NEVER,
                         metrics: metrics.clone(),
-                    }),
+                    },
                 );
             }
         }
@@ -631,9 +705,11 @@ impl<R: Record> EmWorker<R> {
                         .collect()
                 })
                 .collect();
-            sim.install(
+            install(
+                sim,
+                &metrics,
                 sched_actor,
-                Box::new(SchedActor {
+                SchedActor {
                     gate: ss.gate,
                     sources,
                     sinks_expected: ss.sinks,
@@ -641,7 +717,7 @@ impl<R: Record> EmWorker<R> {
                     done: vec![false; n_jobs],
                     log: ss.log,
                     metrics: metrics.clone(),
-                }),
+                },
             );
         }
         EmBuilt {
@@ -780,6 +856,11 @@ pub(super) fn assemble<R: Record>(
         "every node reported once"
     );
     let m = Metrics::merge(metrics_parts);
+    debug_assert_eq!(
+        m.census.total(),
+        dispatched,
+        "the census covers every dispatch"
+    );
     let down_nodes: Vec<NodeId> = node_reports
         .iter()
         .filter(|(_, r)| matches!(r.health, NodeHealth::Down))
@@ -814,6 +895,7 @@ pub(super) fn assemble<R: Record>(
             .map(|(_, _, msg)| msg)
             .collect(),
         dispatched,
+        census: m.census,
         trace: m.trace,
         down_nodes,
         fault: m.fault,

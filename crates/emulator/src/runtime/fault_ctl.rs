@@ -1,6 +1,7 @@
 //! The fault protocol's controller side (DESIGN.md §5): replays node
 //! health steps and detector verdicts, and fences the dead.
 
+use super::eos::EosFabric;
 use super::instance::InstFlags;
 use super::msg::Msg;
 use crate::fault::NodeHealth;
@@ -11,10 +12,6 @@ use lmas_sim::{ActorId, Ctx, FaultEvent, SimDuration};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// Downstream `(actor, dense node)` fencing targets per global instance
-/// (`None` for sinks).
-pub(super) type FenceTargets = Vec<Option<Vec<(ActorId, usize)>>>;
 
 /// The fault controller: replays the plan's node-health steps and the
 /// detector timeline's precomputed verdicts. There is one controller
@@ -30,12 +27,15 @@ pub(super) struct FaultController<R: Record> {
     pub(super) nodes: Vec<Option<Rc<RefCell<NodeRes>>>>,
     pub(super) flags: Rc<RefCell<Vec<InstFlags>>>,
     /// Global instance indices (== actor ids) resident on each node.
-    /// Like `inst_downstream`, a pure function of the instance table,
-    /// so one copy serves every partition.
+    /// Like `dest_stage`, a pure function of the instance table, so one
+    /// copy serves every partition.
     pub(super) instances_on: Arc<Vec<Vec<usize>>>,
-    pub(super) inst_downstream: Arc<FenceTargets>,
-    /// Minimum cross-node delay (the parallel lookahead); fence EOS to
-    /// other nodes travels with it.
+    /// The stage each global instance sends to (`None` for sinks).
+    pub(super) dest_stage: Arc<Vec<Option<usize>>>,
+    /// This partition's end-of-stream countdowns.
+    pub(super) eos: Rc<EosFabric>,
+    /// Minimum cross-node delay (the parallel lookahead); fence marks
+    /// for other nodes travel with it.
     pub(super) link_latency: SimDuration,
     pub(super) metrics: Rc<RefCell<Metrics<R>>>,
 }
@@ -53,11 +53,11 @@ impl<R: Record> FaultController<R> {
         nd
     }
 
-    /// EOS on behalf of every unflushed instance on a detected-down
-    /// node, so downstream consumers stop waiting for the dead. Marks
-    /// for consumers on the dead node itself land immediately (the
-    /// node-local convention); marks for other nodes travel one control
-    /// delay, like any cross-node control message.
+    /// End of stream on behalf of every unflushed instance on a
+    /// detected-down node, so downstream consumers stop waiting for the
+    /// dead. It reaches consumers on the dead node itself at once (the
+    /// node-local convention) and those on other nodes one control
+    /// delay later, like any cross-node control message.
     fn fence_node(&mut self, ctx: &mut Ctx<'_, Msg<R>>, node: usize) {
         for i in 0..self.instances_on[node].len() {
             let gi = self.instances_on[node][i];
@@ -70,14 +70,10 @@ impl<R: Record> FaultController<R> {
             }
             self.flags.borrow_mut()[gi].fenced = true;
             self.metrics.borrow_mut().fault.fenced_instances += 1;
-            if let Some(targets) = &self.inst_downstream[gi] {
-                for &(a, target_node) in targets {
-                    if target_node == node {
-                        ctx.send_now(a, Msg::Eos);
-                    } else {
-                        ctx.send(a, self.link_latency, Msg::Eos);
-                    }
-                }
+            if let Some(stage) = self.dest_stage[gi] {
+                let now = ctx.now();
+                let remote = now + self.link_latency;
+                self.eos.send_eos(ctx, stage, node, now, Some(remote));
             }
         }
     }

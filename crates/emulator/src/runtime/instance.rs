@@ -3,6 +3,7 @@
 //! (plain, coded, fault-masked), end-of-stream, source streaming and
 //! the self-sampling half of the snapshot balancer.
 
+use super::eos::EosFabric;
 use super::msg::{DeliveryMeta, Msg};
 use crate::config::ClusterConfig;
 use crate::fault::{DetectedTimeline, LossTimeline};
@@ -45,10 +46,10 @@ pub(super) struct RaState {
 /// the fault controller.
 #[derive(Debug, Clone, Copy, Default)]
 pub(super) struct InstFlags {
-    /// The instance flushed (its own EOS has been broadcast).
+    /// The instance flushed (its own end of stream has been sent).
     pub(super) flushed: bool,
-    /// The controller broadcast EOS on this instance's behalf; it must
-    /// never broadcast its own, even if revived.
+    /// The controller sent end of stream on this instance's behalf; it
+    /// must never send its own, even if revived.
     pub(super) fenced: bool,
 }
 
@@ -98,7 +99,6 @@ pub(super) struct InstanceFault<R: Record> {
     pub(super) loss: Arc<LossTimeline>,
     pub(super) flags: Rc<RefCell<Vec<InstFlags>>>,
     pub(super) backoff: BackoffPolicy,
-    pub(super) my_node: usize,
     pub(super) my_global: usize,
     pub(super) factory: StageFactory<R>,
     /// Private stream: loss draws and backoff jitter.
@@ -122,10 +122,18 @@ pub(super) struct InstanceActor<R: Record> {
     pub(super) instance: usize,
     pub(super) functor: Box<dyn Functor<R>>,
     pub(super) node: Rc<RefCell<NodeRes>>,
+    /// Dense index of `node`.
+    pub(super) node_ix: usize,
     pub(super) queue: VecDeque<Packet<R>>,
     pub(super) pending: Option<Unit<R>>,
+    /// End-of-stream marks to wait for: one from the stage's countdown
+    /// if it has upstream senders, plus a source's own end of input.
     pub(super) eos_expected: usize,
     pub(super) eos_seen: usize,
+    /// This partition's end-of-stream countdowns: the downstream
+    /// stage's, which this instance reports to once, and its own
+    /// stage's, which its `EosMark`s count down.
+    pub(super) eos: Rc<EosFabric>,
     pub(super) flushed: bool,
     pub(super) down: Option<Downstream<R>>,
     pub(super) source_data: VecDeque<Packet<R>>,
@@ -143,9 +151,9 @@ pub(super) struct InstanceActor<R: Record> {
     pub(super) metrics: Rc<RefCell<Metrics<R>>>,
     pub(super) link_rate: f64,
     /// One-way link latency, the minimum cross-node delay: data and
-    /// every control message (NACK bounce, fence EOS, weight update)
-    /// travel with at least this much, which is exactly the parallel
-    /// engine's lookahead.
+    /// every control message (NACK bounce, end-of-stream mark, weight
+    /// update) travel with at least this much, which is exactly the
+    /// parallel engine's lookahead.
     pub(super) link_latency: SimDuration,
     pub(super) fault: Option<InstanceFault<R>>,
     /// Snapshot-balancer sampling (watched instances only).
@@ -269,7 +277,7 @@ impl<R: Record> InstanceActor<R> {
         }
         self.route_outputs(ctx, emit.take());
         if just_flushed {
-            self.broadcast_eos(ctx);
+            self.report_eos(ctx);
             // A multi-tenant sink reports its flush to the scheduler at
             // the flush instant (sink writes were charged above, so the
             // job's disk traffic is already accounted). Scheduler runs
@@ -430,7 +438,7 @@ impl<R: Record> InstanceActor<R> {
                     dest,
                     attempt,
                 };
-                let prob = f.loss.prob(f.my_node, d.node_idx[dest], ctx.now());
+                let prob = f.loss.prob(self.node_ix, d.node_idx[dest], ctx.now());
                 if prob > 0.0 && f.rng.gen_f64() < prob {
                     // The frame left the NIC but never arrived; the loss
                     // surfaces as a NACK one link latency later (the
@@ -518,8 +526,8 @@ impl<R: Record> InstanceActor<R> {
     }
 
     /// Ship every partially-filled coded frame (end of stream: no more
-    /// packets will complete them). Charged before the EOS batch so the
-    /// FCFS NIC keeps data ahead of the EOS marks.
+    /// packets will complete them). Charged before the end-of-stream
+    /// charge so the FCFS NIC keeps data ahead of it.
     fn flush_coded(&mut self, ctx: &mut Ctx<'_, Msg<R>>) {
         let groups = self.down.as_ref().map_or(0, |d| d.coded_buf.len());
         for group in 0..groups {
@@ -527,31 +535,28 @@ impl<R: Record> InstanceActor<R> {
         }
     }
 
-    fn broadcast_eos(&mut self, ctx: &mut Ctx<'_, Msg<R>>) {
+    /// Report end of stream to the downstream stage's countdown, once.
+    fn report_eos(&mut self, ctx: &mut Ctx<'_, Msg<R>>) {
         if self.is_fenced() {
             // The controller already spoke for this instance.
             return;
         }
         self.flush_coded(ctx);
-        if let Some(d) = &mut self.down {
-            // EOS rides the NIC (zero payload) so it stays behind data.
-            // Every remote mark serializes zero bytes, so one batched NIC
-            // charge stands in for the per-destination charges: k
-            // zero-length grants at the same instant share one window and
-            // leave `free_at` where a lone charge would (the ledger sees
-            // no busy time either way).
+        if let Some(d) = &self.down {
+            // End of stream rides the NIC (zero payload) so it stays
+            // behind data. Every remote mark would serialize zero bytes,
+            // so one batched charge stands in for the per-destination
+            // charges: k zero-length grants at one instant share one
+            // window and leave `free_at` where a lone charge would.
             let now = ctx.now();
-            let my_id = self.node.borrow().id;
-            let remote = d.node_ids.iter().filter(|&&id| id != my_id).count();
-            let deliver_remote = if remote > 0 {
-                let g =
-                    self.node
-                        .borrow_mut()
-                        .charge_nic_batch(now, 0, self.link_rate, remote as u64);
+            let k = d.node_idx.iter().filter(|&&n| n != self.node_ix).count();
+            let remote = (k > 0).then(|| {
+                let g = self
+                    .node
+                    .borrow_mut()
+                    .charge_nic_batch(now, 0, self.link_rate, k as u64);
                 g.end + self.link_latency
-            } else {
-                now
-            };
+            });
             let (stage, instance, fanout) = (self.stage, self.instance, d.actors.len());
             let key = ctx.dispatch_key();
             self.metrics
@@ -560,14 +565,8 @@ impl<R: Record> InstanceActor<R> {
                 .record_with_key(now, key, || {
                     (format!("s{stage}.i{instance}"), format!("eos -> {fanout}"))
                 });
-            for i in 0..d.actors.len() {
-                let at = if d.node_ids[i] == my_id {
-                    now
-                } else {
-                    deliver_remote
-                };
-                ctx.send_at(d.actors[i], at, Msg::Eos);
-            }
+            self.eos
+                .send_eos(ctx, d.dest_stage, self.node_ix, now, remote);
         }
     }
 
@@ -773,6 +772,10 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
                     return;
                 }
                 self.route_packet(ctx, meta.port, p, meta.attempt);
+            }
+            Msg::EosMark { stage, node } => {
+                debug_assert_eq!(stage, self.stage, "end-of-stream mark for another stage");
+                self.eos.on_mark(ctx, stage, node);
             }
             Msg::Eos => {
                 self.eos_seen += 1;

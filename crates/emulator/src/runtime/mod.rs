@@ -11,9 +11,12 @@
 //! disk and captured for the caller.
 //!
 //! End-of-stream follows the classic dataflow protocol: an instance that
-//! has consumed its input and all upstream EOS marks flushes its functor,
-//! forwards the flush outputs, then broadcasts EOS downstream. Because
-//! EOS rides the same FCFS NIC as data, it can never overtake packets
+//! has consumed its input and heard end of stream from every upstream
+//! sender flushes its functor, forwards the flush outputs, then reports
+//! its own end of stream downstream. One countdown per downstream stage
+//! collects those reports and tells each receiver once, at the instant
+//! its last per-sender mark would have arrived (`eos.rs`). Because the
+//! report rides the same FCFS NIC as data, it never overtakes packets
 //! from the same sender.
 //!
 //! ## Fault-masked delivery
@@ -32,8 +35,8 @@
 //! byte-identical virtual times to [`run_job`].
 //!
 //! Because the detector and link-loss schedules are static timelines and
-//! every remaining protocol message (NACK bounces, fence EOS, balancer
-//! reports and weight updates) travels with at least the minimum
+//! every remaining protocol message (NACK bounces, end-of-stream marks,
+//! balancer reports and weight updates) travels with at least the minimum
 //! cross-node delay, faulted and balanced runs partition cleanly: the
 //! parallel engine replays them byte-identically (see
 //! [`EmulationReport::par_fallback`] for the few shapes that still
@@ -46,13 +49,15 @@
 //! compiles every job, driven as partition 0 of 1 on the plain calendar
 //! or as `P` partitions under [`lmas_sim::run_partitioned`]. The actors
 //! live one protocol per file, mirroring DESIGN.md §5: `msg`, `instance`
-//! (dataflow), `fault_ctl`, `balancer`, `repair_actors`, `sched_actor`.
+//! (dataflow), `eos` (end-of-stream countdowns), `fault_ctl`, `balancer`,
+//! `repair_actors`, `sched_actor`.
 //!
 //! [`DetectedTimeline`]: crate::fault::DetectedTimeline
 //! [`Router::pick_routed`]: lmas_core::Router::pick_routed
 
 mod balancer;
 mod build;
+mod eos;
 mod fault_ctl;
 mod instance;
 mod msg;
@@ -205,9 +210,9 @@ pub struct NodeReport {
     pub pool: lmas_storage::PoolStats,
     /// NIC busy time.
     pub nic_busy: SimDuration,
-    /// Payload bytes this node put on the wire (zero-byte EOS marks
-    /// carry none) — the measured shuffle volume a coded edge divides by
-    /// `r`.
+    /// Payload bytes this node put on the wire (zero-byte end-of-stream
+    /// charges carry none) — the measured shuffle volume a coded edge
+    /// divides by `r`.
     pub nic_bytes_tx: u64,
     /// Peak functor-state bytes observed.
     pub peak_state_bytes: usize,
@@ -240,6 +245,9 @@ pub struct EmulationReport<R: Record> {
     pub mem_violations: Vec<String>,
     /// Simulator events dispatched while running the job.
     pub dispatched: u64,
+    /// The same dispatches split by message kind; the rows sum to
+    /// [`dispatched`](EmulationReport::dispatched).
+    pub census: DispatchCensus,
     /// Event trace of the run (empty unless
     /// [`ClusterConfig::trace_capacity`] asked for one).
     pub trace: Trace,
@@ -304,12 +312,67 @@ pub struct ParRunStats {
     pub critical_dispatched: u64,
     /// Cross-partition messages exchanged.
     pub remote_messages: u64,
+    /// The closed form of the census's `EosMark` row: per upstream
+    /// sender, the partitions other than its own that own one of its
+    /// receivers. The row equals it once every sender reached end of
+    /// stream; it is the one row that depends on the partition count by
+    /// design.
+    pub eos_marks: u64,
     /// Log2 histogram of conservative window widths (virtual ns).
     /// Deterministic: same run, same histogram.
     pub window_width_hist: LogHist,
     /// Log2 histogram of per-window barrier waits (wall-clock ns).
     /// **Not** deterministic — scheduling noise; never diff it.
     pub barrier_wait_hist: LogHist,
+}
+
+/// Dispatched events per message kind: how a run spends its events
+/// (data, end of stream, fault, balance, repair and scheduler traffic).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchCensus {
+    counts: [u64; msg::KINDS.len()],
+}
+
+impl DispatchCensus {
+    /// Count one dispatch of census row `kind`.
+    pub(crate) fn note(&mut self, kind: usize) {
+        self.counts[kind] += 1;
+    }
+
+    /// Add another partition's counts.
+    pub(crate) fn absorb(&mut self, other: &DispatchCensus) {
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+    }
+
+    /// Every row as `(message kind, dispatches)`, zero rows included.
+    pub fn rows(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        msg::KINDS.iter().copied().zip(self.counts.iter().copied())
+    }
+
+    /// Dispatches of message kind `kind` (a variant name such as
+    /// `"Eos"`); `None` for a name that is no message kind.
+    pub fn get(&self, kind: &str) -> Option<u64> {
+        self.rows().find(|&(k, _)| k == kind).map(|(_, n)| n)
+    }
+
+    /// All dispatches.
+    pub fn total(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+}
+
+impl fmt::Display for DispatchCensus {
+    /// The non-zero rows as `Kind=count`, space-separated, in row order.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut sep = "";
+        for (kind, n) in self.rows().filter(|&(_, n)| n > 0) {
+            write!(f, "{sep}{kind}={n}")?;
+            sep = " ";
+        }
+        Ok(())
+    }
 }
 
 impl<R: Record> EmulationReport<R> {
@@ -488,6 +551,7 @@ fn run_job_inner<R: Record>(
         windows: outcome.windows,
         critical_dispatched: outcome.critical_dispatched,
         remote_messages: outcome.remote_messages,
+        eos_marks: shared.eos_marks,
         window_width_hist: outcome.window_width_hist,
         barrier_wait_hist: outcome.barrier_wait_hist,
     };

@@ -19,6 +19,36 @@ pub(super) struct DeliveryMeta {
     pub(super) attempt: u32,
 }
 
+/// Census row names, one per [`Msg`] variant, in [`Msg::kind`] order.
+pub(super) const KINDS: [&str; 26] = [
+    "Arrive",
+    "Nack",
+    "Retry",
+    "Eos",
+    "EosMark",
+    "Work",
+    "SourceNext",
+    "Kill",
+    "Revive",
+    "FaultStep",
+    "Detect",
+    "SampleTick",
+    "DepthReport",
+    "WeightUpdate",
+    "BalanceTick",
+    "RepairStep",
+    "RepairFetch",
+    "RepairNext",
+    "RepairWrite",
+    "RepairDone",
+    "RepairBounce",
+    "RepairSampleTick",
+    "JobArrive",
+    "SinkFlushed",
+    "RepairFlush",
+    "RepairWriteFlush",
+];
+
 pub(super) enum Msg<R: Record> {
     /// A data packet. `meta` is `Some` only under an active fault spec;
     /// fault-free runs carry `None` and skip all bounce bookkeeping.
@@ -36,7 +66,20 @@ pub(super) enum Msg<R: Record> {
         p: Packet<R>,
         meta: DeliveryMeta,
     },
+    /// End of stream: every upstream sender of this instance's stage
+    /// is done. Sent once per receiver, by the stage's countdown
+    /// (`eos.rs`); a source also sends one to itself at end of input.
     Eos,
+    /// Sender → anchor receiver on another partition: one upstream
+    /// sender of `stage`, on dense node `node`, reached end of stream.
+    /// Lands at the sender's remote-delivery instant and counts down the
+    /// anchor partition's countdown there.
+    EosMark {
+        /// The receiving stage.
+        stage: usize,
+        /// Dense node index of the sender.
+        node: usize,
+    },
     /// A CPU service window completed. The epoch stamp discards windows
     /// that belonged to a life of this instance before a crash.
     Work(u64),
@@ -126,4 +169,65 @@ pub(super) enum Msg<R: Record> {
     /// sequence — like [`Msg::RepairFlush`], the sentinel fires after
     /// every other message at the instant in both engines.
     RepairWriteFlush,
+}
+
+impl<R: Record> Msg<R> {
+    /// This message's census row (an index into [`KINDS`]).
+    pub(super) fn kind(&self) -> usize {
+        match self {
+            Msg::Arrive { .. } => 0,
+            Msg::Nack { .. } => 1,
+            Msg::Retry { .. } => 2,
+            Msg::Eos => 3,
+            Msg::EosMark { .. } => 4,
+            Msg::Work(_) => 5,
+            Msg::SourceNext => 6,
+            Msg::Kill => 7,
+            Msg::Revive => 8,
+            Msg::FaultStep(_) => 9,
+            Msg::Detect(_) => 10,
+            Msg::SampleTick => 11,
+            Msg::DepthReport { .. } => 12,
+            Msg::WeightUpdate { .. } => 13,
+            Msg::BalanceTick => 14,
+            Msg::RepairStep(_) => 15,
+            Msg::RepairFetch(_) => 16,
+            Msg::RepairNext => 17,
+            Msg::RepairWrite(_) => 18,
+            Msg::RepairDone { .. } => 19,
+            Msg::RepairBounce { .. } => 20,
+            Msg::RepairSampleTick => 21,
+            Msg::JobArrive(_) => 22,
+            Msg::SinkFlushed(_) => 23,
+            Msg::RepairFlush => 24,
+            Msg::RepairWriteFlush => 25,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lmas_core::Rec8;
+
+    #[test]
+    fn census_rows_name_their_variants() {
+        let named: [(Msg<Rec8>, &str); 12] = [
+            (Msg::Eos, "Eos"),
+            (Msg::EosMark { stage: 0, node: 0 }, "EosMark"),
+            (Msg::Work(0), "Work"),
+            (Msg::SourceNext, "SourceNext"),
+            (Msg::Kill, "Kill"),
+            (Msg::Detect(0), "Detect"),
+            (Msg::SampleTick, "SampleTick"),
+            (Msg::BalanceTick, "BalanceTick"),
+            (Msg::RepairNext, "RepairNext"),
+            (Msg::JobArrive(0), "JobArrive"),
+            (Msg::SinkFlushed(0), "SinkFlushed"),
+            (Msg::RepairWriteFlush, "RepairWriteFlush"),
+        ];
+        for (msg, name) in named {
+            assert_eq!(KINDS[msg.kind()], name);
+        }
+    }
 }

@@ -245,3 +245,69 @@ fn inactive_spec_matches_fault_free_run_exactly() {
         sorted_tags(&same.sink_records())
     );
 }
+
+/// A sender's node crashes before the sender flushes, is detected and
+/// fenced, then recovers. The fault controller reports end of stream for
+/// the fenced sender, and the revived instance, though it hears end of
+/// stream itself, never flushes or reports its own. So each stage's
+/// countdown hears exactly once from every sender (a second report would
+/// trip its underflow `debug_assert`), every other instance flushes
+/// exactly once, and the sequential and two-partition runs agree.
+#[test]
+fn fenced_sender_reports_end_of_stream_exactly_once() {
+    let run = |threads: usize| {
+        let cfg = ClusterConfig::era_2002(2, 4, 8.0)
+            .with_trace(1 << 14)
+            .with_threads(threads);
+        let data: Vec<Rec8> = (0..20_000u32).map(|i| Rec8 { key: i, tag: i }).collect();
+        let mut g: FlowGraph<Rec8> = FlowGraph::new();
+        let src = g.add_source_stage(2, relay_factory());
+        let mid = g.add_stage(4, relay_factory());
+        let dst = g.add_stage(1, relay_factory());
+        g.connect(src, mid, RoutingPolicy::RoundRobin, EdgeKind::Set).unwrap();
+        g.connect(mid, dst, RoutingPolicy::Static, EdgeKind::Set).unwrap();
+        let mut placement = Placement::new();
+        let mut inputs = BTreeMap::new();
+        for h in 0..2 {
+            placement.assign(src, h, NodeId::Host(h));
+            inputs.insert((src.0, h), packetize(data.clone(), 50));
+        }
+        for a in 0..4 {
+            placement.assign(mid, a, NodeId::Asu(a));
+        }
+        placement.assign(dst, 0, NodeId::Host(1));
+        // Relay 1's ASU dies while the sources still stream, is detected
+        // (and the relay fenced) 15-20 ms later, and comes back before
+        // the sources finish.
+        let plan = FaultPlan::new()
+            .crash(asu_index(&cfg, 1), SimTime(1_000_000))
+            .recover(asu_index(&cfg, 1), SimTime(30_000_000));
+        let spec = FaultSpec::with_plan(plan);
+        run_job_with_faults(&cfg, &spec, Job { graph: g, placement, inputs }).unwrap()
+    };
+    let seq = run(1);
+    let par = run(2);
+    assert_eq!(par.par.map(|p| p.partitions), Some(2), "ran partitioned");
+    for r in [&seq, &par] {
+        assert_eq!(r.fault.detections, 1);
+        assert_eq!(r.fault.fenced_instances, 1, "only the crashed relay");
+        assert!(r.down_nodes.is_empty(), "the node recovered");
+        let flushes = |subject: &str| {
+            r.trace
+                .entries()
+                .filter(|e| e.subject.as_str() == subject && e.detail == "flush")
+                .count()
+        };
+        assert_eq!(flushes("s1.i1"), 0, "the fenced relay never flushes");
+        for s in ["s0.i0", "s0.i1", "s1.i0", "s1.i2", "s1.i3", "s2.i0"] {
+            assert_eq!(flushes(s), 1, "{s} flushes exactly once");
+        }
+        // One countdown `Eos` per receiver (4 relays + 1 sink) plus the
+        // two sources' own end of input.
+        assert_eq!(r.census.get("Eos"), Some(7));
+        assert_eq!(r.census.get("EosMark"), Some(r.par.map_or(0, |p| p.eos_marks)));
+        assert_eq!(r.trace.dropped(), 0);
+    }
+    assert_eq!(seq.makespan, par.makespan, "threads 1 and 2 agree");
+    assert_eq!(seq.sink_records().len(), par.sink_records().len());
+}

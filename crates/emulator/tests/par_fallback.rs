@@ -8,7 +8,10 @@
 //! latency"`), the faulted and balanced shapes that must partition, the
 //! one-host cluster that must go through the partitioned driver with a
 //! single partition, and `threads == 1`, which never consults the chain.
-//! Whatever the decision, the report must equal the `threads = 1` run.
+//! Whatever the decision, the report must equal the `threads = 1` run,
+//! with one exception: a partitioned run also dispatches the
+//! cross-partition end-of-stream marks (`EosMark`), whose count must
+//! equal its closed form.
 
 use lmas_core::functor::lib::MapFunctor;
 use lmas_core::{
@@ -20,7 +23,7 @@ use lmas_emulator::{
     EmulationReport, FaultSpec, GateDecision, Job, SchedGate, TenantJob,
 };
 use lmas_sim::{FaultPlan, SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn identity_factory() -> impl Fn(usize) -> Box<dyn Functor<Rec8>> + Send + 'static {
     |_| Box::new(MapFunctor::new("id", Work::compares(8), |r: Rec8| r))
@@ -103,20 +106,50 @@ fn gated() -> Run {
     })
 }
 
-/// Everything the partition decision must leave untouched.
+/// Everything the partition decision must leave untouched: every
+/// census row but `EosMark` included.
 fn observables(r: &EmulationReport<Rec8>) -> impl PartialEq + std::fmt::Debug {
     let queues: Vec<_> = r
         .queue_stats
         .iter()
         .map(|q| (q.stage.clone(), q.instances.clone()))
         .collect();
+    let census: Vec<_> = r.census.rows().filter(|&(k, _)| k != "EosMark").collect();
     (
         r.makespan,
-        r.dispatched,
+        census,
         r.stage_records_in.clone(),
         queues,
         r.sink_records(),
     )
+}
+
+/// The closed form of the `EosMark` row when `job` runs on
+/// `partitions` partitions: per sender, the partitions other than its
+/// own that own one of its receivers. Hosts split into contiguous blocks
+/// (host `h` → `h·P/H`) and ASU `a` goes with host `a mod H`.
+fn eos_marks(cfg: &ClusterConfig, partitions: usize, job: &Job<Rec8>) -> u64 {
+    let part = |id: NodeId| {
+        let h = match id {
+            NodeId::Host(h) => h,
+            NodeId::Asu(a) => a % cfg.hosts,
+        };
+        h * partitions / cfg.hosts
+    };
+    let stages = job.graph.stages();
+    let parts_of = |s: lmas_core::StageId| -> Vec<usize> {
+        (0..stages[s.0].replication)
+            .map(|i| part(job.placement.node_of(s, i).expect("placed")))
+            .collect()
+    };
+    let mut marks = 0;
+    for e in job.graph.edges() {
+        let receivers: BTreeSet<usize> = parts_of(e.to).into_iter().collect();
+        for own in parts_of(e.from) {
+            marks += receivers.iter().filter(|&&p| p != own).count() as u64;
+        }
+    }
+    marks
 }
 
 #[test]
@@ -156,6 +189,11 @@ fn partition_decision_table() {
             "{shape}: partitions"
         );
         assert_eq!(r.par_fallback, reason, "{shape}: fallback reason");
+        let marks = r.census.get("EosMark").expect("a census row");
+        let closed_form = eos_marks(&cluster, partitions.unwrap_or(1), &job(&cluster, RoundRobin));
+        assert_eq!(marks, closed_form, "{shape}: EosMark closed form");
+        assert_eq!(r.par.map_or(0, |p| p.eos_marks), marks, "{shape}: reported closed form");
+        assert_eq!(r.census.total(), r.dispatched, "{shape}: census covers dispatched");
         let seq = run(&cluster.with_threads(1));
         assert!(seq.par.is_none() && seq.par_fallback.is_none(), "{shape}");
         assert_eq!(

@@ -81,8 +81,8 @@ fn coded_r1_reproduces_frozen_goldens() {
     assert_eq!(out.pass1.makespan.as_nanos(), 16_725_632);
     assert_eq!(out.pass2.makespan.as_nanos(), 23_332_828);
     assert_eq!(out.total.as_nanos(), 40_058_460);
-    assert_eq!(out.pass1.dispatched, 138);
-    assert_eq!(out.pass2.dispatched, 126);
+    assert_eq!(out.pass1.dispatched, 128);
+    assert_eq!(out.pass2.dispatched, 116);
 
     let out_records: usize = out.output.iter().map(|p| p.len()).sum();
     assert_eq!(out_records, 5_000);

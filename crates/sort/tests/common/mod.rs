@@ -16,11 +16,16 @@
 //!   sequential engine's global FIFO (reproducing that order would
 //!   serialize the partitions). Such ties can legally permute packet
 //!   *contents* flowing through an instant, so only conserved
-//!   aggregates (dispatch counts, record conservation, per-stage work,
-//!   fault accounting) and the final sorted output are asserted
+//!   aggregates (the dispatch census, record conservation, per-stage
+//!   work, fault accounting) and the final sorted output are asserted
 //!   against the sequential run. Representative multi-host
 //!   configurations are additionally pinned byte-exact in
 //!   `par_golden.rs`.
+//!
+//! Every census row is the same at every partition count except
+//! `EosMark`: a partitioned run sends one cross-partition end-of-stream
+//! mark per (sender, other partition owning one of its receivers), so
+//! that row must equal its closed form instead ([`census_line`]).
 
 #![allow(dead_code)] // each test binary uses a subset of these helpers
 
@@ -38,9 +43,10 @@ pub fn fingerprint<R: Record>(r: &EmulationReport<R>) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "makespan={:?} dispatched={} records={} reweights={}",
-        r.makespan, r.dispatched, r.records_processed, r.reweights
+        "makespan={:?} records={} reweights={}",
+        r.makespan, r.records_processed, r.reweights
     );
+    let _ = writeln!(s, "{}", census_line(r));
     let _ = writeln!(
         s,
         "mem_violations={:?} down={:?} fault={:?}",
@@ -64,6 +70,25 @@ pub fn fingerprint<R: Record>(r: &EmulationReport<R>) -> String {
     }
     let _ = writeln!(s, "trace n={} dropped={}", r.trace.len(), r.trace.dropped());
     s
+}
+
+/// The dispatch census with its one partition-dependent row checked
+/// and left out. The rows must sum to `dispatched`, and `EosMark` must
+/// equal its closed form, [`lmas_emulator::ParRunStats::eos_marks`]
+/// (zero without partitions). Every other row is rendered, so two runs
+/// compared on this line agree on every row but `EosMark` exactly.
+pub fn census_line<R: Record>(r: &EmulationReport<R>) -> String {
+    assert_eq!(r.census.total(), r.dispatched, "census rows sum to dispatched");
+    let marks = r.census.get("EosMark").expect("EosMark is a census row");
+    let closed_form = r.par.as_ref().map_or(0, |p| p.eos_marks);
+    assert_eq!(marks, closed_form, "EosMark row off its closed form");
+    let rows: Vec<String> = r
+        .census
+        .rows()
+        .filter(|&(kind, n)| kind != "EosMark" && n > 0)
+        .map(|(kind, n)| format!("{kind}={n}"))
+        .collect();
+    format!("census {}", rows.join(" "))
 }
 
 /// The trace render with same-instant lines put into a canonical
@@ -133,18 +158,16 @@ pub fn assert_same_sort<R: Record>(a: &DsmOutcome<R>, b: &DsmOutcome<R>, eq: Tra
     }
 }
 
-/// Observables conserved at ANY partition count: dispatch and record
-/// accounting, per-stage work, fault statistics. Excludes everything a
+/// Observables conserved at ANY partition count: the dispatch census
+/// ([`census_line`]), record accounting, per-stage work, fault
+/// statistics. Excludes everything a
 /// legal same-instant cross-partition reorder may perturb (per-node
 /// gauges, queue statistics, intermediate packet contents, virtual
 /// times — the pinned goldens cover those byte-exactly).
 pub fn conserved_fingerprint<R: Record>(r: &EmulationReport<R>) -> String {
     let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "dispatched={} records={} reweights={}",
-        r.dispatched, r.records_processed, r.reweights
-    );
+    let _ = writeln!(s, "records={} reweights={}", r.records_processed, r.reweights);
+    let _ = writeln!(s, "{}", census_line(r));
     let _ = writeln!(s, "down={:?} fault={:?}", r.down_nodes, r.fault);
     let _ = writeln!(s, "stage_work={:?}", r.stage_work);
     let _ = writeln!(s, "stage_records_in={:?}", r.stage_records_in);

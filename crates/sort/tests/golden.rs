@@ -37,8 +37,8 @@ fn pinned_dsm_sort_reproduces_frozen_virtual_time() {
     assert_eq!(out.pass1.makespan.as_nanos(), 16_725_632);
     assert_eq!(out.pass2.makespan.as_nanos(), 23_332_828);
     assert_eq!(out.total.as_nanos(), 40_058_460);
-    assert_eq!(out.pass1.dispatched, 138);
-    assert_eq!(out.pass2.dispatched, 126);
+    assert_eq!(out.pass1.dispatched, 128);
+    assert_eq!(out.pass2.dispatched, 116);
     assert_eq!(out.pass1.records_processed, 15_000);
     assert_eq!(out.pass2.records_processed, 15_000);
 
