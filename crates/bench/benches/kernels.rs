@@ -60,10 +60,17 @@ fn main() -> Result<(), GateFailure> {
     // The sort's own merges on the paper's record, reading buffered run
     // packets in place: `sort_bulk`'s ASU merge (γ₁ = 8 runs of β = 4096
     // into one run) and host merge (γ₂ = 64 runs into 1024-record
-    // stripes), 32 768 records each.
-    let n = 1usize << 15;
-    let data = generate_rec128(n as u64, KeyDist::Uniform, 2);
-    for (k, chunk) in [(8usize, n), (64, 1024)] {
+    // stripes), 32 768 records each (4 MiB, cache-resident); and the
+    // fleet job's host merge, 131 072 records in 128 runs into
+    // 1024-record stripes (16 MiB, DRAM-resident: each next head is a
+    // cache miss unless it was loaded ahead).
+    let shapes = [
+        (1usize << 15, 8usize, 1usize << 15),
+        (1 << 15, 64, 1024),
+        (1 << 17, 128, 1024),
+    ];
+    for (n, k, chunk) in shapes {
+        let data = generate_rec128(n as u64, KeyDist::Uniform, 2);
         let runs: Vec<Packet<Rec128>> = data
             .chunks(n / k)
             .map(|c| {

@@ -113,84 +113,157 @@ pub fn radix_sort_u32<R: Record>(records: &mut [R]) {
     }
 }
 
-/// Does run `a`'s head key strictly beat run `b`'s in the tournament?
-///
-/// Exhausted runs (`None`) lose to everything; equal keys break toward
-/// the lower run index, so the merge is stable across runs.
-fn beats<K: Ord>(heads: &[Option<K>], a: usize, b: usize, compares: &mut u64) -> bool {
-    match (&heads[a], &heads[b]) {
-        (Some(x), Some(y)) => {
-            *compares += 1;
-            (x, a) < (y, b)
-        }
-        (Some(_), None) => true,
-        (None, Some(_)) => false,
-        (None, None) => a < b,
+/// A run's front as the loser tree stores and compares it: ordered by
+/// `(key, run)`, with every exhausted run's word above every live one.
+/// Internal nodes hold these words, not run indices, so a match reads
+/// nothing but the two words it compares.
+trait HeadWord<R: Record>: Copy + Ord {
+    /// The word of run `run` whose front record is `r`.
+    fn live(r: &R, run: u32) -> Self;
+    /// The word of run `run` once it is exhausted; `last` is any record
+    /// (the one just taken from the run).
+    fn exhausted(last: &R, run: u32) -> Self;
+    fn is_live(self) -> bool;
+    /// The run a live word belongs to.
+    fn run(self) -> usize;
+}
+
+/// [`Record::RADIX32`] records: `(radix_key << 32) | run`, one integer
+/// compare per match. `u64::MAX` is the exhausted word: a live run index
+/// is below `u32::MAX`, so no live word reaches it.
+impl<R: Record> HeadWord<R> for u64 {
+    #[inline]
+    fn live(r: &R, run: u32) -> u64 {
+        (u64::from(r.radix_key()) << 32) | u64::from(run)
+    }
+    #[inline]
+    fn exhausted(_: &R, _: u32) -> u64 {
+        u64::MAX
+    }
+    #[inline]
+    fn is_live(self) -> bool {
+        self != u64::MAX
+    }
+    #[inline]
+    fn run(self) -> usize {
+        self as u32 as usize
+    }
+}
+
+/// Every other record: `(exhausted, key, run)`, compared field by field.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct KeyHead<K>(bool, K, u32);
+
+impl<R: Record> HeadWord<R> for KeyHead<R::Key> {
+    #[inline]
+    fn live(r: &R, run: u32) -> Self {
+        KeyHead(false, r.key(), run)
+    }
+    #[inline]
+    fn exhausted(last: &R, run: u32) -> Self {
+        KeyHead(true, last.key(), run)
+    }
+    #[inline]
+    fn is_live(self) -> bool {
+        !self.0
+    }
+    #[inline]
+    fn run(self) -> usize {
+        self.2 as usize
     }
 }
 
 /// Merge `runs` (each sorted by key, read in place) with a loser tree,
 /// handing the output to `emit` in vectors of `chunk` records (the last
 /// may be short); returns the comparisons actually performed
-/// (~`m·ceil(log2 k)` for `m` records over `k` non-empty runs — sentinel
-/// matches are free).
+/// (~`m·ceil(log2 k)` for `m` records over `k` non-empty runs — a match
+/// against an exhausted run is free).
 ///
-/// The tree is flat arrays: `losers[1..m]` holds the run index parked at
-/// each internal node, `heads[r]` caches run `r`'s current front *key*,
-/// so a match never touches a record. Each winner is cloned exactly
-/// once, into the chunk being filled. Empty runs are dropped first, and
-/// equal keys break toward the lower index among the rest, so ties come
-/// out in run order.
-pub fn merge_slices<R: Record>(runs: &[&[R]], chunk: usize, mut emit: impl FnMut(Vec<R>)) -> u64 {
+/// The tree is flat arrays over *head words*: each internal node keeps
+/// its loser's word, which orders by `(key, run)` and ranks an exhausted
+/// run last. [`Record::RADIX32`] records pack the word into one `u64`
+/// (`(radix_key << 32) | run`, `u64::MAX` once exhausted); others use
+/// `(exhausted, key, run)`. So a match never touches a record, and the
+/// leaf-to-root replay is a branch-free `min`/`max` per level. After each
+/// pop the record two ahead in the winner's run is loaded, so its cache
+/// miss overlaps the replay instead of stalling the next one. Each winner
+/// is cloned exactly once, into the chunk being filled. Empty runs are
+/// dropped first, and equal keys break toward the lower index among the
+/// rest, so ties come out in run order.
+pub fn merge_slices<R: Record>(runs: &[&[R]], chunk: usize, emit: impl FnMut(Vec<R>)) -> u64 {
+    if R::RADIX32 {
+        merge_words::<R, u64>(runs, chunk, emit)
+    } else {
+        merge_words::<R, KeyHead<R::Key>>(runs, chunk, emit)
+    }
+}
+
+/// [`merge_slices`] over head words of type `W`.
+fn merge_words<R: Record, W: HeadWord<R>>(
+    runs: &[&[R]],
+    chunk: usize,
+    mut emit: impl FnMut(Vec<R>),
+) -> u64 {
     assert!(chunk > 0, "chunk size must be positive");
-    let runs: Vec<&[R]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
-    let k = runs.len();
-    let mut remaining: usize = runs.iter().map(|r| r.len()).sum();
+    // The unread tail of each non-empty run.
+    let mut tails: Vec<&[R]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
+    let Some(any) = tails.first().map(|r| &r[0]) else {
+        return 0;
+    };
+    let k = tails.len();
+    assert!(k < u32::MAX as usize, "{k} runs exceed the head word's run index");
+    let mut remaining: usize = tails.iter().map(|r| r.len()).sum();
     let mut compares = 0u64;
 
-    // m leaves (next power of two ≥ k); leaves k..m are permanent
-    // sentinels. Leaf r is tree node m + r; internal nodes are 1..m.
-    let m = k.next_power_of_two();
-    let mut next = vec![0usize; k];
-    let mut heads: Vec<Option<R::Key>> = runs.iter().map(|r| Some(r[0].key())).collect();
-    heads.resize(m, None);
-
+    // m leaves (next power of two ≥ k); leaves k..m are permanently
+    // exhausted. Leaf r is tree node m + r; internal nodes are 1..m.
     // Build: play each match bottom-up, parking losers, bubbling winners.
-    let mut losers = vec![0usize; m];
-    let mut winner_at = vec![0usize; 2 * m];
-    for (r, w) in winner_at[m..].iter_mut().enumerate() {
-        *w = r;
-    }
-    for node in (1..m).rev() {
-        let a = winner_at[2 * node];
-        let b = winner_at[2 * node + 1];
-        let (w, l) = if beats(&heads, a, b, &mut compares) {
-            (a, b)
-        } else {
-            (b, a)
+    let m = k.next_power_of_two();
+    let mut winners = vec![W::exhausted(any, 0); 2 * m];
+    for (r, w) in winners[m..].iter_mut().enumerate() {
+        *w = match tails.get(r) {
+            Some(run) => W::live(&run[0], r as u32),
+            None => W::exhausted(any, r as u32),
         };
-        winner_at[node] = w;
-        losers[node] = l;
     }
-    let mut winner = winner_at[1];
+    let mut losers = vec![W::exhausted(any, 0); m];
+    for node in (1..m).rev() {
+        let (a, b) = (winners[2 * node], winners[2 * node + 1]);
+        winners[node] = a.min(b);
+        losers[node] = a.max(b);
+        compares += u64::from(losers[node].is_live());
+    }
+    let mut winner = winners[1];
 
     let mut out: Vec<R> = Vec::with_capacity(chunk.min(remaining));
-    while heads[winner].is_some() {
-        let run = runs[winner];
-        out.push(run[next[winner]].clone());
-        next[winner] += 1;
-        heads[winner] = run.get(next[winner]).map(Record::key);
+    while winner.is_live() {
+        let r = winner.run();
+        let run = tails[r];
+        out.push(run[0].clone());
+        tails[r] = &run[1..];
+        // The record after the new head: load it now, off the critical
+        // path, so it is in cache when it becomes the head.
+        if let Some(ahead) = run.get(2) {
+            std::hint::black_box(ahead.key());
+        }
+        let mut w = match run.get(1) {
+            Some(next) => W::live(next, r as u32),
+            None => W::exhausted(&run[0], r as u32),
+        };
         if out.len() == chunk {
             remaining -= chunk;
             emit(std::mem::replace(&mut out, Vec::with_capacity(chunk.min(remaining))));
         }
-        // Replay from the winner's leaf to the root.
-        let mut node = (m + winner) / 2;
-        let mut w = winner;
+        // Replay from the winner's leaf to the root: the smaller word
+        // moves up, the larger stays parked. Exhausted words rank last,
+        // so the larger is live exactly when both are: a real compare.
+        let mut node = (m + r) / 2;
         while node >= 1 {
-            if beats(&heads, losers[node], w, &mut compares) {
-                std::mem::swap(&mut losers[node], &mut w);
-            }
+            let l = losers[node];
+            let parked = l.max(w);
+            compares += u64::from(parked.is_live());
+            losers[node] = parked;
+            w = l.min(w);
             node /= 2;
         }
         winner = w;
@@ -540,62 +613,114 @@ mod tests {
         (out, compares)
     }
 
-    fn key_tags(records: &[Rec8]) -> Vec<(u32, u32)> {
-        records.iter().map(|r| (r.key, r.tag)).collect()
+    fn key_tags<R: Record>(records: &[R]) -> Vec<(R::Key, u64)> {
+        records.iter().map(|r| (r.key(), r.tag64())).collect()
+    }
+
+    /// A record without [`Record::RADIX32`] and with a composite key, as
+    /// a terrain cell's `(elevation, position)`: the merge compares it
+    /// through `(exhausted, key, run)` head words.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct PairRec {
+        key: (u32, u16),
+        tag: u32,
+    }
+
+    impl Record for PairRec {
+        const SIZE: usize = 10;
+        type Key = (u32, u16);
+
+        fn key(&self) -> (u32, u16) {
+            self.key
+        }
+        fn tag64(&self) -> u64 {
+            u64::from(self.tag)
+        }
+        fn to_bytes(&self, out: &mut [u8]) {
+            out[..4].copy_from_slice(&self.key.0.to_le_bytes());
+            out[4..6].copy_from_slice(&self.key.1.to_le_bytes());
+            out[6..10].copy_from_slice(&self.tag.to_le_bytes());
+        }
+        fn from_bytes(b: &[u8]) -> Self {
+            PairRec {
+                key: (
+                    u32::from_le_bytes(b[..4].try_into().expect("4 bytes")),
+                    u16::from_le_bytes(b[4..6].try_into().expect("2 bytes")),
+                ),
+                tag: u32::from_le_bytes(b[6..10].try_into().expect("4 bytes")),
+            }
+        }
+    }
+
+    /// Sort each of `raw`'s key lists into a run of records made by
+    /// `make(key, tag)`, tags counting up across all runs.
+    fn tagged_runs<R: Record>(raw: &[Vec<u32>], make: impl Fn(u32, u32) -> R) -> Vec<Vec<R>> {
+        let mut tag = 0u32;
+        raw.iter()
+            .map(|keys| {
+                let mut run: Vec<R> = keys
+                    .iter()
+                    .map(|&k| {
+                        tag += 1;
+                        make(k, tag)
+                    })
+                    .collect();
+                run.sort_by_key(Record::key);
+                run
+            })
+            .collect()
+    }
+
+    /// The three entry points against [`merge_by_move`] on `runs`: the
+    /// same `(key, tag)` sequence, chunking and comparison count.
+    fn check_against_move<R: Record>(runs: Vec<Vec<R>>) {
+        let total: usize = runs.iter().map(Vec::len).sum();
+        let (want, want_compares) = merge_by_move(runs.clone());
+        let want = key_tags(&want);
+
+        let slices: Vec<&[R]> = runs.iter().map(Vec::as_slice).collect();
+        for chunk in [1, 7, total.max(1), total + 1] {
+            let mut chunks: Vec<Vec<R>> = Vec::new();
+            let compares = merge_slices(&slices, chunk, |c| chunks.push(c));
+            proptest::prop_assert_eq!(compares, want_compares, "chunk {}", chunk);
+            let (last, full) = chunks.split_last().map_or((0, &[][..]), |(l, f)| (l.len(), f));
+            proptest::prop_assert!(full.iter().all(|c| c.len() == chunk), "chunk {}", chunk);
+            proptest::prop_assert!(chunks.is_empty() || (1..=chunk).contains(&last));
+            proptest::prop_assert_eq!(key_tags(&chunks.concat()), want.clone(), "chunk {}", chunk);
+        }
+
+        let (merged, compares) = merge_runs(runs.clone());
+        proptest::prop_assert_eq!((key_tags(&merged), compares), (want.clone(), want_compares));
+
+        let packets: Vec<Packet<R>> = runs.into_iter().map(Packet::new).collect();
+        let mut out: Vec<Packet<R>> = Vec::new();
+        let compares = merge_packets(&packets, total.max(1), |p| out.push(p));
+        let flat: Vec<R> = out.iter().flat_map(|p| p.records().iter().cloned()).collect();
+        proptest::prop_assert_eq!((key_tags(&flat), compares), (want, want_compares));
+        proptest::prop_assert!(out.len() <= 1);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// The borrowed merge against the move-based reference on 1–70
-        /// runs, empty and one-record runs included, with all-equal,
-        /// narrow and full-range keys: the same `(key, tag)` sequence
-        /// (ties in run order) and the same comparison count, for every
-        /// chunk size, through all three entry points.
+        /// The borrowed merge against the move-based reference on 1–130
+        /// runs (so trees up to 128 leaves, most k not a power of two),
+        /// empty and one-record runs included, with all-equal, narrow,
+        /// full-range and {0, `u32::MAX`} keys — the last puts live heads
+        /// in the packed word's sentinel key half. Checked on a
+        /// `RADIX32` record (packed `u64` head words) and on a
+        /// composite-key record (`(exhausted, key, run)` words).
         #[test]
         fn borrowed_merge_equals_move_merge(
-            raw in proptest::collection::vec(proptest::collection::vec(proptest::any::<u32>(), 0..40), 1..71),
-            key_mode in 0usize..3,
+            raw in proptest::collection::vec(proptest::collection::vec(proptest::any::<u32>(), 0..40), 1..131),
+            key_mode in 0usize..4,
         ) {
-            let mut tag = 0u32;
-            let runs: Vec<Vec<Rec8>> = raw
-                .into_iter()
-                .map(|keys| {
-                    let mut run: Vec<Rec8> = keys
-                        .into_iter()
-                        .map(|k| {
-                            tag += 1;
-                            Rec8 { key: [0, k % 5, k][key_mode], tag }
-                        })
-                        .collect();
-                    run.sort_by_key(|r| r.key);
-                    run
-                })
-                .collect();
-            let total: usize = runs.iter().map(Vec::len).sum();
-            let (want, want_compares) = merge_by_move(runs.clone());
-            let want = key_tags(&want);
-
-            let slices: Vec<&[Rec8]> = runs.iter().map(Vec::as_slice).collect();
-            for chunk in [1, 7, total.max(1), total + 1] {
-                let mut chunks: Vec<Vec<Rec8>> = Vec::new();
-                let compares = merge_slices(&slices, chunk, |c| chunks.push(c));
-                proptest::prop_assert_eq!(compares, want_compares, "chunk {}", chunk);
-                let (last, full) = chunks.split_last().map_or((0, &[][..]), |(l, f)| (l.len(), f));
-                proptest::prop_assert!(full.iter().all(|c| c.len() == chunk), "chunk {}", chunk);
-                proptest::prop_assert!(chunks.is_empty() || (1..=chunk).contains(&last));
-                proptest::prop_assert_eq!(key_tags(&chunks.concat()), want.clone(), "chunk {}", chunk);
-            }
-
-            let (merged, compares) = merge_runs(runs.clone());
-            proptest::prop_assert_eq!((key_tags(&merged), compares), (want.clone(), want_compares));
-
-            let packets: Vec<Packet<Rec8>> = runs.into_iter().map(Packet::new).collect();
-            let mut out: Vec<Packet<Rec8>> = Vec::new();
-            let compares = merge_packets(&packets, total.max(1), |p| out.push(p));
-            let flat: Vec<Rec8> = out.iter().flat_map(|p| p.records().iter().copied()).collect();
-            proptest::prop_assert_eq!((key_tags(&flat), compares), (want, want_compares));
-            proptest::prop_assert!(out.len() <= 1);
+            let key = |k: u32| [0, k % 5, k, if k.is_multiple_of(2) { 0 } else { u32::MAX }][key_mode];
+            check_against_move(tagged_runs(&raw, |k, tag| Rec8 { key: key(k), tag }));
+            check_against_move(tagged_runs(&raw, |k, tag| PairRec {
+                key: (key(k) / 3, (key(k) % 3) as u16),
+                tag,
+            }));
         }
     }
 

@@ -187,6 +187,12 @@ pub struct DsmOutcome<R: Record> {
     /// ASUs still down at the end of pass 1 (their stored runs were
     /// unreachable and their records went through repair).
     pub lost_asus: Vec<usize>,
+    /// The realised fan-in of pass 2's widest host merge: the runs one
+    /// subset's host merge received, each ASU contributing its runs of
+    /// the subset γ₁-merged. Above γ₂ when a two-pass configuration runs
+    /// wider than declared (e.g. more ASUs than γ₂); the multi-pass entry
+    /// merges until it is at most γ₂.
+    pub host_fanin: usize,
 }
 
 impl<R: Record> DsmOutcome<R> {
@@ -772,12 +778,12 @@ pub(crate) fn dsm_sort<R: Record>(
         None => (None, 0, Vec::new()),
     };
     let mut intermediate = Vec::new();
-    while passes == MergePasses::AsNeeded
-        && max_host_fanin(&runs, &splitters, dsm.gamma1) > dsm.gamma2
-    {
+    let mut host_fanin = max_host_fanin(&runs, &splitters, dsm.gamma1);
+    while passes == MergePasses::AsNeeded && host_fanin > dsm.gamma2 {
         let (report, merged) = run_intermediate_merge(cluster, runs, &splitters, dsm.gamma1)?;
         intermediate.push(report);
         runs = merged;
+        host_fanin = max_host_fanin(&runs, &splitters, dsm.gamma1);
         if intermediate.len() > 64 {
             return Err(DsmError::InputShape(
                 "merge did not converge in 64 passes".into(),
@@ -804,6 +810,7 @@ pub(crate) fn dsm_sort<R: Record>(
         ),
         recovered_records,
         lost_asus,
+        host_fanin,
     };
     out.total = out.passes().fold(SimDuration::ZERO, |t, r| t + r.makespan);
     Ok(out)

@@ -217,6 +217,21 @@ fn multipass_merge_sorts_when_gamma_is_tiny() {
     );
     verify_rec128_output(&out.output, n).expect("sorted permutation");
     assert!(out.total >= out.pass1.makespan);
+    assert!(out.host_fanin <= dsm.gamma2, "fan-in {}", out.host_fanin);
+}
+
+/// More ASUs than γ₂, as in the fleet job (192 ASUs, γ₂ = 64): each ASU
+/// holding runs of a subset sends that subset's host merge its own
+/// γ₁-merged run (here up to 10 of the 12 ASUs), so the realised fan-in
+/// exceeds the declared γ₂. The two-pass sort still runs
+/// to completion — in debug builds too — and reports that fan-in.
+#[test]
+fn host_fanin_above_gamma2_is_reported_not_fatal() {
+    let cluster = ClusterConfig::era_2002(2, 12, 8.0);
+    let dsm = DsmConfig::new(4, 64, 8, 4);
+    let mode = LoadMode::Managed(lmas_core::RoutingPolicy::RoundRobin);
+    let out = sort_and_verify(&cluster, 4_000, &dsm, mode, 7);
+    assert_eq!(out.host_fanin, 10);
 }
 
 /// The γ-starved case of [`multipass_merge_sorts_when_gamma_is_tiny`]
