@@ -17,6 +17,7 @@
 //! | `fault_sweep` | F-FT — makespan inflation under a masked crash (`BENCH_faults.json`) | 1 |
 //! | `disk_scaling` | BENCH-storage — spindles, buffer pool, read-ahead (`BENCH_storage.json`) | |
 //! | `placement_sweep` | F-PLACE — planned vs naive layouts (`BENCH_placement.json`) | 2 |
+//! | `fleet_scale` | BENCH-fleet-scale — wall clock and peak RSS from 256 to 16 384 nodes (`BENCH_fleet_scale.json`, wall-clock) | 3 |
 //! | `par_scaling` | BENCH-par-sim — partitioned kernel scaling (`BENCH_par_sim.json`, wall-clock) | 2 |
 //! | `coded_shuffle` | F-CS — coded-shuffle r-sweep vs the planner (`BENCH_coded.json`) | 4 |
 //! | `repair_fleet` | F-RF — re-replication vs the mean-field ODE (`BENCH_repair.json`) | 1 |

@@ -531,15 +531,42 @@ mod tests {
         for r in &mut runs {
             r.sort_by_key(|x| x.key);
         }
-        let (merged, compares) = merge_runs(runs);
+        let (merged, compares) = merge_runs(runs.clone());
         assert!(is_sorted_by_key(&merged));
         let m = merged.len() as u64;
+        assert_eq!(compares, merge_by_move(runs).1, "every real compare, no sentinel");
         assert!(
-            compares <= m * 3 + 64,
+            compares <= m * 3,
             "compares={compares} should be ~m·log2(8)={}",
             m * 3
         );
         assert!(compares >= m * 2, "compares={compares} suspiciously low");
+
+        // k not a power of two and runs of unequal length: runs empty
+        // early, so a count that charged matches against an exhausted
+        // run (a sentinel) would exceed the reference's.
+        let data = generate_rec8(3_000, KeyDist::Uniform, 43);
+        let lens = [17, 900, 3, 411, 1, 640, 260, 38, 730];
+        let mut runs: Vec<Vec<Rec8>> = Vec::new();
+        let mut rest = &data[..];
+        for len in lens {
+            let (run, tail) = rest.split_at(len);
+            let mut run = run.to_vec();
+            run.sort_by_key(|x| x.key);
+            runs.push(run);
+            rest = tail;
+        }
+        let k = runs.len() as u64;
+        let (merged, compares) = merge_runs(runs.clone());
+        assert!(is_sorted_by_key(&merged));
+        let m = merged.len() as u64;
+        assert_eq!(compares, merge_by_move(runs).1, "every real compare, no sentinel");
+        let levels = u64::from(k.next_power_of_two().trailing_zeros());
+        assert!(
+            compares <= m * levels,
+            "compares={compares} exceed m·⌈log2 k⌉={}",
+            m * levels
+        );
     }
 
     #[test]

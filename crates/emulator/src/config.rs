@@ -15,7 +15,7 @@
 //! [`run_job_with_faults`](crate::run_job_with_faults).
 
 use crate::balance::BalanceSpec;
-use lmas_core::CostModel;
+use lmas_core::{CostModel, NodeId};
 use lmas_sim::SimDuration;
 use lmas_storage::{DiskParams, StorageSpec};
 
@@ -162,6 +162,18 @@ impl ClusterConfig {
     /// Relative CPU speed of an ASU (`1/c`).
     pub fn asu_speed(&self) -> f64 {
         1.0 / self.cpu_ratio_c
+    }
+
+    /// Relative CPU speed of node `id`: a host's, or an ASU's after the
+    /// background tenants' share (the one formula [`NodeRes`] and the
+    /// routers' capacities both read).
+    ///
+    /// [`NodeRes`]: crate::node::NodeRes
+    pub fn node_speed(&self, id: NodeId) -> f64 {
+        match id {
+            NodeId::Host(_) => self.host_speed(),
+            NodeId::Asu(_) => self.asu_speed() * (1.0 - self.background_asu_cpu),
+        }
     }
 
     /// Total nodes (hosts + ASUs).

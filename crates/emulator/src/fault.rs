@@ -36,6 +36,7 @@ use crate::config::ClusterConfig;
 use crate::repair::RepairSpec;
 use lmas_core::NodeId;
 use lmas_sim::{FaultEvent, FaultPlan, SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 /// Health of one emulated node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -252,21 +253,22 @@ impl DetectedTimeline {
 /// Per-directed-link packet-loss probability over time, precomputed
 /// from the plan's `LinkLoss` events. Like [`DetectedTimeline`], static
 /// data replaces a live mutation so every partition can sample loss at
-/// send time without a shared cell.
+/// send time without a shared cell. Sparse: it holds only the links the
+/// plan names, so its size follows the plan, not the fleet.
 #[derive(Debug, Clone)]
 pub struct LossTimeline {
-    total_nodes: usize,
-    /// `from * total_nodes + to` → time-sorted `(at_ns, drop_prob)`
-    /// steps; the rate in force at `t` is the last step with
-    /// `at_ns <= t`. Same-instant duplicates keep plan insertion order,
-    /// so the later entry wins — matching live replay.
-    steps: Vec<Vec<(u64, f64)>>,
+    /// `(from, to)` → time-sorted `(at_ns, drop_prob)` steps; the rate
+    /// in force at `t` is the last step with `at_ns <= t`. Same-instant
+    /// duplicates keep plan insertion order, so the later entry wins —
+    /// matching live replay.
+    steps: BTreeMap<(usize, usize), Vec<(u64, f64)>>,
 }
 
 impl LossTimeline {
-    /// Build the timeline for `total_nodes` nodes.
+    /// Build the timeline for `total_nodes` nodes; steps on a link with
+    /// an endpoint outside the cluster are ignored.
     pub fn build(plan: &FaultPlan, total_nodes: usize) -> LossTimeline {
-        let mut steps: Vec<Vec<(u64, f64)>> = vec![Vec::new(); total_nodes * total_nodes];
+        let mut steps: BTreeMap<(usize, usize), Vec<(u64, f64)>> = BTreeMap::new();
         for ev in plan.sorted_events() {
             if let FaultEvent::LinkLoss {
                 from,
@@ -278,15 +280,18 @@ impl LossTimeline {
                 if from >= total_nodes || to >= total_nodes {
                     continue;
                 }
-                steps[from * total_nodes + to].push((at.0, drop_prob));
+                steps.entry((from, to)).or_default().push((at.0, drop_prob));
             }
         }
-        LossTimeline { total_nodes, steps }
+        LossTimeline { steps }
     }
 
-    /// The drop probability in force on `from → to` at `t`.
+    /// The drop probability in force on `from → to` at `t` (0 on a link
+    /// the plan never names).
     pub fn prob(&self, from: usize, to: usize, t: SimTime) -> f64 {
-        let steps = &self.steps[from * self.total_nodes + to];
+        let Some(steps) = self.steps.get(&(from, to)) else {
+            return 0.0;
+        };
         let i = steps.partition_point(|&(at, _)| at <= t.0);
         if i == 0 {
             0.0
@@ -396,6 +401,47 @@ mod tests {
         assert_eq!(t.prob(0, 1, SimTime(100)), 0.5);
         assert_eq!(t.prob(0, 1, SimTime(250)), 0.0, "zero restores the link");
         assert_eq!(t.prob(1, 0, SimTime(150)), 0.0, "links are directed");
+    }
+
+    #[test]
+    fn loss_timeline_keeps_links_apart() {
+        let plan = FaultPlan::new()
+            .link_loss(0, 1, SimTime(100), 0.5)
+            .link_loss(1, 0, SimTime(50), 0.25)
+            .link_loss(2, 1, SimTime(100), 0.1)
+            // Same instant on one link: the later step wins.
+            .link_loss(2, 1, SimTime(300), 0.2)
+            .link_loss(2, 1, SimTime(300), 0.3)
+            // Endpoints outside a 3-node cluster are ignored.
+            .link_loss(3, 0, SimTime(0), 0.9)
+            .link_loss(0, 7, SimTime(0), 0.9);
+        let t = LossTimeline::build(&plan, 3);
+        assert_eq!(t.prob(0, 1, SimTime(100)), 0.5);
+        assert_eq!(t.prob(1, 0, SimTime(60)), 0.25, "directions are apart");
+        assert_eq!(t.prob(1, 0, SimTime(40)), 0.0);
+        assert_eq!(t.prob(2, 1, SimTime(299)), 0.1);
+        assert_eq!(t.prob(2, 1, SimTime(300)), 0.3, "the later step wins");
+        assert_eq!(t.prob(1, 2, SimTime(300)), 0.0);
+        assert_eq!(t.prob(0, 2, SimTime(500)), 0.0, "an unnamed link");
+        assert_eq!(t.prob(3, 0, SimTime(10)), 0.0, "out of range: ignored");
+        assert_eq!(t.prob(0, 7, SimTime(10)), 0.0);
+        assert_eq!(t.steps.len(), 3, "one entry per named in-range link");
+    }
+
+    #[test]
+    fn loss_timeline_is_sized_by_the_plan_not_the_fleet() {
+        // 2^20 nodes: a table per node pair would be 2^40 entries.
+        let nodes = 1 << 20;
+        let plan = FaultPlan::new()
+            .link_loss(0, nodes - 1, SimTime(10), 0.05)
+            .link_loss(nodes - 1, 0, SimTime(20), 0.5)
+            .crash(5, SimTime(30));
+        let t = LossTimeline::build(&plan, nodes);
+        assert_eq!(t.steps.len(), 2);
+        assert_eq!(t.prob(0, nodes - 1, SimTime(10)), 0.05);
+        assert_eq!(t.prob(nodes - 1, 0, SimTime(19)), 0.0);
+        assert_eq!(t.prob(nodes - 1, 0, SimTime(20)), 0.5);
+        assert_eq!(t.prob(12_345, 54_321, SimTime(99)), 0.0);
     }
 
     #[test]

@@ -143,17 +143,13 @@ impl NodeRes {
         // Multi-disk striping is an ASU property (the brick aggregates
         // spindles); hosts keep one disk.
         let spec = cfg.storage;
-        let (speed, mem, disk, disks) = match id {
-            NodeId::Host(_) => (cfg.host_speed(), cfg.host_mem_bytes, cfg.disk, 1),
+        let speed = cfg.node_speed(id);
+        let (mem, disk, disks) = match id {
+            NodeId::Host(_) => (cfg.host_mem_bytes, cfg.disk, 1),
             NodeId::Asu(_) => {
                 let mut disk = cfg.disk;
                 disk.rate_bytes_per_sec *= 1.0 - cfg.background_asu_disk;
-                (
-                    cfg.asu_speed() * (1.0 - cfg.background_asu_cpu),
-                    cfg.asu_mem_bytes,
-                    disk,
-                    spec.disks,
-                )
+                (cfg.asu_mem_bytes, disk, spec.disks)
             }
         };
         let store = NodeStore {
@@ -231,20 +227,6 @@ impl NodeRes {
         let service = nic_service(bytes, link_rate);
         self.nic_bytes_tx += bytes;
         self.nic.acquire(now, service)
-    }
-
-    /// Book `count` back-to-back NIC serializations of `bytes` each at
-    /// `now` in one batched ledger update; returns the combined window.
-    pub fn charge_nic_batch(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        link_rate: f64,
-        count: u64,
-    ) -> Grant {
-        let service = nic_service(bytes, link_rate);
-        self.nic_bytes_tx += bytes * count;
-        self.nic.acquire_batch(now, count, service)
     }
 
     /// Sequential disk read of `bytes`; returns data-ready time.

@@ -10,6 +10,7 @@ use lmas_sim::{ActorId, Ctx, SimDuration};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// One stage the snapshot balancer re-weights: its replication (for
 /// zero-filling missing reports) and the upstream sender instances on
@@ -42,7 +43,7 @@ pub(super) struct SnapshotBalancer<R: Record> {
     /// Minimum cross-node delay; weight updates travel with it.
     pub(super) link_latency: SimDuration,
     /// Weights currently in force per stage (absent = never reweighted).
-    pub(super) cur: BTreeMap<usize, Vec<f64>>,
+    pub(super) cur: BTreeMap<usize, Arc<[f64]>>,
     pub(super) metrics: Rc<RefCell<Metrics<R>>>,
 }
 
@@ -65,7 +66,7 @@ impl<R: Record> SnapshotBalancer<R> {
                 balance::MIN_WEIGHT,
             );
             if let Some(w) = new {
-                if self.cur.get(&t.stage) != Some(&w) {
+                if self.cur.get(&t.stage).map(|c| &c[..]) != Some(&w[..]) {
                     let stage = t.stage;
                     let key = ctx.dispatch_key();
                     let mut m = self.metrics.borrow_mut();
@@ -74,6 +75,7 @@ impl<R: Record> SnapshotBalancer<R> {
                         ("balance", format!("reweight stage {stage}: {w:?}"))
                     });
                     drop(m);
+                    let w: Arc<[f64]> = w.into();
                     for &a in &t.senders {
                         ctx.send(
                             a,

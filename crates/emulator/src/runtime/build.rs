@@ -28,9 +28,9 @@
 
 use super::balancer::{steerable, watched_stages, SnapTarget, SnapshotBalancer};
 use super::eos::{EosCountdown, EosFabric};
-use super::fault_ctl::FaultController;
+use super::fault_ctl::{FaultController, NodeInstances};
 use super::instance::{
-    node_speed, Downstream, InstFlags, InstanceActor, InstanceFault, RaState, SampleState,
+    Downstream, InstFlags, InstanceActor, InstanceFault, RaState, Receivers, SampleState,
 };
 use super::msg::Msg;
 use super::repair_actors::{RepairAgent, RepairCoordinator};
@@ -136,8 +136,9 @@ pub(super) struct Shared<R: Record> {
     nparts: usize,
     graph: FlowGraph<R>,
     specs: Vec<InstSpec>,
-    /// First global instance index of each stage.
-    stage_base: Vec<usize>,
+    /// Per stage, its receiver table: the one copy every sender into
+    /// the stage routes by.
+    receivers: Vec<Arc<Receivers>>,
     /// Upstream senders of each stage: the count its end-of-stream
     /// countdowns start at (0 = no countdown).
     eos_senders: Vec<usize>,
@@ -155,9 +156,8 @@ pub(super) struct Shared<R: Record> {
     watched: Vec<usize>,
     /// Repair-coordinator event feed (empty when repair is off).
     repair_tl: Arc<Vec<(SimTime, RepairEv)>>,
-    /// Fault-controller tables (empty when the fault layer is off).
-    instances_on: Arc<Vec<Vec<usize>>>,
-    dest_stage: Arc<Vec<Option<usize>>>,
+    /// Fault-controller table (empty when the fault layer is off).
+    instances_on: Arc<NodeInstances>,
     /// Slot layout (module docs): the balancer's slot, ASU ordinal 0's
     /// repair agent, and the first slot past every protocol actor — the
     /// scheduler's on a gated run.
@@ -180,9 +180,9 @@ impl<R: Record> Shared<R> {
         let nparts = partitions.unwrap_or(1);
         let stages = graph.stages();
         let mut specs: Vec<InstSpec> = Vec::new();
-        let mut stage_base: Vec<usize> = Vec::with_capacity(stages.len());
+        let mut receivers: Vec<Arc<Receivers>> = Vec::with_capacity(stages.len());
         for (s, stage) in stages.iter().enumerate() {
-            stage_base.push(specs.len());
+            let first = specs.len();
             for i in 0..stage.replication {
                 let node = placement
                     .node_of(StageId(s), i)
@@ -197,6 +197,13 @@ impl<R: Record> Shared<R> {
                     part: node_partition(cfg.hosts, nparts, node),
                 });
             }
+            let placed = &specs[first..];
+            receivers.push(Arc::new(Receivers {
+                stage: s,
+                first,
+                node: placed.iter().map(|sp| node_index(cfg, sp.node)).collect(),
+                capacity: placed.iter().map(|sp| cfg.node_speed(sp.node)).collect(),
+            }));
         }
         let mut eos_senders = vec![0; stages.len()];
         for e in graph.edges() {
@@ -217,7 +224,7 @@ impl<R: Record> Shared<R> {
 
         let active = spec.is_active();
         let total_nodes = cfg.total_nodes();
-        // Cheap to build and unused when inactive.
+        // Cheap to build (O(nodes) and O(plan)) and unused when inactive.
         let detected = Arc::new(DetectedTimeline::build(
             &spec.plan,
             HEARTBEAT_PERIOD,
@@ -225,13 +232,12 @@ impl<R: Record> Shared<R> {
             total_nodes,
         ));
         let loss = Arc::new(LossTimeline::build(&spec.plan, total_nodes));
-        let mut instances_on: Vec<Vec<usize>> = Vec::new();
-        let mut dest_stage: Vec<Option<usize>> = Vec::new();
+        let mut instances_on: NodeInstances = Vec::new();
         if active {
             instances_on.resize(total_nodes, Vec::new());
             for (gi, sp) in specs.iter().enumerate() {
-                instances_on[node_index(cfg, sp.node)].push(gi);
-                dest_stage.push(graph.out_edge(StageId(sp.stage)).map(|e| e.to.0));
+                let dest = graph.out_edge(StageId(sp.stage)).map(|e| e.to.0);
+                instances_on[node_index(cfg, sp.node)].push((gi, dest));
             }
         }
         // Background re-replication engages only with the fault layer
@@ -259,7 +265,7 @@ impl<R: Record> Shared<R> {
             nparts,
             graph,
             specs,
-            stage_base,
+            receivers,
             eos_senders,
             eos_anchors: Arc::new(eos_anchors),
             eos_marks,
@@ -268,7 +274,6 @@ impl<R: Record> Shared<R> {
             watched,
             repair_tl,
             instances_on: Arc::new(instances_on),
-            dest_stage: Arc::new(dest_stage),
             bal_slot,
             agents_base,
             sched_slot,
@@ -312,7 +317,7 @@ impl<R: Record> Shared<R> {
     pub(super) fn workers(self: &Arc<Self>, inputs: Inputs<R>) -> Vec<EmWorker<R>> {
         let mut by_part: Vec<Inputs<R>> = (0..self.nparts).map(|_| BTreeMap::new()).collect();
         for ((stage, instance), packets) in inputs {
-            let part = self.specs[self.stage_base[stage] + instance].part;
+            let part = self.specs[self.receivers[stage].first + instance].part;
             by_part[part as usize].insert((stage, instance), packets);
         }
         by_part
@@ -404,10 +409,10 @@ impl<R: Record> EmWorker<R> {
         // This partition's countdown per stage, over the receivers it owns.
         let countdowns = (0..graph.stages().len())
             .map(|s| {
-                let base = sh.stage_base[s];
-                let receivers: Vec<(ActorId, usize)> = (base..base + graph.stages()[s].replication)
-                    .filter(|&gi| sh.specs[gi].part == part)
-                    .map(|gi| (ActorId(gi), node_index(cfg, sh.specs[gi].node)))
+                let to = &sh.receivers[s];
+                let receivers: Vec<(ActorId, usize)> = (0..to.node.len())
+                    .filter(|&j| sh.specs[to.first + j].part == part)
+                    .map(|j| (to.actor(j), to.node[j]))
                     .collect();
                 (sh.eos_senders[s] > 0 && !receivers.is_empty()).then(|| {
                     RefCell::new(EosCountdown::new(
@@ -430,35 +435,15 @@ impl<R: Record> EmWorker<R> {
             }
             let stage = &graph.stages()[sp.stage];
             let out_edge = graph.out_edge(StageId(sp.stage));
-            let down = out_edge.map(|e| {
-                let to = e.to.0;
-                let to_stage = &graph.stages()[to];
-                let base = sh.stage_base[to];
-                let dests = base..base + to_stage.replication;
-                let node_ids: Vec<NodeId> =
-                    sh.specs[dests.clone()].iter().map(|d| d.node).collect();
-                let node_idx = node_ids.iter().map(|&id| node_index(cfg, id)).collect();
-                let capacities = node_ids.iter().map(|&id| node_speed(cfg, id)).collect();
-                // Staging buffers exist only on a coded edge.
-                let coded_groups = if e.coded_group > 1 {
-                    to_stage.replication.div_ceil(e.coded_group)
-                } else {
-                    0
-                };
-                Downstream {
-                    actors: dests.map(ActorId).collect(),
-                    node_ids,
-                    node_idx,
-                    capacities,
-                    // One stream per sender, indexed by global instance
-                    // order, so SR draws align however the run is split.
-                    router: Router::new(e.routing, cfg.seed, idx as u64),
-                    weights: Vec::new(),
-                    group_size: graph.group_size(e),
-                    dest_stage: to,
-                    coded_r: e.coded_group,
-                    coded_buf: vec![Vec::new(); coded_groups],
-                }
+            let down = out_edge.map(|e| Downstream {
+                to: sh.receivers[e.to.0].clone(),
+                // One stream per sender, indexed by global instance
+                // order, so SR draws align however the run is split.
+                router: Router::new(e.routing, cfg.seed, idx as u64),
+                weights: None,
+                group_size: graph.group_size(e),
+                coded_r: e.coded_group,
+                coded_buf: BTreeMap::new(),
             });
             let source_data: VecDeque<Packet<R>> = self
                 .inputs
@@ -502,7 +487,6 @@ impl<R: Record> EmWorker<R> {
                     loss: sh.loss.clone(),
                     flags: flags.clone(),
                     backoff: BackoffPolicy::default_2002(),
-                    my_global: idx,
                     factory: stage.factory_handle(),
                     // Keyed by global instance index: the same stream
                     // whichever partition hosts the instance.
@@ -568,7 +552,6 @@ impl<R: Record> EmWorker<R> {
                     nodes: nodes.clone(),
                     flags: flags.clone(),
                     instances_on: sh.instances_on.clone(),
-                    dest_stage: sh.dest_stage.clone(),
                     eos: eos.clone(),
                     link_latency: cfg.link_latency,
                     metrics: metrics.clone(),
@@ -591,8 +574,8 @@ impl<R: Record> EmWorker<R> {
                         .iter()
                         .filter(|e| e.to.0 == s && steerable(graph, e))
                         .flat_map(|e| {
-                            let base = sh.stage_base[e.from.0];
-                            (base..base + graph.stages()[e.from.0].replication).map(ActorId)
+                            let from = &sh.receivers[e.from.0];
+                            (0..from.node.len()).map(|j| from.actor(j))
                         })
                         .collect(),
                 })
@@ -701,7 +684,7 @@ impl<R: Record> EmWorker<R> {
                 .iter()
                 .map(|srcs| {
                     srcs.iter()
-                        .map(|&(s, i)| ActorId(sh.stage_base[s] + i))
+                        .map(|&(s, i)| sh.receivers[s].actor(i))
                         .collect()
                 })
                 .collect();

@@ -4,8 +4,8 @@
 //!
 //! A receiver acts only on the last end-of-stream mark it would get. A
 //! sender's marks to receivers on its own node arrive at once (`local`);
-//! its marks to every other node ride one batched zero-byte NIC charge
-//! and all land at one instant (`remote`). So receiver `r` on node `n`
+//! its marks to every other node ride one zero-byte NIC charge and all
+//! land at one instant (`remote`). So receiver `r` on node `n`
 //! is done at `max(latest local instant on n, latest remote instant
 //! from a node ≠ n)`. The countdown keeps exactly what that needs: the
 //! latest local instant per node and the two latest remote instants
@@ -194,7 +194,7 @@ mod tests {
         node: usize,
         /// Flush instant.
         now: u64,
-        /// NIC queueing ahead of its batched zero-byte charge.
+        /// NIC queueing ahead of its zero-byte charge.
         nic_wait: u64,
     }
 

@@ -13,6 +13,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
+/// Per dense node, the instances resident on it as `(global index,
+/// destination stage)`.
+pub(super) type NodeInstances = Vec<Vec<(usize, Option<usize>)>>;
+
 /// The fault controller: replays the plan's node-health steps and the
 /// detector timeline's precomputed verdicts. There is one controller
 /// per partition, each seeded only with the events whose node it owns
@@ -26,12 +30,10 @@ pub(super) struct FaultController<R: Record> {
     /// partition's node, which this controller is never asked about).
     pub(super) nodes: Vec<Option<Rc<RefCell<NodeRes>>>>,
     pub(super) flags: Rc<RefCell<Vec<InstFlags>>>,
-    /// Global instance indices (== actor ids) resident on each node.
-    /// Like `dest_stage`, a pure function of the instance table, so one
-    /// copy serves every partition.
-    pub(super) instances_on: Arc<Vec<Vec<usize>>>,
-    /// The stage each global instance sends to (`None` for sinks).
-    pub(super) dest_stage: Arc<Vec<Option<usize>>>,
+    /// Per node, each resident instance as `(global index == actor id,
+    /// the stage it sends to, `None` for sinks)`. A pure function of
+    /// the instance table, so one copy serves every partition.
+    pub(super) instances_on: Arc<NodeInstances>,
     /// This partition's end-of-stream countdowns.
     pub(super) eos: Rc<EosFabric>,
     /// Minimum cross-node delay (the parallel lookahead); fence marks
@@ -60,7 +62,7 @@ impl<R: Record> FaultController<R> {
     /// delay later, like any cross-node control message.
     fn fence_node(&mut self, ctx: &mut Ctx<'_, Msg<R>>, node: usize) {
         for i in 0..self.instances_on[node].len() {
-            let gi = self.instances_on[node][i];
+            let (gi, dest) = self.instances_on[node][i];
             let already = {
                 let f = self.flags.borrow();
                 f[gi].flushed || f[gi].fenced
@@ -70,7 +72,7 @@ impl<R: Record> FaultController<R> {
             }
             self.flags.borrow_mut()[gi].fenced = true;
             self.metrics.borrow_mut().fault.fenced_instances += 1;
-            if let Some(stage) = self.dest_stage[gi] {
+            if let Some(stage) = dest {
                 let now = ctx.now();
                 let remote = now + self.link_latency;
                 self.eos.send_eos(ctx, stage, node, now, Some(remote));
@@ -85,8 +87,7 @@ impl<R: Record> FaultController<R> {
             FaultEvent::Crash { node, .. } => {
                 let Some(nd) = self.node(node) else { return };
                 nd.borrow_mut().set_health(NodeHealth::Down);
-                for j in 0..self.instances_on[node].len() {
-                    let gi = self.instances_on[node][j];
+                for &(gi, _) in self.instances_on[node].iter() {
                     ctx.send_now(ActorId(gi), Msg::Kill);
                 }
                 self.metrics
@@ -97,8 +98,7 @@ impl<R: Record> FaultController<R> {
             FaultEvent::Recover { node, .. } => {
                 let Some(nd) = self.node(node) else { return };
                 nd.borrow_mut().set_health(NodeHealth::Up);
-                for j in 0..self.instances_on[node].len() {
-                    let gi = self.instances_on[node][j];
+                for &(gi, _) in self.instances_on[node].iter() {
                     ctx.send_now(ActorId(gi), Msg::Revive);
                 }
                 self.metrics

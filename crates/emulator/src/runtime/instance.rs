@@ -5,14 +5,13 @@
 
 use super::eos::EosFabric;
 use super::msg::{DeliveryMeta, Msg};
-use crate::config::ClusterConfig;
 use crate::fault::{DetectedTimeline, LossTimeline};
 use crate::metrics::{Backlog, Metrics};
 use crate::node::NodeRes;
-use lmas_core::{Emit, Functor, NodeId, Packet, Record, Router, StageFactory, UpMask, Work};
+use lmas_core::{Emit, Functor, Packet, Record, Router, StageFactory, UpMask, Work};
 use lmas_sim::{ActorId, BackoffPolicy, Ctx, DetRng, SimDuration, SimTime};
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -53,25 +52,43 @@ pub(super) struct InstFlags {
     pub(super) fenced: bool,
 }
 
+/// One stage's receivers, as every sender into it sees them: built
+/// once per job and shared by `Arc`, so a sender holds no per-receiver
+/// copy. Identity only: a remote node *object* may live on another
+/// partition; everything delivery needs (same-node test, capacity)
+/// derives from the dense index and the config.
+pub(super) struct Receivers {
+    /// The receiving stage.
+    pub(super) stage: usize,
+    /// Global instance index (== actor id) of instance 0; instance `j`
+    /// is actor `first + j`.
+    pub(super) first: usize,
+    /// Dense node index per instance.
+    pub(super) node: Vec<usize>,
+    /// Relative CPU speed of each instance's node (routing capacity).
+    pub(super) capacity: Vec<f64>,
+}
+
+impl Receivers {
+    /// Actor of instance `j`.
+    pub(super) fn actor(&self, j: usize) -> ActorId {
+        ActorId(self.first + j)
+    }
+}
+
+/// A sender's side of its out-edge: the shared receiver table plus
+/// only what this sender owns.
 pub(super) struct Downstream<R: Record> {
-    pub(super) actors: Vec<ActorId>,
-    /// Node of each destination instance. Identity only — the remote
-    /// node *object* may live on another partition; everything delivery
-    /// needs (same-node test, capacity) derives from the id and config.
-    pub(super) node_ids: Vec<NodeId>,
-    /// Dense node index per destination instance (fault-mask lookups).
-    pub(super) node_idx: Vec<usize>,
-    pub(super) capacities: Vec<f64>,
+    pub(super) to: Arc<Receivers>,
     pub(super) router: Router,
-    /// Balancer-set routing weights for the destination stage, owned
-    /// per sender and replaced by [`Msg::WeightUpdate`]s; empty until
-    /// (unless) the balancer's first reweight, so an untouched run
-    /// draws identically to the weightless router path.
-    pub(super) weights: Vec<f64>,
+    /// Balancer-set routing weights for the destination stage, replaced
+    /// by [`Msg::WeightUpdate`]s (one allocation per reweight, shared by
+    /// every sender); `None` until (unless) the balancer's first
+    /// reweight, so an untouched run draws identically to the
+    /// weightless router path.
+    pub(super) weights: Option<Arc<[f64]>>,
     /// Instances per port group (= replication for global scope).
     pub(super) group_size: usize,
-    /// Destination stage id (checked against balancer weight updates).
-    pub(super) dest_stage: usize,
     /// Coded broadcast-group size of this edge (1 = plain delivery).
     /// With `r > 1` the destinations partition into groups of `r`
     /// consecutive instances; every r-th remote packet ships as one
@@ -79,9 +96,10 @@ pub(super) struct Downstream<R: Record> {
     /// the sender pays an `(r-1)`-fold replicated side-information disk
     /// write per packet.
     pub(super) coded_r: usize,
-    /// Per-group staging buffers of `(dest, packet)` awaiting a full
-    /// coded frame (empty and untouched when `coded_r == 1`).
-    pub(super) coded_buf: Vec<Vec<(usize, Packet<R>)>>,
+    /// Staged `(dest, packet)`s awaiting a full coded frame, keyed by
+    /// group; only groups holding packets have an entry (always empty
+    /// when `coded_r == 1`).
+    pub(super) coded_buf: BTreeMap<usize, Vec<(usize, Packet<R>)>>,
 }
 
 /// Fault-layer state held by each instance actor (present only when the
@@ -99,7 +117,6 @@ pub(super) struct InstanceFault<R: Record> {
     pub(super) loss: Arc<LossTimeline>,
     pub(super) flags: Rc<RefCell<Vec<InstFlags>>>,
     pub(super) backoff: BackoffPolicy,
-    pub(super) my_global: usize,
     pub(super) factory: StageFactory<R>,
     /// Private stream: loss draws and backoff jitter.
     pub(super) rng: DetRng,
@@ -142,8 +159,9 @@ pub(super) struct InstanceActor<R: Record> {
     pub(super) source_live: bool,
     /// Windowed read-ahead staging (pool-enabled sources only).
     pub(super) ra: Option<RaState>,
-    /// Globally unique instance tag: identifies this instance's output
-    /// stream to the disk scheduler (runs never merge across tags).
+    /// Globally unique instance tag, the global instance index (== actor
+    /// id): identifies this instance's output stream to the disk
+    /// scheduler (runs never merge across tags) and its fencing flags.
     pub(super) global_tag: u64,
     /// Incremented on crash; stale `Work` from a previous life is
     /// discarded by the stamp.
@@ -172,7 +190,7 @@ impl<R: Record> InstanceActor<R> {
     fn is_fenced(&self) -> bool {
         self.fault
             .as_ref()
-            .is_some_and(|f| f.flags.borrow()[f.my_global].fenced)
+            .is_some_and(|f| f.flags.borrow()[self.global_tag as usize].fenced)
     }
 
     fn try_start(&mut self, ctx: &mut Ctx<'_, Msg<R>>) {
@@ -254,7 +272,7 @@ impl<R: Record> InstanceActor<R> {
                 });
                 drop(m);
                 if let Some(f) = &self.fault {
-                    f.flags.borrow_mut()[f.my_global].flushed = true;
+                    f.flags.borrow_mut()[self.global_tag as usize].flushed = true;
                 }
             }
         }
@@ -331,14 +349,15 @@ impl<R: Record> InstanceActor<R> {
         };
         // A port is confined to its instance group; the policy picks
         // within it (group == whole stage for Global).
-        let groups = d.actors.len() / d.group_size;
+        let to = &*d.to;
+        let groups = to.node.len() / d.group_size;
         let base = (port % groups) * d.group_size;
         let picked = {
             let now = ctx.now();
             let up = match &self.fault {
-                Some(f) => UpMask::from_fn(d.group_size, |j| {
-                    f.detected.is_up(d.node_idx[base + j], now)
-                }),
+                Some(f) => {
+                    UpMask::from_fn(d.group_size, |j| f.detected.is_up(to.node[base + j], now))
+                }
                 None => UpMask::All,
             };
             // Only the plain calendar routes by backlog: a partition
@@ -350,19 +369,18 @@ impl<R: Record> InstanceActor<R> {
                 "backlog-routed pick on a partition of a parallel run"
             );
             let m = self.metrics.borrow();
-            let backlog = m.depths(d.dest_stage);
+            let backlog = m.depths(to.stage);
             // Empty until the balancer's first reweight: `pick_routed`
             // then makes the unweighted draws.
-            let wslice: &[f64] = if d.weights.is_empty() {
-                &[]
-            } else {
-                &d.weights[base..base + d.group_size]
+            let wslice: &[f64] = match &d.weights {
+                Some(w) => &w[base..base + d.group_size],
+                None => &[],
             };
             d.router.pick_routed(
                 d.group_size,
                 port / groups,
                 &backlog[base..base + d.group_size],
-                &d.capacities[base..base + d.group_size],
+                &to.capacity[base..base + d.group_size],
                 wslice,
                 &up,
             )
@@ -384,7 +402,7 @@ impl<R: Record> InstanceActor<R> {
         let (at, key, change) = (ctx.now(), ctx.dispatch_key(), Backlog::Add(p.len() as u64));
         self.metrics
             .borrow_mut()
-            .note_backlog(at, key, d.dest_stage, dest, change);
+            .note_backlog(at, key, to.stage, dest, change);
         // Coded delivery (fault-free runs only: coded frames have no
         // per-packet NACK identity). Same-node packets are free as in
         // the plain path; remote packets pay the (r-1)-way replicated
@@ -394,9 +412,8 @@ impl<R: Record> InstanceActor<R> {
         // grant.
         if d.coded_r > 1 && self.fault.is_none() {
             let now = ctx.now();
-            let my_id = self.node.borrow().id;
-            if d.node_ids[dest] == my_id {
-                ctx.send_at(d.actors[dest], now, Msg::Arrive { p, meta: None });
+            if to.node[dest] == self.node_ix {
+                ctx.send_at(to.actor(dest), now, Msg::Arrive { p, meta: None });
                 return;
             }
             let r = d.coded_r;
@@ -406,16 +423,18 @@ impl<R: Record> InstanceActor<R> {
             self.metrics.borrow_mut().stage_usage[self.stage].disk_write_bytes +=
                 (r as u64 - 1) * p.bytes() as u64;
             let group = dest / r;
-            d.coded_buf[group].push((dest, p));
-            if d.coded_buf[group].len() == r {
-                self.ship_coded(ctx, group);
+            let staged = d.coded_buf.entry(group).or_default();
+            staged.push((dest, p));
+            if staged.len() == r {
+                let members = d.coded_buf.remove(&group).unwrap_or_default();
+                self.ship_coded(ctx, members);
             }
             return;
         }
         let (deliver_at, nic_busy) = delivery_time(
             ctx.now(),
             &self.node,
-            d.node_ids[dest],
+            self.node_ix != to.node[dest],
             p.bytes() as u64,
             self.link_rate,
             self.link_latency,
@@ -426,7 +445,7 @@ impl<R: Record> InstanceActor<R> {
             u.nic_bytes += p.bytes() as u64;
             u.nic_busy_ns += busy.as_nanos();
         }
-        let to_actor = d.actors[dest];
+        let to_actor = to.actor(dest);
         match &mut self.fault {
             None => {
                 ctx.send_at(to_actor, deliver_at, Msg::Arrive { p, meta: None });
@@ -438,7 +457,7 @@ impl<R: Record> InstanceActor<R> {
                     dest,
                     attempt,
                 };
-                let prob = f.loss.prob(self.node_ix, d.node_idx[dest], ctx.now());
+                let prob = f.loss.prob(self.node_ix, to.node[dest], ctx.now());
                 if prob > 0.0 && f.rng.gen_f64() < prob {
                     // The frame left the NIC but never arrived; the loss
                     // surfaces as a NACK one link latency later (the
@@ -496,15 +515,12 @@ impl<R: Record> InstanceActor<R> {
         }
     }
 
-    /// Ship the staged members of coded `group`, if any, as one frame:
-    /// one NIC charge at the widest member payload, every member
-    /// delivered at the grant.
-    fn ship_coded(&mut self, ctx: &mut Ctx<'_, Msg<R>>, group: usize) {
-        let Some(d) = self.down.as_mut() else { return };
-        if d.coded_buf[group].is_empty() {
-            return;
-        }
-        let frame = d.coded_buf[group]
+    /// Ship the staged `members` of one coded group as one frame: one
+    /// NIC charge at the widest member payload, every member delivered
+    /// at the grant.
+    fn ship_coded(&mut self, ctx: &mut Ctx<'_, Msg<R>>, members: Vec<(usize, Packet<R>)>) {
+        let Some(d) = self.down.as_ref() else { return };
+        let frame = members
             .iter()
             .map(|(_, q)| q.bytes() as u64)
             .max()
@@ -520,18 +536,23 @@ impl<R: Record> InstanceActor<R> {
             u.nic_busy_ns += grant.end.since(grant.start).as_nanos();
         }
         let at = grant.end + self.link_latency;
-        for (di, q) in d.coded_buf[group].drain(..) {
-            ctx.send_at(d.actors[di], at, Msg::Arrive { p: q, meta: None });
+        for (di, q) in members {
+            ctx.send_at(d.to.actor(di), at, Msg::Arrive { p: q, meta: None });
         }
     }
 
-    /// Ship every partially-filled coded frame (end of stream: no more
-    /// packets will complete them). Charged before the end-of-stream
-    /// charge so the FCFS NIC keeps data ahead of it.
+    /// Ship every partially-filled coded frame, in ascending group
+    /// order (end of stream: no more packets will complete them).
+    /// Charged before the end-of-stream charge so the FCFS NIC keeps
+    /// data ahead of it.
     fn flush_coded(&mut self, ctx: &mut Ctx<'_, Msg<R>>) {
-        let groups = self.down.as_ref().map_or(0, |d| d.coded_buf.len());
-        for group in 0..groups {
-            self.ship_coded(ctx, group);
+        let staged = self
+            .down
+            .as_mut()
+            .map(|d| std::mem::take(&mut d.coded_buf))
+            .unwrap_or_default();
+        for members in staged.into_values() {
+            self.ship_coded(ctx, members);
         }
     }
 
@@ -545,19 +566,14 @@ impl<R: Record> InstanceActor<R> {
         if let Some(d) = &self.down {
             // End of stream rides the NIC (zero payload) so it stays
             // behind data. Every remote mark would serialize zero bytes,
-            // so one batched charge stands in for the per-destination
-            // charges: k zero-length grants at one instant share one
-            // window and leave `free_at` where a lone charge would.
+            // so one zero-length charge stands in for all of them: it
+            // opens the same window and leaves `free_at` where they would.
             let now = ctx.now();
-            let k = d.node_idx.iter().filter(|&&n| n != self.node_ix).count();
-            let remote = (k > 0).then(|| {
-                let g = self
-                    .node
-                    .borrow_mut()
-                    .charge_nic_batch(now, 0, self.link_rate, k as u64);
+            let remote = d.to.node.iter().any(|&n| n != self.node_ix).then(|| {
+                let g = self.node.borrow_mut().charge_nic(now, 0, self.link_rate);
                 g.end + self.link_latency
             });
-            let (stage, instance, fanout) = (self.stage, self.instance, d.actors.len());
+            let (stage, instance, fanout) = (self.stage, self.instance, d.to.node.len());
             let key = ctx.dispatch_key();
             self.metrics
                 .borrow_mut()
@@ -566,7 +582,7 @@ impl<R: Record> InstanceActor<R> {
                     (format!("s{stage}.i{instance}"), format!("eos -> {fanout}"))
                 });
             self.eos
-                .send_eos(ctx, d.dest_stage, self.node_ix, now, remote);
+                .send_eos(ctx, d.to.stage, self.node_ix, now, remote);
         }
     }
 
@@ -695,28 +711,16 @@ impl<R: Record> InstanceActor<R> {
 fn delivery_time(
     now: SimTime,
     from: &Rc<RefCell<NodeRes>>,
-    to: NodeId,
+    remote: bool,
     bytes: u64,
     link_rate: f64,
     latency: SimDuration,
 ) -> (SimTime, Option<SimDuration>) {
-    let same_node = from.borrow().id == to;
-    if same_node {
-        (now, None)
-    } else {
+    if remote {
         let grant = from.borrow_mut().charge_nic(now, bytes, link_rate);
         (grant.end + latency, Some(grant.end.since(grant.start)))
-    }
-}
-
-/// Relative CPU speed of node `id` under `cfg` — bit-identical to the
-/// `speed` a fresh [`NodeRes::new`] would report, without needing the
-/// node object (partitions instantiate only the nodes they own, but
-/// routing capacities cover remote destinations too).
-pub(super) fn node_speed(cfg: &ClusterConfig, id: NodeId) -> f64 {
-    match id {
-        NodeId::Host(_) => cfg.host_speed(),
-        NodeId::Asu(_) => cfg.asu_speed() * (1.0 - cfg.background_asu_cpu),
+    } else {
+        (now, None)
     }
 }
 
@@ -761,7 +765,7 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
                     if let Some(d) = &self.down {
                         let (at, key, n) = (ctx.now(), ctx.dispatch_key(), p.len() as u64);
                         let mut m = self.metrics.borrow_mut();
-                        m.note_backlog(at, key, d.dest_stage, meta.dest, Backlog::Sub(n));
+                        m.note_backlog(at, key, d.to.stage, meta.dest, Backlog::Sub(n));
                     }
                 }
                 self.redeliver(ctx, p, meta);
@@ -815,8 +819,8 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
             Msg::SampleTick => self.sample_tick(ctx),
             Msg::WeightUpdate { stage, weights } => {
                 if let Some(d) = &mut self.down {
-                    debug_assert_eq!(d.dest_stage, stage, "weight update for the wrong stage");
-                    d.weights = weights;
+                    debug_assert_eq!(d.to.stage, stage, "weight update for the wrong stage");
+                    d.weights = Some(weights);
                 }
             }
             Msg::FaultStep(_)

@@ -4,6 +4,7 @@
 use crate::repair::RepairJob;
 use lmas_core::{Packet, Record};
 use lmas_sim::ActorId;
+use std::sync::Arc;
 
 /// Routing/retry metadata carried with a delivery so a bounced packet
 /// can find its way back to the sender and out again.
@@ -111,8 +112,9 @@ pub(super) enum Msg<R: Record> {
     WeightUpdate {
         /// Destination stage the weights apply to.
         stage: usize,
-        /// One weight per replica.
-        weights: Vec<f64>,
+        /// One weight per replica, one allocation shared by every
+        /// sender the reweight reaches.
+        weights: Arc<[f64]>,
     },
     /// Balancer: a snapshot batch landed; recompute weights.
     BalanceTick,

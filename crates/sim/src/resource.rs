@@ -62,22 +62,6 @@ impl Resource {
         Grant { start, end }
     }
 
-    /// Book `count` back-to-back services of `each` starting no earlier
-    /// than `now`, in one accounting step. Bit-identical to calling
-    /// [`Resource::acquire`] `count` times with `each` (the windows are
-    /// contiguous, so the per-bin busy charges sum to the same values and
-    /// `free_at` lands at the same instant) but touches the
-    /// [`UtilizationLedger`] once. Returns the spanning window; the
-    /// `i`-th sub-grant is `[start + each·i, start + each·(i+1))`.
-    pub fn acquire_batch(&mut self, now: SimTime, count: u64, each: SimDuration) -> Grant {
-        let start = now.max(self.free_at);
-        let end = start + each * count;
-        self.free_at = end;
-        self.ledger.add_busy(start, end);
-        self.grants += count;
-        Grant { start, end }
-    }
-
     /// The earliest time a new request would begin service.
     pub fn next_free(&self) -> SimTime {
         self.free_at
@@ -179,39 +163,19 @@ mod tests {
     }
 
     #[test]
-    fn acquire_batch_matches_repeated_acquires() {
-        let mut batched = Resource::new("cpu", SimDuration(10));
-        let mut looped = Resource::new("cpu", SimDuration(10));
-        // Pre-book some work so the batch queues behind it.
-        batched.acquire(SimTime(0), SimDuration(37));
-        looped.acquire(SimTime(0), SimDuration(37));
-        let g = batched.acquire_batch(SimTime(2), 5, SimDuration(9));
-        let mut first = None;
-        let mut last = None;
-        for _ in 0..5 {
-            let gi = looped.acquire(SimTime(2), SimDuration(9));
-            first.get_or_insert(gi.start);
-            last = Some(gi.end);
-        }
-        assert_eq!(g.start, first.unwrap());
-        assert_eq!(g.end, last.unwrap());
-        assert_eq!(batched.next_free(), looped.next_free());
-        assert_eq!(batched.grants(), looped.grants());
-        assert_eq!(batched.total_busy(), looped.total_busy());
-        assert_eq!(
-            batched.utilization_series(SimTime(100)),
-            looped.utilization_series(SimTime(100))
-        );
-    }
-
-    #[test]
-    fn acquire_batch_of_zero_service_is_an_empty_window() {
+    fn zero_service_behind_queued_work_is_an_empty_window() {
+        // The end-of-stream charge: a zero-length grant queues behind
+        // booked work, adds no busy time and leaves `free_at` in place,
+        // so one such grant stands for any number of them.
         let mut r = Resource::new("nic", BIN);
         r.acquire(SimTime(0), SimDuration(50));
-        let g = r.acquire_batch(SimTime(10), 3, SimDuration::ZERO);
+        let g = r.acquire(SimTime(10), SimDuration::ZERO);
         assert_eq!(g.start, SimTime(50));
         assert_eq!(g.end, SimTime(50));
-        assert_eq!(r.grants(), 4);
+        assert_eq!(r.next_free(), SimTime(50));
         assert_eq!(r.total_busy(), SimDuration(50));
+        let again = r.acquire(SimTime(10), SimDuration::ZERO);
+        assert_eq!(again, g);
+        assert_eq!(r.utilization_series(SimTime(100)), vec![0.05]);
     }
 }

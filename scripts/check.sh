@@ -90,6 +90,7 @@ artifacts="
     coded_shuffle    BENCH_coded.json
     repair_fleet     BENCH_repair.json
     multi_tenant     BENCH_sched.json
+    fleet_scale      BENCH_fleet_scale.json                     measured|growth_4096|headline|host_cores
     par_scaling      BENCH_par_sim.json                         barrier_wait_hist|host_cores
 "
 # strip FILTER FILE: FILE without the lines matching FILTER, if any.
