@@ -22,7 +22,7 @@
 //! | `coded_shuffle` | F-CS — coded-shuffle r-sweep vs the planner (`BENCH_coded.json`) | 4 |
 //! | `repair_fleet` | F-RF — re-replication vs the mean-field ODE (`BENCH_repair.json`) | 1 |
 //! | `multi_tenant` | F-MT — job latency under open arrivals (`BENCH_sched.json`) | 4 |
-//! | `determinism` | the pinned run behind `results/determinism.txt` (its stdout) | |
+//! | `determinism` | the golden ledger, [`ledger::render`] (`results/determinism.txt` is its stdout) | |
 //!
 //! `benches/` holds the wall-clock micro-benches (`kernels`, `sim_micro`,
 //! `gis_micro` → `BENCH_{kernels,sim,gis}.json`).
@@ -39,6 +39,8 @@
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
+
+pub mod ledger;
 
 /// Directory where experiment artifacts land (created on demand).
 pub fn results_dir() -> PathBuf {

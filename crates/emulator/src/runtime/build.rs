@@ -414,13 +414,8 @@ impl<R: Record> EmWorker<R> {
                     .filter(|&j| sh.specs[to.first + j].part == part)
                     .map(|j| (to.actor(j), to.node[j]))
                     .collect();
-                (sh.eos_senders[s] > 0 && !receivers.is_empty()).then(|| {
-                    RefCell::new(EosCountdown::new(
-                        sh.eos_senders[s],
-                        receivers,
-                        cfg.total_nodes(),
-                    ))
-                })
+                (sh.eos_senders[s] > 0 && !receivers.is_empty())
+                    .then(|| RefCell::new(EosCountdown::new(sh.eos_senders[s], receivers)))
             })
             .collect();
         let eos = Rc::new(EosFabric {

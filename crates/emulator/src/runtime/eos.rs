@@ -8,9 +8,9 @@
 //! land at one instant (`remote`). So receiver `r` on node `n`
 //! is done at `max(latest local instant on n, latest remote instant
 //! from a node ≠ n)`. The countdown keeps exactly what that needs: the
-//! latest local instant per node and the two latest remote instants
-//! from distinct sender nodes. When its last sender reports, it sends
-//! each receiver one [`Msg::Eos`] at that receiver's instant.
+//! latest local instant per receiver node and the two latest remote
+//! instants from distinct sender nodes. When its last sender reports, it
+//! sends each receiver one [`Msg::Eos`] at that receiver's instant.
 //!
 //! Under the partitioned engine every partition that owns receivers of
 //! a stage keeps its own countdown. A sender reports to its own
@@ -30,23 +30,29 @@ use std::sync::Arc;
 pub(super) struct EosCountdown {
     /// Upstream senders that have not reported yet.
     left: usize,
-    /// The receivers this partition owns: `(actor, dense node)`.
+    /// The receivers this partition owns: `(actor, index into local)`.
     receivers: Vec<(ActorId, usize)>,
-    /// Latest same-node report instant per dense node (`ZERO` = none).
-    local: Vec<SimTime>,
+    /// Per distinct receiver node, ascending: the dense node and its
+    /// latest same-node report instant (`ZERO` = none).
+    local: Vec<(usize, SimTime)>,
     /// The two latest remote instants from distinct sender nodes, as
     /// `(instant, dense node)`, latest first.
     top: [Option<(SimTime, usize)>; 2],
 }
 
 impl EosCountdown {
-    /// A countdown over `senders` upstream senders for `receivers` on a
-    /// cluster of `nodes` dense node indices.
-    pub(super) fn new(senders: usize, receivers: Vec<(ActorId, usize)>, nodes: usize) -> Self {
+    /// A countdown over `senders` upstream senders for `receivers`, each
+    /// `(actor, dense node)`: its size follows the receivers, not the
+    /// cluster.
+    pub(super) fn new(senders: usize, receivers: Vec<(ActorId, usize)>) -> Self {
+        let mut nodes: Vec<usize> = receivers.iter().map(|&(_, n)| n).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let slot = |n| nodes.binary_search(&n).expect("a receiver's own node");
         EosCountdown {
             left: senders,
-            receivers,
-            local: vec![SimTime::ZERO; nodes],
+            receivers: receivers.iter().map(|&(a, n)| (a, slot(n))).collect(),
+            local: nodes.iter().map(|&n| (n, SimTime::ZERO)).collect(),
             top: [None, None],
         }
     }
@@ -65,8 +71,10 @@ impl EosCountdown {
     ) -> bool {
         debug_assert!(self.left > 0, "end-of-stream countdown underflow");
         self.left = self.left.saturating_sub(1);
-        if let Some(at) = local {
-            self.local[node] = self.local[node].max(at);
+        // A node that holds no receiver has no one to hear it locally.
+        let slot = self.local.binary_search_by_key(&node, |&(n, _)| n);
+        if let (Some(at), Ok(i)) = (local, slot) {
+            self.local[i].1 = self.local[i].1.max(at);
         }
         if let Some(at) = remote {
             self.note_remote(at, node);
@@ -102,9 +110,10 @@ impl EosCountdown {
     /// Each receiver with the instant its end of stream lands: exactly
     /// when its last per-sender mark would have.
     pub(super) fn deliveries(&self) -> impl Iterator<Item = (ActorId, SimTime)> + '_ {
-        self.receivers
-            .iter()
-            .map(|&(a, n)| (a, self.local[n].max(self.remote_excluding(n))))
+        self.receivers.iter().map(|&(a, slot)| {
+            let (node, local) = self.local[slot];
+            (a, local.max(self.remote_excluding(node)))
+        })
     }
 }
 
@@ -233,7 +242,6 @@ mod tests {
     fn fabric(
         senders: &[Sender],
         receivers: &[usize],
-        nodes: usize,
         part_of: &dyn Fn(usize) -> usize,
     ) -> Vec<Vec<SimTime>> {
         let mut got: Vec<Vec<SimTime>> = vec![Vec::new(); receivers.len()];
@@ -247,7 +255,7 @@ mod tests {
                 .filter(|&(_, &n)| part_of(n) == q)
                 .map(|(i, &n)| (ActorId(i), n))
                 .collect();
-            let mut cd = EosCountdown::new(senders.len(), mine, nodes);
+            let mut cd = EosCountdown::new(senders.len(), mine);
             // (dispatch instant, node, local, remote) per report.
             let mut reports: Vec<(SimTime, usize, Option<SimTime>, Option<SimTime>)> = senders
                 .iter()
@@ -278,10 +286,10 @@ mod tests {
         got
     }
 
-    fn check(senders: &[Sender], receivers: &[usize], nodes: usize, parts: usize) {
+    fn check(senders: &[Sender], receivers: &[usize], parts: usize) {
         let part_of = |n: usize| n % parts;
         let want = brute_force(senders, receivers);
-        let got = fabric(senders, receivers, nodes, &part_of);
+        let got = fabric(senders, receivers, &part_of);
         for (r, (w, g)) in want.iter().zip(&got).enumerate() {
             assert_eq!(g, &vec![*w], "receiver {r} on node {}", receivers[r]);
         }
@@ -299,25 +307,34 @@ mod tests {
     fn sender_without_remote_receivers_reports_local_only() {
         // Every receiver sits on node 0 with both senders: no NIC
         // charge, no remote instant, the latest flush wins.
-        check(&[s(0, 10, 0), s(0, 40, 0)], &[0, 0], 3, 1);
+        check(&[s(0, 10, 0), s(0, 40, 0)], &[0, 0], 1);
     }
 
     #[test]
     fn top_remote_node_is_excluded_for_its_own_receivers() {
         // Node 1's sender has the latest remote instant (63), but its
         // own receiver hears it locally at 50 and node 2's remote 36.
-        check(&[s(1, 50, 8), s(2, 30, 1)], &[1, 2], 3, 1);
+        check(&[s(1, 50, 8), s(2, 30, 1)], &[1, 2], 1);
     }
 
     #[test]
     fn receivers_on_nodes_without_senders_take_the_top_remote() {
-        check(&[s(0, 5, 0), s(1, 9, 3)], &[2, 3, 3], 4, 1);
+        check(&[s(0, 5, 0), s(1, 9, 3)], &[2, 3, 3], 1);
     }
 
     #[test]
     fn cross_partition_marks_count_down_every_partition() {
-        check(&[s(0, 5, 0), s(1, 9, 3), s(2, 2, 40)], &[0, 1, 2, 3], 4, 2);
-        check(&[s(0, 5, 0), s(1, 9, 3), s(2, 2, 40)], &[0, 1, 2, 3], 4, 3);
+        check(&[s(0, 5, 0), s(1, 9, 3), s(2, 2, 40)], &[0, 1, 2, 3], 2);
+        check(&[s(0, 5, 0), s(1, 9, 3), s(2, 2, 40)], &[0, 1, 2, 3], 3);
+    }
+
+    #[test]
+    fn senders_on_nodes_without_receivers_count_only_remotely() {
+        // Receivers on 2 of 65 536 nodes; the latest sender (node 40 000)
+        // holds none, and its local report must not land anywhere.
+        let senders = [s(7, 20, 0), s(40_000, 90, 0), s(65_535, 30, 2), s(3, 10, 0)];
+        check(&senders, &[3, 7, 7], 1);
+        check(&senders, &[3, 7, 7], 2);
     }
 
     proptest! {
@@ -339,7 +356,23 @@ mod tests {
                 .map(|&(n, now, wait)| s(n % nodes, now, wait))
                 .collect();
             let receivers: Vec<usize> = raw_receivers.iter().map(|&n| n % nodes).collect();
-            check(&senders, &receivers, nodes, parts);
+            check(&senders, &receivers, parts);
+        }
+
+        /// The same on a 65 536-node fleet whose receivers sit on 4
+        /// nodes: about two senders in three are on nodes that hold no
+        /// receiver.
+        #[test]
+        fn countdown_matches_broadcast_with_sparse_receivers(
+            parts in 1usize..4,
+            raw_senders in prop::collection::vec((0usize..65_536, 0u64..50, 0u64..20), 1..16),
+            raw_receivers in prop::collection::vec(0usize..4, 1..8),
+        ) {
+            let senders: Vec<Sender> = raw_senders
+                .iter()
+                .map(|&(n, now, wait)| s(if n % 3 == 0 { n % 4 } else { n }, now, wait))
+                .collect();
+            check(&senders, &raw_receivers, parts);
         }
     }
 }

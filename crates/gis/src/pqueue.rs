@@ -102,6 +102,11 @@ impl<K: Ord + Copy, V> ExternalPq<K, V> {
     }
 
     /// Insert an item.
+    // `push` and `pop_all_eq` are the watershed labeler's per-cell calls.
+    // Without the hint, whether they inline into `WatershedLabeler::label`
+    // depends on how rustc splits the crates into codegen units; not
+    // inlined, TerraFlow's wall clock is about 9 % higher.
+    #[inline]
     pub fn push(&mut self, key: K, value: V) {
         self.buffer.push(Entry { key, value });
         self.len += 1;
@@ -170,6 +175,7 @@ impl<K: Ord + Copy, V> ExternalPq<K, V> {
     /// Pop every item whose key equals `key`, handing each value to
     /// `each` (in unspecified order), provided `key` is the minimum.
     /// Used to collect all messages addressed to one cell.
+    #[inline]
     pub fn pop_all_eq(&mut self, key: K, mut each: impl FnMut(V)) {
         while let Some((k, source)) = self.min_source() {
             if k != key {

@@ -689,13 +689,30 @@ pub fn split_into_packets<R: Record>(
     d: usize,
     packet_records: usize,
 ) -> Vec<Vec<Packet<R>>> {
+    split_gathering_tags(data, d, packet_records, None)
+}
+
+/// [`split_into_packets`], appending every record's [`Record::tag64`]
+/// to `tags` (in input order) while its packet is copied, so a faulted
+/// sort indexes its input without a second scan.
+fn split_gathering_tags<R: Record>(
+    data: &[R],
+    d: usize,
+    packet_records: usize,
+    mut tags: Option<&mut Vec<u64>>,
+) -> Vec<Vec<Packet<R>>> {
     assert!(d > 0, "need at least one ASU");
     assert!(packet_records > 0, "packet size must be positive");
     (0..d)
         .map(|i| {
             data[asu_share(i, data.len(), d)]
                 .chunks(packet_records)
-                .map(|c| Packet::new(c.to_vec()))
+                .map(|c| {
+                    if let Some(tags) = tags.as_deref_mut() {
+                        tags.extend(c.iter().map(Record::tag64));
+                    }
+                    Packet::new(c.to_vec())
+                })
                 .collect()
         })
         .collect()
@@ -763,12 +780,14 @@ pub(crate) fn dsm_sort<R: Record>(
     let splitters = choose_splitters(&data, dsm.alpha);
     let n = data.len() as u64;
 
-    // Built (and the tags checked) before pass 1 runs. Under an active
-    // plan the input stays alive as the "replica" lost records are
-    // re-read from; without one nothing can be lost and it is freed
-    // once split.
-    let index = spec.is_active().then(|| TagIndex::build(&data)).transpose()?;
-    let per_asu = split_into_packets(&data, cluster.asus, dsm.input_packet_records);
+    // Built (and the tags checked) before pass 1 runs, from the tags
+    // the split gathers. Under an active plan the input stays alive as
+    // the "replica" lost records are re-read from; without one nothing
+    // can be lost and it is freed once split.
+    let mut tags = spec.is_active().then(|| Vec::with_capacity(data.len()));
+    let per_asu =
+        split_gathering_tags(&data, cluster.asus, dsm.input_packet_records, tags.as_mut());
+    let index = tags.map(TagIndex::from_tags).transpose()?;
     let replica = index.map(|index| (index, data));
 
     let p1 = run_pass1_with(cluster, spec, per_asu, splitters.clone(), dsm, mode)?;

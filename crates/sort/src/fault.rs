@@ -72,13 +72,17 @@ impl TagIndex {
     /// carried twice is an input error; a repeat is named by the
     /// smallest repeated tag.
     pub(crate) fn build<R: Record>(data: &[R]) -> Result<TagIndex, DsmError> {
-        if u32::try_from(data.len()).is_err() {
+        TagIndex::from_tags(data.iter().map(Record::tag64).collect())
+    }
+
+    /// [`build`](Self::build) from the input's tags, in input order.
+    pub(crate) fn from_tags(tags: Vec<u64>) -> Result<TagIndex, DsmError> {
+        if u32::try_from(tags.len()).is_err() {
             return Err(DsmError::InputShape(format!(
                 "fault repair indexes at most 2^32 - 1 records ({} given)",
-                data.len()
+                tags.len()
             )));
         }
-        let tags: Vec<u64> = data.iter().map(Record::tag64).collect();
         let (min, max) = tags
             .iter()
             .fold((u64::MAX, 0), |(lo, hi), &t| (lo.min(t), hi.max(t)));
@@ -561,20 +565,23 @@ mod tests {
         let mode = LoadMode::Managed(RoutingPolicy::SimpleRandomization);
         let mut data = lmas_core::generate_rec128(1_000, lmas_core::KeyDist::Uniform, 1);
         data[17] = Rec128::new(data[17].key(), 400);
-        let crash = FaultPlan::new().crash(asu_index(&cluster, 1), SimTime(1_000_000));
-        let err = run_dsm_sort_faulty(
-            &cluster,
-            &FaultSpec::with_plan(crash),
-            data.clone(),
-            &dsm,
-            mode,
-        )
-        .err()
-        .expect("repeated tag under an active plan");
-        assert!(
-            matches!(&err, DsmError::InputShape(m) if m.contains("tag 400 repeats")),
-            "{err}"
+        let crash = FaultSpec::with_plan(
+            FaultPlan::new().crash(asu_index(&cluster, 1), SimTime(1_000_000)),
         );
+        let mut untagged = data.clone();
+        untagged[900] = Rec128::new(untagged[900].key(), u64::MAX);
+        for (input, want) in [
+            (data.clone(), "tag 400 repeats"),
+            (untagged, "per-record tags"),
+        ] {
+            let err = run_dsm_sort_faulty(&cluster, &crash, input, &dsm, mode)
+                .err()
+                .expect("bad tags under an active plan");
+            assert!(
+                matches!(&err, DsmError::InputShape(m) if m.contains(want)),
+                "{err}"
+            );
+        }
         let out = run_dsm_sort_faulty(&cluster, &FaultSpec::none(), data, &dsm, mode)
             .expect("fault-free run takes any tags");
         assert_eq!(out.recovered_records, 0);

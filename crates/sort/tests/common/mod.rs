@@ -1,5 +1,5 @@
 //! Shared helpers for the sort tests (`par_golden.rs`, `par_diff.rs`,
-//! `dsm_end_to_end.rs`): deterministic report fingerprints, key-stream
+//! `coded_diff.rs`): deterministic report fingerprints, key-stream
 //! hashes and the two-tier trace-equality contract.
 //!
 //! The contract (see DESIGN.md "Parallel kernel"):
@@ -19,8 +19,8 @@
 //!   aggregates (the dispatch census, record conservation, per-stage
 //!   work, fault accounting) and the final sorted output are asserted
 //!   against the sequential run. Representative multi-host
-//!   configurations are additionally pinned byte-exact in
-//!   `par_golden.rs`.
+//!   configurations are additionally pinned byte-exact in the golden
+//!   ledger (`lmas_bench::ledger`, `results/determinism.txt`).
 //!
 //! Every census row is the same at every partition count except
 //! `EosMark`: a partitioned run sends one cross-partition end-of-stream
@@ -163,7 +163,7 @@ pub fn assert_same_sort<R: Record>(a: &DsmOutcome<R>, b: &DsmOutcome<R>, eq: Tra
 /// statistics. Excludes everything a
 /// legal same-instant cross-partition reorder may perturb (per-node
 /// gauges, queue statistics, intermediate packet contents, virtual
-/// times — the pinned goldens cover those byte-exactly).
+/// times — the golden ledger pins those byte-exactly).
 pub fn conserved_fingerprint<R: Record>(r: &EmulationReport<R>) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "records={} reweights={}", r.records_processed, r.reweights);

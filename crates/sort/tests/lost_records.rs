@@ -1,7 +1,7 @@
 //! Fault recovery's tag diff ([`lost_records`]) against the `BTreeMap`
 //! algorithm it replaced, kept here as the reference: identical records
 //! in identical (ascending tag) order. What that order means for virtual
-//! time is pinned by `par_golden.rs`'s faulted golden.
+//! time is pinned by the golden ledger's `mhfault` lines (`lmas_bench::ledger`).
 
 use lmas_core::{Packet, Rec128, Record};
 use lmas_sim::DetRng;

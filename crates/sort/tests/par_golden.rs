@@ -10,9 +10,9 @@
 //!
 //! * **One partition** (any thread count on a one-host cluster): the
 //!   dispatch order — and therefore the trace render — is **byte-exact**
-//!   against the sequential engine. The first test re-asserts every
-//!   frozen constant of `tests/golden.rs` at threads ∈ {2, 4}, so drift
-//!   shows up as a hard diff against the pre-parallel pins.
+//!   against the sequential engine. The first test holds the pinned
+//!   sort at threads ∈ {2, 4} to the sequential run, whose figures the
+//!   golden ledger pins (`lmas_bench::ledger`, `results/determinism.txt`).
 //! * **Multiple partitions**: every state observable is still
 //!   byte-exact, and the trace holds the same entries at the same
 //!   virtual times; only the relative order of *same-instant* events
@@ -24,47 +24,23 @@
 
 mod common;
 
-use common::{assert_same_sort, census_line, keys_fnv, output_keys_fnv, TraceEq};
-use lmas_core::{generate_rec128, KeyDist, Record, RoutingPolicy};
+use common::{assert_same_sort, census_line, TraceEq};
+use lmas_core::{generate_rec128, KeyDist, RoutingPolicy};
 use lmas_emulator::{asu_index, BalanceSpec, ClusterConfig, FaultSpec};
-use lmas_sim::{fnv1a, FaultPlan, SimDuration, SimTime};
+use lmas_sim::{FaultPlan, SimDuration, SimTime};
 use lmas_sort::{run_dsm_sort, run_dsm_sort_faulty, DsmConfig, DsmOutcome, LoadMode};
 
 #[test]
 fn pinned_golden_holds_at_every_thread_count() {
     let dsm = DsmConfig::new(4, 256, 4, 64);
+    let data = generate_rec128(5_000, KeyDist::Uniform, 1);
+    let base = ClusterConfig::era_2002(1, 2, 8.0).with_trace(4096);
+    let seq = run_dsm_sort(&base, data.clone(), &dsm, LoadMode::Static).expect("pinned sort runs");
     for threads in [2usize, 4] {
-        let cluster = ClusterConfig::era_2002(1, 2, 8.0)
-            .with_trace(4096)
-            .with_threads(threads);
-        let data = generate_rec128(5_000, KeyDist::Uniform, 1);
-        let out = run_dsm_sort(&cluster, data, &dsm, LoadMode::Static).expect("pinned sort runs");
-
-        // The exact frozen constants of tests/golden.rs.
-        assert_eq!(out.pass1.makespan.as_nanos(), 16_725_632);
-        assert_eq!(out.pass2.makespan.as_nanos(), 23_332_828);
-        assert_eq!(out.total.as_nanos(), 40_058_460);
-        assert_eq!(out.pass1.dispatched, 128);
-        assert_eq!(out.pass2.dispatched, 116);
-        assert_eq!(out.pass1.records_processed, 15_000);
-        assert_eq!(out.pass2.records_processed, 15_000);
-        let key_fnv = fnv1a(
-            out.output
-                .iter()
-                .flat_map(|p| p.records())
-                .flat_map(|r| r.key().to_le_bytes()),
-        );
-        assert_eq!(key_fnv, 0x5ff3_a122_8ca4_5147);
-        assert_eq!(out.pass1.trace.len(), 66);
-        assert_eq!(
-            fnv1a(out.pass1.trace.render().bytes()),
-            0x6805_ad8f_ff08_52f2
-        );
-        assert_eq!(out.pass2.trace.len(), 52);
-        assert_eq!(
-            fnv1a(out.pass2.trace.render().bytes()),
-            0x5b5f_3e97_4813_e521
-        );
+        let cluster = base.with_threads(threads);
+        let out =
+            run_dsm_sort(&cluster, data.clone(), &dsm, LoadMode::Static).expect("pinned sort runs");
+        assert_same_sort(&seq, &out, TraceEq::Exact);
 
         // One host bounds the partition count at one, but the run still
         // goes through the partitioned engine (windows, outbox, merge).
@@ -148,11 +124,12 @@ fn randomized_routing_parallel_matches_sequential() {
     assert!(par.pass1.par.is_some());
 }
 
-/// Faulted multi-host pinned golden: a fixed crash+recovery plan with
-/// a lossy link, run partitioned at `threads ∈ {2, 4}` (both resolve
-/// to two partitions on two hosts, so the runs must be byte-identical
-/// to each other), frozen as exact constants and cross-checked against
-/// the sequential engine under the conserved-equivalence contract.
+/// The ledger's faulted multi-host run (`mhfault`): a fixed
+/// crash+recovery plan with a lossy link, run partitioned at
+/// `threads ∈ {2, 4}` (both resolve to two partitions on two hosts, so
+/// the runs must be byte-identical to each other) and cross-checked
+/// against the sequential engine under the conserved-equivalence
+/// contract.
 #[test]
 fn pinned_faulted_multi_host_golden() {
     let dsm = DsmConfig::new(4, 256, 4, 64);
@@ -190,62 +167,24 @@ fn pinned_faulted_multi_host_golden() {
     assert_same_sort(&par2, &par4, TraceEq::Exact);
     assert_same_sort(&seq, &par4, TraceEq::Conserved);
 
-    // Recovery on one and on two threads. The repair pass's makespan
+    // Recovery on one and on two threads: the repair pass's makespan
     // moves if the lost records reach `split_across_asus` in any order
     // but ascending tag.
-    for out in [&seq, &par2] {
-        let repair = out.repair.as_ref().expect("records were lost");
-        assert_eq!(
-            (
-                out.recovered_records,
-                repair.makespan.as_nanos(),
-                out.total.as_nanos()
-            ),
-            (1000, 2_920_376, 39_062_142),
-            "repair golden drifted"
-        );
-    }
-
-    // The frozen constants of the threads=4 faulted run.
-    let s = par4.pass1.fault;
-    let pinned = format!(
-        "pass1_ns={} pass2_ns={} dispatched={} {}\n\
-         fault retries={} nacks={} drops={} lost={} abandoned={} fenced={} detections={}\n\
-         recovered={} lost_asus={} out_fnv={:#018x}\n\
-         trace1={} {:#018x} trace2={} {:#018x}",
-        par4.pass1.makespan.as_nanos(),
-        par4.pass2.makespan.as_nanos(),
-        par4.pass1.dispatched,
-        par4.pass2.dispatched,
-        s.retries,
-        s.nacks,
-        s.drops,
-        s.lost_queued_records,
-        s.abandoned_records,
-        s.fenced_instances,
-        s.detections,
-        par4.recovered_records,
-        par4.lost_asus.len(),
-        keys_fnv(&par4.output),
-        par4.pass1.trace.len(),
-        fnv1a(par4.pass1.trace.render().bytes()),
-        par4.pass2.trace.len(),
-        fnv1a(par4.pass2.trace.render().bytes()),
-    );
+    let repair = |out: &DsmOutcome<_>| {
+        let r = out.repair.as_ref().expect("records were lost");
+        (out.recovered_records, r.makespan, out.total)
+    };
     assert_eq!(
-        pinned,
-        "pass1_ns=22063514 pass2_ns=14078252 dispatched=123 135\n\
-         fault retries=3 nacks=2 drops=1 lost=1000 abandoned=0 fenced=2 detections=1\n\
-         recovered=1000 lost_asus=0 out_fnv=0x5fe79c496c69d09c\n\
-         trace1=58 0x4cc9cf9d8b2d0b80 trace2=59 0x9cbe4b26471f8d52",
-        "faulted multi-host golden drifted"
+        repair(&seq),
+        repair(&par2),
+        "repair diverges across engines"
     );
 }
 
-/// Snapshot-balancer multi-host pinned golden: the balancer armed at a
-/// fixed period, run partitioned at threads=4 and frozen byte-exact;
-/// the sequential run must agree on every conserved aggregate
-/// (reweight count included) and the final output.
+/// The ledger's snapshot-balanced multi-host run (`mhbal`): the
+/// balancer armed at a fixed period, run partitioned at threads=4; the
+/// sequential run must agree on every conserved aggregate (reweight
+/// count included) and the final output.
 #[test]
 fn pinned_balanced_multi_host_golden() {
     let dsm = DsmConfig::new(4, 256, 4, 64);
@@ -273,23 +212,6 @@ fn pinned_balanced_multi_host_golden() {
     );
     assert_same_sort(&seq, &par, TraceEq::Conserved);
 
-    let pinned = format!(
-        "pass1_ns={} pass2_ns={} total_ns={} dispatched={} {} reweights={} {} out_fnv={:#018x}",
-        par.pass1.makespan.as_nanos(),
-        par.pass2.makespan.as_nanos(),
-        par.total.as_nanos(),
-        par.pass1.dispatched,
-        par.pass2.dispatched,
-        par.pass1.reweights,
-        par.pass2.reweights,
-        output_keys_fnv(&par),
-    );
-    assert_eq!(
-        pinned,
-        "pass1_ns=10095572 pass2_ns=8869056 total_ns=18964628 dispatched=431 125 \
-         reweights=3 0 out_fnv=0x4f6435715012d220",
-        "balanced multi-host golden drifted"
-    );
     // Pass 2 routes Static into the host merge and RoundRobin into
     // collect: no edge reads weights, so the balancer watches nothing
     // there and the pass dispatches exactly what an unbalanced one does.

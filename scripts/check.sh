@@ -21,10 +21,13 @@ run_twice() {
 echo "== cargo test (workspace) =="
 # Every crate's tests run here, once; the gates below add only what a
 # test cannot (release binaries run twice and diffed, checks on the
-# checked-in artifacts). The parallel kernel's pins are tests too:
-# lmas-sort's par_golden holds the frozen sequential goldens at threads
-# 2 and 4, par_diff fuzzes cluster shapes x fault plans x the balancer
-# across thread counts against the sequential run.
+# checked-in artifacts). Every pinned virtual-time fact is a line of
+# results/determinism.txt, the golden ledger: lmas-bench's
+# ledger::tests::transcript_matches_results renders it in process and
+# names the first line that differs. The parallel kernel's properties
+# are tests too: lmas-sort's par_golden holds the pinned sort at threads
+# 2 and 4 to the sequential run, par_diff fuzzes cluster shapes x fault
+# plans x the balancer across thread counts against the sequential run.
 cargo test -q --workspace
 
 echo "== cargo clippy -D warnings (workspace, all targets) =="
@@ -48,17 +51,15 @@ for ex in examples/*.rs; do
 done
 echo "examples verified (every example ran to completion)"
 
-echo "== determinism gate (seeded emulation + chaos + planned + parallel runs, twice, diff) =="
-# The determinism binary covers the fault-free pinned sort, a pinned
-# chaos run (ASU crash + lossy link), a planner-placed run with the
-# balancer armed, a threads=4 partitioned run, a faulted partitioned
-# run (static timelines + per-partition controllers), and a
-# snapshot-balanced partitioned run: bounces, retries, fencing, repair,
-# plan reports, reweights, and the parallel kernel's merged reports
-# must all be run-to-run stable despite real thread interleaving. Both
-# runs must also equal results/determinism.txt, the binary's recorded
-# stdout: a change that means to move virtual time re-records it
-# (./target/release/determinism > results/determinism.txt) and says why.
+echo "== determinism gate (the golden ledger in release, two processes, diff) =="
+# The determinism binary prints the golden ledger (lmas_bench::ledger),
+# which tier-1 already diffs in process. This step adds what one process
+# cannot see: two separate release runs must agree with each other and
+# with results/determinism.txt despite real thread interleaving in the
+# partitioned, faulted, balanced, coded and repair sections. A change
+# that means to move virtual time re-records the file
+# (cargo run --release -p lmas-bench --bin determinism > results/determinism.txt)
+# and says why.
 run_twice determinism
 if ! diff results/determinism.txt "$R1/.stdout" || ! diff results/determinism.txt "$R2/.stdout"; then
     echo "determinism gate FAILED: the pinned emulation's runs differ from each other or from results/determinism.txt" >&2
