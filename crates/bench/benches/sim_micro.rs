@@ -116,7 +116,7 @@ fn main() -> Result<(), GateFailure> {
     });
 
     report.bench("resource/acquire_100k", 100_000, || {
-        let mut r = Resource::new("cpu", SimDuration::from_millis(100));
+        let mut r = Resource::new(SimDuration::from_millis(100));
         let mut t = SimTime::ZERO;
         for _ in 0..100_000 {
             let grant = r.acquire(t, SimDuration::from_micros(3));

@@ -28,13 +28,14 @@ use lmas_core::{
     Packet, Placement, Rec128, Rec8, Record, Router, RoutingPolicy, UpMask, Work,
 };
 use lmas_emulator::{
-    asu_index, node_index, run_job_with_faults, BalanceSpec, ClusterConfig, EmulationReport,
-    FaultSpec, FaultStats, Job, RepairSpec, StorageSpec,
+    asu_index, node_index, run_job_with_faults, run_jobs, BalanceSpec, ClusterConfig,
+    EmulationReport, FaultSpec, FaultStats, Job, RepairSpec, StorageSpec, TenantJob,
 };
 use lmas_sim::{fnv1a, FaultPlan, SimDuration, SimTime};
 use lmas_sort::{
-    adaptive_alpha, adaptive_config, planner_shape, run_dsm_sort, run_dsm_sort_faulty,
-    run_dsm_sort_multipass, DsmConfig, DsmOutcome, LoadMode,
+    adaptive_alpha, adaptive_config, build_pass1_job, choose_splitters, planner_shape,
+    run_dsm_sort, run_dsm_sort_faulty, run_dsm_sort_multipass, split_into_packets, DsmConfig,
+    DsmOutcome, LoadMode,
 };
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -49,7 +50,7 @@ macro_rules! out {
 
 /// The whole transcript, section by section.
 pub fn render() -> String {
-    let sections: [fn() -> String; 20] = [
+    let sections: [fn() -> String; 21] = [
         sort_and_chaos,
         auto,
         par_and_parfault,
@@ -70,6 +71,7 @@ pub fn render() -> String {
         || terraflow(33, 4, 2),
         || terraflow(65, 6, 4),
         routing,
+        sched_fault,
     ];
     sections
         .par_iter()
@@ -853,6 +855,94 @@ fn sched_mix(aware: bool) -> String {
         "schedmix.{tag} jobs {} json_fnv {json:016x}\n",
         out.jobs.len()
     )
+}
+
+/// A multi-tenant mix under a seeded Poisson crash plan with repair:
+/// six pass-1 sorts from two tenants behind an FCFS gate with a quota
+/// of one, so jobs queue across the crashes. Faults act only on
+/// dispatched jobs; a job whose node was detected down completes by
+/// fence.
+fn sched_fault() -> String {
+    const HOSTS: usize = 2;
+    const ASUS: usize = 4;
+    let cluster = ClusterConfig::era_2002(HOSTS, ASUS, 8.0);
+    let dsm = DsmConfig::new(2, 256, 4, 64);
+    let plan = FaultPlan::poisson(
+        0x5FA17,
+        0..HOSTS + ASUS,
+        SimDuration::from_millis(60),
+        SimDuration::from_millis(30),
+        SimDuration::from_millis(60),
+    );
+    let rs = RepairSpec::new(32, 2, 256 << 10, 256.0 * (1u64 << 20) as f64);
+    let spec = FaultSpec::with_plan(plan).with_repair(rs);
+    let mut run_cluster = cluster;
+    let (mut jobs, mut shapes) = (Vec::new(), Vec::new());
+    for j in 0..6u64 {
+        let data = generate_rec8(2_000, KeyDist::Uniform, 0x5FA17 + j);
+        let per_asu = split_into_packets(&data, ASUS, dsm.input_packet_records);
+        let splitters = choose_splitters(&data, dsm.alpha);
+        let built = build_pass1_job(&cluster, per_asu, splitters, &dsm, LoadMode::Static)
+            .expect("pinned job builds");
+        run_cluster = built.cluster;
+        let tenant = j as usize % 2;
+        shapes.push(lmas_sched::JobShape {
+            tenant,
+            cost_ns: 1,
+            cpu_share: Vec::new(),
+        });
+        jobs.push(TenantJob {
+            tenant,
+            arrival: SimTime(j * 4_000_000),
+            job: built.job,
+        });
+    }
+    let (gate, rejections) = lmas_sched::PolicyGate::new(
+        lmas_sched::GateConfig {
+            policy: lmas_sched::Policy::Fcfs,
+            tenants: 2,
+            quota: 1,
+            queue_cap: 8,
+            load_limit: 1.0,
+            weights: Vec::new(),
+        },
+        shapes,
+    );
+    let r = run_jobs(&run_cluster, &spec, jobs, Box::new(gate)).expect("pinned gated run");
+    let n = r.jobs.len();
+    let out = lmas_sched::SchedOutcome {
+        policy: "fcfs",
+        aware: false,
+        jobs: r.jobs,
+        kinds: vec![0; n],
+        predicted_ns: vec![1; n],
+        events: r.events,
+        rejections: rejections.borrow().clone(),
+        makespan: r.report.makespan,
+        records_processed: r.report.records_processed,
+    };
+    let mut s = String::new();
+    let json = fnv64(out.to_json().bytes().map(u64::from));
+    out!(
+        s,
+        "schedfault jobs {n} completed {} rejected {} json_fnv {json:016x}",
+        out.completed(),
+        out.rejections.len()
+    );
+    fault_line(&mut s, "schedfault", r.report.fault);
+    let c = r.report.repair;
+    out!(
+        s,
+        "schedfault.repair enqueued {} completed {} reassigned {} wasted {} \
+         blocks_lost {} bytes_repaired {}",
+        c.enqueued,
+        c.completed,
+        c.reassigned,
+        c.wasted,
+        c.blocks_lost,
+        c.bytes_repaired
+    );
+    s
 }
 
 /// TerraFlow on a `side`² fractal terrain: each step's makespan, the

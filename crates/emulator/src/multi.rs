@@ -13,7 +13,14 @@
 //! The runtime stays deterministic end to end: arrivals are explicit
 //! [`SimTime`]s (see [`lmas_sim::ArrivalSpec`]), the gate runs inside
 //! the event loop, and a lone job arriving at time zero replays the
-//! direct [`run_job`](crate::runtime::run_job) path event for event.
+//! direct [`run_job_with_faults`] path event for event under the same
+//! [`FaultSpec`].
+//!
+//! Faults act only on dispatched jobs. A job's instances join the fault
+//! controller's table at dispatch: one on a node that is down then dies
+//! at once, one on a node detected down then is fenced at once. A job
+//! completes when each of its sink instances has reported end of stream,
+//! by flushing or by being fenced, so a crash cannot starve the count.
 //! Policy lives above this module (in `lmas-sched`); this module only
 //! defines the mechanism: merge, gate, dispatch, completion detection,
 //! and per-job accounting.
@@ -26,8 +33,11 @@ use lmas_core::{Packet, Record, StageId};
 use lmas_sim::{SimDuration, SimTime};
 
 use crate::config::ClusterConfig;
+use crate::fault::FaultSpec;
 use crate::metrics::StageUsage;
-use crate::runtime::{run_job_sched, EmulationReport, Job, JobError, SchedSetup};
+use crate::runtime::{run_job_inner, EmulationReport, Job, JobError, SchedSetup};
+#[cfg(doc)]
+use crate::runtime::run_job_with_faults;
 
 /// Decision of a [`SchedGate`] for a newly arrived job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +56,8 @@ pub enum GateDecision {
 ///
 /// The gate runs *inside* the deterministic event loop: `on_arrival`
 /// fires at each job's arrival instant, `on_completion` when the last
-/// sink instance of a running job flushes. Both receive virtual time.
+/// sink instance of a running job reports end of stream (flushed, or
+/// fenced after a crash). Both receive virtual time.
 /// The contract is work conservation in the scheduler's sense: any job
 /// the gate queues must eventually be returned by some `on_completion`
 /// call (jobs it never returns simply never run — the runtime drains
@@ -74,7 +85,7 @@ pub enum SchedEventKind {
     Queued,
     /// The gate turned the job away.
     Rejected,
-    /// The job's last sink instance flushed.
+    /// The job's last sink instance reported end of stream.
     Complete,
 }
 
@@ -109,7 +120,7 @@ pub struct JobStats {
     pub arrival: SimTime,
     /// Dispatch instant, if the gate ever started the job.
     pub dispatched_at: Option<SimTime>,
-    /// Completion instant (last sink flush), if the job finished.
+    /// Completion instant (last sink report), if the job finished.
     pub completed_at: Option<SimTime>,
     /// The gate rejected the job outright.
     pub rejected: bool,
@@ -149,16 +160,19 @@ pub struct MultiJobReport<R: Record> {
 ///
 /// The jobs' graphs are merged into a single [`FlowGraph`](lmas_core::FlowGraph) (stage
 /// indices offset per job, so each job's range is contiguous) and run
-/// fault-free on the sequential engine. Job `j` of the gate/report is
+/// on the sequential engine under `spec`, the same fault spec
+/// [`run_job_with_faults`] takes. Job `j` of the gate/report is
 /// `jobs[j]`. See the module docs for the scheduling semantics.
 ///
 /// # Errors
 ///
-/// Graph/placement validation errors surface exactly as for a single
-/// job. A job with an empty graph is rejected up front (it could never
-/// complete), and so is an empty job list ([`JobError::NoJobs`]).
+/// Graph/placement and fault-spec validation errors surface exactly as
+/// for a single job. A job with an empty graph is rejected up front (it
+/// could never complete), and so is an empty job list
+/// ([`JobError::NoJobs`]).
 pub fn run_jobs<R: Record>(
     cfg: &ClusterConfig,
+    spec: &FaultSpec,
     jobs: Vec<TenantJob<R>>,
     gate: Box<dyn SchedGate>,
 ) -> Result<MultiJobReport<R>, JobError> {
@@ -170,7 +184,6 @@ pub fn run_jobs<R: Record>(
     let mut inputs: BTreeMap<(usize, usize), Vec<Packet<R>>> = BTreeMap::new();
     let mut stage_job: Vec<usize> = Vec::new();
     let mut sources: Vec<Vec<(usize, usize)>> = Vec::new();
-    let mut sinks: Vec<usize> = Vec::new();
     let mut arrivals: Vec<SimTime> = Vec::new();
     let mut ranges: Vec<(usize, usize)> = Vec::new();
     let mut tenants: Vec<usize> = Vec::new();
@@ -191,7 +204,6 @@ pub fn run_jobs<R: Record>(
         }
         let base = graph.stages().len();
         let mut srcs = Vec::new();
-        let mut sink_insts = 0usize;
         for (s, st) in g.stages().iter().enumerate() {
             let ms = base + s;
             stage_job.push(j);
@@ -207,9 +219,6 @@ pub fn run_jobs<R: Record>(
                     srcs.push((ms, i));
                 }
             }
-            if g.out_edge(StageId(s)).is_none() {
-                sink_insts += st.replication;
-            }
         }
         for ((s, i), v) in inp {
             inputs.insert((base + s, i), v);
@@ -218,7 +227,6 @@ pub fn run_jobs<R: Record>(
         // are: same probed metadata, same factory handles.
         graph.append(g);
         sources.push(srcs);
-        sinks.push(sink_insts);
         arrivals.push(arrival);
         ranges.push((base, graph.stages().len()));
         tenants.push(tenant);
@@ -229,18 +237,18 @@ pub fn run_jobs<R: Record>(
         arrivals: arrivals.clone(),
         stage_job,
         sources,
-        sinks,
         gate,
         log: log.clone(),
     };
-    let report = run_job_sched(
+    let report = run_job_inner(
         cfg,
+        spec,
         Job {
             graph,
             placement,
             inputs,
         },
-        setup,
+        Some(setup),
     )?;
     // The scheduler actor dropped with the simulation, so the log is
     // uniquely owned again.
@@ -381,6 +389,7 @@ mod tests {
             crate::runtime::run_job(&cfg, tiny_job(32)).expect("direct run succeeds");
         let multi = run_jobs(
             &cfg,
+            &FaultSpec::none(),
             vec![TenantJob {
                 tenant: 0,
                 arrival: SimTime::ZERO,
@@ -390,7 +399,7 @@ mod tests {
         )
         .expect("gated run succeeds");
         // Byte-identical observables: only the dispatch count differs
-        // (the gated run adds JobArrive/SinkFlushed bookkeeping events).
+        // (the gated run adds JobArrive/JobDone bookkeeping events).
         assert_eq!(multi.report.makespan, direct.makespan);
         assert_eq!(multi.report.records_processed, direct.records_processed);
         assert_eq!(multi.report.sink_outputs, direct.sink_outputs);
@@ -410,6 +419,7 @@ mod tests {
         };
         let r = run_jobs(
             &cfg,
+            &FaultSpec::none(),
             vec![
                 TenantJob {
                     tenant: 0,
@@ -438,6 +448,7 @@ mod tests {
         let cfg = cfg();
         let r = run_jobs(
             &cfg,
+            &FaultSpec::none(),
             vec![TenantJob {
                 tenant: 0,
                 arrival: SimTime(5),
@@ -462,6 +473,7 @@ mod tests {
         // later than it would alone, and usage splits between them.
         let alone = run_jobs(
             &cfg,
+            &FaultSpec::none(),
             vec![TenantJob {
                 tenant: 0,
                 arrival: SimTime::ZERO,
@@ -472,6 +484,7 @@ mod tests {
         .expect("solo run");
         let both = run_jobs(
             &cfg,
+            &FaultSpec::none(),
             vec![
                 TenantJob {
                     tenant: 0,
@@ -513,7 +526,7 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_a_typed_error() {
-        let err = run_jobs::<Rec8>(&cfg(), Vec::new(), Box::new(AdmitAll))
+        let err = run_jobs::<Rec8>(&cfg(), &FaultSpec::none(), Vec::new(), Box::new(AdmitAll))
             .err()
             .expect("nothing to run");
         assert!(matches!(err, JobError::NoJobs), "{err}");
@@ -530,6 +543,7 @@ mod tests {
             };
             run_jobs(
                 &cfg,
+                &FaultSpec::none(),
                 vec![
                     TenantJob {
                         tenant: 0,

@@ -175,8 +175,8 @@ impl NodeRes {
             id,
             speed,
             mem_bytes: mem,
-            cpu: Resource::new(format!("{id}.cpu"), cfg.util_bin),
-            nic: Resource::new(format!("{id}.nic"), cfg.util_bin),
+            cpu: Resource::new(cfg.util_bin),
+            nic: Resource::new(cfg.util_bin),
             store,
             cost: cfg.cost,
             records_processed: 0,

@@ -27,8 +27,8 @@
 //! a one-partition build is the sequential build.
 
 use super::balancer::{steerable, watched_stages, SnapTarget, SnapshotBalancer};
-use super::eos::{EosCountdown, EosFabric};
-use super::fault_ctl::{FaultController, NodeInstances};
+use super::eos::{EosCountdown, EosFabric, JobCountdown};
+use super::fault_ctl::{FaultController, Members, NodeInstances};
 use super::instance::{
     Downstream, InstFlags, InstanceActor, InstanceFault, RaState, Receivers, SampleState,
 };
@@ -142,6 +142,8 @@ pub(super) struct Shared<R: Record> {
     /// Upstream senders of each stage: the count its end-of-stream
     /// countdowns start at (0 = no countdown).
     eos_senders: Vec<usize>,
+    /// Per stage, the stage its out-edge feeds (`None` for a sink).
+    eos_next: Arc<Vec<Option<usize>>>,
     /// Per stage, `(partition, anchor receiver)` for every partition
     /// owning an instance of it: where other partitions' senders send
     /// their `EosMark`s.
@@ -156,8 +158,6 @@ pub(super) struct Shared<R: Record> {
     watched: Vec<usize>,
     /// Repair-coordinator event feed (empty when repair is off).
     repair_tl: Arc<Vec<(SimTime, RepairEv)>>,
-    /// Fault-controller table (empty when the fault layer is off).
-    instances_on: Arc<NodeInstances>,
     /// Slot layout (module docs): the balancer's slot, ASU ordinal 0's
     /// repair agent, and the first slot past every protocol actor — the
     /// scheduler's on a gated run.
@@ -209,6 +209,9 @@ impl<R: Record> Shared<R> {
         for e in graph.edges() {
             eos_senders[e.to.0] += stages[e.from.0].replication;
         }
+        let eos_next = (0..stages.len())
+            .map(|s| graph.out_edge(StageId(s)).map(|e| e.to.0))
+            .collect();
         // A stage's anchor on a partition is its first instance there.
         let mut eos_anchors: Vec<BTreeMap<u32, ActorId>> = vec![BTreeMap::new(); stages.len()];
         for (gi, sp) in specs.iter().enumerate() {
@@ -232,14 +235,6 @@ impl<R: Record> Shared<R> {
             total_nodes,
         ));
         let loss = Arc::new(LossTimeline::build(&spec.plan, total_nodes));
-        let mut instances_on: NodeInstances = Vec::new();
-        if active {
-            instances_on.resize(total_nodes, Vec::new());
-            for (gi, sp) in specs.iter().enumerate() {
-                let dest = graph.out_edge(StageId(sp.stage)).map(|e| e.to.0);
-                instances_on[node_index(cfg, sp.node)].push((gi, dest));
-            }
-        }
         // Background re-replication engages only with the fault layer
         // on: without a plan there is nothing to repair.
         let repair = if active { spec.repair } else { None };
@@ -267,13 +262,13 @@ impl<R: Record> Shared<R> {
             specs,
             receivers,
             eos_senders,
+            eos_next: Arc::new(eos_next),
             eos_anchors: Arc::new(eos_anchors),
             eos_marks,
             detected,
             loss,
             watched,
             repair_tl,
-            instances_on: Arc::new(instances_on),
             bal_slot,
             agents_base,
             sched_slot,
@@ -377,10 +372,6 @@ impl<R: Record> EmWorker<R> {
         let n_inst = sh.specs.len();
         let bal_actor = ActorId(sh.bal_slot);
         let sched_actor = ActorId(sh.sched_slot);
-        debug_assert!(
-            sched.is_none() || (sh.nparts == 1 && !sh.active),
-            "gated runs are fault-free and never partition"
-        );
         sim.reserve_to(sh.sched_slot + usize::from(sched.is_some()));
 
         // Every node is instantiated by exactly one partition (reports
@@ -418,19 +409,50 @@ impl<R: Record> EmWorker<R> {
                     .then(|| RefCell::new(EosCountdown::new(sh.eos_senders[s], receivers)))
             })
             .collect();
+        // A gated run counts each job's sink instances down; the last
+        // one's report tells the scheduler the job is done.
+        let jobs = sched.as_ref().map(|ss| {
+            let mut left = vec![0; ss.arrivals.len()];
+            for (s, st) in graph.stages().iter().enumerate() {
+                if sh.eos_next[s].is_none() {
+                    left[ss.stage_job[s]] += st.replication;
+                }
+            }
+            JobCountdown {
+                sched: sched_actor,
+                stage_job: ss.stage_job.clone(),
+                left: RefCell::new(left),
+            }
+        });
         let eos = Rc::new(EosFabric {
             part,
+            next: sh.eos_next.clone(),
             countdowns,
             anchors: sh.eos_anchors.clone(),
+            jobs,
         });
+        // The fault controller's table, over this partition's nodes. A
+        // gated run's instances wait, per job, for their job's dispatch.
+        let mut instances_on: NodeInstances = Vec::new();
+        let mut waiting: Vec<Members> = Vec::new();
+        if sh.active {
+            instances_on.resize(cfg.total_nodes(), Vec::new());
+            waiting.resize(sched.as_ref().map_or(0, |ss| ss.arrivals.len()), Vec::new());
+        }
 
         for (idx, sp) in sh.specs.iter().enumerate() {
             if sp.part != part {
                 continue;
             }
             let stage = &graph.stages()[sp.stage];
-            let out_edge = graph.out_edge(StageId(sp.stage));
-            let down = out_edge.map(|e| Downstream {
+            let node_ix = node_index(cfg, sp.node);
+            if sh.active {
+                match &sched {
+                    Some(ss) => waiting[ss.stage_job[sp.stage]].push((node_ix, (idx, sp.stage))),
+                    None => instances_on[node_ix].push((idx, sp.stage)),
+                }
+            }
+            let down = graph.out_edge(StageId(sp.stage)).map(|e| Downstream {
                 to: sh.receivers[e.to.0].clone(),
                 // One stream per sender, indexed by global instance
                 // order, so SR draws align however the run is split.
@@ -450,11 +472,11 @@ impl<R: Record> EmWorker<R> {
                 stage: sp.stage,
                 instance: sp.instance,
                 functor: stage.instantiate(sp.instance),
-                node: nodes[node_index(cfg, sp.node)]
+                node: nodes[node_ix]
                     .as_ref()
                     .expect("instance placed on an owned node")
                     .clone(),
-                node_ix: node_index(cfg, sp.node),
+                node_ix,
                 queue: VecDeque::new(),
                 pending: None,
                 eos_expected: usize::from(stage.is_source)
@@ -492,12 +514,6 @@ impl<R: Record> EmWorker<R> {
                     report_delay: cfg.balance.period.max(cfg.link_latency),
                     balancer: bal_actor,
                 }),
-                // Sink instances of a gated run report their flush to
-                // the scheduler so it can detect job completion.
-                sched: sched
-                    .as_ref()
-                    .filter(|_| out_edge.is_none())
-                    .map(|ss| (sched_actor, ss.stage_job[sp.stage])),
             };
             install(sim, &metrics, ActorId(idx), actor);
             // Gated runs hold source seeds back: the scheduler sends the
@@ -515,6 +531,7 @@ impl<R: Record> EmWorker<R> {
             }
         }
 
+        let mut ctl = None;
         if sh.active {
             // This partition's fault controller: seeded only with the
             // plan steps and detection verdicts whose node it owns, so
@@ -538,20 +555,18 @@ impl<R: Record> EmWorker<R> {
                     sim.seed_message(ctrl, at, Msg::Detect(node));
                 }
             }
-            install(
-                sim,
-                &metrics,
-                ctrl,
-                FaultController {
-                    events,
-                    nodes: nodes.clone(),
-                    flags: flags.clone(),
-                    instances_on: sh.instances_on.clone(),
-                    eos: eos.clone(),
-                    link_latency: cfg.link_latency,
-                    metrics: metrics.clone(),
-                },
-            );
+            let c = Rc::new(FaultController {
+                events,
+                nodes: nodes.clone(),
+                flags: flags.clone(),
+                instances_on: RefCell::new(instances_on),
+                detected: sh.detected.clone(),
+                eos: eos.clone(),
+                link_latency: cfg.link_latency,
+                metrics: metrics.clone(),
+            });
+            install(sim, &metrics, ctrl, c.clone());
+            ctl = Some(c);
         }
 
         // The balancer watches every stage with a steerable in-edge
@@ -673,7 +688,6 @@ impl<R: Record> EmWorker<R> {
             for (j, &at) in ss.arrivals.iter().enumerate() {
                 sim.seed_message(sched_actor, at, Msg::JobArrive(j));
             }
-            let n_jobs = ss.arrivals.len();
             let sources: Vec<Vec<ActorId>> = ss
                 .sources
                 .iter()
@@ -690,9 +704,7 @@ impl<R: Record> EmWorker<R> {
                 SchedActor {
                     gate: ss.gate,
                     sources,
-                    sinks_expected: ss.sinks,
-                    sinks_seen: vec![0; n_jobs],
-                    done: vec![false; n_jobs],
+                    fault: ctl.map(|c| (c, waiting)),
                     log: ss.log,
                     metrics: metrics.clone(),
                 },

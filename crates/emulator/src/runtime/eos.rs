@@ -18,6 +18,10 @@
 //! anchor receiver of every other such partition, timed at its remote
 //! instant. Receivers in another partition sit on another node, so the
 //! mark always carries at least the link latency, the lookahead.
+//!
+//! A sink has no downstream stage. In a multi-tenant run its report
+//! counts its job down instead ([`JobCountdown`]); the scheduler hears of
+//! the job once, when its last sink reports.
 
 use super::msg::Msg;
 use lmas_core::Record;
@@ -117,33 +121,70 @@ impl EosCountdown {
     }
 }
 
+/// A multi-tenant run's job completion: per job, the sink instances
+/// that have not reported end of stream. A job is done when its last
+/// sink reports, whether it flushed or was fenced.
+pub(super) struct JobCountdown {
+    /// The scheduler, told of each job once, at that instant.
+    pub(super) sched: ActorId,
+    /// Owning job of each stage.
+    pub(super) stage_job: Vec<usize>,
+    /// Unreported sink instances per job.
+    pub(super) left: RefCell<Vec<usize>>,
+}
+
+impl JobCountdown {
+    fn report<R: Record>(&self, ctx: &mut Ctx<'_, Msg<R>>, stage: usize) {
+        let job = self.stage_job[stage];
+        let mut left = self.left.borrow_mut();
+        debug_assert!(left[job] > 0, "job {job}: a sink reported twice");
+        left[job] = left[job].saturating_sub(1);
+        if left[job] == 0 {
+            ctx.send_now(self.sched, Msg::JobDone(job));
+        }
+    }
+}
+
 /// One partition's end-of-stream fabric, shared by its instances and
 /// its fault controller.
 pub(super) struct EosFabric {
     /// This partition.
     pub(super) part: u32,
+    /// Per stage: the stage its out-edge feeds, `None` for a sink. The
+    /// same table on every partition.
+    pub(super) next: Arc<Vec<Option<usize>>>,
     /// Per stage: this partition's countdown, or `None` when the stage
     /// has no upstream senders or no instance here.
     pub(super) countdowns: Vec<Option<RefCell<EosCountdown>>>,
     /// Per stage: the anchor receiver of every partition owning an
     /// instance of the stage. The same table on every partition.
     pub(super) anchors: Arc<Vec<BTreeMap<u32, ActorId>>>,
+    /// A multi-tenant run's job countdown; `None` for a lone job, whose
+    /// end is the calendar draining.
+    pub(super) jobs: Option<JobCountdown>,
 }
 
 impl EosFabric {
-    /// One upstream sender of `stage`, on dense node `node`, reached end
-    /// of stream: its receivers on `node` hear of it at `local`, all
-    /// others at `remote` (see [`EosCountdown::report`]). Sent by the
-    /// sender itself after its last data, or by the fault controller for
-    /// a fenced sender; exactly once per sender either way.
+    /// An instance of stage `from`, on dense node `node`, reached end of
+    /// stream: its receivers on `node` hear of it at `local`, all others
+    /// at `remote` (see [`EosCountdown::report`]); a sink counts its job
+    /// down. Sent by the instance itself after its flush, or by the
+    /// fault controller for a fenced instance; exactly once per instance
+    /// either way.
     pub(super) fn send_eos<R: Record>(
         &self,
         ctx: &mut Ctx<'_, Msg<R>>,
-        stage: usize,
+        from: usize,
         node: usize,
         local: SimTime,
         remote: Option<SimTime>,
     ) {
+        let Some(stage) = self.next[from] else {
+            if let Some(jobs) = &self.jobs {
+                jobs.report(ctx, from);
+            }
+            return;
+        };
         for (&p, &anchor) in &self.anchors[stage] {
             if p == self.part {
                 continue;

@@ -4,7 +4,7 @@
 use super::eos::EosFabric;
 use super::instance::InstFlags;
 use super::msg::Msg;
-use crate::fault::NodeHealth;
+use crate::fault::{DetectedTimeline, NodeHealth};
 use crate::metrics::Metrics;
 use crate::node::NodeRes;
 use lmas_core::Record;
@@ -13,9 +13,15 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Per dense node, the instances resident on it as `(global index,
-/// destination stage)`.
-pub(super) type NodeInstances = Vec<Vec<(usize, Option<usize>)>>;
+/// An instance the controller acts for: `(global index == actor id,
+/// stage)`.
+pub(super) type Resident = (usize, usize);
+
+/// Per dense node, the instances resident on it.
+pub(super) type NodeInstances = Vec<Vec<Resident>>;
+
+/// One job's instances, each as `(dense node, resident)`.
+pub(super) type Members = Vec<(usize, Resident)>;
 
 /// The fault controller: replays the plan's node-health steps and the
 /// detector timeline's precomputed verdicts. There is one controller
@@ -24,16 +30,21 @@ pub(super) type NodeInstances = Vec<Vec<(usize, Option<usize>)>>;
 /// send it makes is either node-local (`send_now` to instances resident
 /// on the event's node) or carries the link latency, so replay is
 /// byte-identical however the actors partition.
+///
+/// It acts only for instances in its table. A multi-tenant run's
+/// scheduler shares the controller and adds each job's instances at
+/// dispatch ([`admit`](Self::admit)): a queued or rejected job holds no
+/// emulated resources, so no crash kills it and no fence completes it.
 pub(super) struct FaultController<R: Record> {
     pub(super) events: Vec<FaultEvent>,
     /// Node objects this controller owns (dense index; `None` = another
     /// partition's node, which this controller is never asked about).
     pub(super) nodes: Vec<Option<Rc<RefCell<NodeRes>>>>,
     pub(super) flags: Rc<RefCell<Vec<InstFlags>>>,
-    /// Per node, each resident instance as `(global index == actor id,
-    /// the stage it sends to, `None` for sinks)`. A pure function of
-    /// the instance table, so one copy serves every partition.
-    pub(super) instances_on: Arc<NodeInstances>,
+    /// Per owned node, the instances it acts for, in slot order.
+    pub(super) instances_on: RefCell<NodeInstances>,
+    /// The detector's verdicts, for instances admitted after one landed.
+    pub(super) detected: Arc<DetectedTimeline>,
     /// This partition's end-of-stream countdowns.
     pub(super) eos: Rc<EosFabric>,
     /// Minimum cross-node delay (the parallel lookahead); fence marks
@@ -55,39 +66,49 @@ impl<R: Record> FaultController<R> {
         nd
     }
 
-    /// End of stream on behalf of every unflushed instance on a
-    /// detected-down node, so downstream consumers stop waiting for the
-    /// dead. It reaches consumers on the dead node itself at once (the
-    /// node-local convention) and those on other nodes one control
-    /// delay later, like any cross-node control message.
-    fn fence_node(&mut self, ctx: &mut Ctx<'_, Msg<R>>, node: usize) {
-        for i in 0..self.instances_on[node].len() {
-            let (gi, dest) = self.instances_on[node][i];
-            let already = {
-                let f = self.flags.borrow();
-                f[gi].flushed || f[gi].fenced
-            };
-            if already {
-                continue;
+    /// End of stream on behalf of an unflushed, unfenced instance on a
+    /// detected-down node, so consumers stop waiting for the dead and a
+    /// dead sink's job can complete. It reaches consumers on the dead
+    /// node itself at once (the node-local convention) and those on
+    /// other nodes one control delay later, like any cross-node control
+    /// message.
+    fn fence(&self, ctx: &mut Ctx<'_, Msg<R>>, node: usize, (gi, stage): Resident) {
+        {
+            let mut f = self.flags.borrow_mut();
+            if f[gi].flushed || f[gi].fenced {
+                return;
             }
-            self.flags.borrow_mut()[gi].fenced = true;
-            self.metrics.borrow_mut().fault.fenced_instances += 1;
-            if let Some(stage) = dest {
-                let now = ctx.now();
-                let remote = now + self.link_latency;
-                self.eos.send_eos(ctx, stage, node, now, Some(remote));
+            f[gi].fenced = true;
+        }
+        self.metrics.borrow_mut().fault.fenced_instances += 1;
+        let now = ctx.now();
+        self.eos
+            .send_eos(ctx, stage, node, now, Some(now + self.link_latency));
+    }
+
+    /// A job's instances join the table at its dispatch. One on a down
+    /// node dies at once, one on a detected-down node is fenced at once:
+    /// as if the crash or the detection happened now.
+    pub(super) fn admit(&self, ctx: &mut Ctx<'_, Msg<R>>, members: Members) {
+        for (node, r) in members {
+            self.instances_on.borrow_mut()[node].push(r);
+            if self.node(node).is_some_and(|nd| nd.borrow().is_down()) {
+                ctx.send_now(ActorId(r.0), Msg::Kill);
+            }
+            if !self.detected.is_up(node, ctx.now()) {
+                self.fence(ctx, node, r);
             }
         }
     }
 
-    fn apply(&mut self, ctx: &mut Ctx<'_, Msg<R>>, i: usize) {
+    fn apply(&self, ctx: &mut Ctx<'_, Msg<R>>, i: usize) {
         let now = ctx.now();
         let key = ctx.dispatch_key();
         match self.events[i] {
             FaultEvent::Crash { node, .. } => {
                 let Some(nd) = self.node(node) else { return };
                 nd.borrow_mut().set_health(NodeHealth::Down);
-                for &(gi, _) in self.instances_on[node].iter() {
+                for &(gi, _) in self.instances_on.borrow()[node].iter() {
                     ctx.send_now(ActorId(gi), Msg::Kill);
                 }
                 self.metrics
@@ -98,7 +119,7 @@ impl<R: Record> FaultController<R> {
             FaultEvent::Recover { node, .. } => {
                 let Some(nd) = self.node(node) else { return };
                 nd.borrow_mut().set_health(NodeHealth::Up);
-                for &(gi, _) in self.instances_on[node].iter() {
+                for &(gi, _) in self.instances_on.borrow()[node].iter() {
                     ctx.send_now(ActorId(gi), Msg::Revive);
                 }
                 self.metrics
@@ -130,9 +151,9 @@ impl<R: Record> FaultController<R> {
         }
     }
 
-    /// A precomputed detection verdict lands: count it and fence. The
-    /// routing masks flip on their own (instances sample the timeline).
-    fn detect(&mut self, ctx: &mut Ctx<'_, Msg<R>>, node: usize) {
+    /// A precomputed detection verdict lands: count it and fence every
+    /// instance on the node.
+    fn detect(&self, ctx: &mut Ctx<'_, Msg<R>>, node: usize) {
         let now = ctx.now();
         let key = ctx.dispatch_key();
         {
@@ -141,11 +162,15 @@ impl<R: Record> FaultController<R> {
             m.trace
                 .record_with_key(now, key, || ("fault", format!("detected node {node} down")));
         }
-        self.fence_node(ctx, node);
+        for &r in self.instances_on.borrow()[node].iter() {
+            self.fence(ctx, node, r);
+        }
     }
 }
 
-impl<R: Record> lmas_sim::Actor<Msg<R>> for FaultController<R> {
+/// Installed behind an `Rc`: a multi-tenant run's scheduler holds the
+/// other handle and admits jobs through it.
+impl<R: Record> lmas_sim::Actor<Msg<R>> for Rc<FaultController<R>> {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg<R>>, msg: Msg<R>) {
         match msg {
             Msg::FaultStep(i) => self.apply(ctx, i),

@@ -176,10 +176,6 @@ pub(super) struct InstanceActor<R: Record> {
     pub(super) fault: Option<InstanceFault<R>>,
     /// Snapshot-balancer sampling (watched instances only).
     pub(super) sample: Option<SampleState>,
-    /// Multi-tenant runs only: `(scheduler actor, owning job)` of a
-    /// *sink* instance, which notifies the scheduler when it flushes.
-    /// `None` everywhere else — single-job runs carry no scheduler.
-    pub(super) sched: Option<(ActorId, usize)>,
 }
 
 impl<R: Record> InstanceActor<R> {
@@ -296,13 +292,6 @@ impl<R: Record> InstanceActor<R> {
         self.route_outputs(ctx, emit.take());
         if just_flushed {
             self.report_eos(ctx);
-            // A multi-tenant sink reports its flush to the scheduler at
-            // the flush instant (sink writes were charged above, so the
-            // job's disk traffic is already accounted). Scheduler runs
-            // are sequential-only; a zero-delay control send is safe.
-            if let Some((sched, job)) = self.sched {
-                ctx.send_now(sched, Msg::SinkFlushed(job));
-            }
         }
         self.try_start(ctx);
         if self.ra.is_some() {
@@ -556,20 +545,24 @@ impl<R: Record> InstanceActor<R> {
         }
     }
 
-    /// Report end of stream to the downstream stage's countdown, once.
+    /// Report end of stream to the fabric, once: to the downstream
+    /// stage's countdown, or, for a sink, to its job's countdown (sink
+    /// writes were charged above, so the job's disk traffic is already
+    /// accounted).
     fn report_eos(&mut self, ctx: &mut Ctx<'_, Msg<R>>) {
         if self.is_fenced() {
             // The controller already spoke for this instance.
             return;
         }
         self.flush_coded(ctx);
+        let now = ctx.now();
+        let mut remote = None;
         if let Some(d) = &self.down {
             // End of stream rides the NIC (zero payload) so it stays
             // behind data. Every remote mark would serialize zero bytes,
             // so one zero-length charge stands in for all of them: it
             // opens the same window and leaves `free_at` where they would.
-            let now = ctx.now();
-            let remote = d.to.node.iter().any(|&n| n != self.node_ix).then(|| {
+            remote = d.to.node.iter().any(|&n| n != self.node_ix).then(|| {
                 let g = self.node.borrow_mut().charge_nic(now, 0, self.link_rate);
                 g.end + self.link_latency
             });
@@ -581,9 +574,8 @@ impl<R: Record> InstanceActor<R> {
                 .record_with_key(now, key, || {
                     (format!("s{stage}.i{instance}"), format!("eos -> {fanout}"))
                 });
-            self.eos
-                .send_eos(ctx, d.to.stage, self.node_ix, now, remote);
         }
+        self.eos.send_eos(ctx, self.stage, self.node_ix, now, remote);
     }
 
     fn source_next(&mut self, ctx: &mut Ctx<'_, Msg<R>>) {
@@ -828,7 +820,7 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
             | Msg::BalanceTick
             | Msg::DepthReport { .. }
             | Msg::JobArrive(_)
-            | Msg::SinkFlushed(_)
+            | Msg::JobDone(_)
             | Msg::RepairStep(_)
             | Msg::RepairFetch(_)
             | Msg::RepairNext

@@ -430,21 +430,12 @@ pub fn run_job_with_faults<R: Record>(
     run_job_inner(cfg, spec, job, None)
 }
 
-/// Run a merged multi-job graph under a scheduler gate. Fault-free by
-/// construction (completion detection counts sink flushes, which the
-/// fault layer's fencing would starve) and sequential-only (`threads >
-/// 1` records the `"scheduler"` fallback reason).
-pub(crate) fn run_job_sched<R: Record>(
-    cfg: &ClusterConfig,
-    job: Job<R>,
-    setup: SchedSetup,
-) -> Result<EmulationReport<R>, JobError> {
-    run_job_inner(cfg, &FaultSpec::none(), job, Some(setup))
-}
-
 /// Validate the job, decide how it executes, and run the one builder
-/// under the chosen driver.
-fn run_job_inner<R: Record>(
+/// under the chosen driver. `sched` gates a merged multi-job graph
+/// ([`run_jobs`](crate::multi::run_jobs)); such a run is
+/// sequential-only (`threads > 1` records the `"scheduler"` fallback
+/// reason).
+pub(crate) fn run_job_inner<R: Record>(
     cfg: &ClusterConfig,
     spec: &FaultSpec,
     job: Job<R>,

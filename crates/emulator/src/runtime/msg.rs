@@ -45,7 +45,7 @@ pub(super) const KINDS: [&str; 26] = [
     "RepairBounce",
     "RepairSampleTick",
     "JobArrive",
-    "SinkFlushed",
+    "JobDone",
     "RepairFlush",
     "RepairWriteFlush",
 ];
@@ -153,9 +153,9 @@ pub(super) enum Msg<R: Record> {
     /// Scheduler: job `j` (of a multi-tenant run) reaches the admission
     /// gate at its arrival instant.
     JobArrive(usize),
-    /// Sink instance → scheduler: one sink instance of job `j` flushed.
-    /// The scheduler counts these to detect job completion.
-    SinkFlushed(usize),
+    /// Job countdown → scheduler: the last sink instance of job `j`
+    /// reported end of stream (flushed or fenced); the job is complete.
+    JobDone(usize),
     /// Coordinator self-message: apply the completions buffered at this
     /// instant in canonical (assignment-id) order. Engine decisions
     /// depend on mutable load state, so same-instant completions must
@@ -200,7 +200,7 @@ impl<R: Record> Msg<R> {
             Msg::RepairBounce { .. } => 20,
             Msg::RepairSampleTick => 21,
             Msg::JobArrive(_) => 22,
-            Msg::SinkFlushed(_) => 23,
+            Msg::JobDone(_) => 23,
             Msg::RepairFlush => 24,
             Msg::RepairWriteFlush => 25,
         }
@@ -225,7 +225,7 @@ mod tests {
             (Msg::BalanceTick, "BalanceTick"),
             (Msg::RepairNext, "RepairNext"),
             (Msg::JobArrive(0), "JobArrive"),
-            (Msg::SinkFlushed(0), "SinkFlushed"),
+            (Msg::JobDone(0), "JobDone"),
             (Msg::RepairWriteFlush, "RepairWriteFlush"),
         ];
         for (msg, name) in named {

@@ -2,6 +2,7 @@
 //! actor of a multi-tenant run and the setup [`crate::multi::run_jobs`]
 //! hands it.
 
+use super::fault_ctl::{FaultController, Members};
 use super::msg::Msg;
 use crate::metrics::Metrics;
 use crate::multi::{GateDecision, SchedEvent, SchedEventKind, SchedGate};
@@ -23,8 +24,6 @@ pub(crate) struct SchedSetup {
     /// order the direct path seeds, so a lone job dispatched at its
     /// arrival replays the direct run's source order exactly.
     pub sources: Vec<Vec<(usize, usize)>>,
-    /// Sink-instance flush count each job must reach to complete.
-    pub sinks: Vec<usize>,
     /// The pluggable admission/fairness gate.
     pub gate: Box<dyn SchedGate>,
     /// Shared event log the embedding reads back after the run.
@@ -37,17 +36,18 @@ pub(crate) struct SchedSetup {
 /// embedding's [`SchedGate`] and gates each job's source chains: the
 /// sources of a gated run are *not* seeded at time zero — the scheduler
 /// sends their first [`Msg::SourceNext`] at the dispatch instant, so a
-/// queued job holds no emulated resources until admitted. Sink
-/// instances report back with [`Msg::SinkFlushed`]; a job completes
-/// once every one of its sink instances has flushed.
+/// queued job holds no emulated resources until admitted. Under a fault
+/// plan the job's instances join the fault controller's table at that
+/// instant too. A job completes with one [`Msg::JobDone`], sent when the
+/// last of its sink instances reports end of stream, flushed or fenced
+/// (`eos.rs`).
 pub(super) struct SchedActor<R: Record> {
     pub(super) gate: Box<dyn SchedGate>,
     /// Source instance actors per job, in dispatch (seeding) order.
     pub(super) sources: Vec<Vec<ActorId>>,
-    /// Sink-instance flushes each job must collect to complete.
-    pub(super) sinks_expected: Vec<usize>,
-    pub(super) sinks_seen: Vec<usize>,
-    pub(super) done: Vec<bool>,
+    /// The fault controller, when the run has one, and per job the
+    /// instances it admits at dispatch.
+    pub(super) fault: Option<(Rc<FaultController<R>>, Vec<Members>)>,
     /// Shared with the [`crate::multi::run_jobs`] caller, which reads
     /// the decisions back into per-job statistics after the run.
     pub(super) log: Rc<RefCell<Vec<SchedEvent>>>,
@@ -70,6 +70,9 @@ impl<R: Record> SchedActor<R> {
 
     fn dispatch(&mut self, ctx: &mut Ctx<'_, Msg<R>>, job: usize) {
         self.note(ctx, job, SchedEventKind::Dispatch);
+        if let Some((ctl, members)) = &mut self.fault {
+            ctl.admit(ctx, std::mem::take(&mut members[job]));
+        }
         for i in 0..self.sources[job].len() {
             let actor = self.sources[job][i];
             ctx.send_now(actor, Msg::SourceNext);
@@ -88,18 +91,10 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for SchedActor<R> {
                     GateDecision::Reject => self.note(ctx, j, SchedEventKind::Rejected),
                 }
             }
-            Msg::SinkFlushed(j) => {
-                self.sinks_seen[j] += 1;
-                debug_assert!(
-                    self.sinks_seen[j] <= self.sinks_expected[j],
-                    "job {j} over-reported sink flushes"
-                );
-                if self.sinks_seen[j] == self.sinks_expected[j] && !self.done[j] {
-                    self.done[j] = true;
-                    self.note(ctx, j, SchedEventKind::Complete);
-                    for k in self.gate.on_completion(j, ctx.now()) {
-                        self.dispatch(ctx, k);
-                    }
+            Msg::JobDone(j) => {
+                self.note(ctx, j, SchedEventKind::Complete);
+                for k in self.gate.on_completion(j, ctx.now()) {
+                    self.dispatch(ctx, k);
                 }
             }
             _ => unreachable!("non-scheduler message delivered to the scheduler"),

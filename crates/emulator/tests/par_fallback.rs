@@ -102,7 +102,9 @@ fn gated() -> Run {
             job: job(c, RoutingPolicy::RoundRobin),
         };
         let jobs = vec![tenant_job(0, SimTime::ZERO), tenant_job(1, SimTime(50_000))];
-        run_jobs(c, jobs, Box::new(AdmitAll)).unwrap().report
+        run_jobs(c, &FaultSpec::none(), jobs, Box::new(AdmitAll))
+            .unwrap()
+            .report
     })
 }
 

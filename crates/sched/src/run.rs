@@ -23,7 +23,7 @@ use crate::error::SchedError;
 use crate::policy::{GateConfig, JobShape, Policy, PolicyGate};
 use lmas_core::{generate_rec8, KeyDist, Rec8};
 use lmas_emulator::{
-    run_jobs, ClusterConfig, JobError, JobStats, SchedEvent, TenantJob,
+    run_jobs, ClusterConfig, FaultSpec, JobError, JobStats, SchedEvent, TenantJob,
 };
 use lmas_plan::{Estimate, ResidualCapacity};
 use lmas_sim::{ArrivalSpec, SimDuration, SimTime};
@@ -473,7 +473,7 @@ pub fn run_scheduled(
         shapes,
     );
     let run_cluster = shared_cluster.expect("at least one job was built");
-    let rep = run_jobs(&run_cluster, tenant_jobs, Box::new(gate))?;
+    let rep = run_jobs(&run_cluster, &FaultSpec::none(), tenant_jobs, Box::new(gate))?;
     let rejections = rejection_log.borrow().clone();
 
     Ok(SchedOutcome {

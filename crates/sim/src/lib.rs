@@ -12,13 +12,12 @@
 //!   backoff ([`BackoffPolicy`]);
 //! - [`resource`]: FCFS servers with utilization accounting — the CPUs,
 //!   disks and links of an emulated cluster;
-//! - [`intern`](mod@intern): interned resource/metric names (allocation-free stamping)
-//!   and the [`fnv1a`] digest the goldens pin;
 //! - [`par`]: a conservative partitioned parallel coordinator — the same
 //!   virtual time, byte for byte, across worker threads;
 //! - [`rng`]: seed-derived deterministic random streams;
 //! - [`stats`]: utilization ledgers;
-//! - [`trace`]: an optional bounded event trace.
+//! - [`trace`]: an optional bounded event trace;
+//! - [`fnv1a`]: the digest the goldens pin.
 //!
 //! Everything is deterministic: given the same seed and the same inputs, a
 //! simulation produces bit-identical event orders, timings, and reports.
@@ -49,7 +48,6 @@ pub mod arrival;
 pub mod engine;
 pub mod event;
 pub mod fault;
-pub mod intern;
 pub mod par;
 pub mod resource;
 pub mod rng;
@@ -61,10 +59,19 @@ pub use arrival::{ArrivalEvent, ArrivalSpec};
 pub use engine::{merge_keyed, Actor, ActorId, Ctx, Keyed, RunOutcome, Simulation};
 pub use event::{EventKey, EventQueue};
 pub use fault::{BackoffPolicy, FaultEvent, FaultPlan};
-pub use intern::{fnv1a, intern, Name};
 pub use par::{run_partitioned, LogHist, ParOps, ParOutcome, PartitionWorker};
 pub use resource::{Grant, Resource};
 pub use rng::DetRng;
 pub use stats::UtilizationLedger;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEntry};
+
+/// 64-bit FNV-1a over a byte stream: stable across runs, platforms and
+/// releases, so digests of it can be pinned in goldens. The multiplier
+/// is `0x1000_0000_01b3`, not the published FNV-64 prime
+/// `0x100_0000_01b3`; the pinned digests were recorded with it.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+    })
+}

@@ -8,7 +8,6 @@
 //! or I/O occupies its device exclusively and the event queue enforces
 //! causal order.
 
-use crate::intern::{intern, Name};
 use crate::stats::UtilizationLedger;
 use crate::time::{SimDuration, SimTime};
 
@@ -31,7 +30,6 @@ impl Grant {
 /// A single FCFS server with utilization accounting.
 #[derive(Debug)]
 pub struct Resource {
-    name: Name,
     free_at: SimTime,
     ledger: UtilizationLedger,
     grants: u64,
@@ -39,11 +37,9 @@ pub struct Resource {
 
 impl Resource {
     /// A new idle resource. `bin_width` sets the resolution of the
-    /// utilization series this resource records. The name is interned:
-    /// resources sharing a name share one allocation.
-    pub fn new(name: impl AsRef<str>, bin_width: SimDuration) -> Self {
+    /// utilization series this resource records.
+    pub fn new(bin_width: SimDuration) -> Self {
         Resource {
-            name: intern(name.as_ref()),
             free_at: SimTime::ZERO,
             ledger: UtilizationLedger::new(bin_width),
             grants: 0,
@@ -75,11 +71,6 @@ impl Resource {
     /// Backlog from `now` until the last booked work finishes.
     pub fn backlog(&self, now: SimTime) -> SimDuration {
         self.free_at.saturating_since(now)
-    }
-
-    /// Resource name (for reports).
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Number of grants issued.
@@ -116,7 +107,7 @@ mod tests {
 
     #[test]
     fn fcfs_serializes_overlapping_requests() {
-        let mut r = Resource::new("cpu", BIN);
+        let mut r = Resource::new(BIN);
         let a = r.acquire(SimTime(0), SimDuration(100));
         let b = r.acquire(SimTime(10), SimDuration(50));
         assert_eq!(a, Grant { start: SimTime(0), end: SimTime(100) });
@@ -126,7 +117,7 @@ mod tests {
 
     #[test]
     fn idle_resource_starts_immediately() {
-        let mut r = Resource::new("disk", BIN);
+        let mut r = Resource::new(BIN);
         r.acquire(SimTime(0), SimDuration(10));
         let g = r.acquire(SimTime(500), SimDuration(10));
         assert_eq!(g.start, SimTime(500));
@@ -136,7 +127,7 @@ mod tests {
 
     #[test]
     fn backlog_reflects_booked_work() {
-        let mut r = Resource::new("cpu", BIN);
+        let mut r = Resource::new(BIN);
         r.acquire(SimTime(0), SimDuration(100));
         assert_eq!(r.backlog(SimTime(30)), SimDuration(70));
         assert_eq!(r.backlog(SimTime(200)), SimDuration::ZERO);
@@ -144,7 +135,7 @@ mod tests {
 
     #[test]
     fn zero_service_does_not_occupy() {
-        let mut r = Resource::new("cpu", BIN);
+        let mut r = Resource::new(BIN);
         let g = r.acquire(SimTime(5), SimDuration::ZERO);
         assert_eq!(g.start, g.end);
         assert_eq!(r.total_busy(), SimDuration::ZERO);
@@ -153,7 +144,7 @@ mod tests {
 
     #[test]
     fn utilization_accounts_busy_time() {
-        let mut r = Resource::new("cpu", BIN);
+        let mut r = Resource::new(BIN);
         r.acquire(SimTime(0), SimDuration(500));
         let s = r.utilization_series(SimTime(999));
         assert_eq!(s.len(), 1);
@@ -167,7 +158,7 @@ mod tests {
         // The end-of-stream charge: a zero-length grant queues behind
         // booked work, adds no busy time and leaves `free_at` in place,
         // so one such grant stands for any number of them.
-        let mut r = Resource::new("nic", BIN);
+        let mut r = Resource::new(BIN);
         r.acquire(SimTime(0), SimDuration(50));
         let g = r.acquire(SimTime(10), SimDuration::ZERO);
         assert_eq!(g.start, SimTime(50));

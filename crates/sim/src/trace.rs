@@ -5,11 +5,9 @@
 //! optional: production runs construct a disabled trace and pay only a
 //! branch per record — [`Trace::record_with_key`] takes a closure, so a
 //! disabled trace never materialises the subject or detail strings at
-//! all. Subjects are interned ([`crate::intern`](mod@crate::intern)): the hot path stamps a
-//! shared pointer rather than allocating a fresh `String` per entry.
+//! all.
 
 use crate::engine::merge_keyed;
-use crate::intern::{intern, Name};
 use crate::time::SimTime;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -19,8 +17,8 @@ use std::fmt::Write as _;
 pub struct TraceEntry {
     /// When it happened.
     pub at: SimTime,
-    /// Which component reported it (e.g. `"host0.cpu"`), interned.
-    pub subject: Name,
+    /// Which component reported it (e.g. `"s1.i0"`).
+    pub subject: String,
     /// Free-form description.
     pub detail: String,
     /// Dispatch ordering key within the instant
@@ -76,7 +74,7 @@ impl Trace {
     /// evicted once capacity is reached.
     pub fn record_with_key<S, D, F>(&mut self, at: SimTime, key: (u64, u64), f: F)
     where
-        S: AsRef<str>,
+        S: Into<String>,
         D: Into<String>,
         F: FnOnce() -> (S, D),
     {
@@ -90,7 +88,7 @@ impl Trace {
         }
         self.entries.push_back(TraceEntry {
             at,
-            subject: intern(subject.as_ref()),
+            subject: subject.into(),
             detail: detail.into(),
             key,
         });

@@ -14,7 +14,7 @@ use lmas_sim::{Resource, SimDuration, SimTime, UtilizationLedger};
 
 #[test]
 fn interleaved_jobs_serialize_and_account_exactly() {
-    let mut cpu = Resource::new("cpu", SimDuration::from_micros(10));
+    let mut cpu = Resource::new(SimDuration::from_micros(10));
     // Two jobs interleave requests at the same instants; service times
     // differ so misattribution would show up in total_busy.
     let a1 = cpu.acquire(SimTime(0), SimDuration::from_nanos(300)); // job A

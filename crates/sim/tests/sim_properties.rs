@@ -32,7 +32,7 @@ proptest! {
     fn resource_grants_are_serial_and_conserve_time(
         reqs in prop::collection::vec((0u64..10_000, 0u64..500), 1..100),
     ) {
-        let mut r = Resource::new("cpu", SimDuration(1_000));
+        let mut r = Resource::new(SimDuration(1_000));
         let mut reqs = reqs;
         reqs.sort_by_key(|&(t, _)| t);
         let mut prev_end = SimTime::ZERO;
