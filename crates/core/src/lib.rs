@@ -45,4 +45,4 @@ pub use functor::{Emit, Functor, FunctorKind};
 pub use graph::{Edge, EdgeKind, FlowGraph, GraphError, RouteScope, Stage, StageFactory};
 pub use placement::{NodeId, Placement, PlacementError, StageId};
 pub use record::{generate_rec128, generate_rec8, KeyDist, Rec128, Rec8, Record};
-pub use routing::{Router, RoutingPolicy, UpMask};
+pub use routing::{Router, RoutingPolicy};

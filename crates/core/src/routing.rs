@@ -30,60 +30,6 @@
 
 use lmas_sim::DetRng;
 
-/// Per-instance liveness, as seen by a router (a *detected* view: a
-/// failure detector may lag reality).
-///
-/// [`UpMask::All`] is the fault-free fast path — every policy makes
-/// exactly the decisions (and RNG draws) it made before masks existed,
-/// so enabling the fault layer with no faults perturbs nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UpMask {
-    /// Every instance is live.
-    All,
-    /// Explicit liveness bitset; bit `i` of word `i / 64` is instance `i`.
-    /// Indices beyond the stored words read as down.
-    Bits(Vec<u64>),
-}
-
-impl UpMask {
-    /// The fault-free mask.
-    pub fn all() -> UpMask {
-        UpMask::All
-    }
-
-    /// Build an explicit mask over `n` instances from a predicate.
-    pub fn from_fn(n: usize, f: impl Fn(usize) -> bool) -> UpMask {
-        let mut words = vec![0u64; n.div_ceil(64)];
-        for (i, word) in words.iter_mut().enumerate() {
-            for b in 0..64 {
-                let idx = i * 64 + b;
-                if idx < n && f(idx) {
-                    *word |= 1u64 << b;
-                }
-            }
-        }
-        UpMask::Bits(words)
-    }
-
-    /// Is instance `i` live?
-    pub fn is_up(&self, i: usize) -> bool {
-        match self {
-            UpMask::All => true,
-            UpMask::Bits(words) => {
-                words.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
-            }
-        }
-    }
-
-    /// How many of the first `n` instances are live.
-    pub fn count_up(&self, n: usize) -> usize {
-        match self {
-            UpMask::All => n,
-            UpMask::Bits(_) => (0..n).filter(|&i| self.is_up(i)).count(),
-        }
-    }
-}
-
 /// Which routing rule an edge uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicy {
@@ -144,7 +90,7 @@ impl Router {
         self.policy
     }
 
-    /// Choose a destination among `n` instances: the ones `up` marks
+    /// Choose a destination among `n` instances: the ones `up` reports
     /// live and `weights` (set by the runtime load balancer) leaves
     /// eligible.
     ///
@@ -157,8 +103,13 @@ impl Router {
     ///   slice default to `1.0`, so an empty slice means "unweighted" and
     ///   a balancer that never re-weights perturbs nothing. Weight `0.0`
     ///   (or negative) makes an instance ineligible — it is never picked,
-    ///   even when every other replica is masked down. A positive weight
-    ///   moves a pick only if [`RoutingPolicy::reads_weights`].
+    ///   even when every other replica is down. A positive weight moves a
+    ///   pick only if [`RoutingPolicy::reads_weights`];
+    /// * `up` — per-instance liveness (a *detected* view: a failure
+    ///   detector may lag reality). Static and RoundRobin ask it only
+    ///   about the candidates they probe, so their pick costs one call
+    ///   when the first candidate is live; the other policies ask about
+    ///   the whole group.
     ///
     /// Semantics per policy:
     ///
@@ -185,13 +136,13 @@ impl Router {
         backlog: &[u64],
         capacity: &[f64],
         weights: &[f64],
-        up: &UpMask,
+        up: impl Fn(usize) -> bool,
     ) -> Option<usize> {
         if n == 0 {
             return None;
         }
         let w = |i: usize| weights.get(i).copied().unwrap_or(1.0);
-        let eligible = |i: usize| up.is_up(i) && w(i) > 0.0;
+        let eligible = |i: usize| w(i) > 0.0 && up(i);
         match self.policy {
             RoutingPolicy::Static => {
                 let pinned = port % n;
@@ -207,36 +158,37 @@ impl Router {
                 }
                 None
             }
-            // Three draw shapes, not one: the goldens pin the exact RNG
-            // draws of the two unweighted ones.
-            RoutingPolicy::SimpleRandomization => match (weights, up) {
-                ([], UpMask::All) => Some(self.rng.gen_index(n)),
-                ([], UpMask::Bits(_)) => {
-                    let live = up.count_up(n);
-                    if live == 0 {
-                        return None;
-                    }
-                    let k = self.rng.gen_index(live);
-                    (0..n).filter(|&i| up.is_up(i)).nth(k)
+            // Two draw shapes, and the goldens pin both: unweighted, one
+            // `gen_index(live)` over the live instances — with every
+            // replica up that is `gen_index(n)`, the index itself;
+            // weighted, one `gen_f64` over the eligible weight mass.
+            RoutingPolicy::SimpleRandomization if weights.is_empty() => {
+                let live = (0..n).filter(|&i| up(i)).count();
+                if live == 0 {
+                    return None;
                 }
-                _ => {
-                    let total: f64 =
-                        (0..n).filter(|&i| eligible(i)).map(w).sum();
-                    if total <= 0.0 || !total.is_finite() {
-                        return None;
-                    }
-                    let mut x = self.rng.gen_f64() * total;
-                    let mut last = None;
-                    for i in (0..n).filter(|&i| eligible(i)) {
-                        last = Some(i);
-                        x -= w(i);
-                        if x < 0.0 {
-                            break;
-                        }
-                    }
-                    last
+                let k = self.rng.gen_index(live);
+                if live == n {
+                    return Some(k);
                 }
-            },
+                (0..n).filter(|&i| up(i)).nth(k)
+            }
+            RoutingPolicy::SimpleRandomization => {
+                let total: f64 = (0..n).filter(|&i| eligible(i)).map(w).sum();
+                if total <= 0.0 || !total.is_finite() {
+                    return None;
+                }
+                let mut x = self.rng.gen_f64() * total;
+                let mut last = None;
+                for i in (0..n).filter(|&i| eligible(i)) {
+                    last = Some(i);
+                    x -= w(i);
+                    if x < 0.0 {
+                        break;
+                    }
+                }
+                last
+            }
             RoutingPolicy::LoadAware => {
                 let score = |i: usize| {
                     normalized_load(i, backlog, capacity, weights)
@@ -320,7 +272,7 @@ mod tests {
             backlog: &[u64],
             capacity: &[f64],
         ) -> Option<usize> {
-            self.pick_routed(n, port, backlog, capacity, &[], &UpMask::All)
+            self.pick_routed(n, port, backlog, capacity, &[], all_up)
         }
 
         fn pick_available(
@@ -329,10 +281,17 @@ mod tests {
             port: usize,
             backlog: &[u64],
             capacity: &[f64],
-            up: &UpMask,
+            up: impl Fn(usize) -> bool,
         ) -> Option<usize> {
             self.pick_routed(n, port, backlog, capacity, &[], up)
         }
+    }
+
+    /// A liveness predicate.
+    type Up = fn(usize) -> bool;
+
+    fn all_up(_: usize) -> bool {
+        true
     }
 
     #[test]
@@ -395,78 +354,128 @@ mod tests {
     fn zero_instances_yields_none_not_panic() {
         let mut r = Router::new(RoutingPolicy::Static, 0, 0);
         assert_eq!(r.pick(0, 0, &[], &[]), None);
-        assert_eq!(r.pick_available(0, 0, &[], &[], &UpMask::All), None);
+        assert_eq!(r.pick_available(0, 0, &[], &[], all_up), None);
     }
 
+    /// A predicate is read per index, past the first 64 too: over 70
+    /// replicas with every third one down, unweighted SR picks only
+    /// live ones and, given enough picks, every one of the 46.
     #[test]
-    fn up_mask_bit_accounting() {
-        let m = UpMask::from_fn(70, |i| i % 3 != 0);
-        for i in 0..70 {
-            assert_eq!(m.is_up(i), i % 3 != 0, "bit {i}");
+    fn predicate_liveness_is_read_per_index() {
+        let up = |i: usize| !i.is_multiple_of(3);
+        let mut r = Router::new(RoutingPolicy::SimpleRandomization, 3, 1);
+        let mut hit = [false; 70];
+        for _ in 0..5_000 {
+            let p = r.pick_available(70, 0, &[], &[], up).expect("live replicas");
+            assert!(up(p), "picked down replica {p}");
+            hit[p] = true;
         }
-        assert_eq!(m.count_up(70), 46);
-        // Indices past the stored words read as down.
-        assert!(!m.is_up(128));
-        assert_eq!(UpMask::All.count_up(5), 5);
-        assert!(UpMask::All.is_up(12345));
+        assert_eq!(hit.iter().filter(|&&h| h).count(), 46);
+        let mut r = Router::new(RoutingPolicy::LoadAware, 3, 1);
+        assert_eq!(r.pick_available(70, 0, &[], &[], up), Some(1));
+        assert_eq!(r.pick_available(70, 0, &[], &[], |i| i >= 69), Some(69));
+    }
+
+    /// With every replica up, unweighted SR consumes exactly one
+    /// `gen_index(n)` draw per pick and returns it.
+    #[test]
+    fn all_up_sr_draws_gen_index_n() {
+        let mut sizes = DetRng::stream(17, 0);
+        for case in 0..200u64 {
+            let n = 1 + sizes.gen_index(130);
+            let seed = sizes.next_u64();
+            let mut r = Router::new(RoutingPolicy::SimpleRandomization, seed, case);
+            let mut twin = DetRng::stream(seed, case);
+            for _ in 0..8 {
+                assert_eq!(
+                    r.pick_available(n, 0, &[], &[], all_up),
+                    Some(twin.gen_index(n)),
+                    "n {n} seed {seed}"
+                );
+            }
+        }
+    }
+
+    /// Static and RoundRobin ask the predicate only about the
+    /// candidates they probe: one call per pick when every replica is
+    /// up, and no more than the probe length otherwise.
+    #[test]
+    fn static_and_round_robin_probe_only_their_candidates() {
+        use std::cell::Cell;
+        for policy in [RoutingPolicy::Static, RoutingPolicy::RoundRobin] {
+            let calls = Cell::new(0usize);
+            let counted = |_: usize| {
+                calls.set(calls.get() + 1);
+                true
+            };
+            let mut r = Router::new(policy, 5, 2);
+            for port in 0..100 {
+                assert!(r.pick_routed(1_000, port, &[], &[], &[], counted).is_some());
+                assert_eq!(calls.get(), port + 1, "{policy:?} pick {port}");
+            }
+            // Weighted picks probe the same way.
+            calls.set(0);
+            r.pick_routed(1_000, 7, &[], &[], &[1.0; 3], counted);
+            assert_eq!(calls.get(), 1, "{policy:?} weighted pick");
+        }
     }
 
     /// Every policy, three masks: all up / one down / all down.
     #[test]
     fn failover_semantics_per_policy() {
-        let all = UpMask::all();
-        let one_down = UpMask::from_fn(3, |i| i != 1); // instance 1 dead
-        let all_down = UpMask::from_fn(3, |_| false);
+        let all = all_up;
+        let one_down = |i: usize| i != 1; // instance 1 dead
+        let all_down = |_: usize| false;
 
         // Static: pinned while up; wrapping probe to next live when down.
         let mut r = Router::new(RoutingPolicy::Static, 0, 0);
-        assert_eq!(r.pick_available(3, 1, &[], &[], &all), Some(1));
-        assert_eq!(r.pick_available(3, 1, &[], &[], &one_down), Some(2));
-        assert_eq!(r.pick_available(3, 4, &[], &[], &one_down), Some(2));
-        assert_eq!(r.pick_available(3, 2, &[], &[], &one_down), Some(2));
-        assert_eq!(r.pick_available(3, 1, &[], &[], &all_down), None);
+        assert_eq!(r.pick_available(3, 1, &[], &[], all), Some(1));
+        assert_eq!(r.pick_available(3, 1, &[], &[], one_down), Some(2));
+        assert_eq!(r.pick_available(3, 4, &[], &[], one_down), Some(2));
+        assert_eq!(r.pick_available(3, 2, &[], &[], one_down), Some(2));
+        assert_eq!(r.pick_available(3, 1, &[], &[], all_down), None);
 
         // RoundRobin: cursor skips the dead instance but keeps cycling.
         let mut r = Router::new(RoutingPolicy::RoundRobin, 0, 0);
         let picks: Vec<Option<usize>> = (0..4)
-            .map(|_| r.pick_available(3, 0, &[], &[], &one_down))
+            .map(|_| r.pick_available(3, 0, &[], &[], one_down))
             .collect();
         assert_eq!(picks, [Some(0), Some(2), Some(0), Some(2)]);
-        assert_eq!(r.pick_available(3, 0, &[], &[], &all_down), None);
+        assert_eq!(r.pick_available(3, 0, &[], &[], all_down), None);
         let mut r = Router::new(RoutingPolicy::RoundRobin, 0, 0);
-        assert_eq!(r.pick_available(3, 0, &[], &[], &all), Some(0));
+        assert_eq!(r.pick_available(3, 0, &[], &[], all), Some(0));
 
         // SR: never picks a dead instance.
         let mut masked = Router::new(RoutingPolicy::SimpleRandomization, 9, 1);
         let mut hit = [0usize; 3];
         for _ in 0..600 {
             let p = masked
-                .pick_available(3, 0, &[], &[], &one_down)
+                .pick_available(3, 0, &[], &[], one_down)
                 .expect("live instances exist");
             hit[p] += 1;
         }
         assert_eq!(hit[1], 0, "dead instance picked");
         assert!(hit[0] > 100 && hit[2] > 100, "skewed failover SR: {hit:?}");
-        assert_eq!(masked.pick_available(3, 0, &[], &[], &all_down), None);
+        assert_eq!(masked.pick_available(3, 0, &[], &[], all_down), None);
 
         // LoadAware: a dead instance loses even with zero backlog.
         let mut r = Router::new(RoutingPolicy::LoadAware, 0, 0);
-        assert_eq!(r.pick_available(3, 0, &[50, 0, 90], &[], &all), Some(1));
+        assert_eq!(r.pick_available(3, 0, &[50, 0, 90], &[], all), Some(1));
         assert_eq!(
-            r.pick_available(3, 0, &[50, 0, 90], &[], &one_down),
+            r.pick_available(3, 0, &[50, 0, 90], &[], one_down),
             Some(0)
         );
-        assert_eq!(r.pick_available(3, 0, &[50, 0, 90], &[], &all_down), None);
+        assert_eq!(r.pick_available(3, 0, &[50, 0, 90], &[], all_down), None);
 
         // PowerOfTwoChoices: never samples a dead instance.
         let mut r = Router::new(RoutingPolicy::PowerOfTwoChoices, 9, 1);
         for _ in 0..300 {
             let p = r
-                .pick_available(3, 0, &[5, 5, 5], &[], &one_down)
+                .pick_available(3, 0, &[5, 5, 5], &[], one_down)
                 .expect("live instances exist");
             assert_ne!(p, 1, "dead instance sampled");
         }
-        assert_eq!(r.pick_available(3, 0, &[], &[], &all_down), None);
+        assert_eq!(r.pick_available(3, 0, &[], &[], all_down), None);
     }
 
     #[test]
@@ -509,9 +518,9 @@ mod tests {
     fn unit_weights_route_exactly_as_no_weights() {
         use RoutingPolicy::*;
         // All up / instance 2 down.
-        let masks = [UpMask::all(), UpMask::from_fn(5, |i| i != 2)];
+        let masks: [(&str, Up); 2] = [("all", |_| true), ("down2", |i| i != 2)];
         for policy in [Static, RoundRobin, LoadAware, PowerOfTwoChoices] {
-            for mask in &masks {
+            for (name, mask) in masks {
                 let [none, unit] = [&[][..], &[1.0; 5][..]].map(|weights| {
                     let mut r = Router::new(policy, 11, 3);
                     (0..200)
@@ -524,7 +533,7 @@ mod tests {
                 });
                 assert_eq!(
                     none, unit,
-                    "{policy:?} under {mask:?}: unit weights moved a pick"
+                    "{policy:?} under {name}: unit weights moved a pick"
                 );
             }
         }
@@ -543,18 +552,18 @@ mod tests {
         ];
         // Weight 0 on instance 1; mask kills instances 0 and 2.
         let weights = [1.0, 0.0, 1.0];
-        let others_down = UpMask::from_fn(3, |i| i == 1);
+        let others_down = |i: usize| i == 1;
         let all_zero = [0.0, 0.0, 0.0];
         for policy in policies {
             let mut r = Router::new(policy, 5, 0);
             for port in 0..20 {
                 assert_eq!(
-                    r.pick_routed(3, port, &[], &[], &weights, &others_down),
+                    r.pick_routed(3, port, &[], &[], &weights, others_down),
                     None,
                     "{policy:?} fell back to a zero-weight replica"
                 );
                 assert_eq!(
-                    r.pick_routed(3, port, &[], &[], &all_zero, &UpMask::all()),
+                    r.pick_routed(3, port, &[], &[], &all_zero, all_up),
                     None,
                     "{policy:?} picked from an all-zero weighting"
                 );
@@ -564,17 +573,17 @@ mod tests {
             let mut r = Router::new(policy, 5, 0);
             for port in 0..200 {
                 let p = r
-                    .pick_routed(3, port, &[1, 1, 1], &[], &weights, &UpMask::all())
+                    .pick_routed(3, port, &[1, 1, 1], &[], &weights, all_up)
                     .expect("positive-weight replicas exist");
                 assert_ne!(p, 1, "{policy:?} picked the zero-weight replica");
             }
             // …and weights compose with the mask: weight selects among
             // the live instances only.
             let mut r = Router::new(policy, 5, 0);
-            let up0_only = UpMask::from_fn(3, |i| i == 0);
+            let up0_only = |i: usize| i == 0;
             for port in 0..20 {
                 assert_eq!(
-                    r.pick_routed(3, port, &[], &[], &weights, &up0_only),
+                    r.pick_routed(3, port, &[], &[], &weights, up0_only),
                     Some(0),
                     "{policy:?} ignored the mask under weights"
                 );
@@ -590,7 +599,7 @@ mod tests {
         let mut hit = [0usize; 2];
         for _ in 0..4000 {
             let p = r
-                .pick_routed(2, 0, &[], &[], &weights, &UpMask::all())
+                .pick_routed(2, 0, &[], &[], &weights, all_up)
                 .unwrap();
             hit[p] += 1;
         }
@@ -605,12 +614,12 @@ mod tests {
         // Backlog 30 at weight 4 (norm 7.5) beats backlog 10 at
         // weight 1 (norm 10).
         assert_eq!(
-            r.pick_routed(2, 0, &[10, 30], &[], &[1.0, 4.0], &UpMask::all()),
+            r.pick_routed(2, 0, &[10, 30], &[], &[1.0, 4.0], all_up),
             Some(1)
         );
         // Short weight slices default the tail to 1.0.
         assert_eq!(
-            r.pick_routed(2, 0, &[10, 2], &[], &[1.0], &UpMask::all()),
+            r.pick_routed(2, 0, &[10, 2], &[], &[1.0], all_up),
             Some(1)
         );
     }

@@ -16,7 +16,7 @@
 //! proportional to inverse backlog, floored at [`MIN_WEIGHT`] so
 //! no live replica is ever starved outright. Down replicas stay the
 //! fault layer's business: weights *compose* with the detected
-//! [`UpMask`](lmas_core::UpMask), they do not replace it.
+//! liveness predicate `pick_routed` takes, they do not replace it.
 //!
 //! Everything here is deterministic: sampling happens at virtual
 //! instants, the weight function is a pure function of the samples, and

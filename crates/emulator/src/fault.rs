@@ -4,12 +4,12 @@
 //! background repair; the recovery protocol runs at fixed 2002-era
 //! settings ([`HEARTBEAT_PERIOD`], [`HEARTBEAT_TIMEOUT`] and
 //! [`BackoffPolicy::default_2002`](lmas_sim::BackoffPolicy::default_2002)
-//! retries). Passing
-//! [`FaultSpec::none`] (or an empty plan) to
-//! [`run_job_with_faults`](crate::runtime::run_job_with_faults) is
-//! exactly [`run_job`](crate::runtime::run_job): no controller actor is
-//! installed, routers use the all-up mask (identical RNG draws), and
-//! the run is byte-identical to a fault-free one.
+//! retries). Every run goes through this layer: [`FaultSpec::none`]
+//! is the plan with no events, and
+//! [`run_job`](crate::runtime::run_job) is
+//! [`run_job_with_faults`](crate::runtime::run_job_with_faults) with
+//! it. An empty plan seeds no fault step, marks no node down and no
+//! link lossy, so it sends no control message and takes no draw.
 //!
 //! What the layer models:
 //!
@@ -77,7 +77,7 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// No faults: behaves exactly like the fault-free runtime.
+    /// No faults: the plan with no events.
     pub fn none() -> FaultSpec {
         FaultSpec::with_plan(FaultPlan::new())
     }
@@ -93,8 +93,10 @@ impl FaultSpec {
         self
     }
 
-    /// Whether the fault machinery engages at all. An inactive spec
-    /// leaves the runtime on its fault-free fast path.
+    /// Whether the plan has any event. Only three decisions ask:
+    /// background repair engages only under a plan, coded frames ship
+    /// only without one, and DSM-Sort gathers record tags only under
+    /// one.
     pub fn is_active(&self) -> bool {
         !self.plan.is_empty()
     }

@@ -14,17 +14,21 @@
 //!
 //! - **Slot layout.** Actor ids are positions in `instances (stage-major)
 //!   | one fault controller per partition | balancer | repair agents
-//!   (ASU order) | repair coordinator | scheduler`; absent protocols
-//!   take no slots. Balancer, coordinator and scheduler live on
-//!   partition 0, everything else on its node's partition.
+//!   (ASU order) | repair coordinator | scheduler`. Every partition has
+//!   its controller (an empty plan seeds it with nothing, so it never
+//!   dispatches); the other protocols take slots only when present.
+//!   Balancer, coordinator and scheduler live on partition 0,
+//!   everything else on its node's partition.
 //! - **Seeding order.** Per owned instance, in slot order: `SourceNext`
 //!   (sources of an ungated run) then `SampleTick` (watched instances);
 //!   then fault steps, detections, repair steps, the repair sample grid
 //!   and job arrivals.
 //!
-//! On the plain calendar slot and seed order fix every same-instant
-//! tiebreak; on keyed calendars they fix the dispatch keys. Either way
-//! a one-partition build is the sequential build.
+//! Same-instant events fire in the order of their calendar keys, which
+//! the seeding order and the send order mint; an actor's id never
+//! enters a key. So the slot layout only names actors, and moving a
+//! slot reorders nothing. On keyed calendars the keys are minted per
+//! partition, and a one-partition build is the sequential build.
 
 use super::balancer::{steerable, watched_stages, SnapTarget, SnapshotBalancer};
 use super::eos::{EosCountdown, EosFabric, JobCountdown};
@@ -129,9 +133,7 @@ type Inputs<R> = BTreeMap<(usize, usize), Vec<Packet<R>>>;
 pub(super) struct Shared<R: Record> {
     cfg: ClusterConfig,
     spec: FaultSpec,
-    /// The fault layer is on (a controller slot exists per partition).
-    active: bool,
-    /// Background re-replication is on (implies `active`).
+    /// Background re-replication is on (only ever under a plan).
     repair: Option<RepairSpec>,
     nparts: usize,
     graph: FlowGraph<R>,
@@ -225,9 +227,7 @@ impl<R: Record> Shared<R> {
             })
             .sum();
 
-        let active = spec.is_active();
         let total_nodes = cfg.total_nodes();
-        // Cheap to build (O(nodes) and O(plan)) and unused when inactive.
         let detected = Arc::new(DetectedTimeline::build(
             &spec.plan,
             HEARTBEAT_PERIOD,
@@ -235,9 +235,10 @@ impl<R: Record> Shared<R> {
             total_nodes,
         ));
         let loss = Arc::new(LossTimeline::build(&spec.plan, total_nodes));
-        // Background re-replication engages only with the fault layer
-        // on: without a plan there is nothing to repair.
-        let repair = if active { spec.repair } else { None };
+        // Background re-replication engages only under a plan: with no
+        // crash there is no lost replica, and its coordinator would
+        // only sample an all-at-target histogram.
+        let repair = spec.repair.filter(|_| spec.is_active());
         let repair_tl = Arc::new(if repair.is_some() {
             repair_timeline(&spec.plan, &detected, cfg.hosts, cfg.asus)
         } else {
@@ -249,13 +250,12 @@ impl<R: Record> Shared<R> {
             Vec::new()
         };
 
-        let bal_slot = specs.len() + if active { nparts } else { 0 };
+        let bal_slot = specs.len() + nparts;
         let agents_base = bal_slot + usize::from(!watched.is_empty());
         let sched_slot = agents_base + repair.map_or(0, |_| cfg.asus + 1);
         Ok(Shared {
             cfg: *cfg,
             spec: spec.clone(),
-            active,
             repair,
             nparts,
             graph,
@@ -288,9 +288,7 @@ impl<R: Record> Shared<R> {
     /// Actor-ownership table of a partitioned run, in slot order.
     pub(super) fn owners(&self) -> Vec<u32> {
         let mut owners: Vec<u32> = self.specs.iter().map(|sp| sp.part).collect();
-        if self.active {
-            owners.extend(0..self.nparts as u32);
-        }
+        owners.extend(0..self.nparts as u32);
         if !self.watched.is_empty() {
             owners.push(0);
         }
@@ -345,8 +343,6 @@ pub(super) struct EmBuilt<R: Record> {
     /// partition's node).
     nodes: Vec<Option<Rc<RefCell<NodeRes>>>>,
     pub(super) metrics: Rc<RefCell<Metrics<R>>>,
-    /// A scheduler gates the run's sources.
-    gated: bool,
 }
 
 /// Builds and harvests one partition of an emulation.
@@ -433,12 +429,9 @@ impl<R: Record> EmWorker<R> {
         });
         // The fault controller's table, over this partition's nodes. A
         // gated run's instances wait, per job, for their job's dispatch.
-        let mut instances_on: NodeInstances = Vec::new();
-        let mut waiting: Vec<Members> = Vec::new();
-        if sh.active {
-            instances_on.resize(cfg.total_nodes(), Vec::new());
-            waiting.resize(sched.as_ref().map_or(0, |ss| ss.arrivals.len()), Vec::new());
-        }
+        let mut instances_on: NodeInstances = vec![Vec::new(); cfg.total_nodes()];
+        let mut waiting: Vec<Members> =
+            vec![Vec::new(); sched.as_ref().map_or(0, |ss| ss.arrivals.len())];
 
         for (idx, sp) in sh.specs.iter().enumerate() {
             if sp.part != part {
@@ -446,11 +439,9 @@ impl<R: Record> EmWorker<R> {
             }
             let stage = &graph.stages()[sp.stage];
             let node_ix = node_index(cfg, sp.node);
-            if sh.active {
-                match &sched {
-                    Some(ss) => waiting[ss.stage_job[sp.stage]].push((node_ix, (idx, sp.stage))),
-                    None => instances_on[node_ix].push((idx, sp.stage)),
-                }
+            match &sched {
+                Some(ss) => waiting[ss.stage_job[sp.stage]].push((node_ix, (idx, sp.stage))),
+                None => instances_on[node_ix].push((idx, sp.stage)),
             }
             let down = graph.out_edge(StageId(sp.stage)).map(|e| Downstream {
                 to: sh.receivers[e.to.0].clone(),
@@ -459,7 +450,10 @@ impl<R: Record> EmWorker<R> {
                 router: Router::new(e.routing, cfg.seed, idx as u64),
                 weights: None,
                 group_size: graph.group_size(e),
-                coded_r: e.coded_group,
+                // Coded frames ship only without a plan: a frame has no
+                // per-packet NACK identity to bounce, so under a plan a
+                // coded edge delivers packet by packet.
+                coded_r: if sh.spec.is_active() { 1 } else { e.coded_group },
                 coded_buf: BTreeMap::new(),
             });
             let source_data: VecDeque<Packet<R>> = self
@@ -499,7 +493,7 @@ impl<R: Record> EmWorker<R> {
                 metrics: metrics.clone(),
                 link_rate: cfg.link_bytes_per_sec,
                 link_latency: cfg.link_latency,
-                fault: sh.active.then(|| InstanceFault {
+                fault: InstanceFault {
                     detected: sh.detected.clone(),
                     loss: sh.loss.clone(),
                     flags: flags.clone(),
@@ -508,7 +502,7 @@ impl<R: Record> EmWorker<R> {
                     // Keyed by global instance index: the same stream
                     // whichever partition hosts the instance.
                     rng: DetRng::stream(cfg.seed, (1u64 << 62) | idx as u64),
-                }),
+                },
                 sample: watched_here.then(|| SampleState {
                     period: cfg.balance.period,
                     report_delay: cfg.balance.period.max(cfg.link_latency),
@@ -531,43 +525,40 @@ impl<R: Record> EmWorker<R> {
             }
         }
 
-        let mut ctl = None;
-        if sh.active {
-            // This partition's fault controller: seeded only with the
-            // plan steps and detection verdicts whose node it owns, so
-            // every event is dispatched exactly once globally and all
-            // node/instance touches are partition-local. Health steps
-            // first, then verdicts, so same-instant steps tiebreak the
-            // same way on every partition. Link-loss steps are never
-            // seeded: senders sample the loss timeline directly.
-            let ctrl = ActorId(n_inst + part as usize);
-            let events = sh.spec.plan.sorted_events();
-            for (i, ev) in events.iter().enumerate() {
-                if matches!(ev, FaultEvent::LinkLoss { .. }) {
-                    continue;
-                }
-                if sh.node_part(ev.node()) == part {
-                    sim.seed_message(ctrl, ev.at(), Msg::FaultStep(i));
-                }
+        // This partition's fault controller: seeded only with the plan
+        // steps and detection verdicts whose node it owns, so every
+        // event is dispatched exactly once globally and all
+        // node/instance touches are partition-local. Health steps first,
+        // then verdicts, so same-instant steps tiebreak the same way on
+        // every partition. Link-loss steps are never seeded: senders
+        // sample the loss timeline directly. An empty plan seeds
+        // nothing, and the controller never runs.
+        let ctrl = ActorId(n_inst + part as usize);
+        let events = sh.spec.plan.sorted_events();
+        for (i, ev) in events.iter().enumerate() {
+            if matches!(ev, FaultEvent::LinkLoss { .. }) {
+                continue;
             }
-            for &(node, at) in sh.detected.detections() {
-                if sh.node_part(node) == part {
-                    sim.seed_message(ctrl, at, Msg::Detect(node));
-                }
+            if sh.node_part(ev.node()) == part {
+                sim.seed_message(ctrl, ev.at(), Msg::FaultStep(i));
             }
-            let c = Rc::new(FaultController {
-                events,
-                nodes: nodes.clone(),
-                flags: flags.clone(),
-                instances_on: RefCell::new(instances_on),
-                detected: sh.detected.clone(),
-                eos: eos.clone(),
-                link_latency: cfg.link_latency,
-                metrics: metrics.clone(),
-            });
-            install(sim, &metrics, ctrl, c.clone());
-            ctl = Some(c);
         }
+        for &(node, at) in sh.detected.detections() {
+            if sh.node_part(node) == part {
+                sim.seed_message(ctrl, at, Msg::Detect(node));
+            }
+        }
+        let ctl = Rc::new(FaultController {
+            events,
+            nodes: nodes.clone(),
+            flags: flags.clone(),
+            instances_on: RefCell::new(instances_on),
+            detected: sh.detected.clone(),
+            eos: eos.clone(),
+            link_latency: cfg.link_latency,
+            metrics: metrics.clone(),
+        });
+        install(sim, &metrics, ctrl, ctl.clone());
 
         // The balancer watches every stage with a steerable in-edge
         // and re-weights the routers on those edges by inverse backlog.
@@ -682,7 +673,6 @@ impl<R: Record> EmWorker<R> {
         // time zero replays the direct path exactly — its `JobArrive` is
         // the only seed at zero, and dispatching enqueues the job's
         // `SourceNext`s in the same stage-major order the loop above seeds.
-        let gated = sched.is_some();
         if let Some(ss) = sched {
             debug_assert_eq!(ss.stage_job.len(), graph.stages().len());
             for (j, &at) in ss.arrivals.iter().enumerate() {
@@ -704,17 +694,14 @@ impl<R: Record> EmWorker<R> {
                 SchedActor {
                     gate: ss.gate,
                     sources,
-                    fault: ctl.map(|c| (c, waiting)),
+                    ctl,
+                    waiting,
                     log: ss.log,
                     metrics: metrics.clone(),
                 },
             );
         }
-        EmBuilt {
-            nodes,
-            metrics,
-            gated,
-        }
+        EmBuilt { nodes, metrics }
     }
 
     /// Harvest this partition once the run has drained. `reduce_max` is
@@ -727,19 +714,14 @@ impl<R: Record> EmWorker<R> {
         reduce_max: &dyn Fn(u64) -> u64,
     ) -> EmPartOut<R> {
         let sh = &*self.shared;
-        // Makespan: last event anywhere, every CPU queue drained, every
-        // disk quiesced. Under faults, plan events with no application
-        // effect (e.g. a recovery after the data drained) should not
-        // count: start from the last *application* activity instead of
-        // the last dispatch. The same applies to the balancer's trailing
-        // sample ticks and to a gated run's trailing arrival that the
-        // gate rejected. The global last activity is the max of the
-        // partition-local ones, which the reduction folds in.
-        let mut local = if sh.active || sh.cfg.balance.is_active() || built.gated {
-            built.metrics.borrow().last_activity
-        } else {
-            sim.now()
-        };
+        // Makespan: the last *application* activity anywhere, every CPU
+        // queue drained, every disk quiesced. The last dispatch does not
+        // count: plan events with no application effect (a recovery
+        // after the data drained), the balancer's trailing sample ticks
+        // and a gated run's trailing arrival that the gate rejected all
+        // land after the job's work. The global last activity is the max
+        // of the partition-local ones, which the reduction folds in.
+        let mut local = built.metrics.borrow().last_activity;
         for n in built.nodes.iter().flatten() {
             let n = n.borrow();
             local = local.max(n.cpu_free_at()).max(n.disk_quiesce());

@@ -1,6 +1,6 @@
 //! The dataflow protocol: one [`InstanceActor`] per functor instance
 //! (DESIGN.md §5) — queueing, CPU service windows, routing and delivery
-//! (plain, coded, fault-masked), end-of-stream, source streaming and
+//! (fault-masked, or coded without a plan), end-of-stream, source streaming and
 //! the self-sampling half of the snapshot balancer.
 
 use super::eos::EosFabric;
@@ -8,7 +8,7 @@ use super::msg::{DeliveryMeta, Msg};
 use crate::fault::{DetectedTimeline, LossTimeline};
 use crate::metrics::{Backlog, Metrics};
 use crate::node::NodeRes;
-use lmas_core::{Emit, Functor, Packet, Record, Router, StageFactory, UpMask, Work};
+use lmas_core::{Emit, Functor, Packet, Record, Router, StageFactory, Work};
 use lmas_sim::{ActorId, BackoffPolicy, Ctx, DetRng, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -102,9 +102,9 @@ pub(super) struct Downstream<R: Record> {
     pub(super) coded_buf: BTreeMap<usize, Vec<(usize, Packet<R>)>>,
 }
 
-/// Fault-layer state held by each instance actor (present only when the
-/// spec is active — `None` keeps the fault-free path allocation- and
-/// draw-identical to the pre-fault runtime).
+/// Fault-layer state held by each instance actor. Every run has it: a
+/// fault-free run is the empty plan, whose timelines never mark a node
+/// down or a link lossy, so no draw is ever taken from `rng`.
 ///
 /// Detector verdicts and link-loss probabilities are *timelines* —
 /// immutable, precomputed, shared by `Arc` — so an instance samples
@@ -173,20 +173,18 @@ pub(super) struct InstanceActor<R: Record> {
     /// update) travel with at least this much, which is exactly the
     /// parallel engine's lookahead.
     pub(super) link_latency: SimDuration,
-    pub(super) fault: Option<InstanceFault<R>>,
+    pub(super) fault: InstanceFault<R>,
     /// Snapshot-balancer sampling (watched instances only).
     pub(super) sample: Option<SampleState>,
 }
 
 impl<R: Record> InstanceActor<R> {
     fn is_down(&self) -> bool {
-        self.fault.is_some() && self.node.borrow().is_down()
+        self.node.borrow().is_down()
     }
 
     fn is_fenced(&self) -> bool {
-        self.fault
-            .as_ref()
-            .is_some_and(|f| f.flags.borrow()[self.global_tag as usize].fenced)
+        self.fault.flags.borrow()[self.global_tag as usize].fenced
     }
 
     fn try_start(&mut self, ctx: &mut Ctx<'_, Msg<R>>) {
@@ -228,9 +226,8 @@ impl<R: Record> InstanceActor<R> {
 
     fn complete_unit(&mut self, ctx: &mut Ctx<'_, Msg<R>>) {
         let Some(unit) = self.pending.take() else {
-            // A stale Work stamp from before a crash (already filtered by
-            // the epoch check) or a unit discarded by Kill.
-            debug_assert!(self.fault.is_some(), "Work without a pending unit");
+            // A unit discarded by Kill (stale stamps from before a
+            // crash are already filtered by the epoch check).
             return;
         };
         let mut emit = Emit::new(self.functor.out_ports());
@@ -267,9 +264,7 @@ impl<R: Record> InstanceActor<R> {
                     (format!("s{stage}.i{instance}"), "flush")
                 });
                 drop(m);
-                if let Some(f) = &self.fault {
-                    f.flags.borrow_mut()[self.global_tag as usize].flushed = true;
-                }
+                self.fault.flags.borrow_mut()[self.global_tag as usize].flushed = true;
             }
         }
         let state = self.functor.state_bytes();
@@ -342,13 +337,7 @@ impl<R: Record> InstanceActor<R> {
         let groups = to.node.len() / d.group_size;
         let base = (port % groups) * d.group_size;
         let picked = {
-            let now = ctx.now();
-            let up = match &self.fault {
-                Some(f) => {
-                    UpMask::from_fn(d.group_size, |j| f.detected.is_up(to.node[base + j], now))
-                }
-                None => UpMask::All,
-            };
+            let (now, detected) = (ctx.now(), &self.fault.detected);
             // Only the plain calendar routes by backlog: a partition
             // sees just its own share of the depths.
             debug_assert!(
@@ -371,7 +360,7 @@ impl<R: Record> InstanceActor<R> {
                 &backlog[base..base + d.group_size],
                 &to.capacity[base..base + d.group_size],
                 wslice,
-                &up,
+                |j| detected.is_up(to.node[base + j], now),
             )
         };
         let Some(rel) = picked else {
@@ -392,14 +381,13 @@ impl<R: Record> InstanceActor<R> {
         self.metrics
             .borrow_mut()
             .note_backlog(at, key, to.stage, dest, change);
-        // Coded delivery (fault-free runs only: coded frames have no
-        // per-packet NACK identity). Same-node packets are free as in
-        // the plain path; remote packets pay the (r-1)-way replicated
-        // side-information write immediately, then wait in the group's
-        // staging buffer until r packets form a frame — one NIC charge
-        // at the frame's widest payload, all members delivered at the
-        // grant.
-        if d.coded_r > 1 && self.fault.is_none() {
+        // Coded delivery (`coded_r > 1` only without a plan; see the
+        // build). Same-node packets are free as in the plain path;
+        // remote packets pay the (r-1)-way replicated side-information
+        // write immediately, then wait in the group's staging buffer
+        // until r packets form a frame — one NIC charge at the frame's
+        // widest payload, all members delivered at the grant.
+        if d.coded_r > 1 {
             let now = ctx.now();
             if to.node[dest] == self.node_ix {
                 ctx.send_at(to.actor(dest), now, Msg::Arrive { p, meta: None });
@@ -434,41 +422,27 @@ impl<R: Record> InstanceActor<R> {
             u.nic_bytes += p.bytes() as u64;
             u.nic_busy_ns += busy.as_nanos();
         }
-        let to_actor = to.actor(dest);
-        match &mut self.fault {
-            None => {
-                ctx.send_at(to_actor, deliver_at, Msg::Arrive { p, meta: None });
-            }
-            Some(f) => {
-                let meta = DeliveryMeta {
-                    sender: ctx.me(),
-                    port,
-                    dest,
-                    attempt,
-                };
-                let prob = f.loss.prob(self.node_ix, to.node[dest], ctx.now());
-                if prob > 0.0 && f.rng.gen_f64() < prob {
-                    // The frame left the NIC but never arrived; the loss
-                    // surfaces as a NACK one link latency later (the
-                    // receiver's link-level reject), and the retry path
-                    // takes over.
-                    self.metrics.borrow_mut().fault.drops += 1;
-                    ctx.send_at(
-                        ctx.me(),
-                        deliver_at + self.link_latency,
-                        Msg::Nack { p, meta },
-                    );
-                } else {
-                    ctx.send_at(
-                        to_actor,
-                        deliver_at,
-                        Msg::Arrive {
-                            p,
-                            meta: Some(meta),
-                        },
-                    );
-                }
-            }
+        let meta = DeliveryMeta {
+            sender: ctx.me(),
+            port,
+            dest,
+            attempt,
+        };
+        let f = &mut self.fault;
+        let prob = f.loss.prob(self.node_ix, to.node[dest], ctx.now());
+        if prob > 0.0 && f.rng.gen_f64() < prob {
+            // The frame left the NIC but never arrived; the loss
+            // surfaces as a NACK one link latency later (the receiver's
+            // link-level reject), and the retry path takes over.
+            self.metrics.borrow_mut().fault.drops += 1;
+            ctx.send_at(
+                ctx.me(),
+                deliver_at + self.link_latency,
+                Msg::Nack { p, meta },
+            );
+        } else {
+            let meta = Some(meta);
+            ctx.send_at(to.actor(dest), deliver_at, Msg::Arrive { p, meta });
         }
     }
 
@@ -481,17 +455,7 @@ impl<R: Record> InstanceActor<R> {
             self.metrics.borrow_mut().fault.lost_queued_records += p.len() as u64;
             return;
         }
-        // Invariant, not user input: NACKs and retries carry delivery
-        // metadata, which is only ever attached under an active fault
-        // spec — the same condition that populates `self.fault`. If the
-        // pairing ever broke, the honest degradation is the one the
-        // fault layer already defines for undeliverable packets: count
-        // the records lost and move on.
-        let Some(f) = self.fault.as_mut() else {
-            debug_assert!(false, "redeliver requires fault mode");
-            self.metrics.borrow_mut().fault.lost_queued_records += p.len() as u64;
-            return;
-        };
+        let f = &mut self.fault;
         meta.attempt += 1;
         match f.backoff.delay(meta.attempt, &mut f.rng) {
             Some(delay) => {
@@ -629,7 +593,6 @@ impl<R: Record> InstanceActor<R> {
     /// state) is lost; the functor is rebuilt from its factory so a
     /// revived instance restarts clean.
     fn kill(&mut self, ctx: &mut Ctx<'_, Msg<R>>) {
-        debug_assert!(self.fault.is_some(), "Kill outside fault mode");
         self.epoch += 1;
         let mut lost = 0u64;
         if let Some(Unit::Process(p)) = self.pending.take() {
@@ -645,9 +608,7 @@ impl<R: Record> InstanceActor<R> {
             ra.staged = 0;
             ra.pending = false;
         }
-        if let Some(f) = &self.fault {
-            self.functor = (f.factory)(self.instance);
-        }
+        self.functor = (self.fault.factory)(self.instance);
         let (stage, instance) = (self.stage, self.instance);
         let key = ctx.dispatch_key();
         let mut m = self.metrics.borrow_mut();
@@ -796,7 +757,6 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
             }
             Msg::Kill => self.kill(ctx),
             Msg::Revive => {
-                debug_assert!(self.fault.is_some(), "Revive outside fault mode");
                 // Fresh volatile state; process whatever arrives from now
                 // on. Source read chains do not resume (their unread
                 // extent is re-dispatched by orchestration-level repair).

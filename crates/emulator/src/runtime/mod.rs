@@ -21,18 +21,26 @@
 //!
 //! ## Fault-masked delivery
 //!
-//! [`run_job_with_faults`] layers a failure model on top (see
-//! [`crate::fault`]): a controller replays the [`FaultSpec`]'s plan in
-//! virtual time, flipping node health, and a precomputed
-//! [`DetectedTimeline`] stands in for the heartbeat failure detector
-//! (detections land on the first heartbeat tick past the timeout after
-//! each crash). Delivery becomes optimistic-with-recovery: a packet
-//! arriving at a down node bounces back as a NACK; the sender re-routes
-//! it through [`Router::pick_routed`] masked by the *detected* node
-//! health, after a deterministic exponential backoff. Down nodes are
-//! thus masked, not fatal — and with an empty plan the whole layer
-//! vanishes: no controller actor, all-up masks (identical RNG draws),
-//! byte-identical virtual times to [`run_job`].
+//! Every run goes through one failure model (see [`crate::fault`]); a
+//! fault-free run is the empty plan, not a separate mode. Per partition,
+//! a controller replays the [`FaultSpec`]'s plan in virtual time,
+//! flipping node health, and a precomputed [`DetectedTimeline`] stands
+//! in for the heartbeat failure detector (detections land on the first
+//! heartbeat tick past the timeout after each crash). Delivery is
+//! optimistic-with-recovery: every routed packet carries its delivery
+//! metadata, and one arriving at a down node bounces back as a NACK;
+//! the sender re-routes it through [`Router::pick_routed`], whose
+//! liveness predicate reads the *detected* node health, after a
+//! deterministic exponential backoff. Down nodes are thus masked, not
+//! fatal. An empty plan seeds the controller with nothing, marks no
+//! node down and no link lossy, so it sends no control message and
+//! takes no draw: [`run_job`] is that run.
+//!
+//! Three decisions still ask whether the plan is empty, each for its
+//! own reason: background repair engages only under a plan (nothing is
+//! lost without one), coded frames ship only without one (a frame has
+//! no per-packet NACK identity), and DSM-Sort gathers record tags for
+//! its repair diff only under one (`lmas-sort`).
 //!
 //! Because the detector and link-loss schedules are static timelines and
 //! every remaining protocol message (NACK bounces, end-of-stream marks,
@@ -420,8 +428,8 @@ pub fn run_job<R: Record>(
 }
 
 /// Run `job` on the cluster described by `cfg` under the fault plan in
-/// `spec`. With an inactive spec (empty plan) this is exactly
-/// [`run_job`]: no controller, no masks, byte-identical timings.
+/// `spec`. [`run_job`] is this call with the empty plan, which seeds no
+/// fault step and marks no node down, so it dispatches no fault event.
 pub fn run_job_with_faults<R: Record>(
     cfg: &ClusterConfig,
     spec: &FaultSpec,
@@ -463,16 +471,13 @@ pub(crate) fn run_job_inner<R: Record>(
             _ => return Err(JobError::InputForUnknownInstance { stage, instance }),
         }
     }
-    if spec.is_active() {
-        let total_nodes = cfg.total_nodes();
-        for ev in spec.plan.sorted_events() {
-            let bad = match ev {
-                FaultEvent::LinkLoss { from, to, .. } => from.max(to),
-                other => other.node(),
-            };
-            if bad >= total_nodes {
-                return Err(JobError::FaultPlanNode { node: bad });
-            }
+    for ev in spec.plan.sorted_events() {
+        let bad = match ev {
+            FaultEvent::LinkLoss { from, to, .. } => from.max(to),
+            other => other.node(),
+        };
+        if bad >= cfg.total_nodes() {
+            return Err(JobError::FaultPlanNode { node: bad });
         }
     }
     // A repair spec that does not fit the cluster is a typed error

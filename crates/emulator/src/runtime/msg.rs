@@ -51,8 +51,10 @@ pub(super) const KINDS: [&str; 26] = [
 ];
 
 pub(super) enum Msg<R: Record> {
-    /// A data packet. `meta` is `Some` only under an active fault spec;
-    /// fault-free runs carry `None` and skip all bounce bookkeeping.
+    /// A data packet. `meta` is `Some` on every routed delivery, so a
+    /// down receiver can bounce it; `None` marks a source's read from
+    /// its own disk and a coded-frame member, which have no sender to
+    /// bounce to.
     Arrive {
         p: Packet<R>,
         meta: Option<DeliveryMeta>,

@@ -36,18 +36,18 @@ pub(crate) struct SchedSetup {
 /// embedding's [`SchedGate`] and gates each job's source chains: the
 /// sources of a gated run are *not* seeded at time zero — the scheduler
 /// sends their first [`Msg::SourceNext`] at the dispatch instant, so a
-/// queued job holds no emulated resources until admitted. Under a fault
-/// plan the job's instances join the fault controller's table at that
-/// instant too. A job completes with one [`Msg::JobDone`], sent when the
+/// queued job holds no emulated resources until admitted. The job's
+/// instances join the fault controller's table at that instant too. A job completes with one [`Msg::JobDone`], sent when the
 /// last of its sink instances reports end of stream, flushed or fenced
 /// (`eos.rs`).
 pub(super) struct SchedActor<R: Record> {
     pub(super) gate: Box<dyn SchedGate>,
     /// Source instance actors per job, in dispatch (seeding) order.
     pub(super) sources: Vec<Vec<ActorId>>,
-    /// The fault controller, when the run has one, and per job the
-    /// instances it admits at dispatch.
-    pub(super) fault: Option<(Rc<FaultController<R>>, Vec<Members>)>,
+    /// The fault controller this run's instances answer to.
+    pub(super) ctl: Rc<FaultController<R>>,
+    /// Per job, the instances the controller admits at its dispatch.
+    pub(super) waiting: Vec<Members>,
     /// Shared with the [`crate::multi::run_jobs`] caller, which reads
     /// the decisions back into per-job statistics after the run.
     pub(super) log: Rc<RefCell<Vec<SchedEvent>>>,
@@ -70,9 +70,7 @@ impl<R: Record> SchedActor<R> {
 
     fn dispatch(&mut self, ctx: &mut Ctx<'_, Msg<R>>, job: usize) {
         self.note(ctx, job, SchedEventKind::Dispatch);
-        if let Some((ctl, members)) = &mut self.fault {
-            ctl.admit(ctx, std::mem::take(&mut members[job]));
-        }
+        self.ctl.admit(ctx, std::mem::take(&mut self.waiting[job]));
         for i in 0..self.sources[job].len() {
             let actor = self.sources[job][i];
             ctx.send_now(actor, Msg::SourceNext);

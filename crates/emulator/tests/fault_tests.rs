@@ -6,7 +6,8 @@ use lmas_core::{
     packetize, EdgeKind, FlowGraph, Functor, NodeId, Placement, Rec8, RoutingPolicy, Work,
 };
 use lmas_emulator::{
-    asu_index, run_job, run_job_with_faults, ClusterConfig, FaultSpec, Job, JobError, NodeHealth,
+    asu_index, run_job, run_job_with_faults, ClusterConfig, FaultSpec, FaultStats, Job, JobError,
+    NodeHealth,
 };
 use lmas_sim::{FaultPlan, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -244,6 +245,28 @@ fn inactive_spec_matches_fault_free_run_exactly() {
         sorted_tags(&base.sink_records()),
         sorted_tags(&same.sink_records())
     );
+}
+
+/// A plan whose one event is a `Degrade` landing after the job ends is
+/// a no-op: the controller dispatches it, and nothing else moves — same
+/// makespan and sink outputs as `run_job`, and quiet fault counters.
+#[test]
+fn degrade_after_the_job_ends_changes_nothing() {
+    let cfg = ClusterConfig::era_2002(1, 2, 8.0);
+    for routing in [RoutingPolicy::RoundRobin, RoutingPolicy::SimpleRandomization] {
+        let (g0, p0, i0) = replicated_relay_job(1_000, 2, routing);
+        let base = run_job(&cfg, Job { graph: g0, placement: p0, inputs: i0 }).unwrap();
+        let late = SimTime(base.makespan.0) + SimDuration::from_millis(1);
+        let plan = FaultPlan::new().degrade(asu_index(&cfg, 0), late, 0.5, 0.5);
+        let (g, placement, inputs) = replicated_relay_job(1_000, 2, routing);
+        let spec = FaultSpec::with_plan(plan);
+        let r = run_job_with_faults(&cfg, &spec, Job { graph: g, placement, inputs }).unwrap();
+        assert_eq!(r.census.get("FaultStep"), Some(1), "the step was dispatched");
+        assert_eq!(r.makespan, base.makespan, "{routing:?}");
+        assert_eq!(r.sink_outputs, base.sink_outputs, "{routing:?}");
+        assert_eq!(r.fault, FaultStats::default(), "{routing:?}");
+        assert_eq!(r.dispatched, base.dispatched + 1, "{routing:?}: one extra event");
+    }
 }
 
 /// A sender's node crashes before the sender flushes, is detected and

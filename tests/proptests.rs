@@ -3,7 +3,7 @@
 use lmas::core::kernels::{
     bucket_of, is_sorted_by_key, merge_runs, radix_sort_u32, select_splitters,
 };
-use lmas::core::{packetize, Packet, Rec128, Rec8, Record, Router, RoutingPolicy, UpMask};
+use lmas::core::{packetize, Packet, Rec128, Rec8, Record, Router, RoutingPolicy};
 use lmas::emulator::balance::MIN_WEIGHT;
 use lmas::emulator::ClusterConfig;
 use lmas::sort::{
@@ -166,7 +166,7 @@ proptest! {
     /// capacity left while client load remains"): under every policy,
     /// whenever some replica is up with a positive weight the packet goes
     /// to such a replica, and it is refused only when there is none. `n`
-    /// reaches past two mask words; a short weight slice leaves its tail
+    /// reaches 130; a short weight slice leaves its tail
     /// at weight 1, an empty one is the unweighted call.
     #[test]
     fn router_routes_iff_an_eligible_replica_exists(
@@ -179,24 +179,24 @@ proptest! {
         port in any::<usize>(),
         seed in any::<u64>(),
     ) {
-        let up = match mask_kind {
-            0 => UpMask::all(),
-            1 => UpMask::from_fn(n, |i| up_bits[i]),
-            2 => UpMask::from_fn(n, |i| i == port % n),
-            _ => UpMask::from_fn(n, |_| false),
+        let up = |i: usize| match mask_kind {
+            0 => true,
+            1 => up_bits[i],
+            2 => i == port % n,
+            _ => false,
         };
         let weights: Vec<f64> = if weighted {
             weight_ix.iter().map(|&w| [0.0, -1.0, 0.5, 3.0][w]).collect()
         } else {
             Vec::new()
         };
-        let eligible = |i: usize| up.is_up(i) && weights.get(i).is_none_or(|&w| w > 0.0);
+        let eligible = |i: usize| up(i) && weights.get(i).is_none_or(|&w| w > 0.0);
         let any_eligible = (0..n).any(eligible);
         for policy in POLICIES {
             let mut router = Router::new(policy, seed, 3);
             // Several picks: the round-robin cursor and the RNG both move.
             for k in 0..8 {
-                match router.pick_routed(n, port.wrapping_add(k), &backlog, &[], &weights, &up) {
+                match router.pick_routed(n, port.wrapping_add(k), &backlog, &[], &weights, up) {
                     Some(i) => prop_assert!(i < n && eligible(i), "{policy:?} picked ineligible {i}"),
                     None => prop_assert!(!any_eligible, "{policy:?} refused with a replica free"),
                 }
@@ -219,12 +219,12 @@ proptest! {
         port in any::<usize>(),
         seed in any::<u64>(),
     ) {
-        let up = if masked { UpMask::from_fn(n, |i| up_bits[i]) } else { UpMask::all() };
+        let up = |i: usize| !masked || up_bits[i];
         for policy in POLICIES {
             let picks = |backlog: &[u64], weights: &[f64]| {
                 let mut router = Router::new(policy, seed, 3);
                 (0..8)
-                    .map(|k| router.pick_routed(n, port.wrapping_add(k), backlog, &[], weights, &up))
+                    .map(|k| router.pick_routed(n, port.wrapping_add(k), backlog, &[], weights, up))
                     .collect::<Vec<_>>()
             };
             if !policy.reads_weights() {
@@ -254,7 +254,7 @@ fn read_signals_move_a_pick() {
     let picks = |policy, backlog: &[u64], weights: &[f64]| {
         let mut router = Router::new(policy, 7, 3);
         (0..8)
-            .map(|k| router.pick_routed(3, k, backlog, &[], weights, &UpMask::all()))
+            .map(|k| router.pick_routed(3, k, backlog, &[], weights, |_| true))
             .collect::<Vec<_>>()
     };
     // Equal backlogs; the weights all but exclude instances 0 and 2.
