@@ -861,7 +861,8 @@ fn sched_mix(aware: bool) -> String {
 /// six pass-1 sorts from two tenants behind an FCFS gate with a quota
 /// of one, so jobs queue across the crashes. Faults act only on
 /// dispatched jobs; a job whose node was detected down completes by
-/// fence.
+/// fence, and one whose source's node came back before detection
+/// completes when the revive ends that source's stream.
 fn sched_fault() -> String {
     const HOSTS: usize = 2;
     const ASUS: usize = 4;

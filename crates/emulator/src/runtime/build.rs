@@ -482,11 +482,11 @@ impl<R: Record> EmWorker<R> {
                 source_data,
                 is_source: stage.is_source,
                 source_live: true,
+                input_ended: false,
                 ra: (cfg.storage.pool_frames > 0 && stage.is_source).then(|| RaState {
                     window: cfg.storage.read_ahead + 1,
                     staged: 0,
                     pending: false,
-                    eos_sent: false,
                 }),
                 global_tag: idx as u64,
                 epoch: 0,

@@ -37,8 +37,6 @@ pub(super) struct RaState {
     pub(super) staged: usize,
     /// A disk read is in flight.
     pub(super) pending: bool,
-    /// EOS already sent (the input stream is exhausted).
-    pub(super) eos_sent: bool,
 }
 
 /// Per-instance fencing/flush flags shared between the instances and
@@ -155,8 +153,12 @@ pub(super) struct InstanceActor<R: Record> {
     pub(super) down: Option<Downstream<R>>,
     pub(super) source_data: VecDeque<Packet<R>>,
     pub(super) is_source: bool,
-    /// False once a crash kills the source read chain.
+    /// False once a crash kills the source read chain (it never
+    /// resumes; a read landing afterwards is from the dead chain).
     pub(super) source_live: bool,
+    /// A source's own end of input has been counted: its input ran
+    /// out, or its revive ended the stream.
+    pub(super) input_ended: bool,
     /// Windowed read-ahead staging (pool-enabled sources only).
     pub(super) ra: Option<RaState>,
     /// Globally unique instance tag, the global instance index (== actor
@@ -557,8 +559,8 @@ impl<R: Record> InstanceActor<R> {
             if let Some(p) = self.source_data.pop_front() {
                 ra.pending = true;
                 self.read_packet(ctx, p);
-            } else if !ra.eos_sent {
-                ra.eos_sent = true;
+            } else if !self.input_ended {
+                self.input_ended = true;
                 ctx.send_at(ctx.me(), ctx.now(), Msg::Eos);
             }
             return;
@@ -567,6 +569,7 @@ impl<R: Record> InstanceActor<R> {
             let ready = self.read_packet(ctx, p);
             ctx.send_at(ctx.me(), ready, Msg::SourceNext);
         } else {
+            self.input_ended = true;
             ctx.send_at(ctx.me(), ctx.now(), Msg::Eos);
         }
     }
@@ -681,7 +684,11 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg<R>>, msg: Msg<R>) {
         match msg {
             Msg::Arrive { p, meta } => {
-                if self.is_down() {
+                // Under a plan only a source's own reads carry no meta;
+                // one landing after a crash killed the read chain is
+                // from the dead chain, whose stream may have ended.
+                let dead_read = meta.is_none() && !self.source_live;
+                if self.is_down() || dead_read {
                     match meta {
                         Some(meta) => {
                             // Bounce: a control-plane NACK back to the
@@ -760,6 +767,14 @@ impl<R: Record> lmas_sim::Actor<Msg<R>> for InstanceActor<R> {
                 // Fresh volatile state; process whatever arrives from now
                 // on. Source read chains do not resume (their unread
                 // extent is re-dispatched by orchestration-level repair).
+                // A source the detector never fenced (its crash was
+                // shorter than the timeout) and whose input had not run
+                // out ends its stream here, or no one ever would; a
+                // fenced one stays silent, the controller spoke for it.
+                if self.is_source && !self.input_ended && !self.is_fenced() {
+                    self.input_ended = true;
+                    self.eos_seen += 1;
+                }
                 self.try_start(ctx);
                 // Sampling does NOT resume: a revived instance may
                 // never see another EOS (its pre-crash incarnation

@@ -247,6 +247,68 @@ fn inactive_spec_matches_fault_free_run_exactly() {
     );
 }
 
+/// A source's ASU crashes while the source is still reading its input
+/// and comes back before the detector's timeout. The crash kills the
+/// read chain for good and no fence ever speaks for the source, so the
+/// revive ends its stream: every instance, sinks included, flushes
+/// exactly once, and the run loses only what the source had not yet
+/// delivered. Sequential and two-partition runs agree.
+#[test]
+fn source_revived_before_detection_ends_its_stream() {
+    let n = 4_000u32;
+    let run = |threads: usize, spec: &FaultSpec| {
+        let cfg = ClusterConfig::era_2002(2, 2, 8.0)
+            .with_trace(1 << 14)
+            .with_threads(threads);
+        let mut g: FlowGraph<Rec8> = FlowGraph::new();
+        let src = g.add_source_stage(2, relay_factory());
+        let mid = g.add_stage(2, relay_factory());
+        let dst = g.add_stage(2, relay_factory());
+        g.connect(src, mid, RoutingPolicy::RoundRobin, EdgeKind::Set).unwrap();
+        g.connect(mid, dst, RoutingPolicy::Static, EdgeKind::Set).unwrap();
+        let mut placement = Placement::new();
+        let mut inputs = BTreeMap::new();
+        for i in 0..2 {
+            let data: Vec<Rec8> = (0..n).map(|t| Rec8 { key: t, tag: t }).collect();
+            placement.assign(src, i, NodeId::Asu(i));
+            placement.assign(mid, i, NodeId::Host(i));
+            placement.assign(dst, i, NodeId::Host(i));
+            inputs.insert((src.0, i), packetize(data, 50));
+        }
+        run_job_with_faults(&cfg, spec, Job { graph: g, placement, inputs }).unwrap()
+    };
+    let cfg = ClusterConfig::era_2002(2, 2, 8.0);
+    // 50 µs in, the source has read about a fifth of its input.
+    let t_crash = SimTime(50_000);
+    let plan = FaultPlan::new()
+        .crash(asu_index(&cfg, 0), t_crash)
+        .recover(asu_index(&cfg, 0), t_crash + SimDuration::from_millis(5));
+    let spec = FaultSpec::with_plan(plan);
+    let seq = run(1, &spec);
+    let par = run(2, &spec);
+    assert_eq!(par.par.map(|p| p.partitions), Some(2), "ran partitioned");
+    for r in [&seq, &par] {
+        assert_eq!(r.fault.detections, 0, "recovered before the timeout");
+        assert_eq!(r.fault.fenced_instances, 0);
+        for subject in ["s0.i0", "s0.i1", "s1.i0", "s1.i1", "s2.i0", "s2.i1"] {
+            let flushes = r
+                .trace
+                .entries()
+                .filter(|e| e.subject.as_str() == subject && e.detail == "flush")
+                .count();
+            assert_eq!(flushes, 1, "{subject} flushes exactly once");
+        }
+        let delivered = r.sink_records().len() as u64;
+        assert!(
+            delivered + r.fault.lost_queued_records < 2 * n as u64,
+            "the crash left part of the input unread"
+        );
+        assert!(delivered >= n as u64, "the other source delivered everything");
+    }
+    assert_eq!(seq.makespan, par.makespan);
+    assert_eq!(seq.sink_outputs, par.sink_outputs);
+}
+
 /// A plan whose one event is a `Degrade` landing after the job ends is
 /// a no-op: the controller dispatches it, and nothing else moves — same
 /// makespan and sink outputs as `run_job`, and quiet fault counters.

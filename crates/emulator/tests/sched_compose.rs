@@ -334,6 +334,50 @@ fn jobs_dispatched_onto_detected_down_nodes_complete_by_fence() {
     assert_eq!(r.report.records_processed, 2 * 400, "jobs 0 and 1 sink nothing twice");
 }
 
+/// A job whose source's ASU crashes mid-read and comes back before the
+/// detector fires still completes: the revive ends the source's
+/// stream. So the job frees its tenant's one slot and the job queued
+/// behind it runs.
+#[test]
+fn a_source_revived_before_detection_completes_its_job() {
+    let c = cfg();
+    let run = |spec: &FaultSpec| {
+        let jobs = vec![
+            TenantJob {
+                tenant: 0,
+                arrival: SimTime::ZERO,
+                job: pair(NodeId::Asu(0), NodeId::Host(0), 4_000),
+            },
+            TenantJob {
+                tenant: 0,
+                arrival: SimTime(10_000),
+                job: pair(NodeId::Asu(1), NodeId::Host(1), 400),
+            },
+        ];
+        run_jobs(&c, spec, jobs, Box::<OneAtATime>::default()).unwrap()
+    };
+    let clean = run(&FaultSpec::none());
+    // 50 µs in, job 0's source is still reading its input.
+    let t_crash = SimTime(50_000);
+    let asu0 = asu_index(&c, 0);
+    let r = run(&FaultSpec::with_plan(
+        FaultPlan::new()
+            .crash(asu0, t_crash)
+            .recover(asu0, t_crash + SimDuration::from_millis(5)),
+    ));
+    assert_eq!(r.report.fault.detections, 0, "recovered before the timeout");
+    assert_eq!(r.report.census.get("Kill"), Some(1), "the source died");
+    assert_eq!(completions(&r), vec![0, 1], "both jobs complete, in order");
+    assert_eq!(
+        r.jobs[1].dispatched_at, r.jobs[0].completed_at,
+        "job 0's completion freed the slot job 1 waited for"
+    );
+    assert!(
+        r.report.records_processed < clean.report.records_processed,
+        "job 0's source never read part of its input"
+    );
+}
+
 /// A sink that flushed is never counted again when its node later
 /// crashes and is detected down: its job completes once, at the flush.
 #[test]

@@ -2,8 +2,8 @@
 //! recovery correctness (output byte-identical to fault-free) and
 //! bit-reproducibility (same seed twice → same everything).
 
-use lmas_core::{generate_rec128, KeyDist};
-use lmas_emulator::{asu_index, ClusterConfig, FaultSpec};
+use lmas_core::{generate_rec128, KeyDist, Rec128};
+use lmas_emulator::{asu_index, ClusterConfig, EmulationReport, FaultSpec};
 use lmas_sort::{
     canonical_equal, run_dsm_sort, run_dsm_sort_faulty, DsmConfig, LoadMode,
 };
@@ -17,6 +17,42 @@ const N: u64 = 2_000;
 
 fn dsm() -> DsmConfig {
     DsmConfig::new(4, 256, 4, 64)
+}
+
+/// A source ASU's crash, mid-read and shorter than the detector's
+/// timeout: no fence ever ends that source's stream, its revive does, so
+/// every pass-1 instance that flushes fault-free flushes here too, and
+/// the repair pass re-sorts what the source never read. The output
+/// equals the fault-free sort.
+#[test]
+fn sub_timeout_source_crash_repairs_to_fault_free_output() {
+    let cluster = ClusterConfig::era_2002(HOSTS, ASUS, 8.0).with_trace(1 << 16);
+    let dsm = dsm();
+    let mode = LoadMode::Managed(RoutingPolicy::RoundRobin);
+    let data = generate_rec128(N, KeyDist::Uniform, 11);
+    let golden = run_dsm_sort(&cluster, data.clone(), &dsm, mode).unwrap();
+    // 20 µs in, ASU 0's source is still reading its input.
+    let t_crash = SimTime(20_000);
+    let asu0 = asu_index(&cluster, 0);
+    let plan = FaultPlan::new()
+        .crash(asu0, t_crash)
+        .recover(asu0, t_crash + SimDuration::from_millis(5));
+    let spec = FaultSpec::with_plan(plan);
+    let faulted = run_dsm_sort_faulty(&cluster, &spec, data, &dsm, mode).unwrap();
+    assert_eq!(faulted.pass1.fault.detections, 0, "recovered before the timeout");
+    assert!(faulted.recovered_records > 0, "the unread extent was repaired");
+    let flushed = |r: &EmulationReport<Rec128>| {
+        let mut who: Vec<String> = r
+            .trace
+            .entries()
+            .filter(|e| e.detail == "flush")
+            .map(|e| e.subject.clone())
+            .collect();
+        who.sort();
+        who
+    };
+    assert_eq!(flushed(&faulted.pass1), flushed(&golden.pass1), "every instance flushes");
+    canonical_equal(&golden.output, &faulted.output).unwrap();
 }
 
 proptest! {
