@@ -366,7 +366,9 @@ mod tests {
         let mut r = Router::new(RoutingPolicy::SimpleRandomization, 3, 1);
         let mut hit = [false; 70];
         for _ in 0..5_000 {
-            let p = r.pick_available(70, 0, &[], &[], up).expect("live replicas");
+            let p = r
+                .pick_available(70, 0, &[], &[], up)
+                .expect("live replicas");
             assert!(up(p), "picked down replica {p}");
             hit[p] = true;
         }
@@ -461,10 +463,7 @@ mod tests {
         // LoadAware: a dead instance loses even with zero backlog.
         let mut r = Router::new(RoutingPolicy::LoadAware, 0, 0);
         assert_eq!(r.pick_available(3, 0, &[50, 0, 90], &[], all), Some(1));
-        assert_eq!(
-            r.pick_available(3, 0, &[50, 0, 90], &[], one_down),
-            Some(0)
-        );
+        assert_eq!(r.pick_available(3, 0, &[50, 0, 90], &[], one_down), Some(0));
         assert_eq!(r.pick_available(3, 0, &[50, 0, 90], &[], all_down), None);
 
         // PowerOfTwoChoices: never samples a dead instance.
@@ -598,9 +597,7 @@ mod tests {
         let weights = [1.0, 3.0];
         let mut hit = [0usize; 2];
         for _ in 0..4000 {
-            let p = r
-                .pick_routed(2, 0, &[], &[], &weights, all_up)
-                .unwrap();
+            let p = r.pick_routed(2, 0, &[], &[], &weights, all_up).unwrap();
             hit[p] += 1;
         }
         // Expected 1000 / 3000 split; allow generous slack.
@@ -618,9 +615,6 @@ mod tests {
             Some(1)
         );
         // Short weight slices default the tail to 1.0.
-        assert_eq!(
-            r.pick_routed(2, 0, &[10, 2], &[], &[1.0], all_up),
-            Some(1)
-        );
+        assert_eq!(r.pick_routed(2, 0, &[10, 2], &[], &[1.0], all_up), Some(1));
     }
 }

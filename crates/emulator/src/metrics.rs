@@ -210,9 +210,9 @@ pub struct Metrics<R: Record> {
     /// Fault-layer activity counters (all zero on a fault-free run).
     pub fault: FaultStats,
     /// Last instant any *application* progress happened (processing,
-    /// source reads, sink writes). Fault-injected runs use this for the
-    /// makespan so that late plan events (e.g. a recovery scheduled
-    /// after the job drained) don't inflate it.
+    /// source reads, sink writes). The makespan starts from it, so that
+    /// late plan events (e.g. a recovery scheduled after the job
+    /// drained) don't inflate it.
     pub last_activity: SimTime,
     /// Times the runtime balancer re-weighted a replica router (zero
     /// when the balancer is off or never left its deadband).

@@ -453,7 +453,11 @@ impl<R: Record> EmWorker<R> {
                 // Coded frames ship only without a plan: a frame has no
                 // per-packet NACK identity to bounce, so under a plan a
                 // coded edge delivers packet by packet.
-                coded_r: if sh.spec.is_active() { 1 } else { e.coded_group },
+                coded_r: if sh.spec.is_active() {
+                    1
+                } else {
+                    e.coded_group
+                },
                 coded_buf: BTreeMap::new(),
             });
             let source_data: VecDeque<Packet<R>> = self
